@@ -29,11 +29,17 @@ singularity, by adaptive eighth-order integration of the equation written as
 a first-order system in (g, g').  The outward leg steps in t = ln(-y):
 spectral evaluation points (Omega-1)/Omega reach -1e4 and far beyond for
 shallow states, and logarithmic stepping keeps the step count bounded.
+
+heun_continue_batch evaluates many energies at once: one vectorised series
+seeds them all, and one integration in a normalized variable carries every
+energy to its own target.  A spectral scan is a single call; the scalar
+entry points are its one-energy case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +50,10 @@ SERIES_RADIUS_LIMIT = 0.9
 DEFAULT_SEED_POINT = -0.5
 # DOP853 error control is meaningless below ~100*eps
 _RTOL_FLOOR = 3e-14
+# On y < 0 the series terms alternate in sign and peak near
+# exp(2*sqrt((|q0| + sqrt|q1|)*|y|)); continuation is seeded where that
+# stays below e^8, so the sum keeps about 12 of its 16 digits
+_SEED_GROWTH = 8.0
 
 
 class HeunEvaluationError(RuntimeError):
@@ -251,11 +261,147 @@ def _seed_tol(tol: float) -> float:
     return min(max(tol * 1e-3, 1e-15), 1e-9)
 
 
-def _validate_continuation_args(y_target: float, seed_point: float) -> None:
-    if not math.isfinite(y_target) or y_target >= 0.0:
+def _validate_continuation_args(y_target, seed_point: float) -> None:
+    if not np.all(np.isfinite(y_target) & (np.asarray(y_target) < 0.0)):
         raise ValueError(f"y_target must be finite and negative, got {y_target}")
     if not -0.7 <= seed_point <= -0.4:
         raise ValueError(f"seed point must lie in [-0.7, -0.4], got {seed_point}")
+
+
+def _series_state(b: float, q0: np.ndarray, q1: np.ndarray, z: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(g, g') of every energy's Frobenius series at its own point z_i; NaN where it fails.
+
+    The recurrence of heun_series runs on the scaled terms w_n = v_n z^n of all
+    energies at once, with the same stopping rule at radius |z_i|.  An energy
+    fails when a term stops being finite or it needs more than
+    SERIES_MAX_TERMS coefficients.
+    """
+    g = np.full(z.shape, np.nan)
+    gp = np.full(z.shape, np.nan)
+    active = np.arange(z.size)
+    w_prev = np.ones(z.size)
+    w = q0 * z / (b + 1.0)
+    value = 1.0 + w
+    slope = w.copy()  # sum of n * w_n
+    abs_sum = 1.0 + np.abs(w)
+    small = np.zeros(z.size, dtype=int)
+    n = 1
+    while active.size and n < SERIES_MAX_TERMS:
+        w_prev, w = w, ((n * (n + b + 2.0) + q0) * w + q1 * z * w_prev) * z \
+            / ((n + 1.0) * (n + b + 1.0))
+        n += 1
+        value += w
+        slope += n * w
+        term = np.abs(w)
+        abs_sum += term
+        small = np.where((n * n + 1.0) * term < tol * abs_sum, small + 1, 0)
+        done = small >= 3
+        failed = ~np.isfinite(term)
+        if done.any() or failed.any():
+            finished = active[done]
+            g[finished] = value[done]
+            gp[finished] = slope[done] / z[done]
+            keep = ~(done | failed)
+            active, q0, q1, z = active[keep], q0[keep], q1[keep], z[keep]
+            w_prev, w, value, slope = w_prev[keep], w[keep], value[keep], slope[keep]
+            abs_sum, small = abs_sum[keep], small[keep]
+    return g, gp
+
+
+def _integrate(b: float, q0: np.ndarray, q1: np.ndarray, g0: np.ndarray, gp0: np.ndarray,
+               t0: np.ndarray, t_end: np.ndarray, rtol: float):
+    """(g, g') at t_end_i = ln(-y_i) from the seed states at t0_i, or None on failure.
+
+    All energies share one DOP853 solve in tau = (t - t0_i)/(t_end_i - t0_i),
+    so each starts at tau = 0 and reaches its own endpoint at tau = 1.  The
+    error norm is the RMS over all 2m components, so rtol/sqrt(m) bounds each
+    energy's own RMS error in (g, g') by rtol.
+    """
+    m = g0.size
+    span = t_end - t0
+    # with e = -y and r = 1/(1-y) the equation (a = 0, c = 1) times span*y reads
+    #   span*y*g'' = -span*((b+3)*g' + q1*g) + r*span*(2*g' + (q0+q1)*g),
+    # which keeps the number of numpy calls per evaluation small
+    coefs = (t0, span, -span, span * (b + 3.0), span * q1, 2.0 * span, span * (q0 + q1))
+    # a single energy (root refinement) runs on Python floats: a numpy call
+    # costs several times a float operation on arrays this small
+    scalar = m == 1
+    if scalar:
+        coefs = tuple(float(c[0]) for c in coefs)
+    start, scale, neg_scale, gp_coef, g_coef, gp_r_coef, g_r_coef = coefs
+    exp = math.exp if scalar else np.exp
+
+    def rhs(tau, s):
+        e = exp(start + tau * scale)
+        r = 1.0 / (1.0 + e)
+        g, gp = s.tolist() if scalar else (s[:m], s[m:])
+        dg = neg_scale * e * gp
+        dgp = r * (gp_r_coef * gp + g_r_coef * g) - gp_coef * gp - g_coef * g
+        return [dg, dgp] if scalar else np.concatenate((dg, dgp))
+
+    sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate((g0, gp0)), method="DOP853",
+                    rtol=rtol / math.sqrt(m), atol=0.0)
+    if not sol.success:
+        return None
+    return sol.y[:m, -1], sol.y[m:, -1]
+
+
+def heun_continue_batch(
+    params: Sequence[HeunParams],
+    use_minus_b: bool,
+    y_targets,
+    tol: float = 1e-10,
+    seed_point: float = DEFAULT_SEED_POINT,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g, g') of the physical branch for many energies, each at its own y_target < 0.
+
+    All params must share b (one ell).  Each energy is seeded by its
+    Frobenius series at radius |seed_point|, or closer to the origin when its
+    series terms would cancel there (see _SEED_GROWTH).  Targets inside the
+    seed radius are read straight from the series.  The others are continued
+    in t = ln(-y) by one DOP853 solve over the whole batch, with absolute
+    tolerance zero so the solution sign stays reliable while the amplitude
+    decays through many orders of magnitude.  Each energy's error stays
+    within tol; a batch whose shared tolerance would fall below the
+    integrator's floor is split, and a failed batch is retried one energy at
+    a time.  An energy whose series or integration fails comes back as NaN
+    without affecting the others.
+    """
+    y = np.asarray(y_targets, dtype=float).reshape(-1)
+    if len(params) != y.size:
+        raise ValueError("need one parameter set per target")
+    if y.size == 0:
+        return np.empty(0), np.empty(0)
+    _validate_continuation_args(y, seed_point)
+    coeffs = np.array([_linear_coefficients(p, use_minus_b) for p in params])
+    b = float(coeffs[0, 1])
+    if np.any(coeffs[:, 1] != b):
+        raise ValueError("all parameter sets must share b")
+    if b <= -1.0 and abs(b - round(b)) < 1e-12:
+        raise HeunEvaluationError(f"recurrence breaks down for b = {b}")
+    q1, q0 = coeffs[:, 3], coeffs[:, 4]
+
+    radius = np.minimum(-seed_point,
+                        (0.5 * _SEED_GROWTH) ** 2 / (np.abs(q0) + np.sqrt(np.abs(q1))))
+    inner = -y <= radius
+    g, gp = _series_state(b, q0, q1, np.where(inner, y, -radius), _seed_tol(tol))
+
+    t0, t_end = np.log(radius), np.log(-y)
+    rtol = max(tol, _RTOL_FLOOR)
+    size = max(1, int((rtol / _RTOL_FLOOR) ** 2))
+    outer = np.flatnonzero(~inner & ~np.isnan(g))  # failed series stay NaN
+    batches = [outer[i:i + size] for i in range(0, outer.size, size)]
+    while batches:
+        idx = batches.pop()
+        result = _integrate(b, q0[idx], q1[idx], g[idx], gp[idx], t0[idx], t_end[idx], rtol)
+        if result is not None:
+            g[idx], gp[idx] = result
+        elif idx.size > 1:
+            batches.extend(idx[i:i + 1] for i in range(idx.size))
+        else:
+            g[idx] = gp[idx] = np.nan
+    return g, gp
 
 
 def heun_continue_state(
@@ -267,39 +413,15 @@ def heun_continue_state(
 ) -> tuple[float, float]:
     """Continue the physical branch to y_target < 0; returns (g, g') there.
 
-    The integration is seeded with (value, derivative) of the Frobenius series
-    at seed_point.  Targets between the seed and the origin are integrated
-    directly in y; targets beyond the seed are integrated in t = ln(-y).
-    Absolute tolerance is kept at zero so the solution sign stays reliable even
-    when the amplitude decays through many orders of magnitude.
+    The single-energy case of heun_continue_batch.
     """
-    _validate_continuation_args(y_target, seed_point)
-    series = heun_series(p, use_minus_b, tol=_seed_tol(tol), radius=abs(seed_point))
-    g0 = series.value(seed_point)
-    gp0 = series.derivative(seed_point)
-    if y_target == seed_point:
-        return g0, gp0
-
-    rtol = max(tol, _RTOL_FLOOR)
-    if y_target > seed_point:
-        def rhs(y, s):
-            return [s[1], heun_second_derivative(p, use_minus_b, y, s[0], s[1])]
-
-        sol = solve_ivp(rhs, (seed_point, y_target), [g0, gp0],
-                        method="DOP853", rtol=rtol, atol=0.0)
-    else:
-        def rhs(t, s):
-            y = -math.exp(t)
-            gpp = heun_second_derivative(p, use_minus_b, y, s[0], s[1])
-            return [y * s[1], y * gpp]
-
-        sol = solve_ivp(rhs, (math.log(-seed_point), math.log(-y_target)),
-                        [g0, gp0], method="DOP853", rtol=rtol, atol=0.0)
-    if not sol.success:
+    g, gp = heun_continue_batch([p], use_minus_b, [y_target], tol, seed_point)
+    if math.isnan(g[0]):
         raise HeunEvaluationError(
-            f"continuation to y = {y_target} failed: {sol.message}"
+            f"continuation to y = {y_target} failed: the series needs more than "
+            f"{SERIES_MAX_TERMS} terms or overflows, or the integrator failed"
         )
-    return float(sol.y[0, -1]), float(sol.y[1, -1])
+    return float(g[0]), float(gp[0])
 
 
 def heun_continue(

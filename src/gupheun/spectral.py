@@ -30,6 +30,7 @@ equivalently -(5 hbar^2 / (4 m dx_min^2)) with dx_min = hbar sqrt(5 beta).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -39,8 +40,8 @@ from scipy.optimize import brentq
 from .heun import (
     CouplingConfig,
     EnergyPoint,
-    HeunEvaluationError,
     heun_continue,
+    heun_continue_batch,
     heun_params,
 )
 from .specfun import (
@@ -109,22 +110,27 @@ class SpectralScan:
             raise ValueError("omegas and values must have equal length")
         for i, j in self.brackets:
             vi, vj = self.values[i], self.values[j]
-            if i != j and not (np.isfinite(vi) and np.isfinite(vj) and vi * vj < 0):
+            if i != j and not (np.isfinite(vi) and np.isfinite(vj)
+                               and _opposite_signs(vi, vj)):
                 raise ValueError(f"bracket ({i}, {j}) lacks opposite-sign endpoints")
 
 
+def _opposite_signs(a, b):
+    """a * b < 0 without forming the product, which can overflow or underflow."""
+    return (a != 0.0) & (b != 0.0) & (np.signbit(a) != np.signbit(b))
+
+
 def _find_brackets(values: np.ndarray) -> tuple[tuple[int, int], ...]:
-    out = []
-    for i in range(len(values) - 1):
-        vi, vj = values[i], values[i + 1]
-        if not (np.isfinite(vi) and np.isfinite(vj)):
-            continue  # failed points are gaps, not brackets
-        if vi == 0.0:
-            out.append((i, i))
-        elif vi * vj < 0.0:
-            out.append((i, i + 1))
-    if len(values) and values[-1] == 0.0 and np.isfinite(values[-1]):
-        out.append((len(values) - 1, len(values) - 1))
+    """(i, i) at exact zeros and (i, i+1) at sign changes; NaN points are gaps."""
+    v = np.asarray(values, dtype=float)
+    finite = np.isfinite(v)
+    pair = finite[:-1] & finite[1:]
+    zero = pair & (v[:-1] == 0.0)
+    change = pair & _opposite_signs(v[:-1], v[1:])
+    left = np.flatnonzero(zero | change)
+    out = list(zip(left.tolist(), (left + change[left]).tolist()))
+    if v.size and v[-1] == 0.0:
+        out.append((v.size - 1, v.size - 1))
     return tuple(out)
 
 
@@ -135,20 +141,19 @@ def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
                   point_scale: float = 1.0) -> SpectralScan:
     """Sample the spectral function on a log grid and record sign-change brackets.
 
-    Per-point evaluation failures are recorded as NaN gaps; the scan itself
-    never aborts.
+    The whole grid is one heun_continue_batch call, with each energy held to
+    tol.  Energies that fail to evaluate are recorded as NaN gaps; the scan
+    itself never aborts.
     """
     if not (0.0 < omega_min < omega_max < 0.5):
         raise ValueError("need 0 < omega_min < omega_max < 1/2")
     if n_points < 2:
         raise ValueError("need at least two scan points")
     omegas = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), n_points))
-    values = np.empty(n_points)
-    for i, w in enumerate(omegas):
-        try:
-            values[i] = spectral_function(cfg, w, tol=tol, point_scale=point_scale)
-        except HeunEvaluationError:
-            values[i] = np.nan
+    energies = [EnergyPoint.from_omega(w) for w in omegas]
+    values, _ = heun_continue_batch([heun_params(cfg, ep) for ep in energies], True,
+                                    [spectral_point(ep, point_scale) for ep in energies],
+                                    tol=tol)
     return SpectralScan(omegas=omegas, values=values, brackets=_find_brackets(values),
                         kappa=cfg.kappa, ell=cfg.ell, tol=tol, point_scale=point_scale)
 
@@ -204,7 +209,7 @@ def find_roots(scan: SpectralScan, tol: float = DEFAULT_ROOT_TOL) -> SpectrumRes
         if fhi == 0.0:
             roots.append(hi)
             continue
-        if flo * fhi > 0.0:
+        if not _opposite_signs(flo, fhi):
             warnings.warn(f"bracket [{lo:g}, {hi:g}] lost its sign change; dropped",
                           RuntimeWarning, stacklevel=2)
             continue
@@ -224,7 +229,10 @@ def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
     """Explicit low-energy tower omega_n = exp[(2/nu)(arg B - (n+1/2)pi)] / 2.
 
     Levels at or above the validity cut violate the shallow-energy premise and
-    are discarded; weak coupling returns an empty spectrum (not an error).
+    are discarded; weak coupling returns an empty spectrum (not an error).  The
+    levels decrease strictly, so the tower stops at the first one below the
+    smallest normal float: from there they underflow towards 0.0 and stop
+    being distinct.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -236,6 +244,8 @@ def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
     omegas = []
     for n in range(n_max + 1):
         w = 0.5 * math.exp((2.0 / phase.nu) * (phase.b_arg - (n + 0.5) * math.pi))
+        if w < sys.float_info.min:
+            break
         if w < validity:
             omegas.append(w)
     return SpectrumResult(method=METHOD_CLOSED_FORM, omegas=tuple(omegas),

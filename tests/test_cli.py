@@ -137,6 +137,16 @@ class TestSpectrumCommand:
         assert summary["summary"] == "no bound states"
         assert out.read_text().splitlines() == ["n,omega,energy_natural_units,method"]
 
+    def test_tower_stops_at_float_floor(self, capsys, tmp_path):
+        # beyond n ~ 313 the kappa = 2 levels underflow towards 0.0
+        out = tmp_path / "spectrum.csv"
+        code, lines, _ = run_cli(capsys, "spectrum", "--kappa", "2", "--n-max", "400",
+                                 "-o", str(out))
+        assert code == 0
+        omegas = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
+        assert int(parse_summary(lines[-1])["levels"]) == len(omegas) > 300
+        assert all(0.0 < b < a for a, b in zip(omegas, omegas[1:]))
+
 
 class TestWavefunctionCommand:
     def test_non_decaying_flag(self, capsys, tmp_path):

@@ -1,18 +1,24 @@
 """Spectral scan, root finding, closed form, and unit conversion tests."""
 
 import math
+import warnings
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
-from gupheun.heun import CouplingConfig, EnergyPoint
+from gupheun import heun
+from gupheun.heun import CouplingConfig, EnergyPoint, HeunEvaluationError
 from gupheun.spectral import (
     METHOD_CLOSED_FORM,
     METHOD_EXACT,
     NoTransitionError,
+    SpectralScan,
     SpectrumResult,
     UnitMismatchError,
     UnitSystem,
+    _find_brackets,
     closed_form_spectrum,
     compare_spectra,
     critical_coupling,
@@ -20,6 +26,7 @@ from gupheun.spectral import (
     find_roots,
     hypergeometric_condition_roots,
     natural_units_for,
+    spectral_function,
     spectral_point,
     spectral_scan,
     to_physical_energy,
@@ -48,6 +55,147 @@ class TestScan:
             spectral_scan(cfg, 0.2, 0.1, 50)
         with pytest.raises(ValueError):
             spectral_scan(cfg, 1e-3, 0.6, 50)
+
+
+def _pointwise(cfg, omegas, tol):
+    """spectral_function at every omega, NaN where it raises."""
+    values = []
+    for w in omegas:
+        try:
+            values.append(spectral_function(cfg, float(w), tol=tol))
+        except HeunEvaluationError:
+            values.append(math.nan)
+    return np.array(values)
+
+
+class TestBrackets:
+    def test_matches_loop_reference(self):
+        def loop_brackets(values):
+            out = []
+            for i in range(len(values) - 1):
+                vi, vj = values[i], values[i + 1]
+                if not (np.isfinite(vi) and np.isfinite(vj)):
+                    continue
+                if vi == 0.0:
+                    out.append((i, i))
+                elif vi * vj < 0.0:
+                    out.append((i, i + 1))
+            if len(values) and values[-1] == 0.0:
+                out.append((len(values) - 1, len(values) - 1))
+            return tuple(out)
+
+        rng = np.random.default_rng(7)
+        for n in (0, 1, 2, 5, 40):
+            for _ in range(50):
+                values = rng.choice([-2.0, -0.5, 0.0, 0.0, 1.0, 3.0, np.nan], size=n)
+                assert _find_brackets(values) == loop_brackets(values)
+
+    def test_sign_test_does_not_overflow(self):
+        values = np.array([1e200, -1e200, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            brackets = _find_brackets(values)
+            SpectralScan(omegas=np.array([0.1, 0.2, 0.3]), values=values,
+                         brackets=brackets, kappa=1.0, ell=0)
+        assert brackets == ((0, 1), (1, 2))
+        # the product of these underflows to -0.0, which hid the sign change
+        assert _find_brackets(np.array([1e-200, -1e-200])) == ((0, 1),)
+
+
+class TestBatchedScan:
+    """spectral_scan evaluates its grid in one batch; spectral_function one point."""
+
+    @pytest.mark.parametrize("kappa", [0.75, 2.0, 5.0])
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_matches_pointwise(self, kappa, ell):
+        cfg = CouplingConfig(kappa=kappa, ell=ell)
+        scan = spectral_scan(cfg, 1e-4, 0.45, 48)
+        values = _pointwise(cfg, scan.omegas, scan.tol)
+        assert scan.brackets == _find_brackets(values)
+        assert np.array_equal(np.isnan(scan.values), np.isnan(values))
+
+    def test_strong_coupling_near_upper_edge(self):
+        cfg = CouplingConfig(kappa=3e4, ell=0)
+        scan = spectral_scan(cfg, 0.3, 0.45, 16)
+        values = _pointwise(cfg, scan.omegas, scan.tol)
+        assert np.array_equal(np.isnan(scan.values), np.isnan(values))
+        assert scan.brackets == _find_brackets(values)
+
+    def test_failed_series_become_gaps(self, monkeypatch):
+        # with the term cap lowered, only the energies whose target sits
+        # close to the origin keep a convergent series
+        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 50)
+        cfg = CouplingConfig(kappa=2.0, ell=0)
+        scan = spectral_scan(cfg, 1e-4, 0.45, 40)
+        values = _pointwise(cfg, scan.omegas, scan.tol)
+        failed = np.isnan(values)
+        assert failed.any() and not failed.all()
+        assert np.array_equal(np.isnan(scan.values), failed)
+
+    def test_failed_integrations_become_gaps(self, monkeypatch):
+        # a stand-in integrator that fails every solve holding a seed value
+        # below 0.3: the failed batch is retried one energy at a time, and
+        # exactly the energies that fail alone become gaps
+        solve_ivp = heun.solve_ivp
+
+        def flaky(fun, t_span, y0, **kwargs):
+            if np.any(y0[:len(y0) // 2] < 0.3):
+                return SimpleNamespace(success=False, message="stand-in failure")
+            return solve_ivp(fun, t_span, y0, **kwargs)
+
+        monkeypatch.setattr(heun, "solve_ivp", flaky)
+        cfg = CouplingConfig(kappa=2.0, ell=0)
+        scan = spectral_scan(cfg, 1e-4, 0.45, 40)
+        values = _pointwise(cfg, scan.omegas, scan.tol)
+        failed = np.isnan(values)
+        assert failed.any() and not failed.all()
+        assert np.array_equal(np.isnan(scan.values), failed)
+        assert np.allclose(scan.values[~failed], values[~failed], rtol=1e-6)
+
+
+def _oracle(kappa, ell, omega):
+    """Frobenius series of the physical branch at y* = (Omega-1)/Omega, to 50 digits.
+
+    Sums the three-term recurrence of heun.heun_series directly at y*; only
+    valid for |y*| < 1, that is omega > 1/4.
+    """
+    with mpmath.workdps(50):
+        big = 2 * mpmath.mpf(omega)
+        eps = 1 - big
+        b = ell + mpmath.mpf(1) / 2
+        d = kappa * big / eps**2
+        q0 = kappa / eps + b + 1
+        y = (big - 1) / big
+        prev, term = mpmath.mpf(1), q0 / (b + 1) * y
+        total, n, small = prev + term, 1, 0
+        while small < 3:
+            prev, term = term, ((n * (n + b + 2) + q0) * term + d * y * prev) * y \
+                / ((n + 1) * (n + b + 1))
+            total += term
+            n += 1
+            small = small + 1 if abs(term) < mpmath.mpf(10) ** -45 * abs(total) else 0
+        return total
+
+
+class TestMpmathOracle:
+    # default-grid energies at kappa = 100 where the series seeded at y = -0.5
+    # cancels away every digit; that seed gave the wrong sign at all three
+    DEFAULT_GRID_INDICES = (587, 591, 595)
+
+    def test_scan_values_at_strong_coupling(self):
+        cfg = CouplingConfig(kappa=100.0, ell=0)
+        scan = spectral_scan(cfg)
+        for i in self.DEFAULT_GRID_INDICES:
+            omega = float(scan.omegas[i])
+            ref = float(_oracle(100.0, 0, omega))
+            assert scan.values[i] == pytest.approx(ref, rel=1e-8)
+            assert spectral_function(cfg, omega, tol=1e-10) == pytest.approx(ref, rel=1e-9)
+
+    def test_root_at_strong_coupling(self):
+        ref = mpmath.findroot(lambda w: _oracle(20.0, 1, w), mpmath.mpf("0.40944"))
+        scan = spectral_scan(CouplingConfig(kappa=20.0, ell=1), 0.40, 0.42, 20)
+        (root,) = find_roots(scan, tol=1e-12).omegas
+        assert abs(root - float(ref)) < 1e-9
 
 
 class TestFindRoots:

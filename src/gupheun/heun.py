@@ -1,39 +1,44 @@
-"""Confluent Heun equation: parameters, Frobenius series, analytic continuation.
+"""Confluent Heun equation of the deformed problem: parameters and evaluation.
 
 The deformed radial problem for the attractive 1/r^2 potential with a minimal
 length reduces (after pulling out the local exponent and moving the second
-regular singular point to 1) to the confluent Heun equation
+regular singular point to 1) to the confluent Heun equation with a = 0, c = 1,
 
-    g'' + ( a + (b+1)/y + (c+1)/(y-1) ) g'
-        + [ (a(b+c+2)/2 + d) y + e + b/2 + (c-a)(b+1)/2 ] / ( y(y-1) ) g = 0
+    g'' + ( (b+1)/y + 2/(y-1) ) g' + [ d y + e + b + 1/2 ] / ( y(y-1) ) g = 0
 
 with regular singular points at y = 0, 1 and an irregular point of rank 1 at
-infinity.  Hc(a,b,c,d,e;y) denotes the local Frobenius solution at y = 0
+infinity.  Hc(0,b,1,d,e;y) denotes the local Frobenius solution at y = 0
 normalized to Hc(...;0) = 1; the second local solution is
-y^(-b) Hc(a,-b,c,d,e;y).  For dimensionless coupling kappa and orbital
+y^(-b) Hc(0,-b,1,d,e;y).  For dimensionless coupling kappa and orbital
 number ell the parameters read
 
-    a = 0,   b = -1/2 - ell,   c = 1,
-    d = kappa*Omega/eps^2,     e = kappa/eps + 1/2,     eps = 1 - Omega,
+    b = -1/2 - ell,   d = kappa*Omega/eps^2,   e = kappa/eps + 1/2,   eps = 1 - Omega,
 
 with Omega = 2*omega the dimensionless energy.  The square-integrable radial
 branch behaves like r^ell at the origin and therefore carries the flipped
-second parameter -b = ell + 1/2.
+second parameter B = -b = ell + 1/2.  It is the only branch evaluated here:
+
+    g'' + ( (B+1)/y + 2/(y-1) ) g' + (q1 y + q0) / ( y(y-1) ) g = 0,
+    q1 = d,   q0 = e + B + 1/2.
 
 Evaluation strategy
 -------------------
-Inside the unit disk (restricted to |y| <= 0.9 for safety) the power series
-from the three-term coefficient recurrence is used directly.  Outside, the
-solution is continued along the negative real axis, which contains no
-singularity, by adaptive eighth-order integration of the equation written as
-a first-order system in (g, g').  The outward leg steps in t = ln(-y):
-spectral evaluation points (Omega-1)/Omega reach -1e4 and far beyond for
-shallow states, and logarithmic stepping keeps the step count bounded.
+heun_continue_batch is the one evaluator.  It takes (energy, target) pairs
+with targets y < 0.  One vectorised three-term recurrence seeds every pair
+with its Frobenius series, at |y| = 0.5 or closer to the origin where the
+alternating terms would cancel; targets inside that seed radius are read
+straight from the series.  The others are continued along the negative real
+axis, which contains no singularity, by one adaptive eighth-order solve of
+the equation as a first-order system in (g, g').  It steps in t = ln(-y),
+normalized so that every pair reaches its own target together: spectral
+points (Omega-1)/Omega reach -1e4 and far beyond for shallow states, and
+logarithmic stepping keeps the step count bounded.  A spectral scan is one
+call with many energies, a radial profile (heun_continue_path) one call with
+one energy and many targets, and heun_continue the one-target case.
 
-heun_continue_batch evaluates many energies at once: one vectorised series
-seeds them all, and one integration in a normalized variable carries every
-energy to its own target.  A spectral scan is a single call; the scalar
-entry points are its one-energy case.
+heun_series (a coefficient list with Horner evaluation) and
+heun_second_derivative (the equation itself) are the textbook forms; the
+evaluator does not use them, and they serve as independent checks of it.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from scipy.integrate import solve_ivp
 
 SERIES_MAX_TERMS = 10_000
 SERIES_RADIUS_LIMIT = 0.9
-DEFAULT_SEED_POINT = -0.5
 # DOP853 error control is meaningless below ~100*eps
 _RTOL_FLOOR = 3e-14
 # On y < 0 the series terms alternate in sign and peak near
@@ -106,50 +110,38 @@ class EnergyPoint:
 
 @dataclass(frozen=True)
 class HeunParams:
-    """The five confluent-Heun parameters (a, b, c, d, e).
+    """The parameters (b, d, e) of Hc(0, b, 1, d, e; y).
 
-    For this problem a = 0 and c = 1 always, and b = -1/2 - ell for a
-    non-negative integer ell.  The physical branch is evaluated with the
-    sign-flipped second parameter -b.
+    b = -1/2 - ell for a non-negative integer ell; the physical branch is
+    evaluated with the flipped second parameter B = -b = ell + 1/2.
     """
 
-    a: float
     b: float
-    c: float
     d: float
     e: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d", "e"):
+        for name in ("b", "d", "e"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"parameter {name} must be finite")
-        if self.a != 0.0 or self.c != 1.0:
-            raise ValueError("expected a = 0 and c = 1")
         ell = -0.5 - self.b
         if abs(ell - round(ell)) > 1e-12 or round(ell) < 0:
             raise ValueError(f"b must equal -1/2 - ell for integer ell >= 0, got {self.b}")
-
-    def effective_b(self, use_minus_b: bool) -> float:
-        return -self.b if use_minus_b else self.b
 
 
 def heun_params(cfg: CouplingConfig, ep: EnergyPoint) -> HeunParams:
     """Confluent-Heun parameter set for coupling cfg at trial energy ep."""
     return HeunParams(
-        a=0.0,
         b=-0.5 - cfg.ell,
-        c=1.0,
         d=cfg.kappa * ep.big_omega / ep.epsilon**2,
         e=cfg.kappa / ep.epsilon + 0.5,
     )
 
 
-def _linear_coefficients(p: HeunParams, use_minus_b: bool) -> tuple[float, float, float, float, float]:
-    """(a, b_eff, c, q1, q0) with the polynomial part q1*y + q0 of the g term."""
-    b = p.effective_b(use_minus_b)
-    q1 = 0.5 * p.a * (b + p.c + 2.0) + p.d
-    q0 = p.e + 0.5 * b + 0.5 * (p.c - p.a) * (b + 1.0)
-    return p.a, b, p.c, q1, q0
+def _linear_coefficients(p: HeunParams) -> tuple[float, float, float]:
+    """(B, q1, q0): B = -b and the polynomial part q1*y + q0 of the g term."""
+    B = -p.b
+    return B, p.d, p.e + B + 0.5
 
 
 @dataclass(frozen=True)
@@ -196,36 +188,27 @@ class HeunSeries:
         return acc
 
 
-def heun_series(
-    p: HeunParams,
-    use_minus_b: bool = True,
-    tol: float = 1e-12,
-    radius: float = 0.5,
-) -> HeunSeries:
-    """Power-series coefficients of Hc with the chosen branch of b.
+def heun_series(p: HeunParams, tol: float = 1e-12, radius: float = 0.5) -> HeunSeries:
+    """Power-series coefficients of the physical branch Hc(0, B, 1, d, e; y).
 
     Substituting sum(v_n y^n) into the equation gives the three-term recurrence
 
-        (n+1)(n+b+1) v_{n+1} = [n(n-1) + n(b+c+2-a) + q0] v_n + [a(n-1) + q1] v_{n-1}
+        (n+1)(n+B+1) v_{n+1} = [n(n+B+2) + q0] v_n + q1 v_{n-1}
 
     with v_0 = 1.  Generation stops once three consecutive terms at |y| = radius
     drop below tol relative to the accumulated (absolute) sum, with an n^2
     weight on the term so that the residual of the truncated polynomial in the
     differential equation (which picks up the dropped coefficients through the
-    indicial factor (n+1)(n+b+1)) is bounded by tol as well, not only the
+    indicial factor (n+1)(n+B+1)) is bounded by tol as well, not only the
     value; it is an error to need more than SERIES_MAX_TERMS coefficients.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not 0 < radius <= SERIES_RADIUS_LIMIT:
         raise ValueError(f"radius must lie in (0, {SERIES_RADIUS_LIMIT}]")
-    a, b, c, q1, q0 = _linear_coefficients(p, use_minus_b)
-    if b <= -1.0 and abs(b - round(b)) < 1e-12:
-        # (n + b + 1) would vanish at n = -b - 1; cannot happen on the
-        # physical branch where b = ell + 1/2
-        raise HeunEvaluationError(f"recurrence breaks down for b = {b}")
+    B, q1, q0 = _linear_coefficients(p)
 
-    coeffs = [1.0, q0 / (b + 1.0)]
+    coeffs = [1.0, q0 / (B + 1.0)]
     abs_sum = 1.0 + abs(coeffs[1]) * radius
     consecutive_small = 0
     n = 1
@@ -234,9 +217,8 @@ def heun_series(
             raise HeunEvaluationError(
                 f"series needs more than {SERIES_MAX_TERMS} terms at radius {radius}"
             )
-        num = (n * (n - 1.0) + n * (b + c + 2.0 - a) + q0) * coeffs[n] \
-            + (a * (n - 1.0) + q1) * coeffs[n - 1]
-        v = num / ((n + 1.0) * (n + b + 1.0))
+        v = ((n * (n + B + 2.0) + q0) * coeffs[n] + q1 * coeffs[n - 1]) \
+            / ((n + 1.0) * (n + B + 1.0))
         coeffs.append(v)
         n += 1
         term = abs(v) * radius**n
@@ -248,27 +230,20 @@ def heun_series(
     return HeunSeries(coeffs=np.asarray(coeffs), tol=tol, radius_used=radius)
 
 
-def heun_second_derivative(
-    p: HeunParams, use_minus_b: bool, y: float, g: float, gp: float
-) -> float:
-    """g'' at y given (g, g'), straight from the equation.  y must avoid 0 and 1."""
-    a, b, c, q1, q0 = _linear_coefficients(p, use_minus_b)
-    return -((a + (b + 1.0) / y + (c + 1.0) / (y - 1.0)) * gp
-             + (q1 * y + q0) / (y * (y - 1.0)) * g)
+def heun_second_derivative(p: HeunParams, y: float, g: float, gp: float) -> float:
+    """g'' of the physical branch at y given (g, g'), straight from the equation.
+
+    y must avoid 0 and 1.
+    """
+    B, q1, q0 = _linear_coefficients(p)
+    return -(((B + 1.0) / y + 2.0 / (y - 1.0)) * gp + (q1 * y + q0) / (y * (y - 1.0)) * g)
 
 
 def _seed_tol(tol: float) -> float:
     return min(max(tol * 1e-3, 1e-15), 1e-9)
 
 
-def _validate_continuation_args(y_target, seed_point: float) -> None:
-    if not np.all(np.isfinite(y_target) & (np.asarray(y_target) < 0.0)):
-        raise ValueError(f"y_target must be finite and negative, got {y_target}")
-    if not -0.7 <= seed_point <= -0.4:
-        raise ValueError(f"seed point must lie in [-0.7, -0.4], got {seed_point}")
-
-
-def _series_state(b: float, q0: np.ndarray, q1: np.ndarray, z: np.ndarray,
+def _series_state(B: float, q0: np.ndarray, q1: np.ndarray, z: np.ndarray,
                   tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(g, g') of every energy's Frobenius series at its own point z_i; NaN where it fails.
 
@@ -281,15 +256,15 @@ def _series_state(b: float, q0: np.ndarray, q1: np.ndarray, z: np.ndarray,
     gp = np.full(z.shape, np.nan)
     active = np.arange(z.size)
     w_prev = np.ones(z.size)
-    w = q0 * z / (b + 1.0)
+    w = q0 * z / (B + 1.0)
     value = 1.0 + w
     slope = w.copy()  # sum of n * w_n
     abs_sum = 1.0 + np.abs(w)
     small = np.zeros(z.size, dtype=int)
     n = 1
     while active.size and n < SERIES_MAX_TERMS:
-        w_prev, w = w, ((n * (n + b + 2.0) + q0) * w + q1 * z * w_prev) * z \
-            / ((n + 1.0) * (n + b + 1.0))
+        w_prev, w = w, ((n * (n + B + 2.0) + q0) * w + q1 * z * w_prev) * z \
+            / ((n + 1.0) * (n + B + 1.0))
         n += 1
         value += w
         slope += n * w
@@ -309,7 +284,7 @@ def _series_state(b: float, q0: np.ndarray, q1: np.ndarray, z: np.ndarray,
     return g, gp
 
 
-def _integrate(b: float, q0: np.ndarray, q1: np.ndarray, g0: np.ndarray, gp0: np.ndarray,
+def _integrate(B: float, q0: np.ndarray, q1: np.ndarray, g0: np.ndarray, gp0: np.ndarray,
                t0: np.ndarray, t_end: np.ndarray, rtol: float):
     """(g, g') at t_end_i = ln(-y_i) from the seed states at t0_i, or None on failure.
 
@@ -320,10 +295,10 @@ def _integrate(b: float, q0: np.ndarray, q1: np.ndarray, g0: np.ndarray, gp0: np
     """
     m = g0.size
     span = t_end - t0
-    # with e = -y and r = 1/(1-y) the equation (a = 0, c = 1) times span*y reads
-    #   span*y*g'' = -span*((b+3)*g' + q1*g) + r*span*(2*g' + (q0+q1)*g),
+    # with e = -y and r = 1/(1-y) the equation times span*y reads
+    #   span*y*g'' = -span*((B+3)*g' + q1*g) + r*span*(2*g' + (q0+q1)*g),
     # which keeps the number of numpy calls per evaluation small
-    coefs = (t0, span, -span, span * (b + 3.0), span * q1, 2.0 * span, span * (q0 + q1))
+    coefs = (t0, span, -span, span * (B + 3.0), span * q1, 2.0 * span, span * (q0 + q1))
     # a single energy (root refinement) runs on Python floats: a numpy call
     # costs several times a float operation on arrays this small
     scalar = m == 1
@@ -347,45 +322,38 @@ def _integrate(b: float, q0: np.ndarray, q1: np.ndarray, g0: np.ndarray, gp0: np
     return sol.y[:m, -1], sol.y[m:, -1]
 
 
-def heun_continue_batch(
-    params: Sequence[HeunParams],
-    use_minus_b: bool,
-    y_targets,
-    tol: float = 1e-10,
-    seed_point: float = DEFAULT_SEED_POINT,
-) -> tuple[np.ndarray, np.ndarray]:
+def heun_continue_batch(params: Sequence[HeunParams], y_targets,
+                        tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """(g, g') of the physical branch for many energies, each at its own y_target < 0.
 
-    All params must share b (one ell).  Each energy is seeded by its
-    Frobenius series at radius |seed_point|, or closer to the origin when its
-    series terms would cancel there (see _SEED_GROWTH).  Targets inside the
-    seed radius are read straight from the series.  The others are continued
-    in t = ln(-y) by one DOP853 solve over the whole batch, with absolute
-    tolerance zero so the solution sign stays reliable while the amplitude
-    decays through many orders of magnitude.  Each energy's error stays
-    within tol; a batch whose shared tolerance would fall below the
-    integrator's floor is split, and a failed batch is retried one energy at
-    a time.  An energy whose series or integration fails comes back as NaN
-    without affecting the others.
+    All params must share b (one ell); the same energy may appear many times.
+    Each energy is seeded by its Frobenius series at radius 0.5, or closer to
+    the origin when its series terms would cancel there (see _SEED_GROWTH).
+    Targets inside the seed radius are read straight from the series.  The
+    others are continued in t = ln(-y) by one DOP853 solve over the whole
+    batch, with absolute tolerance zero so the solution sign stays reliable
+    while the amplitude decays through many orders of magnitude.  Each
+    target's error stays within tol; a batch whose shared tolerance would
+    fall below the integrator's floor is split, and a failed batch is retried
+    one target at a time.  A target whose series or integration fails comes
+    back as NaN without affecting the others.
     """
     y = np.asarray(y_targets, dtype=float).reshape(-1)
     if len(params) != y.size:
         raise ValueError("need one parameter set per target")
     if y.size == 0:
         return np.empty(0), np.empty(0)
-    _validate_continuation_args(y, seed_point)
-    coeffs = np.array([_linear_coefficients(p, use_minus_b) for p in params])
-    b = float(coeffs[0, 1])
-    if np.any(coeffs[:, 1] != b):
+    if not np.all(np.isfinite(y) & (y < 0.0)):
+        raise ValueError(f"y_target must be finite and negative, got {y_targets}")
+    coeffs = np.array([_linear_coefficients(p) for p in params])
+    B = float(coeffs[0, 0])
+    if np.any(coeffs[:, 0] != B):
         raise ValueError("all parameter sets must share b")
-    if b <= -1.0 and abs(b - round(b)) < 1e-12:
-        raise HeunEvaluationError(f"recurrence breaks down for b = {b}")
-    q1, q0 = coeffs[:, 3], coeffs[:, 4]
+    q1, q0 = coeffs[:, 1], coeffs[:, 2]
 
-    radius = np.minimum(-seed_point,
-                        (0.5 * _SEED_GROWTH) ** 2 / (np.abs(q0) + np.sqrt(np.abs(q1))))
+    radius = np.minimum(0.5, (0.5 * _SEED_GROWTH) ** 2 / (np.abs(q0) + np.sqrt(np.abs(q1))))
     inner = -y <= radius
-    g, gp = _series_state(b, q0, q1, np.where(inner, y, -radius), _seed_tol(tol))
+    g, gp = _series_state(B, q0, q1, np.where(inner, y, -radius), _seed_tol(tol))
 
     t0, t_end = np.log(radius), np.log(-y)
     rtol = max(tol, _RTOL_FLOOR)
@@ -394,7 +362,7 @@ def heun_continue_batch(
     batches = [outer[i:i + size] for i in range(0, outer.size, size)]
     while batches:
         idx = batches.pop()
-        result = _integrate(b, q0[idx], q1[idx], g[idx], gp[idx], t0[idx], t_end[idx], rtol)
+        result = _integrate(B, q0[idx], q1[idx], g[idx], gp[idx], t0[idx], t_end[idx], rtol)
         if result is not None:
             g[idx], gp[idx] = result
         elif idx.size > 1:
@@ -404,74 +372,24 @@ def heun_continue_batch(
     return g, gp
 
 
-def heun_continue_state(
-    p: HeunParams,
-    use_minus_b: bool,
-    y_target: float,
-    tol: float = 1e-10,
-    seed_point: float = DEFAULT_SEED_POINT,
-) -> tuple[float, float]:
-    """Continue the physical branch to y_target < 0; returns (g, g') there.
+def heun_continue_path(p: HeunParams, y_targets, tol: float = 1e-10) -> np.ndarray:
+    """Values of the physical branch of one energy at many targets y < 0.
 
-    The single-energy case of heun_continue_batch.
+    The one-energy case of heun_continue_batch; raises HeunEvaluationError
+    if any target fails to evaluate.
     """
-    g, gp = heun_continue_batch([p], use_minus_b, [y_target], tol, seed_point)
-    if math.isnan(g[0]):
+    y = np.asarray(y_targets, dtype=float)
+    g, _ = heun_continue_batch([p] * y.size, y, tol)
+    failed = y.reshape(-1)[np.isnan(g)]
+    if failed.size:
         raise HeunEvaluationError(
-            f"continuation to y = {y_target} failed: the series needs more than "
-            f"{SERIES_MAX_TERMS} terms or overflows, or the integrator failed"
+            f"continuation to y = {failed[0]} failed ({failed.size} of {g.size} targets): "
+            f"the series needs more than {SERIES_MAX_TERMS} terms or overflows, "
+            f"or the integrator failed"
         )
-    return float(g[0]), float(gp[0])
+    return g.reshape(y.shape)
 
 
-def heun_continue(
-    p: HeunParams,
-    use_minus_b: bool,
-    y_target: float,
-    tol: float = 1e-10,
-    seed_point: float = DEFAULT_SEED_POINT,
-) -> float:
-    """Value of the physical Heun branch at y_target < 0 (see heun_continue_state)."""
-    return heun_continue_state(p, use_minus_b, y_target, tol, seed_point)[0]
-
-
-def heun_continue_path(
-    p: HeunParams,
-    use_minus_b: bool,
-    y_targets: np.ndarray,
-    tol: float = 1e-10,
-    seed_point: float = DEFAULT_SEED_POINT,
-) -> np.ndarray:
-    """Values of the physical branch at many targets on the outward leg.
-
-    All targets must satisfy y <= seed_point; they are evaluated in one
-    integration sweep, which is what makes dense wavefunction sampling cheap.
-    """
-    y_targets = np.asarray(y_targets, dtype=float)
-    if y_targets.size == 0:
-        return np.empty(0)
-    _validate_continuation_args(float(np.max(y_targets)), seed_point)
-    if np.any(y_targets > seed_point):
-        raise ValueError("path targets must all lie at or beyond the seed point")
-
-    series = heun_series(p, use_minus_b, tol=_seed_tol(tol), radius=abs(seed_point))
-    g0 = series.value(seed_point)
-    gp0 = series.derivative(seed_point)
-
-    t_targets = np.log(-y_targets)
-    order = np.argsort(t_targets)
-    t_sorted = t_targets[order]
-
-    def rhs(t, s):
-        y = -math.exp(t)
-        gpp = heun_second_derivative(p, use_minus_b, y, s[0], s[1])
-        return [y * s[1], y * gpp]
-
-    sol = solve_ivp(rhs, (math.log(-seed_point), t_sorted[-1]), [g0, gp0],
-                    method="DOP853", rtol=max(tol, _RTOL_FLOOR), atol=0.0,
-                    t_eval=t_sorted)
-    if not sol.success:
-        raise HeunEvaluationError(f"path continuation failed: {sol.message}")
-    values = np.empty_like(t_targets)
-    values[order] = sol.y[0]
-    return values
+def heun_continue(p: HeunParams, y_target: float, tol: float = 1e-10) -> float:
+    """Value of the physical branch at one target y_target < 0."""
+    return float(heun_continue_path(p, [y_target], tol)[0])

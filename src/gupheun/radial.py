@@ -17,9 +17,11 @@ like xi^ell, for every coupling strength: the minimal length removes the
 strong-coupling pathology of the undeformed problem.  In the far field the
 envelope decays like exp(-rate * xi) with rate = sqrt(5 omega / (1 - 2 omega)).
 
-Profiles are sampled with the series inside |y| < 0.9 and with one ODE
-continuation sweep outside; the default grid stops at 1.2 * xi* because only
-r up to ~sqrt(-alpha/E) is physically meaningful for this boundary condition.
+A profile is one call of the Heun evaluator for one energy and all grid
+points (heun_continue_path): points inside its seed radius come from the
+series, the others from one continuation solve; y = 0 (xi = 0) is the
+normalization Hc = 1.  The default grid stops at 1.2 * xi* because only r up
+to ~sqrt(-alpha/E) is physically meaningful for this boundary condition.
 """
 
 from __future__ import annotations
@@ -29,14 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heun import (
-    SERIES_RADIUS_LIMIT,
-    CouplingConfig,
-    EnergyPoint,
-    heun_continue_path,
-    heun_params,
-    heun_series,
-)
+from .heun import CouplingConfig, EnergyPoint, heun_continue_path, heun_params
 
 DEFAULT_GRID_POINTS = 400
 DEFAULT_GRID_START = 1e-3
@@ -143,17 +138,10 @@ def wavefunction(cfg: CouplingConfig, ep: EnergyPoint, xi_grid) -> RadialProfile
     if np.any(np.diff(xi) <= 0) or np.any(xi < 0):
         raise ValueError("xi_grid must be sorted strictly increasing and non-negative")
 
-    params = heun_params(cfg, ep)
     y = map_xi_to_y(xi, cfg, ep)
-    hc = np.empty_like(y)
-
-    inner = np.abs(y) < SERIES_RADIUS_LIMIT
-    if np.any(inner):
-        series = heun_series(params, use_minus_b=True, tol=_PROFILE_TOL * 1e-3,
-                             radius=SERIES_RADIUS_LIMIT)
-        hc[inner] = [series.value(v) for v in y[inner]]
-    if np.any(~inner):
-        hc[~inner] = heun_continue_path(params, True, y[~inner], tol=_PROFILE_TOL)
+    hc = np.ones_like(y)
+    off_origin = y != 0.0
+    hc[off_origin] = heun_continue_path(heun_params(cfg, ep), y[off_origin], tol=_PROFILE_TOL)
 
     values = xi**cfg.ell * (1.0 - y) * hc
     return RadialProfile(xi=xi, values=values, omega=ep.omega,

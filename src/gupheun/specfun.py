@@ -102,11 +102,6 @@ def log_gamma(z: complex) -> complex:
     return _require_finite(result, "log_gamma")
 
 
-def gamma(z: complex) -> complex:
-    """Gamma(z) = exp(log_gamma(z))."""
-    return cmath.exp(log_gamma(z))
-
-
 @dataclass(frozen=True)
 class PhaseData:
     """Oscillation index nu and modulus/phase of the coefficient B."""

@@ -87,10 +87,9 @@ def spectral_point(ep: EnergyPoint, point_scale: float = 1.0) -> float:
 
 def spectral_function(cfg: CouplingConfig, omega: float, tol: float = DEFAULT_SCAN_TOL,
                       point_scale: float = 1.0) -> float:
-    """Hc(a, -b, c, d, e; y*) at trial energy omega: zero exactly at eigenvalues."""
+    """Hc(0, -b, 1, d, e; y*) at trial energy omega: zero exactly at eigenvalues."""
     ep = EnergyPoint.from_omega(omega)
-    return heun_continue(heun_params(cfg, ep), True, spectral_point(ep, point_scale),
-                         tol=tol)
+    return heun_continue(heun_params(cfg, ep), spectral_point(ep, point_scale), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
         raise ValueError("need at least two scan points")
     omegas = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), n_points))
     energies = [EnergyPoint.from_omega(w) for w in omegas]
-    values, _ = heun_continue_batch([heun_params(cfg, ep) for ep in energies], True,
+    values, _ = heun_continue_batch([heun_params(cfg, ep) for ep in energies],
                                     [spectral_point(ep, point_scale) for ep in energies],
                                     tol=tol)
     return SpectralScan(omegas=omegas, values=values, brackets=_find_brackets(values),
@@ -342,10 +341,6 @@ class SpectrumComparison:
     ratios_exact: tuple[float, ...]
     both_empty: bool
 
-    @property
-    def agreement_empty(self) -> bool:
-        return self.both_empty
-
 
 def compare_spectra(exact: SpectrumResult, approx: SpectrumResult) -> SpectrumComparison:
     """Pair roots of two spectra by nearest log-omega and report deviations.
@@ -420,10 +415,6 @@ class UnitSystem:
     def energy_scale(self) -> float:
         """Deformation energy 1/(4 m beta), equal to 5 hbar^2/(4 m dx_min^2)."""
         return 1.0 / (4.0 * self.mass * self.beta)
-
-    @property
-    def energy_scale_minimal_length_form(self) -> float:
-        return 5.0 * self.hbar**2 / (4.0 * self.mass * self.min_length**2)
 
 
 def natural_units_for(kappa: float) -> UnitSystem:

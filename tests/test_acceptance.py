@@ -108,14 +108,14 @@ def test_criterion_6_heun_hypergeometric_degeneration():
     # the two normalized local solutions
     worst = 0.0
     for kappa in (0.75, 2.0):
-        p = HeunParams(a=0.0, b=-0.5, c=1.0, d=0.0, e=kappa + 0.5)
+        p = HeunParams(b=-0.5, d=0.0, e=kappa + 0.5)
         ap, gp, dp = reduced_hypergeometric_parameters(CouplingConfig(kappa=kappa, ell=0))
-        series = heun_series(p, use_minus_b=True, tol=1e-14, radius=0.6)
+        series = heun_series(p, tol=1e-14, radius=0.6)
         for y in (-10.0, -7.0, -4.0, -2.5, -1.5, -0.95, -0.5, -0.1, 0.2, 0.5):
             if y < -0.6:
-                hc = heun_continue(p, True, y, tol=1e-10)
+                hc = heun_continue(p, y, tol=1e-10)
             elif y < 0:
-                hc = heun_continue(p, True, y, tol=1e-10)
+                hc = heun_continue(p, y, tol=1e-10)
             else:
                 hc = series.value(y)
             if y <= -2.0:
@@ -165,7 +165,7 @@ def test_criterion_8_property_suite(tmp_path):
     # ODE residual of the continued solution below 1e-6
     p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.02))
     t_grid = np.arange(math.log(0.5), math.log(30.0), 0.01)
-    u = heun_continue_path(p, True, -np.exp(t_grid), tol=1e-12)
+    u = heun_continue_path(p, -np.exp(t_grid), tol=1e-12)
     h = 0.01
     ut = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
     utt = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
@@ -173,17 +173,17 @@ def test_criterion_8_property_suite(tmp_path):
         y = -math.exp(t_grid[k + 2])
         g, gp = u[k + 2], ut[k] / y
         gpp = (utt[k] - ut[k]) / (y * y)
-        rhs = heun_second_derivative(p, True, y, g, gp)
+        rhs = heun_second_derivative(p, y, g, gp)
         scale = max(abs(gpp), abs(rhs), abs(gp / y), abs(g))
         if abs(gpp - rhs) >= 1e-6 * scale:
             failures.append(f"ODE residual at t={t_grid[k + 2]:.2f}")
 
     # series vs continuation on the overlap band to 1e-8
     p2 = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.05))
-    series = heun_series(p2, use_minus_b=True, tol=1e-14, radius=0.9)
+    series = heun_series(p2, tol=1e-14, radius=0.9)
     for y in (-0.55, -0.7, -0.85):
         direct = series.value(y)
-        if abs(heun_continue(p2, True, y, tol=1e-12) - direct) >= 1e-8 * abs(direct):
+        if abs(heun_continue(p2, y, tol=1e-12) - direct) >= 1e-8 * abs(direct):
             failures.append(f"overlap band at y={y}")
 
     # near-origin log slope equals ell to 1e-2

@@ -5,7 +5,7 @@ import shlex
 
 import pytest
 
-from gupheun import cli
+from gupheun import cli, heun
 from gupheun.spectral import SpectrumResult
 
 
@@ -166,12 +166,21 @@ class TestWavefunctionCommand:
         assert code == 2
         assert "omega" in err
 
-    def test_extreme_omega_is_numerical_error(self, capsys):
-        # epsilon -> 0 makes the series blow past its term cap
+    def test_extreme_omega_is_numerical_error(self, capsys, monkeypatch):
+        # a series that cannot settle within its term cap is a Heun failure
+        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
         code, _, err = run_cli(capsys, "wavefunction", "--kappa", "2",
                                "--omega", "0.4999999999", "--points", "50")
         assert code == 3
         assert "numerical failure" in err
+
+    def test_extreme_omega_profile(self, capsys, tmp_path):
+        # epsilon -> 0 sends d to ~1e19; the series is seeded close enough to
+        # the origin to settle within its term cap
+        code, _, _ = run_cli(capsys, "wavefunction", "--kappa", "2",
+                             "--omega", "0.4999999999", "--points", "400",
+                             "-o", str(tmp_path / "wf.csv"))
+        assert code == 0
 
 
 class TestCompareCommand:

@@ -11,9 +11,10 @@ from gupheun.heun import (
     EnergyPoint,
     HeunEvaluationError,
     HeunParams,
+    _linear_coefficients,
     heun_continue,
+    heun_continue_batch,
     heun_continue_path,
-    heun_continue_state,
     heun_params,
     heun_second_derivative,
     heun_series,
@@ -42,11 +43,11 @@ class TestTypes:
 
     def test_params_invariants(self):
         with pytest.raises(ValueError):
-            HeunParams(a=1.0, b=-0.5, c=1.0, d=0.0, e=1.0)
+            HeunParams(b=-0.5, d=float("nan"), e=1.0)
         with pytest.raises(ValueError):
-            HeunParams(a=0.0, b=0.5, c=1.0, d=0.0, e=1.0)  # b must be -1/2-ell
-        p = HeunParams(a=0.0, b=-1.5, c=1.0, d=0.3, e=2.0)
-        assert p.effective_b(True) == 1.5
+            HeunParams(b=0.5, d=0.0, e=1.0)  # b must be -1/2-ell
+        p = HeunParams(b=-1.5, d=0.3, e=2.0)
+        assert _linear_coefficients(p) == (1.5, 0.3, 4.0)
 
 
 class TestHeunParams:
@@ -54,15 +55,21 @@ class TestHeunParams:
         p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.25))
         assert p.d == pytest.approx(4.0, rel=1e-15)
         assert p.e == pytest.approx(4.5, rel=1e-15)
-        assert p.a == 0.0 and p.c == 1.0 and p.b == -0.5
+        assert p.b == -0.5
 
     def test_a_zero_c_one_always(self):
+        # the hard-coded coefficients are those of the general confluent Heun
+        # equation at a = 0, c = 1 on the flipped branch B = -b
+        a, c = 0.0, 1.0
         rng = np.random.default_rng(1)
         for _ in range(20):
             cfg = CouplingConfig(kappa=float(rng.uniform(0.1, 5)), ell=int(rng.integers(0, 4)))
             p = heun_params(cfg, EnergyPoint.from_omega(float(rng.uniform(1e-4, 0.49))))
-            assert p.a == 0.0 and p.c == 1.0
             assert p.b == -0.5 - cfg.ell
+            B, q1, q0 = _linear_coefficients(p)
+            assert B == -p.b
+            assert q1 == pytest.approx(0.5 * a * (B + c + 2.0) + p.d, rel=1e-15)
+            assert q0 == pytest.approx(p.e + 0.5 * B + 0.5 * (c - a) * (B + 1.0), rel=1e-15)
 
     def test_shallow_energy_limit(self):
         p = heun_params(CouplingConfig(kappa=0.75, ell=0), EnergyPoint.from_omega(1e-9))
@@ -81,7 +88,7 @@ def _two_f_one_coefficients(alpha, gamma, delta, n_terms):
 class TestHeunSeries:
     def test_normalization(self):
         p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.1))
-        s = heun_series(p, use_minus_b=True, tol=1e-13)
+        s = heun_series(p, tol=1e-13)
         assert s.coeffs[0] == 1.0
         assert s.value(0.0) == 1.0
 
@@ -89,8 +96,8 @@ class TestHeunSeries:
         # with d = 0, e = kappa + 1/2 the series is hypergeometric; the raised
         # upper parameters absorb the (1-y) Euler factor of the reduced branch
         kappa = 0.75
-        p = HeunParams(a=0.0, b=-0.5, c=1.0, d=0.0, e=kappa + 0.5)
-        s = heun_series(p, use_minus_b=True, tol=1e-15, radius=0.5)
+        p = HeunParams(b=-0.5, d=0.0, e=kappa + 0.5)
+        s = heun_series(p, tol=1e-15, radius=0.5)
         ap, gp, dp = reduced_hypergeometric_parameters(CouplingConfig(kappa=kappa, ell=0))
         ref = _two_f_one_coefficients(ap + 1, gp + 1, dp, min(s.n_terms, 60))
         for n, c in enumerate(ref):
@@ -99,8 +106,8 @@ class TestHeunSeries:
 
     def test_degeneration_values_match_2f1(self):
         kappa = 0.75
-        p = HeunParams(a=0.0, b=-0.5, c=1.0, d=0.0, e=kappa + 0.5)
-        s = heun_series(p, use_minus_b=True, tol=1e-15, radius=0.5)
+        p = HeunParams(b=-0.5, d=0.0, e=kappa + 0.5)
+        s = heun_series(p, tol=1e-15, radius=0.5)
         ap, gp, dp = reduced_hypergeometric_parameters(CouplingConfig(kappa=kappa, ell=0))
         for y in (-0.5, -0.2, 0.1, 0.3, 0.5):
             ref = hyp2f1(ap, gp, dp, y).real / (1.0 - y)
@@ -109,16 +116,16 @@ class TestHeunSeries:
     def test_truncated_series_solves_equation(self):
         tol = 1e-12
         p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.2))
-        s = heun_series(p, use_minus_b=True, tol=tol, radius=0.5)
+        s = heun_series(p, tol=tol, radius=0.5)
         for y in (0.5, -0.5):
             g, gp, gpp = s.value(y), s.derivative(y), s.second_derivative(y)
-            rhs = heun_second_derivative(p, True, y, g, gp)
+            rhs = heun_second_derivative(p, y, g, gp)
             scale = max(abs(gpp), abs(rhs), 1.0)
             assert abs(gpp - rhs) < 10 * tol * scale
 
     def test_radius_guard(self):
         p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.2))
-        s = heun_series(p, use_minus_b=True, tol=1e-12, radius=0.5)
+        s = heun_series(p, tol=1e-12, radius=0.5)
         with pytest.raises(ValueError):
             s.value(0.8)
 
@@ -127,15 +134,15 @@ class TestHeunSeries:
         p = heun_params(CouplingConfig(kappa=2.0, ell=0),
                         EnergyPoint.from_omega(0.4999999999))
         with pytest.raises(HeunEvaluationError):
-            heun_series(p, use_minus_b=True, tol=1e-12)
+            heun_series(p, tol=1e-12)
 
 
 class TestContinuation:
     def test_matches_series_inside_disk(self):
         p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.2))
-        s = heun_series(p, use_minus_b=True, tol=1e-15, radius=0.5)
+        s = heun_series(p, tol=1e-15, radius=0.5)
         for y in (-0.3, -0.45, -0.1):
-            cont = heun_continue(p, True, y, tol=1e-12)
+            cont = heun_continue(p, y, tol=1e-12)
             assert cont == pytest.approx(s.value(y), rel=1e-10)
 
     def test_spectral_zero_kappa_34(self):
@@ -145,15 +152,15 @@ class TestContinuation:
         ep = EnergyPoint.from_omega(0.0491)
         ystar = (ep.big_omega - 1.0) / ep.big_omega
         assert ystar == pytest.approx(-9.1833, abs=2e-4)
-        value = heun_continue(heun_params(cfg, ep), True, ystar, tol=1e-10)
+        value = heun_continue(heun_params(cfg, ep), ystar, tol=1e-10)
         assert abs(value) < 1e-3
 
     def test_degeneration_on_the_continued_range(self):
         # d = 0, e = kappa + 1/2: (1-y) * Hc equals the reduced-branch 2F1
         kappa = 0.75
-        p = HeunParams(a=0.0, b=-0.5, c=1.0, d=0.0, e=kappa + 0.5)
+        p = HeunParams(b=-0.5, d=0.0, e=kappa + 0.5)
         ap, gp, dp = reduced_hypergeometric_parameters(CouplingConfig(kappa=kappa, ell=0))
-        hc = heun_continue(p, True, -3.0, tol=1e-10)
+        hc = heun_continue(p, -3.0, tol=1e-10)
         ref = hyp2f1_large_negative(ap, gp, dp, -3.0).real
         assert hc * (1.0 - (-3.0)) == pytest.approx(ref, rel=1e-6)
         # frozen from mpmath: F(1/4 - i nu/2, 1/4 + i nu/2; 3/2; -3)/4, nu = sqrt(11)/2
@@ -162,13 +169,13 @@ class TestContinuation:
     def test_round_trip(self):
         p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.05))
         seed = -0.5
-        s = heun_series(p, use_minus_b=True, tol=1e-15, radius=0.5)
+        s = heun_series(p, tol=1e-15, radius=0.5)
         g0, gp0 = s.value(seed), s.derivative(seed)
-        g1, gp1 = heun_continue_state(p, True, -50.0, tol=1e-12)
+        (g1,), (gp1,) = heun_continue_batch([p], [-50.0], tol=1e-12)
 
         def rhs(t, state):
             y = -math.exp(t)
-            gpp = heun_second_derivative(p, True, y, state[0], state[1])
+            gpp = heun_second_derivative(p, y, state[0], state[1])
             return [y * state[1], y * gpp]
 
         back = solve_ivp(rhs, (math.log(50.0), math.log(-seed)), [g1, gp1],
@@ -181,7 +188,7 @@ class TestContinuation:
         # five-point stencils on u(t) = g(-e^t); g'' = (u_tt - u_t)/y^2
         p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.02))
         t_grid = np.arange(math.log(0.5), math.log(25.0), 0.01)
-        u = heun_continue_path(p, True, -np.exp(t_grid), tol=1e-12)
+        u = heun_continue_path(p, -np.exp(t_grid), tol=1e-12)
         h = 0.01
         ut = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
         utt = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
@@ -190,7 +197,7 @@ class TestContinuation:
             g = u[k + 2]
             gp = ut[k] / y
             gpp = (utt[k] - ut[k]) / (y * y)
-            rhs = heun_second_derivative(p, True, y, g, gp)
+            rhs = heun_second_derivative(p, y, g, gp)
             scale = max(abs(gpp), abs(rhs), abs(gp / y), abs(g))
             assert abs(gpp - rhs) < 1e-6 * scale
 
@@ -203,7 +210,7 @@ class TestContinuation:
         for w in omegas:
             ep = EnergyPoint.from_omega(float(w))
             ystar = (ep.big_omega - 1.0) / ep.big_omega
-            vals.append(heun_continue(heun_params(cfg, ep), True, ystar, tol=1e-10))
+            vals.append(heun_continue(heun_params(cfg, ep), ystar, tol=1e-10))
         vals = np.array(vals)
         second = np.abs(np.diff(vals, 2))
         assert second.max() < 1e-3 * np.abs(vals).max()
@@ -211,16 +218,14 @@ class TestContinuation:
     def test_path_matches_single_calls(self):
         p = heun_params(CouplingConfig(kappa=0.75, ell=0), EnergyPoint.from_omega(0.1))
         targets = np.array([-0.8, -2.0, -6.5])
-        path = heun_continue_path(p, True, targets, tol=1e-11)
+        path = heun_continue_path(p, targets, tol=1e-11)
         for y, v in zip(targets, path):
-            assert v == pytest.approx(heun_continue(p, True, float(y), tol=1e-11),
+            assert v == pytest.approx(heun_continue(p, float(y), tol=1e-11),
                                       rel=1e-9)
 
     def test_domain_errors(self):
         p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.2))
         with pytest.raises(ValueError):
-            heun_continue(p, True, 0.5)
+            heun_continue(p, 0.5)
         with pytest.raises(ValueError):
-            heun_continue(p, True, 0.0)
-        with pytest.raises(ValueError):
-            heun_continue(p, True, -2.0, seed_point=-0.2)
+            heun_continue(p, 0.0)

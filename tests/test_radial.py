@@ -17,6 +17,8 @@ from gupheun.radial import (
 )
 from gupheun.spectral import spectral_function, spectral_point
 
+from heun_oracle import heun_oracle
+
 
 class TestCoordinateMap:
     def test_origin(self):
@@ -118,11 +120,33 @@ class TestWavefunction:
         cfg = CouplingConfig(kappa=2.0, ell=0)
         ep = EnergyPoint.from_omega(0.05)
         params = heun_params(cfg, ep)
-        series = heun_series(params, use_minus_b=True, tol=1e-14, radius=0.9)
+        series = heun_series(params, tol=1e-14, radius=0.9)
         for y in (-0.55, -0.65, -0.75, -0.85):
             direct = series.value(y)
-            continued = heun_continue(params, True, y, tol=1e-12)
+            continued = heun_continue(params, y, tol=1e-12)
             assert continued == pytest.approx(direct, rel=1e-8)
+
+    def test_strong_coupling_profile_against_oracle(self):
+        # at kappa = 100 a series summed at y = -0.5 cancels away its digits;
+        # every grid point must still match a 50-digit sum of the series
+        cfg = CouplingConfig(kappa=100.0, ell=0)
+        ep = EnergyPoint.from_omega(0.3)
+        profile = wavefunction(cfg, ep, default_xi_grid(cfg, ep))
+        y = map_xi_to_y(profile.xi, cfg, ep)
+        scale = np.max(np.abs(profile.values))
+        picks = list(range(0, 380, 19)) + list(range(380, 400))
+        assert np.abs(y[picks]).max() > 0.9
+        for i in picks:
+            ref = float(profile.xi[i] ** cfg.ell * (1 - y[i]) * heun_oracle(100.0, 0, 0.3, y[i]))
+            assert abs(profile.values[i] - ref) < 1e-8 * scale
+
+    def test_grid_through_origin(self):
+        ep = EnergyPoint.from_omega(0.1)
+        grid = np.linspace(0.0, 2.0, 9)
+        for ell, r0 in ((0, 1.0), (1, 0.0)):
+            profile = wavefunction(CouplingConfig(kappa=2.0, ell=ell), ep, grid)
+            assert profile.values[0] == r0
+            assert np.all(profile.values[1:] != 0.0)
 
     def test_profile_vanishes_at_xi_star_on_eigenvalue(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)

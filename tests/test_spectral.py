@@ -32,6 +32,8 @@ from gupheun.spectral import (
     to_physical_energy,
 )
 
+from heun_oracle import heun_oracle
+
 RATIO_K2 = math.exp(-2.0 * math.pi / math.sqrt(7.75))
 
 
@@ -153,30 +155,6 @@ class TestBatchedScan:
         assert np.allclose(scan.values[~failed], values[~failed], rtol=1e-6)
 
 
-def _oracle(kappa, ell, omega):
-    """Frobenius series of the physical branch at y* = (Omega-1)/Omega, to 50 digits.
-
-    Sums the three-term recurrence of heun.heun_series directly at y*; only
-    valid for |y*| < 1, that is omega > 1/4.
-    """
-    with mpmath.workdps(50):
-        big = 2 * mpmath.mpf(omega)
-        eps = 1 - big
-        b = ell + mpmath.mpf(1) / 2
-        d = kappa * big / eps**2
-        q0 = kappa / eps + b + 1
-        y = (big - 1) / big
-        prev, term = mpmath.mpf(1), q0 / (b + 1) * y
-        total, n, small = prev + term, 1, 0
-        while small < 3:
-            prev, term = term, ((n * (n + b + 2) + q0) * term + d * y * prev) * y \
-                / ((n + 1) * (n + b + 1))
-            total += term
-            n += 1
-            small = small + 1 if abs(term) < mpmath.mpf(10) ** -45 * abs(total) else 0
-        return total
-
-
 class TestMpmathOracle:
     # default-grid energies at kappa = 100 where the series seeded at y = -0.5
     # cancels away every digit; that seed gave the wrong sign at all three
@@ -187,12 +165,12 @@ class TestMpmathOracle:
         scan = spectral_scan(cfg)
         for i in self.DEFAULT_GRID_INDICES:
             omega = float(scan.omegas[i])
-            ref = float(_oracle(100.0, 0, omega))
+            ref = float(heun_oracle(100.0, 0, omega))
             assert scan.values[i] == pytest.approx(ref, rel=1e-8)
             assert spectral_function(cfg, omega, tol=1e-10) == pytest.approx(ref, rel=1e-9)
 
     def test_root_at_strong_coupling(self):
-        ref = mpmath.findroot(lambda w: _oracle(20.0, 1, w), mpmath.mpf("0.40944"))
+        ref = mpmath.findroot(lambda w: heun_oracle(20.0, 1, w), mpmath.mpf("0.40944"))
         scan = spectral_scan(CouplingConfig(kappa=20.0, ell=1), 0.40, 0.42, 20)
         (root,) = find_roots(scan, tol=1e-12).omegas
         assert abs(root - float(ref)) < 1e-9
@@ -321,7 +299,6 @@ class TestCompare:
         empty_closed = SpectrumResult(METHOD_CLOSED_FORM, (), 0.05, 0)
         comparison = compare_spectra(empty_exact, empty_closed)
         assert comparison.both_empty is True
-        assert comparison.agreement_empty is True
         assert comparison.rows == ()
 
     def test_kappa2_against_closed_form(self, roots_k2):
@@ -362,7 +339,7 @@ class TestUnits:
                                beta=float(rng.uniform(0.01, 10)),
                                alpha_coupling=float(rng.uniform(0.1, 10)))
             assert units.energy_scale == pytest.approx(
-                units.energy_scale_minimal_length_form, rel=1e-14)
+                5.0 * units.hbar**2 / (4.0 * units.mass * units.min_length**2), rel=1e-14)
 
     def test_kappa_mismatch_rejected(self):
         result = SpectrumResult(METHOD_EXACT, (0.1,), 2.0, 0)

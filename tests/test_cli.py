@@ -276,3 +276,59 @@ class TestConfiguration:
         assert script.exists()
         text = script.read_text()
         assert "plot" in text and str(out) in text
+
+
+# one cheap case per command: (argv, CSV header, JSON keys, summary keys)
+_CONTRACT = {
+    "scan": (("--kappa", "2", "--omega-min", "0.2", "--omega-max", "0.3", "--points", "40"),
+             "omega,hc_value,bracket_flag",
+             ["command", "kappa", "ell", "omegas", "values", "brackets"],
+             ["command", "kappa", "ell", "points", "brackets", "summary"]),
+    "roots": (("--kappa", "2", "--omega-min", "0.2", "--omega-max", "0.3", "--points", "40"),
+              "n,omega,energy_natural_units,method",
+              ["method", "kappa", "ell", "omegas", "energy_natural_units"],
+              ["command", "kappa", "ell", "roots", "omega_1", "summary"]),
+    "spectrum": (("--kappa", "2", "--n-max", "5"),
+                 "n,omega,energy_natural_units,method",
+                 ["method", "kappa", "ell", "omegas", "energy_natural_units"],
+                 ["command", "kappa", "ell", "levels", "summary"]),
+    "wavefunction": (("--kappa", "2", "--omega", "0.004", "--points", "50"),
+                     "xi,R",
+                     ["command", "kappa", "ell", "omega", "xi", "R", "non_decaying"],
+                     ["command", "kappa", "ell", "omega", "points", "non_decaying",
+                      "summary"]),
+    "compare": (("--kappa", "2", "--omega-min", "1e-4", "--omega-max", "0.1",
+                 "--points", "150"),
+                "n,omega_exact,omega_closed_form,rel_dev",
+                ["command", "kappa", "ell", "rows", "ratio_reference", "ratios_exact",
+                 "both_empty"],
+                ["command", "kappa", "ell", "pairs", "agreement_empty", "summary"]),
+    "critical": (("--ell", "0", "--kappa-lo", "0.09", "--kappa-hi", "0.16",
+                  "--omega-floor", "1e-5"),
+                 "ell,kappa_star",
+                 ["command", "ell", "kappa_star"],
+                 ["command", "ell", "kappa_star", "summary"]),
+}
+
+
+class TestOutputContract:
+    """Column, key and summary order of every command, in both formats."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", list(_CONTRACT))
+    def test_schema(self, capsys, tmp_path, command, fmt):
+        argv, header, json_keys, summary_keys = _CONTRACT[command]
+        out = tmp_path / f"out.{fmt}"
+        code, lines, err = run_cli(capsys, command, *argv, "--format", fmt, "-o", str(out))
+        assert code == 0 and err == ""
+        assert list(parse_summary(lines[-1])) == summary_keys
+        text = out.read_text()
+        if fmt == "csv":
+            assert text.splitlines()[0] == header
+            return
+        payload = json.loads(text)
+        assert list(payload) == json_keys
+        if command == "compare":
+            assert payload["rows"]
+            assert all(list(row) == ["n", "omega_exact", "omega_closed_form", "rel_dev"]
+                       for row in payload["rows"])

@@ -4,106 +4,29 @@ The deformed radial problem is solved in terms of confluent Heun functions:
 this package evaluates the physical branch on the negative real axis, locates
 eigenvalues from the boundary condition at the edge of the physical range,
 and compares them with the closed-form geometric tower of shallow levels.
+Other names are imported from `gupheun.heun`, `.spectral`, `.radial` or `.specfun`.
 """
 
-from .heun import (
-    CouplingConfig,
-    EnergyPoint,
-    HeunEvaluationError,
-    HeunParams,
-    HeunSeries,
-    heun_continue,
-    heun_continue_path,
-    heun_params,
-    heun_second_derivative,
-    heun_series,
-)
-from .specfun import (
-    GammaPoleError,
-    NonConvergenceError,
-    PhaseData,
-    WeakCouplingError,
-    compute_phase,
-    hyp2f1,
-    hyp2f1_large_negative,
-    log_gamma,
-    reduced_hypergeometric_parameters,
-)
-from .radial import (
-    AsymptoticExponents,
-    RadialProfile,
-    asymptotic_exponents,
-    default_xi_grid,
-    map_xi_to_y,
-    wavefunction,
-    xi_star,
-)
+from .heun import CouplingConfig, EnergyPoint
+from .radial import default_xi_grid, wavefunction
 from .spectral import (
-    ComparisonRow,
-    NoTransitionError,
-    SpectralScan,
-    SpectrumComparison,
-    SpectrumResult,
-    UnitMismatchError,
-    UnitSystem,
     closed_form_spectrum,
     compare_spectra,
     critical_coupling,
-    energy_from_omega,
     find_roots,
-    hypergeometric_condition_roots,
-    natural_units_for,
-    spectral_function,
-    spectral_point,
     spectral_scan,
-    to_physical_energy,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticExponents",
-    "ComparisonRow",
     "CouplingConfig",
     "EnergyPoint",
-    "GammaPoleError",
-    "HeunEvaluationError",
-    "HeunParams",
-    "HeunSeries",
-    "NoTransitionError",
-    "NonConvergenceError",
-    "PhaseData",
-    "RadialProfile",
-    "SpectralScan",
-    "SpectrumComparison",
-    "SpectrumResult",
-    "UnitMismatchError",
-    "UnitSystem",
-    "WeakCouplingError",
-    "asymptotic_exponents",
     "closed_form_spectrum",
     "compare_spectra",
-    "compute_phase",
     "critical_coupling",
     "default_xi_grid",
-    "energy_from_omega",
     "find_roots",
-    "heun_continue",
-    "heun_continue_path",
-    "heun_params",
-    "heun_second_derivative",
-    "heun_series",
-    "hyp2f1",
-    "hyp2f1_large_negative",
-    "hypergeometric_condition_roots",
-    "log_gamma",
-    "map_xi_to_y",
-    "natural_units_for",
-    "reduced_hypergeometric_parameters",
-    "spectral_function",
-    "spectral_point",
     "spectral_scan",
-    "to_physical_energy",
     "wavefunction",
-    "xi_star",
 ]

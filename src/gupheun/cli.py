@@ -1,5 +1,8 @@
 """Command-line front end: scans, spectra, wavefunctions, CSV/JSON emission.
 
+Each command's runner returns an `Output` (CSV table, JSON payload, summary
+fields) and never opens a file; `run` hands it to the one writer, `_emit`.
+
 Commands
 --------
 scan          sample the spectral function over an omega window
@@ -19,9 +22,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from .heun import CouplingConfig, EnergyPoint, HeunEvaluationError
@@ -48,7 +54,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 DEFAULT_TOL = 1e-8
 
-COMMANDS = ("scan", "roots", "spectrum", "wavefunction", "compare", "critical")
+# annotation of a RunConfig field -> the types its value may have; bool is an
+# int subclass, so it is accepted only where the annotation says bool
+_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
 @dataclass
@@ -75,7 +83,17 @@ class RunConfig:
     point_scale: float = 1.0
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional:
+                continue
+            if (not isinstance(value, _TYPES[kind])
+                    or isinstance(value, bool) != (kind == "bool")):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if self.command not in _RUNNERS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
@@ -83,6 +101,27 @@ class RunConfig:
             raise ValueError("tol must be positive")
         if self.points < 2:
             raise ValueError("points must be at least 2")
+        if self.point_scale <= 0:
+            raise ValueError("point_scale must be positive")
+
+    @property
+    def coupling(self) -> CouplingConfig:
+        return CouplingConfig(kappa=self.kappa, ell=self.ell)
+
+
+@dataclass
+class Output:
+    """What one command produced; `_emit` turns it into files and the summary line.
+
+    `rows` is read only for CSV output, so units are checked only where the
+    `energy_si` column is written.  `pairs` go between `command=` and `summary=`.
+    """
+
+    header: list[str]
+    rows: Iterable[list[str]]
+    payload: dict
+    pairs: list[tuple[str, str]]
+    note: str
 
 
 def _fmt(x: float) -> str:
@@ -99,33 +138,11 @@ def _load_units(path: str) -> UnitSystem:
         raise ValueError(f"units file {path} missing key {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def spectrum_result_to_payload(result: SpectrumResult) -> dict:
     units = natural_units_for(result.kappa)
-    return {
-        "method": result.method,
-        "kappa": result.kappa,
-        "ell": result.ell,
-        "omegas": list(result.omegas),
-        "energy_natural_units": [energy_from_omega(w, units) for w in result.omegas],
-    }
+    return {"method": result.method, "kappa": result.kappa, "ell": result.ell,
+            "omegas": list(result.omegas),
+            "energy_natural_units": [energy_from_omega(w, units) for w in result.omegas]}
 
 
 def spectrum_result_from_json(text: str) -> SpectrumResult:
@@ -134,191 +151,150 @@ def spectrum_result_from_json(text: str) -> SpectrumResult:
                           kappa=raw["kappa"], ell=raw["ell"])
 
 
-def _spectrum_rows(result: SpectrumResult, units: UnitSystem | None) -> tuple[list[str], list[list[str]]]:
+def _levels_rows(result: SpectrumResult, units: UnitSystem | None):
     natural = natural_units_for(result.kappa)
-    header = ["n", "omega", "energy_natural_units", "method"]
-    si = None
-    if units is not None:
-        si = to_physical_energy(result, units)
-        header.append("energy_si")
-    rows = []
+    si = None if units is None else to_physical_energy(result, units)
     for i, w in enumerate(result.omegas):
         row = [str(i + 1), _fmt(w), _fmt(energy_from_omega(w, natural)), result.method]
-        if si is not None:
-            row.append(_fmt(si[i]))
-        rows.append(row)
-    return header, rows
+        yield row if si is None else row + [_fmt(si[i])]
 
 
+def _levels(result: SpectrumResult, units: UnitSystem | None,
+            pairs: list[tuple[str, str]], note: str) -> Output:
+    """The level table shared by `roots` and `spectrum`."""
+    header = ["n", "omega", "energy_natural_units", "method"]
+    if units is not None:
+        header.append("energy_si")
+    return Output(header, _levels_rows(result, units), spectrum_result_to_payload(result),
+                  pairs, note)
+
+
+_LEVELS_PLOT = ('set logscale y\nset xlabel "n"\nset ylabel "omega"\n'
+                'plot DATA using 1:2 with points pt 7 title ')
 _GNUPLOT_BODY = {
     "scan": ('set logscale x\nset xlabel "omega"\nset ylabel "Hc"\n'
              'plot DATA using 1:2 with lines title "spectral function"\n'),
     "wavefunction": ('set xlabel "xi"\nset ylabel "R"\n'
                      'plot DATA using 1:2 with lines title "R(xi)"\n'),
-    "roots": ('set logscale y\nset xlabel "n"\nset ylabel "omega"\n'
-              'plot DATA using 1:2 with points pt 7 title "eigenvalues"\n'),
-    "spectrum": ('set logscale y\nset xlabel "n"\nset ylabel "omega"\n'
-                 'plot DATA using 1:2 with points pt 7 title "closed form"\n'),
-    "compare": ('set logscale y\nset xlabel "n"\nset ylabel "omega"\n'
-                'plot DATA using 1:2 with points pt 7 title "exact", '
-                'DATA using 1:3 with points pt 5 title "closed form"\n'),
+    "roots": _LEVELS_PLOT + '"eigenvalues"\n',
+    "spectrum": _LEVELS_PLOT + '"closed form"\n',
+    "compare": _LEVELS_PLOT + '"exact", DATA using 1:3 with points pt 5 title "closed form"\n',
 }
 
 
-def _write_gnuplot(cfg: RunConfig) -> str | None:
-    if not (cfg.gnuplot and cfg.output_path and cfg.format == "csv"):
-        return None
-    body = _GNUPLOT_BODY.get(cfg.command)
-    if body is None:
-        return None
-    script = cfg.output_path + ".gp"
-    text = (f'DATA = "{cfg.output_path}"\n'
-            "set datafile separator \",\"\nset key autotitle columnhead\n" + body)
-    _write_text(script, text)
-    return script
-
-
-def _summary(pairs: list[tuple[str, str]]) -> str:
+def _emit(cfg: RunConfig, out: Output) -> str:
+    """Write the requested output files and return the summary line."""
+    files = {}
+    path = cfg.output_path
+    if path and cfg.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([out.header, *out.rows])
+        files[path] = buf.getvalue()
+        if cfg.gnuplot and cfg.command in _GNUPLOT_BODY:
+            files[path + ".gp"] = (f'DATA = "{path}"\nset datafile separator ","\n'
+                                   "set key autotitle columnhead\n"
+                                   + _GNUPLOT_BODY[cfg.command])
+    elif path:
+        files[path] = json.dumps(out.payload, indent=2) + "\n"
+    for name, text in files.items():
+        with open(name, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    pairs = [("command", cfg.command), *out.pairs, ("summary", f'"{out.note}"')]
     return " ".join(f"{k}={v}" for k, v in pairs)
 
 
-def _quote(text: str) -> str:
-    return '"' + text + '"'
+def _exact_roots(cfg: RunConfig) -> SpectrumResult:
+    """Scan the configured window and refine every bracket (`roots`, `compare`)."""
+    scan = spectral_scan(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points,
+                         tol=cfg.tol, point_scale=cfg.point_scale)
+    return find_roots(scan, tol=min(cfg.tol, spectral.DEFAULT_ROOT_TOL))
 
 
-def _run_scan(cfg: RunConfig) -> str:
-    coupling = CouplingConfig(kappa=cfg.kappa, ell=cfg.ell)
-    scan = spectral_scan(coupling, cfg.omega_min, cfg.omega_max, cfg.points,
+def _run_scan(cfg: RunConfig) -> Output:
+    scan = spectral_scan(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points,
                          tol=cfg.tol, point_scale=cfg.point_scale)
     left_endpoints = {i for i, _ in scan.brackets}
-    if cfg.output_path:
-        if cfg.format == "csv":
-            rows = [[_fmt(w), _fmt(v), str(int(i in left_endpoints))]
-                    for i, (w, v) in enumerate(zip(scan.omegas, scan.values))]
-            _write_csv(cfg.output_path, ["omega", "hc_value", "bracket_flag"], rows)
-        else:
-            _write_json(cfg.output_path, {
-                "command": "scan", "kappa": cfg.kappa, "ell": cfg.ell,
-                "omegas": [float(w) for w in scan.omegas],
-                "values": [float(v) for v in scan.values],
-                "brackets": [[int(i), int(j)] for i, j in scan.brackets],
-            })
     n = len(scan.brackets)
-    note = "no bound states" if n == 0 else f"{n} sign-change bracket(s)"
-    return _summary([("command", "scan"), ("kappa", _fmt(cfg.kappa)),
-                     ("ell", str(cfg.ell)), ("points", str(cfg.points)),
-                     ("brackets", str(n)), ("summary", _quote(note))])
+    return Output(
+        ["omega", "hc_value", "bracket_flag"],
+        ([_fmt(w), _fmt(v), str(int(i in left_endpoints))]
+         for i, (w, v) in enumerate(zip(scan.omegas, scan.values))),
+        {"command": "scan", "kappa": cfg.kappa, "ell": cfg.ell,
+         "omegas": [float(w) for w in scan.omegas],
+         "values": [float(v) for v in scan.values],
+         "brackets": [[int(i), int(j)] for i, j in scan.brackets]},
+        [("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)), ("points", str(cfg.points)),
+         ("brackets", str(n))],
+        "no bound states" if n == 0 else f"{n} sign-change bracket(s)")
 
 
-def _run_roots(cfg: RunConfig) -> str:
-    coupling = CouplingConfig(kappa=cfg.kappa, ell=cfg.ell)
-    scan = spectral_scan(coupling, cfg.omega_min, cfg.omega_max, cfg.points,
-                         tol=cfg.tol, point_scale=cfg.point_scale)
-    result = find_roots(scan, tol=min(cfg.tol, spectral.DEFAULT_ROOT_TOL))
+def _run_roots(cfg: RunConfig) -> Output:
     units = _load_units(cfg.units_file) if cfg.units_file else None
-    if cfg.output_path:
-        if cfg.format == "csv":
-            header, rows = _spectrum_rows(result, units)
-            _write_csv(cfg.output_path, header, rows)
-        else:
-            _write_json(cfg.output_path, spectrum_result_to_payload(result))
+    result = _exact_roots(cfg)
     n = len(result)
-    pairs = [("command", "roots"), ("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)),
-             ("roots", str(n))]
+    pairs = [("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)), ("roots", str(n))]
     if n:
         pairs.append(("omega_1", _fmt(result.omegas[0])))
-    note = "no bound states" if n == 0 else f"{n} bound state(s)"
-    pairs.append(("summary", _quote(note)))
-    return _summary(pairs)
+    return _levels(result, units, pairs,
+                   "no bound states" if n == 0 else f"{n} bound state(s)")
 
 
-def _run_spectrum(cfg: RunConfig) -> str:
-    coupling = CouplingConfig(kappa=cfg.kappa, ell=cfg.ell)
-    result = closed_form_spectrum(coupling, n_max=cfg.n_max, validity=cfg.validity)
+def _run_spectrum(cfg: RunConfig) -> Output:
     units = _load_units(cfg.units_file) if cfg.units_file else None
-    if cfg.output_path:
-        if cfg.format == "csv":
-            header, rows = _spectrum_rows(result, units)
-            _write_csv(cfg.output_path, header, rows)
-        else:
-            _write_json(cfg.output_path, spectrum_result_to_payload(result))
+    result = closed_form_spectrum(cfg.coupling, n_max=cfg.n_max, validity=cfg.validity)
     n = len(result)
-    note = "no bound states" if n == 0 else f"{n} closed-form level(s)"
-    return _summary([("command", "spectrum"), ("kappa", _fmt(cfg.kappa)),
-                     ("ell", str(cfg.ell)), ("levels", str(n)),
-                     ("summary", _quote(note))])
+    return _levels(result, units,
+                   [("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)), ("levels", str(n))],
+                   "no bound states" if n == 0 else f"{n} closed-form level(s)")
 
 
-def _run_wavefunction(cfg: RunConfig) -> str:
+def _run_wavefunction(cfg: RunConfig) -> Output:
     if cfg.omega is None:
         raise ValueError("wavefunction requires --omega")
-    coupling = CouplingConfig(kappa=cfg.kappa, ell=cfg.ell)
+    coupling = cfg.coupling
     ep = EnergyPoint.from_omega(cfg.omega)
-    grid = default_xi_grid(coupling, ep, n=cfg.points)
-    profile = wavefunction(coupling, ep, grid)
+    profile = wavefunction(coupling, ep, default_xi_grid(coupling, ep, n=cfg.points))
     flag = profile.non_decaying
-    if cfg.output_path:
-        if cfg.format == "csv":
-            rows = [[_fmt(x), _fmt(v)] for x, v in zip(profile.xi, profile.values)]
-            _write_csv(cfg.output_path, ["xi", "R"], rows)
-        else:
-            _write_json(cfg.output_path, {
-                "command": "wavefunction", "kappa": cfg.kappa, "ell": cfg.ell,
-                "omega": cfg.omega, "xi": [float(x) for x in profile.xi],
-                "R": [float(v) for v in profile.values], "non_decaying": flag,
-            })
-    note = "does not decay toward xi*" if flag else "decays toward xi*"
-    return _summary([("command", "wavefunction"), ("kappa", _fmt(cfg.kappa)),
-                     ("ell", str(cfg.ell)), ("omega", _fmt(cfg.omega)),
-                     ("points", str(cfg.points)),
-                     ("non_decaying", "true" if flag else "false"),
-                     ("summary", _quote(note))])
+    return Output(
+        ["xi", "R"],
+        ([_fmt(x), _fmt(v)] for x, v in zip(profile.xi, profile.values)),
+        {"command": "wavefunction", "kappa": cfg.kappa, "ell": cfg.ell,
+         "omega": cfg.omega, "xi": [float(x) for x in profile.xi],
+         "R": [float(v) for v in profile.values], "non_decaying": flag},
+        [("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)), ("omega", _fmt(cfg.omega)),
+         ("points", str(cfg.points)), ("non_decaying", "true" if flag else "false")],
+        "does not decay toward xi*" if flag else "decays toward xi*")
 
 
-def _run_compare(cfg: RunConfig) -> str:
-    coupling = CouplingConfig(kappa=cfg.kappa, ell=cfg.ell)
-    scan = spectral_scan(coupling, cfg.omega_min, cfg.omega_max, cfg.points,
-                         tol=cfg.tol, point_scale=cfg.point_scale)
-    exact = find_roots(scan, tol=min(cfg.tol, spectral.DEFAULT_ROOT_TOL))
-    approx = closed_form_spectrum(coupling, n_max=cfg.n_max, validity=cfg.validity)
+def _run_compare(cfg: RunConfig) -> Output:
+    exact = _exact_roots(cfg)
+    approx = closed_form_spectrum(cfg.coupling, n_max=cfg.n_max, validity=cfg.validity)
     comparison = compare_spectra(exact, approx)
-    if cfg.output_path:
-        if cfg.format == "csv":
-            rows = [[str(r.n), _fmt(r.omega_exact), _fmt(r.omega_closed_form),
-                     _fmt(r.rel_dev)] for r in comparison.rows]
-            _write_csv(cfg.output_path,
-                       ["n", "omega_exact", "omega_closed_form", "rel_dev"], rows)
-        else:
-            _write_json(cfg.output_path, {
-                "command": "compare", "kappa": cfg.kappa, "ell": cfg.ell,
-                "rows": [{"n": r.n, "omega_exact": r.omega_exact,
-                          "omega_closed_form": r.omega_closed_form,
-                          "rel_dev": r.rel_dev} for r in comparison.rows],
-                "ratio_reference": comparison.ratio_reference,
-                "ratios_exact": list(comparison.ratios_exact),
-                "both_empty": comparison.both_empty,
-            })
-    note = ("both spectra empty" if comparison.both_empty
-            else f"{len(comparison.rows)} matched pair(s)")
-    return _summary([("command", "compare"), ("kappa", _fmt(cfg.kappa)),
-                     ("ell", str(cfg.ell)), ("pairs", str(len(comparison.rows))),
-                     ("agreement_empty", "true" if comparison.both_empty else "false"),
-                     ("summary", _quote(note))])
+    rows = comparison.rows
+    return Output(
+        ["n", "omega_exact", "omega_closed_form", "rel_dev"],
+        ([str(r.n), _fmt(r.omega_exact), _fmt(r.omega_closed_form), _fmt(r.rel_dev)]
+         for r in rows),
+        {"command": "compare", "kappa": cfg.kappa, "ell": cfg.ell,
+         "rows": [{"n": r.n, "omega_exact": r.omega_exact,
+                   "omega_closed_form": r.omega_closed_form, "rel_dev": r.rel_dev}
+                  for r in rows],
+         "ratio_reference": comparison.ratio_reference,
+         "ratios_exact": list(comparison.ratios_exact),
+         "both_empty": comparison.both_empty},
+        [("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)), ("pairs", str(len(rows))),
+         ("agreement_empty", "true" if comparison.both_empty else "false")],
+        "both spectra empty" if comparison.both_empty else f"{len(rows)} matched pair(s)")
 
 
-def _run_critical(cfg: RunConfig) -> str:
+def _run_critical(cfg: RunConfig) -> Output:
     kappa_star = critical_coupling(cfg.ell, cfg.kappa_lo, cfg.kappa_hi,
                                    omega_floor=cfg.omega_floor)
-    if cfg.output_path:
-        if cfg.format == "csv":
-            _write_csv(cfg.output_path, ["ell", "kappa_star"],
-                       [[str(cfg.ell), _fmt(kappa_star)]])
-        else:
-            _write_json(cfg.output_path, {"command": "critical", "ell": cfg.ell,
-                                          "kappa_star": kappa_star})
-    return _summary([("command", "critical"), ("ell", str(cfg.ell)),
-                     ("kappa_star", _fmt(kappa_star)),
-                     ("summary", _quote("critical coupling located"))])
+    return Output(
+        ["ell", "kappa_star"], [[str(cfg.ell), _fmt(kappa_star)]],
+        {"command": "critical", "ell": cfg.ell, "kappa_star": kappa_star},
+        [("ell", str(cfg.ell)), ("kappa_star", _fmt(kappa_star))],
+        "critical coupling located")
 
 
 _RUNNERS = {
@@ -334,7 +310,7 @@ _RUNNERS = {
 def run(cfg: RunConfig) -> int:
     """Execute one command; prints the summary line and returns the exit code."""
     try:
-        summary = _RUNNERS[cfg.command](cfg)
+        summary = _emit(cfg, _RUNNERS[cfg.command](cfg))
     except (HeunEvaluationError, NonConvergenceError, GammaPoleError,
             NoTransitionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -342,7 +318,6 @@ def run(cfg: RunConfig) -> int:
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _write_gnuplot(cfg)
     print(summary)
     return EXIT_OK
 
@@ -419,8 +394,9 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(file_cfg) - known
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {config_path} must hold a JSON object")
+        unknown = set(file_cfg) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         file_cfg.pop("command", None)
@@ -434,7 +410,7 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(argv)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return run(cfg)

@@ -266,6 +266,50 @@ class TestConfiguration:
         assert code == 2
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize("key,value", [("points", "40"), ("kappa", "2"),
+                                           ("points", True), ("kappa", True)])
+    def test_config_wrong_type(self, capsys, tmp_path, key, value):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        code, _, err = run_cli(capsys, "spectrum", "--config", str(cfg_file))
+        assert code == 2
+        assert err.startswith("invalid configuration") and key in err
+
+    def test_config_not_an_object(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text("[]")
+        code, _, err = run_cli(capsys, "scan", "--config", str(cfg_file))
+        assert code == 2
+        assert "JSON object" in err
+
+    def test_config_int_for_float(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"kappa": 2, "n_max": 5, "validity": 1}))
+        code, lines, _ = run_cli(capsys, "spectrum", "--config", str(cfg_file))
+        assert code == 0
+        assert parse_summary(lines[-1])["levels"] == "6"
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--tol", "inf"),
+        ("scan", "--tol", "nan"),
+        ("spectrum", "--kappa", "2", "--validity", "nan"),
+        ("scan", "--kappa", "2", "--point-scale", "-1", "--points", "10"),
+    ])
+    def test_non_finite_or_negative_knob(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "invalid configuration" in err
+
+    def test_units_file_read_before_scan(self, capsys, monkeypatch, tmp_path):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before reading the units file")
+
+        monkeypatch.setattr(cli, "spectral_scan", no_scan)
+        code, _, err = run_cli(capsys, "roots", "--kappa", "2",
+                               "--units-file", str(tmp_path / "missing.json"))
+        assert code == 2
+        assert "missing.json" in err
+
     def test_gnuplot_script(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
         code, _, _ = run_cli(capsys, "scan", "--kappa", "0.75",

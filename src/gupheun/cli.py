@@ -111,16 +111,12 @@ class RunConfig:
 
 @dataclass
 class Output:
-    """What one command produced; `_emit` turns it into files and the summary line.
-
-    `rows` is read only for CSV output, so units are checked only where the
-    `energy_si` column is written.  `pairs` go between `command=` and `summary=`.
-    """
+    """What one command produced; `_emit` turns it into files and the summary line."""
 
     header: list[str]
     rows: Iterable[list[str]]
     payload: dict
-    pairs: list[tuple[str, str]]
+    pairs: list[tuple[str, str]]  # between `command=` and `summary=`
     note: str
 
 
@@ -151,22 +147,19 @@ def spectrum_result_from_json(text: str) -> SpectrumResult:
                           kappa=raw["kappa"], ell=raw["ell"])
 
 
-def _levels_rows(result: SpectrumResult, units: UnitSystem | None):
-    natural = natural_units_for(result.kappa)
-    si = None if units is None else to_physical_energy(result, units)
-    for i, w in enumerate(result.omegas):
-        row = [str(i + 1), _fmt(w), _fmt(energy_from_omega(w, natural)), result.method]
-        yield row if si is None else row + [_fmt(si[i])]
-
-
 def _levels(result: SpectrumResult, units: UnitSystem | None,
             pairs: list[tuple[str, str]], note: str) -> Output:
-    """The level table shared by `roots` and `spectrum`."""
+    """The level table shared by `roots` and `spectrum`; units are checked in both formats."""
+    payload = spectrum_result_to_payload(result)
     header = ["n", "omega", "energy_natural_units", "method"]
+    rows = [[str(n), _fmt(w), _fmt(e), result.method] for n, (w, e) in
+            enumerate(zip(payload["omegas"], payload["energy_natural_units"]), start=1)]
     if units is not None:
+        payload["energy_si"] = to_physical_energy(result, units)
         header.append("energy_si")
-    return Output(header, _levels_rows(result, units), spectrum_result_to_payload(result),
-                  pairs, note)
+        for row, e in zip(rows, payload["energy_si"]):
+            row.append(_fmt(e))
+    return Output(header, rows, payload, pairs, note)
 
 
 _LEVELS_PLOT = ('set logscale y\nset xlabel "n"\nset ylabel "omega"\n'
@@ -329,50 +322,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, needs_window=False):
+    def add_command(name, help_text, *, needs_window=False):
+        """A subparser with the shared flags; each flag only where the command reads it."""
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--kappa", type=float, default=None,
                        help="dimensionless coupling m*alpha/(2*hbar^2)")
         p.add_argument("--ell", type=int, default=None, help="orbital quantum number")
-        if needs_window:
+        if needs_window:  # the commands that scan the spectral function at y*
             p.add_argument("--omega-min", type=float, default=None)
             p.add_argument("--omega-max", type=float, default=None)
             p.add_argument("--points", type=int, default=None)
+            p.add_argument("--point-scale", type=float, default=None,
+                           help="cutoff radius factor c in r = c*sqrt(-alpha/E)")
         p.add_argument("--tol", type=float, default=None,
                        help="evaluation tolerance (default 1e-8, env GUP_HEUN_TOL)")
-        p.add_argument("--point-scale", type=float, default=None,
-                       help="cutoff radius factor c in r = c*sqrt(-alpha/E)")
         p.add_argument("--output", "-o", dest="output_path", default=None)
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--units-file", default=None,
-                       help="JSON with mass, hbar, beta, alpha_coupling")
-        p.add_argument("--gnuplot", action="store_true", default=None)
+        if name in ("roots", "spectrum"):
+            p.add_argument("--units-file", default=None,
+                           help="JSON with mass, hbar, beta, alpha_coupling")
+        if name in _GNUPLOT_BODY:
+            p.add_argument("--gnuplot", action="store_true", default=None)
         p.add_argument("--config", default=None,
                        help="JSON config mirroring the run configuration")
+        return p
 
-    p_scan = sub.add_parser("scan", help="sample the spectral function")
-    add_common(p_scan, needs_window=True)
+    add_command("scan", "sample the spectral function", needs_window=True)
+    add_command("roots", "refined exact eigenvalues", needs_window=True)
 
-    p_roots = sub.add_parser("roots", help="refined exact eigenvalues")
-    add_common(p_roots, needs_window=True)
-
-    p_spec = sub.add_parser("spectrum", help="closed-form low-energy tower")
-    add_common(p_spec)
+    p_spec = add_command("spectrum", "closed-form low-energy tower")
     p_spec.add_argument("--n-max", type=int, default=None)
     p_spec.add_argument("--validity", type=float, default=None,
                         help="discard closed-form levels at or above this omega")
 
-    p_wf = sub.add_parser("wavefunction", help="sample R(xi) at one omega")
-    add_common(p_wf)
+    p_wf = add_command("wavefunction", "sample R(xi) at one omega")
     p_wf.add_argument("--omega", type=float, default=None)
     p_wf.add_argument("--points", type=int, default=None)
 
-    p_cmp = sub.add_parser("compare", help="exact roots vs closed form")
-    add_common(p_cmp, needs_window=True)
+    p_cmp = add_command("compare", "exact roots vs closed form", needs_window=True)
     p_cmp.add_argument("--n-max", type=int, default=None)
     p_cmp.add_argument("--validity", type=float, default=None)
 
-    p_crit = sub.add_parser("critical", help="locate the critical coupling")
-    add_common(p_crit)
+    p_crit = add_command("critical", "locate the critical coupling")
     p_crit.add_argument("--kappa-lo", type=float, default=None)
     p_crit.add_argument("--kappa-hi", type=float, default=None)
     p_crit.add_argument("--omega-floor", type=float, default=None,

@@ -33,7 +33,8 @@ the equation as a first-order system in (g, g').  It steps in t = ln(-y),
 normalized so that every pair reaches its own target together: spectral
 points (Omega-1)/Omega reach -1e4 and far beyond for shallow states, and
 logarithmic stepping keeps the step count bounded.  A spectral scan is one
-call with many energies, a radial profile (heun_continue_path) one call with
+call with many energies, as is each root-refinement iteration (one energy
+per open bracket); a radial profile (heun_continue_path) is one call with
 one energy and many targets, and heun_continue the one-target case.
 
 heun_series (a coefficient list with Horner evaluation) and
@@ -298,25 +299,19 @@ def _integrate(B: float, q0: np.ndarray, q1: np.ndarray, g0: np.ndarray, gp0: np
     # with e = -y and r = 1/(1-y) the equation times span*y reads
     #   span*y*g'' = -span*((B+3)*g' + q1*g) + r*span*(2*g' + (q0+q1)*g),
     # which keeps the number of numpy calls per evaluation small
-    coefs = (t0, span, -span, span * (B + 3.0), span * q1, 2.0 * span, span * (q0 + q1))
-    # a single energy (root refinement) runs on Python floats: a numpy call
-    # costs several times a float operation on arrays this small
-    scalar = m == 1
-    if scalar:
-        coefs = tuple(float(c[0]) for c in coefs)
-    start, scale, neg_scale, gp_coef, g_coef, gp_r_coef, g_r_coef = coefs
-    exp = math.exp if scalar else np.exp
+    neg_span, gp_coef, g_coef, gp_r_coef, g_r_coef = (
+        -span, span * (B + 3.0), span * q1, 2.0 * span, span * (q0 + q1))
 
     def rhs(tau, s):
-        e = exp(start + tau * scale)
+        e = np.exp(t0 + tau * span)
         r = 1.0 / (1.0 + e)
-        g, gp = s.tolist() if scalar else (s[:m], s[m:])
-        dg = neg_scale * e * gp
+        g, gp = s[:m], s[m:]
         dgp = r * (gp_r_coef * gp + g_r_coef * g) - gp_coef * gp - g_coef * g
-        return [dg, dgp] if scalar else np.concatenate((dg, dgp))
+        return np.concatenate((neg_span * e * gp, dgp))
 
+    # t_eval keeps only the endpoint instead of every step of every energy
     sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate((g0, gp0)), method="DOP853",
-                    rtol=rtol / math.sqrt(m), atol=0.0)
+                    rtol=rtol / math.sqrt(m), atol=0.0, t_eval=(1.0,))
     if not sol.success:
         return None
     return sol.y[:m, -1], sol.y[m:, -1]

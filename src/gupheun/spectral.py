@@ -3,8 +3,8 @@
 Three routes to the spectrum of the deformed inverse-square problem:
 
 * exact_heun: zeros in omega of Hc(a, -b, c, d, e; (Omega-1)/Omega), located
-  by a log-spaced scan and safeguarded bracket refinement.  This is the
-  condition R(xi*) = 0 at the edge of the physical range.
+  by a log-spaced scan and refined in one batch.  This is the condition
+  R(xi*) = 0 at the edge of the physical range.
 * hypergeometric_condition: zeros of F(alpha', gamma'; delta'; -1/Omega),
   the shallow-energy reduction of the same boundary condition.
 * closed_form: the explicit tower
@@ -35,11 +35,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .heun import (
     CouplingConfig,
     EnergyPoint,
+    HeunEvaluationError,
     heun_continue,
     heun_continue_batch,
     heun_params,
@@ -90,6 +91,16 @@ def spectral_function(cfg: CouplingConfig, omega: float, tol: float = DEFAULT_SC
     """Hc(0, -b, 1, d, e; y*) at trial energy omega: zero exactly at eigenvalues."""
     ep = EnergyPoint.from_omega(omega)
     return heun_continue(heun_params(cfg, ep), spectral_point(ep, point_scale), tol=tol)
+
+
+def _spectral_values(cfg: CouplingConfig, omegas: np.ndarray, tol: float,
+                     point_scale: float) -> np.ndarray:
+    """spectral_function at every omega in one heun_continue_batch call; NaN where it fails."""
+    energies = [EnergyPoint.from_omega(w) for w in omegas]
+    values, _ = heun_continue_batch([heun_params(cfg, ep) for ep in energies],
+                                    [spectral_point(ep, point_scale) for ep in energies],
+                                    tol=tol)
+    return values
 
 
 @dataclass(frozen=True)
@@ -149,10 +160,7 @@ def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
     if n_points < 2:
         raise ValueError("need at least two scan points")
     omegas = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), n_points))
-    energies = [EnergyPoint.from_omega(w) for w in omegas]
-    values, _ = heun_continue_batch([heun_params(cfg, ep) for ep in energies],
-                                    [spectral_point(ep, point_scale) for ep in energies],
-                                    tol=tol)
+    values = _spectral_values(cfg, omegas, tol, point_scale)
     return SpectralScan(omegas=omegas, values=values, brackets=_find_brackets(values),
                         kappa=cfg.kappa, ell=cfg.ell, tol=tol, point_scale=point_scale)
 
@@ -179,47 +187,56 @@ class SpectrumResult:
         return len(self.omegas)
 
 
-def find_roots(scan: SpectralScan, tol: float = DEFAULT_ROOT_TOL) -> SpectrumResult:
-    """Refine every scan bracket to |d omega| < tol with Brent's method.
+def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
+                   tol: float) -> tuple[float, ...]:
+    """Zeros of f in the brackets over omegas, decreasing, deduplicated at 2*tol.
 
-    Function evaluations run at the tightened integrator tolerance so the
-    bracket sign structure is trustworthy near convergence; a bracket whose
-    sign change evaporates under re-evaluation is flagged and dropped.  Roots
-    closer than 2*tol are deduplicated.
+    (i, i) brackets are exact zeros.  The others are refined together by
+    Chandrupatla's method (scipy.optimize.elementwise.find_root), one call of f
+    per iteration on every open bracket, until each is narrower than
+    tol + 4*eps*omega.  f raises rather than return NaN.  A bracket without a
+    sign change under f is dropped with a RuntimeWarning.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    cfg = CouplingConfig(kappa=scan.kappa, ell=scan.ell)
-    eval_tol = min(REFINE_EVAL_TOL, scan.tol)
-
-    def f(w: float) -> float:
-        return spectral_function(cfg, w, tol=eval_tol, point_scale=scan.point_scale)
-
-    roots: list[float] = []
-    for i, j in scan.brackets:
-        if i == j:
-            roots.append(float(scan.omegas[i]))
-            continue
-        lo, hi = float(scan.omegas[i]), float(scan.omegas[j])
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            roots.append(lo)
-            continue
-        if fhi == 0.0:
-            roots.append(hi)
-            continue
-        if not _opposite_signs(flo, fhi):
-            warnings.warn(f"bracket [{lo:g}, {hi:g}] lost its sign change; dropped",
-                          RuntimeWarning, stacklevel=2)
-            continue
-        roots.append(brentq(f, lo, hi, xtol=tol))
-
-    roots.sort(reverse=True)
+    pairs = np.array(brackets, dtype=int).reshape(-1, 2)
+    exact = pairs[:, 0] == pairs[:, 1]
+    lo, hi = omegas[pairs[~exact, 0]], omegas[pairs[~exact, 1]]
+    res = find_root(f, (lo, hi), tolerances=dict(xatol=tol, fatol=0.0))
+    lost = res.status == -1
+    for a, b in zip(lo[lost], hi[lost]):
+        warnings.warn(f"bracket [{a:g}, {b:g}] lost its sign change; dropped",
+                      RuntimeWarning, stacklevel=3)
+    roots = sorted(omegas[pairs[exact, 0]].tolist() + res.x[res.status == 0].tolist(),
+                   reverse=True)
     deduped: list[float] = []
     for r in roots:
         if not deduped or deduped[-1] - r > 2.0 * tol:
             deduped.append(r)
-    return SpectrumResult(method=METHOD_EXACT, omegas=tuple(deduped),
+    return tuple(deduped)
+
+
+def find_roots(scan: SpectralScan, tol: float = DEFAULT_ROOT_TOL) -> SpectrumResult:
+    """Refine every scan bracket to |d omega| < tol with _bracket_roots.
+
+    Each iteration is one heun_continue_batch call over the open brackets, at
+    the tightened integrator tolerance so the bracket sign structure is
+    trustworthy near convergence.  A bracket whose sign change evaporates
+    under re-evaluation is dropped with a RuntimeWarning; a failed evaluation
+    raises HeunEvaluationError.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    cfg = CouplingConfig(kappa=scan.kappa, ell=scan.ell)
+
+    def f(w: np.ndarray) -> np.ndarray:
+        values = _spectral_values(cfg, w, min(REFINE_EVAL_TOL, scan.tol), scan.point_scale)
+        failed = w[np.isnan(values)]
+        if failed.size:
+            raise HeunEvaluationError(f"refinement evaluation failed at omega = "
+                                      f"{failed[0]:g} ({failed.size} of {w.size})")
+        return values
+
+    return SpectrumResult(method=METHOD_EXACT,
+                          omegas=_bracket_roots(f, scan.omegas, scan.brackets, tol),
                           kappa=scan.kappa, ell=scan.ell)
 
 
@@ -269,20 +286,14 @@ def hypergeometric_condition_roots(cfg: CouplingConfig,
         return SpectrumResult(method=METHOD_HYPERGEOMETRIC, omegas=(),
                               kappa=cfg.kappa, ell=cfg.ell)
 
-    def f(w: float) -> float:
-        value = hyp2f1_large_negative(alpha_p, gamma_p, delta_p, -0.5 / w)
-        return value.real  # conjugate parameter pair: imaginary part is roundoff
+    def f(w: np.ndarray) -> np.ndarray:
+        # conjugate parameter pair: the imaginary part is roundoff
+        return np.array([hyp2f1_large_negative(alpha_p, gamma_p, delta_p, -0.5 / x).real
+                         for x in w])
 
     omegas = np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
-    values = np.array([f(w) for w in omegas])
-    roots = []
-    for i, j in _find_brackets(values):
-        if i == j:
-            roots.append(float(omegas[i]))
-        else:
-            roots.append(brentq(f, float(omegas[i]), float(omegas[j]), xtol=tol))
-    roots.sort(reverse=True)
-    return SpectrumResult(method=METHOD_HYPERGEOMETRIC, omegas=tuple(roots),
+    roots = _bracket_roots(f, omegas, _find_brackets(f(omegas)), tol)
+    return SpectrumResult(method=METHOD_HYPERGEOMETRIC, omegas=roots,
                           kappa=cfg.kappa, ell=cfg.ell)
 
 

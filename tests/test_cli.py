@@ -23,6 +23,11 @@ def parse_summary(line):
     return out
 
 
+# windows that give roots and spectrum at kappa = 2 a few levels each
+_LEVELS_WINDOW = {"roots": ("--omega-min", "0.2", "--omega-max", "0.3", "--points", "40"),
+                  "spectrum": ("--n-max", "5")}
+
+
 class TestScanCommand:
     def test_weak_coupling_summary(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
@@ -114,6 +119,44 @@ class TestRootsCommand:
                                "--units-file", str(units))
         assert code == 2
         assert "kappa" in err
+
+    @pytest.mark.parametrize("command", ["roots", "spectrum"])
+    def test_json_units_file_adds_si_key(self, capsys, tmp_path, command):
+        units = tmp_path / "units.json"
+        units.write_text(json.dumps(
+            {"mass": 2.0, "hbar": 1.0, "beta": 1.0, "alpha_coupling": 2.0}))
+        out = tmp_path / "out.json"
+        code, _, _ = run_cli(capsys, command, "--kappa", "2", *_LEVELS_WINDOW[command],
+                             "-o", str(out), "--format", "json", "--units-file", str(units))
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert list(payload)[-1] == "energy_si"
+        assert payload["omegas"]
+        assert payload["energy_si"] == [pytest.approx(-w / 4.0, rel=1e-12)
+                                        for w in payload["omegas"]]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["roots", "spectrum"])
+    def test_units_kappa_mismatch_any_format(self, capsys, tmp_path, command, fmt):
+        units = tmp_path / "units.json"
+        units.write_text(json.dumps(
+            {"mass": 1.0, "hbar": 1.0, "beta": 1.0, "alpha_coupling": 1.0}))
+        out = tmp_path / f"out.{fmt}"
+        code, lines, err = run_cli(capsys, command, "--kappa", "2",
+                                   *_LEVELS_WINDOW[command], "-o", str(out),
+                                   "--format", fmt, "--units-file", str(units))
+        assert code == 2
+        assert "kappa" in err and lines == []
+        assert not out.exists()
+
+    def test_failed_refinement_exit_3(self, capsys, monkeypatch):
+        # the scan's series stop at 1e-11 and settle within 56 terms; the
+        # refinement's stop at 1e-13 and need more
+        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 56)
+        code, _, err = run_cli(capsys, "roots", "--kappa", "2", "--omega-min", "0.2",
+                               "--omega-max", "0.3", "--points", "40")
+        assert code == 3
+        assert "numerical failure" in err
 
 
 class TestSpectrumCommand:
@@ -309,6 +352,17 @@ class TestConfiguration:
                                "--units-file", str(tmp_path / "missing.json"))
         assert code == 2
         assert "missing.json" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--kappa", "2", "--units-file", "x"),
+        ("critical", "--gnuplot"),
+        ("wavefunction", "--kappa", "2", "--omega", "0.004", "--point-scale", "2"),
+    ])
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_gnuplot_script(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"

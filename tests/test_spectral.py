@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from gupheun import heun
 from gupheun.heun import CouplingConfig, EnergyPoint, HeunEvaluationError
@@ -14,6 +15,7 @@ from gupheun.spectral import (
     METHOD_CLOSED_FORM,
     METHOD_EXACT,
     NoTransitionError,
+    REFINE_EVAL_TOL,
     SpectralScan,
     SpectrumResult,
     UnitMismatchError,
@@ -196,6 +198,42 @@ class TestFindRoots:
         scale = np.nanmax(np.abs(scan_k2.values))
         for w in roots_k2.omegas:
             assert abs(spectral_function(cfg, w, tol=1e-10)) < 1e-6 * scale
+
+    @pytest.mark.parametrize("kappa,ell", [(2.0, 0), (5.0, 2)])
+    def test_agrees_with_brent(self, kappa, ell):
+        cfg = CouplingConfig(kappa=kappa, ell=ell)
+        scan = spectral_scan(cfg, 1e-4, 0.45, 200)
+        xtol = 1e-9
+
+        def f(w):
+            return spectral_function(cfg, w, tol=REFINE_EVAL_TOL)
+
+        reference = sorted((brentq(f, scan.omegas[i], scan.omegas[j], xtol=xtol)
+                            for i, j in scan.brackets), reverse=True)
+        roots = find_roots(scan, tol=xtol).omegas
+        assert len(roots) == len(reference) > 0
+        assert np.max(np.abs(np.subtract(roots, reference))) < xtol
+
+    def test_bracket_without_sign_change_dropped(self):
+        # (0, 1) holds the kappa = 2 ground state 0.2486; the stored values at
+        # 0.30 and 0.35 claim a sign change that the spectral function lacks
+        cfg = CouplingConfig(kappa=2.0, ell=0)
+        omegas = np.array([0.24, 0.26, 0.30, 0.35])
+        values = np.array([spectral_function(cfg, 0.24), spectral_function(cfg, 0.26),
+                           1.0, -1.0])
+        scan = SpectralScan(omegas=omegas, values=values, brackets=((0, 1), (2, 3)),
+                            kappa=2.0, ell=0)
+        with pytest.warns(RuntimeWarning, match="lost its sign change") as record:
+            result = find_roots(scan)
+        assert len(record) == 1
+        assert len(result) == 1 and result.omegas[0] == pytest.approx(0.2486, abs=0.005)
+
+    def test_failed_refinement_raises(self, monkeypatch):
+        scan = spectral_scan(CouplingConfig(kappa=2.0, ell=0), 0.2, 0.3, 40)
+        assert scan.brackets
+        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
+        with pytest.raises(HeunEvaluationError):
+            find_roots(scan)
 
     def test_level_count_growth(self, roots_k2):
         # counts in (omega, 0.05) grow like (nu/2pi) ln(1/omega): two decades

@@ -1,34 +1,30 @@
 """Command-line front end: scans, spectra, wavefunctions, CSV/JSON emission.
 
-Each command's runner returns an `Output` (CSV table, JSON payload, summary
+Each command is one row of the `_COMMANDS` table below the runners: its
+runner, its help text and the `RunConfig` fields it reads.  A row gives the
+command's flags and the keys its `--config` file may set; any other setting
+exits 2.  A runner returns an `Output` (CSV table, JSON payload, summary
 fields) and never opens a file; `run` hands it to the one writer, `_emit`.
 
-Commands
---------
-scan          sample the spectral function over an omega window
-roots         refine scan brackets into exact eigenvalues
-spectrum      closed-form low-energy tower
-wavefunction  sample R(xi) at a trial energy
-compare       exact eigenvalues vs the closed-form tower
-critical      bisect for the critical coupling
-
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.  The
-last stdout line is a machine-parsable `key=value` summary.  The default
-tolerance 1e-8 can be overridden by the GUP_HEUN_TOL environment variable,
-by a JSON config file (--config), or by --tol (highest precedence).
+last stdout line is a machine-parsable `key=value` summary.  Where a command
+reads the tolerance, its default 1e-8 can be overridden by the GUP_HEUN_TOL
+environment variable, by a JSON config file (--config), or by --tol (highest
+precedence).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
 import sys
-from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field, fields
 
 from .heun import CouplingConfig, EnergyPoint, HeunEvaluationError
 from . import radial
@@ -54,9 +50,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 DEFAULT_TOL = 1e-8
 
-# annotation of a RunConfig field -> the types its value may have; bool is an
-# int subclass, so it is accepted only where the annotation says bool
-_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+# annotation of a RunConfig field -> the type of its flag; a config file may
+# give an int for a float, and bool (an int subclass) only where it says bool
+_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 
 
 @dataclass
@@ -88,12 +84,12 @@ class RunConfig:
             kind, _, optional = f.type.partition(" | ")
             if value is None and optional:
                 continue
-            if (not isinstance(value, _TYPES[kind])
+            if (not isinstance(value, (int, float) if kind == "float" else _TYPES[kind])
                     or isinstance(value, bool) != (kind == "bool")):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
             if kind == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.command not in _RUNNERS:
+        if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
@@ -162,19 +158,6 @@ def _levels(result: SpectrumResult, units: UnitSystem | None,
     return Output(header, rows, payload, pairs, note)
 
 
-_LEVELS_PLOT = ('set logscale y\nset xlabel "n"\nset ylabel "omega"\n'
-                'plot DATA using 1:2 with points pt 7 title ')
-_GNUPLOT_BODY = {
-    "scan": ('set logscale x\nset xlabel "omega"\nset ylabel "Hc"\n'
-             'plot DATA using 1:2 with lines title "spectral function"\n'),
-    "wavefunction": ('set xlabel "xi"\nset ylabel "R"\n'
-                     'plot DATA using 1:2 with lines title "R(xi)"\n'),
-    "roots": _LEVELS_PLOT + '"eigenvalues"\n',
-    "spectrum": _LEVELS_PLOT + '"closed form"\n',
-    "compare": _LEVELS_PLOT + '"exact", DATA using 1:3 with points pt 5 title "closed form"\n',
-}
-
-
 def _emit(cfg: RunConfig, out: Output) -> str:
     """Write the requested output files and return the summary line."""
     files = {}
@@ -183,10 +166,10 @@ def _emit(cfg: RunConfig, out: Output) -> str:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([out.header, *out.rows])
         files[path] = buf.getvalue()
-        if cfg.gnuplot and cfg.command in _GNUPLOT_BODY:
+        plot = _COMMANDS[cfg.command].plot
+        if plot and cfg.gnuplot:
             files[path + ".gp"] = (f'DATA = "{path}"\nset datafile separator ","\n'
-                                   "set key autotitle columnhead\n"
-                                   + _GNUPLOT_BODY[cfg.command])
+                                   "set key autotitle columnhead\n" + plot)
     elif path:
         files[path] = json.dumps(out.payload, indent=2) + "\n"
     for name, text in files.items():
@@ -290,20 +273,68 @@ def _run_critical(cfg: RunConfig) -> Output:
         "critical coupling located")
 
 
-_RUNNERS = {
-    "scan": _run_scan,
-    "roots": _run_roots,
-    "spectrum": _run_spectrum,
-    "wavefunction": _run_wavefunction,
-    "compare": _run_compare,
-    "critical": _run_critical,
+@dataclass
+class Command:
+    """One CLI command; `settings` are its flags and the keys its config file may set."""
+
+    run: Callable[[RunConfig], Output]
+    help: str
+    reads: tuple[str, ...]  # the RunConfig fields `run` reads
+    plot: str | None = None  # gnuplot body; `--gnuplot` exists only where there is one
+    defaults: dict = field(default_factory=dict)  # RunConfig defaults it overrides
+
+    @property
+    def settings(self) -> tuple[str, ...]:  # `reads` plus what `_emit` reads
+        return (*self.reads, "output_path", "format", *(("gnuplot",) if self.plot else ()))
+
+
+_SCAN = ("omega_min", "omega_max", "points", "point_scale", "tol")  # of spectral_scan
+_LEVELS_PLOT = ('set logscale y\nset xlabel "n"\nset ylabel "omega"\n'
+                'plot DATA using 1:2 with points pt 7 title ')
+_COMMANDS = {
+    "scan": Command(_run_scan, "sample the spectral function", ("kappa", "ell", *_SCAN),
+                    'set logscale x\nset xlabel "omega"\nset ylabel "Hc"\n'
+                    'plot DATA using 1:2 with lines title "spectral function"\n'),
+    "roots": Command(_run_roots, "refined exact eigenvalues",
+                     ("kappa", "ell", *_SCAN, "units_file"), _LEVELS_PLOT + '"eigenvalues"\n'),
+    "spectrum": Command(_run_spectrum, "closed-form low-energy tower",
+                        ("kappa", "ell", "n_max", "validity", "units_file"),
+                        _LEVELS_PLOT + '"closed form"\n'),
+    "wavefunction": Command(_run_wavefunction, "sample R(xi) at one omega",
+                            ("kappa", "ell", "omega", "points"),
+                            'set xlabel "xi"\nset ylabel "R"\n'
+                            'plot DATA using 1:2 with lines title "R(xi)"\n',
+                            {"points": radial.DEFAULT_GRID_POINTS}),
+    "compare": Command(_run_compare, "exact roots vs closed form",
+                       ("kappa", "ell", *_SCAN, "n_max", "validity"),
+                       _LEVELS_PLOT + '"exact", DATA using 1:3 with points pt 5 title '
+                       '"closed form"\n'),
+    "critical": Command(_run_critical, "locate the critical coupling",
+                        ("ell", "kappa_lo", "kappa_hi", "omega_floor")),
+}
+
+# every flag in the order `--help` lists it, with its help text
+_FLAGS = {
+    "kappa": "dimensionless coupling m*alpha/(2*hbar^2)",
+    "ell": "orbital quantum number",
+    "omega_min": None, "omega_max": None, "points": None,
+    "point_scale": "cutoff radius factor c in r = c*sqrt(-alpha/E)",
+    "tol": "evaluation tolerance (default 1e-8, env GUP_HEUN_TOL)",
+    "output_path": None, "format": None,
+    "units_file": "JSON with mass, hbar, beta, alpha_coupling",
+    "gnuplot": None,
+    "config": "JSON config mirroring the run configuration",
+    "n_max": None,
+    "validity": "discard closed-form levels at or above this omega",
+    "omega": None, "kappa_lo": None, "kappa_hi": None,
+    "omega_floor": "shallow end of the detection window (default 1e-45)",
 }
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one command; prints the summary line and returns the exit code."""
     try:
-        summary = _emit(cfg, _RUNNERS[cfg.command](cfg))
+        summary = _emit(cfg, _COMMANDS[cfg.command].run(cfg))
     except (HeunEvaluationError, NonConvergenceError, GammaPoleError,
             NoTransitionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -315,70 +346,38 @@ def run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """A subparser per row of `_COMMANDS`, with one flag per setting of the row."""
     parser = argparse.ArgumentParser(
         prog="gupheun",
         description="Bound states of the inverse-square potential with a minimal length",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, help_text, *, needs_window=False):
-        """A subparser with the shared flags; each flag only where the command reads it."""
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--kappa", type=float, default=None,
-                       help="dimensionless coupling m*alpha/(2*hbar^2)")
-        p.add_argument("--ell", type=int, default=None, help="orbital quantum number")
-        if needs_window:  # the commands that scan the spectral function at y*
-            p.add_argument("--omega-min", type=float, default=None)
-            p.add_argument("--omega-max", type=float, default=None)
-            p.add_argument("--points", type=int, default=None)
-            p.add_argument("--point-scale", type=float, default=None,
-                           help="cutoff radius factor c in r = c*sqrt(-alpha/E)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="evaluation tolerance (default 1e-8, env GUP_HEUN_TOL)")
-        p.add_argument("--output", "-o", dest="output_path", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        if name in ("roots", "spectrum"):
-            p.add_argument("--units-file", default=None,
-                           help="JSON with mass, hbar, beta, alpha_coupling")
-        if name in _GNUPLOT_BODY:
-            p.add_argument("--gnuplot", action="store_true", default=None)
-        p.add_argument("--config", default=None,
-                       help="JSON config mirroring the run configuration")
-        return p
-
-    add_command("scan", "sample the spectral function", needs_window=True)
-    add_command("roots", "refined exact eigenvalues", needs_window=True)
-
-    p_spec = add_command("spectrum", "closed-form low-energy tower")
-    p_spec.add_argument("--n-max", type=int, default=None)
-    p_spec.add_argument("--validity", type=float, default=None,
-                        help="discard closed-form levels at or above this omega")
-
-    p_wf = add_command("wavefunction", "sample R(xi) at one omega")
-    p_wf.add_argument("--omega", type=float, default=None)
-    p_wf.add_argument("--points", type=int, default=None)
-
-    p_cmp = add_command("compare", "exact roots vs closed form", needs_window=True)
-    p_cmp.add_argument("--n-max", type=int, default=None)
-    p_cmp.add_argument("--validity", type=float, default=None)
-
-    p_crit = add_command("critical", "locate the critical coupling")
-    p_crit.add_argument("--kappa-lo", type=float, default=None)
-    p_crit.add_argument("--kappa-hi", type=float, default=None)
-    p_crit.add_argument("--omega-floor", type=float, default=None,
-                        help="shallow end of the detection window (default 1e-45)")
-
+    kinds = {f.name: f.type.partition(" | ")[0] for f in fields(RunConfig)}
+    for name, command in _COMMANDS.items():
+        # exact spellings only: `critical --omega` is no prefix of --omega-floor
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for key, help_text in _FLAGS.items():
+            if key not in (*command.settings, "config"):
+                continue
+            kind = kinds.get(key, "str")  # --config is no RunConfig field
+            opts = {"action": "store_true"} if kind == "bool" else {"type": _TYPES[kind]}
+            if key == "format":
+                opts["choices"] = ("csv", "json")
+            flags = ("--output", "-o") if key == "output_path" else ("--" + key.replace("_", "-"),)
+            p.add_argument(*flags, dest=key, default=None, help=help_text, **opts)
     return parser
 
 
 def build_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve CLI flags, optional JSON config, env var and defaults."""
     args = vars(_build_parser().parse_args(argv))
-    command = args.pop("command")
-    config_path = args.pop("config", None)
+    name = args.pop("command")
+    config_path = args.pop("config")
+    command = _COMMANDS[name]
 
-    merged: dict = {}
+    merged = dict(command.defaults)
     env_tol = os.environ.get("GUP_HEUN_TOL")
     if env_tol is not None:
         merged["tol"] = float(env_tol)
@@ -387,15 +386,13 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {config_path} must hold a JSON object")
-        unknown = set(file_cfg) - {f.name for f in fields(RunConfig)}
+        unknown = set(file_cfg) - set(command.settings)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        file_cfg.pop("command", None)
+            raise ValueError(f"unknown config keys for {name}: {sorted(unknown)}; "
+                             f"it reads {', '.join(command.settings)}")
         merged.update(file_cfg)
     merged.update({k: v for k, v in args.items() if v is not None})
-    if command == "wavefunction" and "points" not in merged:
-        merged["points"] = radial.DEFAULT_GRID_POINTS
-    return RunConfig(command=command, **merged)
+    return RunConfig(command=name, **merged)
 
 
 def main(argv: list[str] | None = None) -> int:

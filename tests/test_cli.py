@@ -1,5 +1,6 @@
 """Command-line interface tests: schemas, exit codes, determinism, round-trips."""
 
+import dataclasses
 import json
 import shlex
 
@@ -312,11 +313,26 @@ class TestConfiguration:
     @pytest.mark.parametrize("key,value", [("points", "40"), ("kappa", "2"),
                                            ("points", True), ("kappa", True)])
     def test_config_wrong_type(self, capsys, tmp_path, key, value):
+        # scan reads both keys, so only the type check can reject them
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({key: value}))
-        code, _, err = run_cli(capsys, "spectrum", "--config", str(cfg_file))
+        code, _, err = run_cli(capsys, "scan", "--config", str(cfg_file))
         assert code == 2
-        assert err.startswith("invalid configuration") and key in err
+        assert err.startswith(f"invalid configuration: {key} must be")
+
+    @pytest.mark.parametrize("command,key,value", [("scan", "units_file", "/nonexistent"),
+                                                   ("spectrum", "points", 40),
+                                                   ("critical", "gnuplot", True)])
+    def test_config_key_the_command_does_not_read(self, capsys, tmp_path, command, key, value):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        code, lines, err = run_cli(capsys, command, "--config", str(cfg_file))
+        assert code == 2 and lines == []
+        assert err.startswith("invalid configuration") and repr(key) in err
+
+    def test_env_tolerance_on_a_command_without_tol(self, capsys, monkeypatch):
+        monkeypatch.setenv("GUP_HEUN_TOL", "1e-6")
+        assert run_cli(capsys, "spectrum", "--kappa", "2")[0] == 0
 
     def test_config_not_an_object(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -357,6 +373,11 @@ class TestConfiguration:
         ("scan", "--kappa", "2", "--units-file", "x"),
         ("critical", "--gnuplot"),
         ("wavefunction", "--kappa", "2", "--omega", "0.004", "--point-scale", "2"),
+        ("spectrum", "--kappa", "2", "--tol", "1e-6"),
+        ("wavefunction", "--kappa", "2", "--omega", "0.004", "--tol", "1e-6"),
+        ("critical", "--tol", "1e-6"),
+        ("critical", "--kappa", "2"),
+        ("critical", "--omega", "1e-5"),  # no abbreviation of --omega-floor
     ])
     def test_flag_the_command_does_not_read(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -430,3 +451,42 @@ class TestOutputContract:
             assert payload["rows"]
             assert all(list(row) == ["n", "omega_exact", "omega_closed_form", "rel_dev"]
                        for row in payload["rows"])
+
+
+_FIELDS = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command"]
+
+
+class TestCommandTable:
+    """Each row of `cli._COMMANDS` names exactly the settings its command reads."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_row_is_what_the_command_reads(self, capsys, tmp_path, command):
+        read = set()
+
+        class Recording(cli.RunConfig):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        # `_emit` reads format and gnuplot only when it writes a CSV file
+        argv = (command, *_CONTRACT[command][0], "-o", str(tmp_path / "out.csv"))
+        cfg = Recording(**dataclasses.asdict(cli.build_config(list(argv))))
+        read.clear()
+        assert cli.run(cfg) == 0
+        assert read & set(_FIELDS) == set(cli._COMMANDS[command].settings)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_other_setting_is_rejected(self, capsys, tmp_path, command):
+        others = [k for k in _FIELDS if k not in cli._COMMANDS[command].settings]
+        defaults = cli.RunConfig(command)
+        for key in others:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--" + key.replace("_", "-"), "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+            cfg_file = tmp_path / f"{key}.json"
+            cfg_file.write_text(json.dumps({key: getattr(defaults, key)}))
+            code, lines, err = run_cli(capsys, command, *_CONTRACT[command][0],
+                                       "--config", str(cfg_file))
+            assert (code, lines) == (2, []), key
+            assert f"unknown config keys for {command}: [{key!r}]" in err

@@ -191,13 +191,14 @@ def _run_scan(cfg: RunConfig) -> Output:
                          tol=cfg.tol, point_scale=cfg.point_scale)
     left_endpoints = {i for i, _ in scan.brackets}
     n = len(scan.brackets)
+    # one conversion to Python floats feeds both the CSV cells and the JSON lists
+    omegas, values = scan.omegas.tolist(), scan.values.tolist()
     return Output(
         ["omega", "hc_value", "bracket_flag"],
         ([_fmt(w), _fmt(v), str(int(i in left_endpoints))]
-         for i, (w, v) in enumerate(zip(scan.omegas, scan.values))),
+         for i, (w, v) in enumerate(zip(omegas, values))),
         {"command": "scan", "kappa": cfg.kappa, "ell": cfg.ell,
-         "omegas": [float(w) for w in scan.omegas],
-         "values": [float(v) for v in scan.values],
+         "omegas": omegas, "values": values,
          "brackets": [[int(i), int(j)] for i, j in scan.brackets]},
         [("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)), ("points", str(cfg.points)),
          ("brackets", str(n))],
@@ -231,12 +232,12 @@ def _run_wavefunction(cfg: RunConfig) -> Output:
     ep = EnergyPoint.from_omega(cfg.omega)
     profile = wavefunction(coupling, ep, default_xi_grid(coupling, ep, n=cfg.points))
     flag = profile.non_decaying
+    xi, values = profile.xi.tolist(), profile.values.tolist()
     return Output(
         ["xi", "R"],
-        ([_fmt(x), _fmt(v)] for x, v in zip(profile.xi, profile.values)),
+        ([_fmt(x), _fmt(v)] for x, v in zip(xi, values)),
         {"command": "wavefunction", "kappa": cfg.kappa, "ell": cfg.ell,
-         "omega": cfg.omega, "xi": [float(x) for x in profile.xi],
-         "R": [float(v) for v in profile.values], "non_decaying": flag},
+         "omega": cfg.omega, "xi": xi, "R": values, "non_decaying": flag},
         [("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)), ("omega", _fmt(cfg.omega)),
          ("points", str(cfg.points)), ("non_decaying", "true" if flag else "false")],
         "does not decay toward xi*" if flag else "decays toward xi*")

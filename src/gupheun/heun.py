@@ -24,18 +24,21 @@ second parameter B = -b = ell + 1/2.  It is the only branch evaluated here:
 Evaluation strategy
 -------------------
 heun_continue_batch is the one evaluator.  It takes (energy, target) pairs
-with targets y < 0.  One vectorised three-term recurrence seeds every pair
-with its Frobenius series, at |y| = 0.5 or closer to the origin where the
-alternating terms would cancel; targets inside that seed radius are read
-straight from the series.  The others are continued along the negative real
-axis, which contains no singularity, by one adaptive eighth-order solve of
-the equation as a first-order system in (g, g').  It steps in t = ln(-y),
-normalized so that every pair reaches its own target together: spectral
-points (Omega-1)/Omega reach -1e4 and far beyond for shallow states, and
-logarithmic stepping keeps the step count bounded.  A spectral scan is one
-call with many energies, as is each root-refinement iteration (one energy
-per open bracket); a radial profile (heun_continue_path) is one call with
-one energy and many targets, and heun_continue the one-target case.
+with targets y < 0.  One vectorised three-term recurrence evaluates the
+Frobenius series of every target at |y| <= 0.5 (closer to the origin where
+the alternating terms would cancel), and seeds each distinct energy there
+once.  The other targets are continued along the negative real axis, which
+contains no singularity, in t = ln(-y): spectral points (Omega-1)/Omega reach
+-1e4 and far beyond for shallow states, and the solution oscillates at a
+rate that stays bounded in t.  The equation is linear, so each energy's path
+is cut into Chebyshev panels, every panel of every energy is solved at once
+as a linear system for its two basis solutions, and a walk over the panels'
+2 x 2 transfer matrices carries each seed to its targets.  A value depends
+only on its energy, target and tolerance, not on the rest of the batch.  A
+spectral scan is one call with many energies, as is each root-refinement
+iteration (one energy per open bracket); a radial profile
+(heun_continue_path) is one call with one energy and many targets, and
+heun_continue the one-target case.
 
 heun_series (a coefficient list with Horner evaluation) and
 heun_second_derivative (the equation itself) are the textbook forms; the
@@ -49,20 +52,28 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial import chebyshev
 
 SERIES_MAX_TERMS = 10_000
 SERIES_RADIUS_LIMIT = 0.9
-# DOP853 error control is meaningless below ~100*eps
-_RTOL_FLOOR = 3e-14
 # On y < 0 the series terms alternate in sign and peak near
 # exp(2*sqrt((|q0| + sqrt|q1|)*|y|)); continuation is seeded where that
 # stays below e^8, so the sum keeps about 12 of its 16 digits
 _SEED_GROWTH = 8.0
+# Continuation panels (_layout, _solved_panels): _NODES Chebyshev points
+# each; a panel is halved while a basis solution's Chebyshev tail exceeds
+# _TAIL_FRACTION * tol (never less than _TAIL_FLOOR, 100 times the roundoff
+# of those coefficients), at most _MAX_SPLITS times
+_NODES = 16
+_TAIL_FRACTION = 0.1
+_TAIL_FLOOR = 1e-14
+_MAX_SPLITS = 20
+_MAX_PANELS = 10_000  # laid per energy; targets beyond them come back NaN
+_CHUNK = 128  # panels per batched linear solve; bounds the memory of one solve
 
 
 class HeunEvaluationError(RuntimeError):
-    """Series truncation overflow or integrator failure during continuation."""
+    """Series or continuation failure: too many terms, overflow or an unresolved panel."""
 
 
 @dataclass(frozen=True)
@@ -285,36 +296,217 @@ def _series_state(B: float, q0: np.ndarray, q1: np.ndarray, z: np.ndarray,
     return g, gp
 
 
-def _integrate(B: float, q0: np.ndarray, q1: np.ndarray, g0: np.ndarray, gp0: np.ndarray,
-               t0: np.ndarray, t_end: np.ndarray, rtol: float):
-    """(g, g') at t_end_i = ln(-y_i) from the seed states at t0_i, or None on failure.
+def _seed_radius(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    """|y| of each energy's series seed: 0.5, or closer in where the terms would cancel."""
+    return np.minimum(0.5, (0.5 * _SEED_GROWTH) ** 2 / (np.abs(q0) + np.sqrt(np.abs(q1))))
 
-    All energies share one DOP853 solve in tau = (t - t0_i)/(t_end_i - t0_i),
-    so each starts at tau = 0 and reaches its own endpoint at tau = 1.  The
-    error norm is the RMS over all 2m components, so rtol/sqrt(m) bounds each
-    energy's own RMS error in (g, g') by rtol.
+
+def _chebyshev_tables(n: int):
+    """Nodes x_j = -cos(pi j/(n-1)) on [-1, 1] and the matrices that act on node values.
+
+    to_coef maps node values to the Chebyshev coefficients of their
+    interpolant; int1 and int2 map them to its first and second integral from
+    -1, at the nodes; weights are the barycentric interpolation weights.
     """
-    m = g0.size
-    span = t_end - t0
-    # with e = -y and r = 1/(1-y) the equation times span*y reads
-    #   span*y*g'' = -span*((B+3)*g' + q1*g) + r*span*(2*g' + (q0+q1)*g),
-    # which keeps the number of numpy calls per evaluation small
-    neg_span, gp_coef, g_coef, gp_r_coef, g_r_coef = (
-        -span, span * (B + 3.0), span * q1, 2.0 * span, span * (q0 + q1))
+    x = -np.cos(np.pi * np.arange(n) / (n - 1))
+    to_coef = np.linalg.inv(chebyshev.chebvander(x, n - 1))
+    int1 = chebyshev.chebvander(x, n) @ chebyshev.chebint(to_coef, lbnd=-1)
+    int2 = chebyshev.chebvander(x, n + 1) @ chebyshev.chebint(to_coef, m=2, lbnd=-1)
+    weights = (-1.0) ** np.arange(n)
+    weights[[0, -1]] *= 0.5
+    return x, to_coef, int1, int2, weights
 
-    def rhs(tau, s):
-        e = np.exp(t0 + tau * span)
-        r = 1.0 / (1.0 + e)
-        g, gp = s[:m], s[m:]
-        dgp = r * (gp_r_coef * gp + g_r_coef * g) - gp_coef * gp - g_coef * g
-        return np.concatenate((neg_span * e * gp, dgp))
 
-    # t_eval keeps only the endpoint instead of every step of every energy
-    sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate((g0, gp0)), method="DOP853",
-                    rtol=rtol / math.sqrt(m), atol=0.0, t_eval=(1.0,))
-    if not sol.success:
-        return None
-    return sol.y[:m, -1], sol.y[m:, -1]
+_X, _TO_COEF, _INT1, _INT2, _BARY = _chebyshev_tables(_NODES)
+
+
+def _equation_coefficients(B: float, q0: np.ndarray, q1: np.ndarray,
+                           t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q) of u'' + P u' + Q u = 0, the equation of u(t) = g(-e^t)."""
+    e = np.exp(t)
+    r = e / (1.0 + e)
+    return B + 2.0 * r, r * (q0 - q1 * e)
+
+
+def _tail_tol(tol: float) -> float:
+    """Largest Chebyshev tail of a resolved panel, relative to its node values."""
+    return max(_TAIL_FRACTION * tol, _TAIL_FLOOR)
+
+
+def _rate(B: float, q0: np.ndarray, q1: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """A bound on how fast u grows or oscillates near t, increasing in t.
+
+    With frozen coefficients u ~ exp(r t), r^2 + P r + Q = 0, so
+    |r| <= (2/sqrt(3)) sqrt(P^2 + |Q|), and on y < 0 0 < P < B + 2 and
+    |Q| <= e (|q0| + |q1| e)/(1 + e).
+    """
+    e = np.exp(t)
+    return np.sqrt((B + 2.0) ** 2 + e * (np.abs(q0) + np.abs(q1) * e) / (1.0 + e))
+
+
+def _layout(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, t_end: np.ndarray,
+            tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panels (owner, ta, tb) from each energy's t0 until one ends beyond its t_end.
+
+    On a panel of width h, exp(i*r*t) has Chebyshev coefficients
+    2*J_k(r*h/2) ~ 2*(r*h/4)^k/k!; keeping rate*h below c holds the one at
+    k = _NODES - 2 to _tail_tol(tol).  The width c/rate(ta + c/rate(ta))
+    keeps h*rate(tb) <= c, since the rate increases.  Panel j of an energy
+    depends on nothing but (B, q0, q1, t0, tol), so an energy gets the same
+    panels in any batch.  An energy stops after _MAX_PANELS panels even short
+    of t_end.
+    """
+    k = _NODES - 2
+    c = 4.0 * (0.5 * _tail_tol(tol) * math.factorial(k)) ** (1.0 / k)
+    owners, starts, ends = [], [], []
+    t = t0.copy()
+    idx = np.flatnonzero(t0 < t_end)
+    for _ in range(_MAX_PANELS):
+        if not idx.size:
+            break
+        ta = t[idx]
+        qa, qb = q0[idx], q1[idx]
+        tb = ta + c / _rate(B, qa, qb, ta + c / _rate(B, qa, qb, ta))
+        owners.append(idx)
+        starts.append(ta)
+        ends.append(tb)
+        t[idx] = tb
+        idx = idx[tb <= t_end[idx]]
+    return np.concatenate(owners), np.concatenate(starts), np.concatenate(ends)
+
+
+def _panel_solutions(B: float, q0: np.ndarray, q1: np.ndarray, ta: np.ndarray,
+                     tb: np.ndarray) -> np.ndarray:
+    """Node values (u_0, u_1, u_0', u_1') of the two basis solutions on each panel.
+
+    Basis solution c starts at ta with (u, u') = (1, 0) for c = 0 and (0, 1)
+    for c = 1.  The unknown is v = u'' at the nodes (spectral integration,
+    Greengard, SIAM J. Numer. Anal. 28 (1991) 1071): with s = (tb - ta)/2,
+    u' = u'(ta) + s*I1 v and u = u(ta) + u'(ta)*(t - ta) + s^2*I2 v, so the
+    equation becomes one N x N system per panel, (I + s P I1 + s^2 Q I2) v = rhs,
+    with one right-hand side per basis solution.  Returns shape (panels, N, 4).
+    """
+    s = 0.5 * (tb - ta)[:, None]
+    dt = s * (1.0 + _X)
+    P, Q = _equation_coefficients(B, q0[:, None], q1[:, None], ta[:, None] + dt)
+    A = (s * s * Q)[:, :, None] * _INT2
+    A += (s * P)[:, :, None] * _INT1
+    A.reshape(-1, _NODES * _NODES)[:, ::_NODES + 1] += 1.0
+    v = np.linalg.solve(A, np.stack((-Q, -P - Q * dt), axis=-1))
+    u = (s * s)[:, :, None] * (_INT2 @ v)
+    du = s[:, :, None] * (_INT1 @ v)
+    u[:, :, 0] += 1.0
+    u[:, :, 1] += dt
+    du[:, :, 1] += 1.0
+    return np.concatenate((u, du), axis=-1)
+
+
+def _unresolved(values: np.ndarray, tol: float) -> np.ndarray:
+    """Panels where a basis solution's last two Chebyshev coefficients exceed the tolerance.
+
+    Each of the four columns is measured against its own largest node value,
+    at _TAIL_FRACTION * tol but not below the coefficients' roundoff.  A
+    non-finite panel is not unresolved: splitting cannot mend it.
+    """
+    tail = np.abs(_TO_COEF[-2:] @ values).max(axis=1)
+    scale = np.abs(values).max(axis=1)
+    return (tail > _tail_tol(tol) * scale).any(axis=1)
+
+
+def _interpolate(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Barycentric interpolation of node values f (K, N, m) at one x_k in [-1, 1] each."""
+    d = x[:, None] - _X
+    hit = d == 0.0
+    c = _BARY / np.where(hit, 1.0, d)
+    out = (c[:, :, None] * f).sum(axis=1) / c.sum(axis=1)[:, None]
+    k, j = np.nonzero(hit)
+    out[k] = f[k, j]
+    return out
+
+
+def _solved_panels(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray,
+                   t_end: np.ndarray, target_keys: np.ndarray, tol: float):
+    """Every energy's panels from t0 to beyond t_end, solved and sorted by (energy, ta).
+
+    The panels of all energies are solved together, _CHUNK at a time.  A
+    panel that _unresolved flags is halved and its halves solved in the next
+    round; one still flagged after _MAX_SPLITS halvings is set to NaN.
+    target_keys holds the sorted keys energy + 1j*t of the targets: node
+    values are kept only for panels that hold one.  Returns (owner, ta, tb,
+    ends, row, nodes): ends (panels, 4) are the basis solutions at tb, and a
+    panel holding a target has its node values in nodes[row], other panels
+    row -1.
+    """
+    pending = _layout(B, q0, q1, t0, t_end, tol)
+    done = []
+    for depth in range(_MAX_SPLITS + 1):
+        halves = []
+        for lo in range(0, pending[0].size, _CHUNK):
+            o, a, b = (x[lo:lo + _CHUNK] for x in pending)
+            values = _panel_solutions(B, q0[o], q1[o], a, b)
+            split = _unresolved(values, tol)
+            if depth == _MAX_SPLITS:
+                values[split] = np.nan
+                split[:] = False
+            keep = ~split
+            held = (np.searchsorted(target_keys, o + 1j * b)
+                    > np.searchsorted(target_keys, o + 1j * a))[keep]
+            done.append((o[keep], a[keep], b[keep], values[keep, -1], held,
+                         values[keep][held]))
+            mid = 0.5 * (a[split] + b[split])
+            halves.append((np.tile(o[split], 2), np.concatenate((a[split], mid)),
+                           np.concatenate((mid, b[split]))))
+        pending = tuple(np.concatenate(x) for x in zip(*halves))
+        if not pending[0].size:
+            break
+    owner, ta, tb, ends, held, nodes = (np.concatenate(x) for x in zip(*done))
+    order = np.lexsort((ta, owner))
+    row = np.where(held, np.cumsum(held) - 1, -1)
+    return owner[order], ta[order], tb[order], ends[order], row[order], nodes
+
+
+def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np.ndarray,
+              owner: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
+    """(u, u') at targets t_k of energies owner_k, from (u, u') = seed_i at t0_i.
+
+    Every t_k lies beyond t0 of its energy.  A walk over panel indices,
+    vectorised over energies, carries each seed through its panels' 2 x 2
+    transfer matrices (_solved_panels), and each target is read from the
+    node values of its panel.  Targets that the layout did not reach, or
+    beyond a non-finite panel, come back as NaN.
+    """
+    t_end = np.full(t0.size, -np.inf)
+    np.maximum.at(t_end, owner, t)
+    # complex numbers sort by real part, then imaginary part: these keys
+    # order targets and panels by energy, then by t
+    keys = owner + 1j * t
+    o, a, b, ends, row, nodes = _solved_panels(B, q0, q1, t0, t_end, np.sort(keys), tol)
+
+    counts = np.bincount(o, minlength=t0.size)
+    first = np.cumsum(counts) - counts
+    start = np.empty((o.size, 2))
+    state = seed.copy()
+    out = np.full((t.size, 2), np.nan)
+    # a state that overflows turns into NaN, the failure of its targets
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(counts.max()):
+            active = np.flatnonzero(counts > j)
+            p = first[active] + j
+            u, du = state[active, 0], state[active, 1]
+            start[p] = state[active]
+            state[active, 0] = ends[p, 0] * u + ends[p, 1] * du
+            state[active, 1] = ends[p, 2] * u + ends[p, 3] * du
+        # (u, u') at the nodes of each panel that holds a target, by row
+        panel = np.empty(nodes.shape[0], dtype=int)
+        panel[row[row >= 0]] = np.flatnonzero(row >= 0)
+        solution = (nodes[:, :, 0::2] * start[panel, None, :1]
+                    + nodes[:, :, 1::2] * start[panel, None, 1:])
+        k = np.searchsorted(o + 1j * a, keys, side="right") - 1
+        reached = t < b[k]
+        k = k[reached]
+        x = (t[reached] - a[k]) / (0.5 * (b[k] - a[k])) - 1.0
+        out[reached] = _interpolate(solution[row[k]], x)
+    return out
 
 
 def heun_continue_batch(params: Sequence[HeunParams], y_targets,
@@ -322,20 +514,20 @@ def heun_continue_batch(params: Sequence[HeunParams], y_targets,
     """(g, g') of the physical branch for many energies, each at its own y_target < 0.
 
     All params must share b (one ell); the same energy may appear many times.
-    Each energy is seeded by its Frobenius series at radius 0.5, or closer to
-    the origin when its series terms would cancel there (see _SEED_GROWTH).
-    Targets inside the seed radius are read straight from the series.  The
-    others are continued in t = ln(-y) by one DOP853 solve over the whole
-    batch, with absolute tolerance zero so the solution sign stays reliable
-    while the amplitude decays through many orders of magnitude.  Each
-    target's error stays within tol; a batch whose shared tolerance would
-    fall below the integrator's floor is split, and a failed batch is retried
-    one target at a time.  A target whose series or integration fails comes
-    back as NaN without affecting the others.
+    Each distinct energy is seeded once by its Frobenius series at radius
+    0.5, or closer to the origin when its series terms would cancel there (see
+    _SEED_GROWTH).  Targets inside the seed radius are read straight from the
+    series.  The others come from one chain of Chebyshev panels per energy in
+    t = ln(-y) (_continue), with each panel's basis solutions resolved to tol
+    by the size of their Chebyshev tail.  A value depends only on its energy,
+    target and tol, not on the rest of the batch.  A target whose series or
+    continuation fails comes back as NaN without affecting the others.
     """
     y = np.asarray(y_targets, dtype=float).reshape(-1)
     if len(params) != y.size:
         raise ValueError("need one parameter set per target")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if y.size == 0:
         return np.empty(0), np.empty(0)
     if not np.all(np.isfinite(y) & (y < 0.0)):
@@ -344,26 +536,28 @@ def heun_continue_batch(params: Sequence[HeunParams], y_targets,
     B = float(coeffs[0, 0])
     if np.any(coeffs[:, 0] != B):
         raise ValueError("all parameter sets must share b")
+
+    g = np.full(y.size, np.nan)
+    gp = np.full(y.size, np.nan)
     q1, q0 = coeffs[:, 1], coeffs[:, 2]
-
-    radius = np.minimum(0.5, (0.5 * _SEED_GROWTH) ** 2 / (np.abs(q0) + np.sqrt(np.abs(q1))))
-    inner = -y <= radius
-    g, gp = _series_state(B, q0, q1, np.where(inner, y, -radius), _seed_tol(tol))
-
-    t0, t_end = np.log(radius), np.log(-y)
-    rtol = max(tol, _RTOL_FLOOR)
-    size = max(1, int((rtol / _RTOL_FLOOR) ** 2))
-    outer = np.flatnonzero(~inner & ~np.isnan(g))  # failed series stay NaN
-    batches = [outer[i:i + size] for i in range(0, outer.size, size)]
-    while batches:
-        idx = batches.pop()
-        result = _integrate(B, q0[idx], q1[idx], g[idx], gp[idx], t0[idx], t_end[idx], rtol)
-        if result is not None:
-            g[idx], gp[idx] = result
-        elif idx.size > 1:
-            batches.extend(idx[i:i + 1] for i in range(idx.size))
-        else:
-            g[idx] = gp[idx] = np.nan
+    inner = -y <= _seed_radius(q0, q1)
+    outer = np.flatnonzero(~inner)
+    energies, owner = np.unique(coeffs[outer, 1:], axis=0, return_inverse=True)
+    e1, e0 = energies.T
+    radius = _seed_radius(e0, e1)
+    # one series pass: the inner targets at their own y, then each outer energy's seed
+    m = np.count_nonzero(inner)
+    sg, sgp = _series_state(B, np.concatenate((q0[inner], e0)), np.concatenate((q1[inner], e1)),
+                            np.concatenate((y[inner], -radius)), _seed_tol(tol))
+    g[inner], gp[inner] = sg[:m], sgp[:m]
+    seeded = np.isfinite(sg[m:])[owner]  # failed series stay NaN
+    if seeded.any():
+        outer, owner = outer[seeded], owner[seeded]
+        seed = np.stack((sg[m:], -radius * sgp[m:]), axis=1)
+        u = _continue(B, e0, e1, np.log(radius), seed, owner, np.log(-y[outer]), tol)
+        g[outer], gp[outer] = u[:, 0], u[:, 1] / y[outer]
+    failed = ~(np.isfinite(g) & np.isfinite(gp))
+    g[failed] = gp[failed] = np.nan
     return g, gp
 
 
@@ -380,7 +574,7 @@ def heun_continue_path(p: HeunParams, y_targets, tol: float = 1e-10) -> np.ndarr
         raise HeunEvaluationError(
             f"continuation to y = {failed[0]} failed ({failed.size} of {g.size} targets): "
             f"the series needs more than {SERIES_MAX_TERMS} terms or overflows, "
-            f"or the integrator failed"
+            f"or a continuation panel overflows or stays unresolved"
         )
     return g.reshape(y.shape)
 

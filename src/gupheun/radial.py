@@ -19,9 +19,9 @@ envelope decays like exp(-rate * xi) with rate = sqrt(5 omega / (1 - 2 omega)).
 
 A profile is one call of the Heun evaluator for one energy and all grid
 points (heun_continue_path): points inside its seed radius come from the
-series, the others from one continuation solve; y = 0 (xi = 0) is the
-normalization Hc = 1.  The default grid stops at 1.2 * xi* because only r up
-to ~sqrt(-alpha/E) is physically meaningful for this boundary condition.
+series, the others from one chain of continuation panels; y = 0 (xi = 0) is
+the normalization Hc = 1.  The default grid stops at 1.2 * xi* because only
+r up to ~sqrt(-alpha/E) is physically meaningful for this boundary condition.
 """
 
 from __future__ import annotations

@@ -218,7 +218,7 @@ def find_roots(scan: SpectralScan, tol: float = DEFAULT_ROOT_TOL) -> SpectrumRes
     """Refine every scan bracket to |d omega| < tol with _bracket_roots.
 
     Each iteration is one heun_continue_batch call over the open brackets, at
-    the tightened integrator tolerance so the bracket sign structure is
+    the tightened evaluation tolerance so the bracket sign structure is
     trustworthy near convergence.  A bracket whose sign change evaporates
     under re-evaluation is dropped with a RuntimeWarning; a failed evaluation
     raises HeunEvaluationError.
@@ -280,6 +280,8 @@ def hypergeometric_condition_roots(cfg: CouplingConfig,
     lo, hi = omega_range
     if not (0.0 < lo < hi <= DEFAULT_VALIDITY):
         raise ValueError("omega_range must satisfy 0 < lo < hi <= 0.05")
+    if n_points < 2:
+        raise ValueError("need at least two scan points")
     try:
         alpha_p, gamma_p, delta_p = reduced_hypergeometric_parameters(cfg)
     except WeakCouplingError:
@@ -309,10 +311,13 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
     which is why omega_floor defaults to 1e-45: a floor of 1e-5 would place
     the detection threshold near kappa ~ 0.15 for ell = 0 instead of ~1/16.
     Returns the transition kappa to roughly kappa_tol.  Sign detection does
-    not need tight integration, hence the relaxed scan_tol default.
+    not need tight evaluation, hence the relaxed scan_tol default.
     """
     if not kappa_lo < kappa_hi:
         raise ValueError("need kappa_lo < kappa_hi")
+    # at kappa_tol <= 0 the bisection would end on adjacent floats and never stop
+    if not (math.isfinite(kappa_tol) and kappa_tol > 0):
+        raise ValueError(f"kappa_tol must be finite and positive, got {kappa_tol}")
 
     def has_states(kappa: float) -> bool:
         cfg = CouplingConfig(kappa=kappa, ell=ell)

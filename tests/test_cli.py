@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,16 @@ def parse_summary(line):
 # windows that give roots and spectrum at kappa = 2 a few levels each
 _LEVELS_WINDOW = {"roots": ("--omega-min", "0.2", "--omega-max", "0.3", "--points", "40"),
                   "spectrum": ("--n-max", "5")}
+
+
+def test_import_leaves_out_scipy_integrate():
+    # every command pays for importing gupheun.cli in a fresh interpreter,
+    # and scipy.integrate would add another 0.03-0.05 s to it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", "import sys, gupheun.cli; "
+                           "print('scipy.integrate' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestScanCommand:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from gupheun import heun
 from gupheun.heun import (
     CouplingConfig,
     EnergyPoint,
@@ -203,7 +204,7 @@ class TestContinuation:
 
     def test_smooth_in_omega(self):
         # second differences on a 1e-4 grid stay far below the sample scale:
-        # no integrator-induced jumps that would break root bracketing
+        # no continuation-induced jumps that would break root bracketing
         cfg = CouplingConfig(kappa=2.0, ell=0)
         omegas = np.arange(0.019, 0.021, 1e-4)
         vals = []
@@ -229,3 +230,98 @@ class TestContinuation:
             heun_continue(p, 0.5)
         with pytest.raises(ValueError):
             heun_continue(p, 0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_validation(self, tol):
+        p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.2))
+        with pytest.raises(ValueError):
+            heun_continue_batch([p], [-3.0], tol=tol)
+
+
+def _spectral_batch(kappa, ell):
+    """Parameters and spectral points of the default 600-point scan grid."""
+    cfg = CouplingConfig(kappa=kappa, ell=ell)
+    energies = [EnergyPoint.from_omega(w)
+                for w in np.exp(np.linspace(math.log(1e-5), math.log(0.45), 600))]
+    return ([heun_params(cfg, ep) for ep in energies],
+            np.array([(ep.big_omega - 1.0) / ep.big_omega for ep in energies]))
+
+
+class TestBatchIndependence:
+    """A value depends on its energy, target and tol only, not on the batch."""
+
+    @pytest.mark.parametrize("kappa, ell, tol", [(2.0, 0, 1e-8), (100.0, 2, 1e-10)])
+    def test_alone_in_a_scan_and_next_to_copies(self, kappa, ell, tol):
+        params, targets = _spectral_batch(kappa, ell)
+        g, gp = heun_continue_batch(params, targets, tol=tol)
+        for i in (0, 150, 333, 480, 599):
+            alone = heun_continue_batch([params[i]], [targets[i]], tol=tol)
+            copies = heun_continue_batch([params[i]] * 3, [targets[i]] * 3, tol=tol)
+            assert np.array_equal(np.ravel(alone), [g[i], gp[i]])
+            assert np.array_equal(np.ravel(copies), [g[i]] * 3 + [gp[i]] * 3)
+
+    def test_profile_targets_equal_single_targets(self):
+        p = heun_params(CouplingConfig(kappa=10.0, ell=1), EnergyPoint.from_omega(1e-4))
+        targets = -np.geomspace(1e-3, 4e4, 60)  # past y* = -4999, inside and outside the seed
+        g, gp = heun_continue_batch([p] * targets.size, targets, tol=1e-10)
+        for k, y in enumerate(targets):
+            assert np.array_equal(np.ravel(heun_continue_batch([p], [y], tol=1e-10)),
+                                  [g[k], gp[k]])
+
+
+_DOP853_CASES = [(0.75, 0, 1e-45), (0.75, 2, 1e-20), (2.0, 0, 1e-45), (2.0, 2, 1e-3),
+                 (100.0, 0, 0.4), (100.0, 2, 1e-3), (3e4, 0, 0.4), (3e4, 2, 0.4)]
+
+
+@pytest.fixture(scope="module")
+def dop853_paths():
+    """(params, targets, g, g') per case, from a DOP853 solve at rtol 1e-12 off the series seed.
+
+    The seed sits where the series terms stay below e^8, as in the
+    evaluator, and the six targets reach out to y*.
+    """
+    paths = []
+    for kappa, ell, omega in _DOP853_CASES:
+        ep = EnergyPoint.from_omega(omega)
+        p = heun_params(CouplingConfig(kappa=kappa, ell=ell), ep)
+        B, q1, q0 = _linear_coefficients(p)
+        seed = -min(0.5, 16.0 / (abs(q0) + math.sqrt(abs(q1))))
+        targets = np.geomspace(1.5 * seed, (ep.big_omega - 1.0) / ep.big_omega, 6)
+        series = heun_series(p, tol=1e-16, radius=-seed)
+
+        def rhs(t, state, p=p):
+            y = -math.exp(t)
+            return [y * state[1], y * heun_second_derivative(p, y, state[0], state[1])]
+
+        t = np.log(-targets)
+        sol = solve_ivp(rhs, (math.log(-seed), t[-1]),
+                        [series.value(seed), series.derivative(seed)],
+                        method="DOP853", rtol=1e-12, atol=0.0, t_eval=t)
+        assert sol.success
+        paths.append((p, targets, *sol.y))
+    return paths
+
+
+class TestAgainstDOP853:
+    """heun_continue_batch against an adaptive eighth-order solve (dop853_paths).
+
+    The error of (g, y g') must stay within tol times the local amplitude
+    hypot(g, y g').  The cases cover each kappa with both ell and each omega
+    at least once, among paths that the reference integrates in well under a
+    second.  The reference's own error grows with the path: at kappa = 2,
+    ell = 2, omega = 1e-45 it reaches 5e-10 against a solve at rtol 3e-14,
+    so that case is left out.
+    """
+
+    @pytest.mark.parametrize("rate_scale", [1.0, 1 / 8])
+    def test_within_tol_of_the_local_scale(self, monkeypatch, dop853_paths, rate_scale):
+        # at rate_scale 1/8 every panel starts 8 times too wide, and only
+        # halving the panels whose Chebyshev tail is too large mends them
+        rate = heun._rate
+        monkeypatch.setattr(heun, "_rate", lambda *args: rate_scale * rate(*args))
+        for p, targets, g_ref, gp_ref in dop853_paths:
+            scale = np.hypot(g_ref, targets * gp_ref)
+            for tol in (1e-8, 1e-10):
+                g, gp = heun_continue_batch([p] * targets.size, targets, tol=tol)
+                error = np.maximum(np.abs(g - g_ref), np.abs(targets * (gp - gp_ref)))
+                assert np.all(error <= tol * scale), (p, tol)

@@ -2,16 +2,16 @@
 
 import math
 import warnings
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from gupheun import heun
+from gupheun import heun, spectral
 from gupheun.heun import CouplingConfig, EnergyPoint, HeunEvaluationError
 from gupheun.spectral import (
+    DEFAULT_SCAN_TOL,
     METHOD_CLOSED_FORM,
     METHOD_EXACT,
     NoTransitionError,
@@ -137,24 +137,25 @@ class TestBatchedScan:
         assert np.array_equal(np.isnan(scan.values), failed)
 
     def test_failed_integrations_become_gaps(self, monkeypatch):
-        # a stand-in integrator that fails every solve holding a seed value
-        # below 0.3: the failed batch is retried one energy at a time, and
-        # exactly the energies that fail alone become gaps
-        solve_ivp = heun.solve_ivp
-
-        def flaky(fun, t_span, y0, **kwargs):
-            if np.any(y0[:len(y0) // 2] < 0.3):
-                return SimpleNamespace(success=False, message="stand-in failure")
-            return solve_ivp(fun, t_span, y0, **kwargs)
-
-        monkeypatch.setattr(heun, "solve_ivp", flaky)
+        # non-finite panel coefficients for three chosen energies: exactly
+        # those become gaps, and every other energy keeps its pointwise value
         cfg = CouplingConfig(kappa=2.0, ell=0)
+        omegas = np.exp(np.linspace(math.log(1e-4), math.log(0.45), 40))
+        values = _pointwise(cfg, omegas, DEFAULT_SCAN_TOL)
+        chosen = [5, 17, 30]
+        poisoned = [heun._linear_coefficients(heun.heun_params(cfg, EnergyPoint.from_omega(w)))[2]
+                    for w in omegas[chosen]]
+        equation_coefficients = heun._equation_coefficients
+
+        def poison(B, q0, q1, t):
+            P, Q = equation_coefficients(B, q0, q1, t)
+            return P, np.where(np.isin(q0, poisoned), np.nan, Q)
+
+        monkeypatch.setattr(heun, "_equation_coefficients", poison)
         scan = spectral_scan(cfg, 1e-4, 0.45, 40)
-        values = _pointwise(cfg, scan.omegas, scan.tol)
-        failed = np.isnan(values)
-        assert failed.any() and not failed.all()
-        assert np.array_equal(np.isnan(scan.values), failed)
-        assert np.allclose(scan.values[~failed], values[~failed], rtol=1e-6)
+        assert np.flatnonzero(np.isnan(scan.values)).tolist() == chosen
+        others = np.setdiff1d(np.arange(40), chosen)
+        assert np.array_equal(scan.values[others], values[others])
 
 
 class TestMpmathOracle:
@@ -308,6 +309,12 @@ class TestHypergeometricCondition:
             hypergeometric_condition_roots(CouplingConfig(kappa=2.0, ell=0),
                                            omega_range=(1e-3, 0.2))
 
+    @pytest.mark.parametrize("n_points", [0, 1])
+    def test_point_count_validation(self, n_points):
+        # fewer than two points hold no bracket and would report no levels
+        with pytest.raises(ValueError):
+            hypergeometric_condition_roots(CouplingConfig(kappa=2.0, ell=0), n_points=n_points)
+
 
 class TestCriticalCoupling:
     def test_boundary_formula_ell1(self):
@@ -324,6 +331,17 @@ class TestCriticalCoupling:
     def test_no_transition_both_absent(self):
         with pytest.raises(NoTransitionError):
             critical_coupling(0, 0.01, 0.03, omega_floor=1e-20, n_points=60)
+
+    @pytest.mark.parametrize("kappa_tol", [0.0, -1e-3, math.nan])
+    def test_kappa_tol_validation(self, monkeypatch, kappa_tol):
+        # such a tolerance would keep the bisection going forever: it must be
+        # rejected before the first scan
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before checking kappa_tol")
+
+        monkeypatch.setattr(spectral, "spectral_scan", no_scan)
+        with pytest.raises(ValueError):
+            critical_coupling(0, 0.05, 0.08, kappa_tol=kappa_tol)
 
 
 class TestCompare:

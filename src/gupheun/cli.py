@@ -16,9 +16,8 @@ precedence).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
+import itertools
 import json
 import math
 import os
@@ -110,14 +109,15 @@ class Output:
     """What one command produced; `_emit` turns it into files and the summary line."""
 
     header: list[str]
-    rows: Iterable[list[str]]
+    # CSV lines; every cell is a formatted number, an int or a fixed token,
+    # so none needs the quoting of csv.writer
+    rows: Iterable[str]
     payload: dict
     pairs: list[tuple[str, str]]  # between `command=` and `summary=`
     note: str
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+_fmt = "{:.12g}".format  # a float as a CSV cell or summary value
 
 
 def _load_units(path: str) -> UnitSystem:
@@ -148,14 +148,15 @@ def _levels(result: SpectrumResult, units: UnitSystem | None,
     """The level table shared by `roots` and `spectrum`; units are checked in both formats."""
     payload = spectrum_result_to_payload(result)
     header = ["n", "omega", "energy_natural_units", "method"]
-    rows = [[str(n), _fmt(w), _fmt(e), result.method] for n, (w, e) in
-            enumerate(zip(payload["omegas"], payload["energy_natural_units"]), start=1)]
+    row = "{},{:.12g},{:.12g},{}"
+    columns = [itertools.count(1), payload["omegas"], payload["energy_natural_units"],
+               itertools.repeat(result.method)]
     if units is not None:
         payload["energy_si"] = to_physical_energy(result, units)
         header.append("energy_si")
-        for row, e in zip(rows, payload["energy_si"]):
-            row.append(_fmt(e))
-    return Output(header, rows, payload, pairs, note)
+        row += ",{:.12g}"
+        columns.append(payload["energy_si"])
+    return Output(header, map(row.format, *columns), payload, pairs, note)
 
 
 def _emit(cfg: RunConfig, out: Output) -> str:
@@ -163,9 +164,7 @@ def _emit(cfg: RunConfig, out: Output) -> str:
     files = {}
     path = cfg.output_path
     if path and cfg.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([out.header, *out.rows])
-        files[path] = buf.getvalue()
+        files[path] = "\n".join([",".join(out.header), *out.rows]) + "\n"
         plot = _COMMANDS[cfg.command].plot
         if plot and cfg.gnuplot:
             files[path + ".gp"] = (f'DATA = "{path}"\nset datafile separator ","\n'
@@ -195,7 +194,7 @@ def _run_scan(cfg: RunConfig) -> Output:
     omegas, values = scan.omegas.tolist(), scan.values.tolist()
     return Output(
         ["omega", "hc_value", "bracket_flag"],
-        ([_fmt(w), _fmt(v), str(int(i in left_endpoints))]
+        ("{:.12g},{:.12g},{:d}".format(w, v, int(i in left_endpoints))
          for i, (w, v) in enumerate(zip(omegas, values))),
         {"command": "scan", "kappa": cfg.kappa, "ell": cfg.ell,
          "omegas": omegas, "values": values,
@@ -235,7 +234,7 @@ def _run_wavefunction(cfg: RunConfig) -> Output:
     xi, values = profile.xi.tolist(), profile.values.tolist()
     return Output(
         ["xi", "R"],
-        ([_fmt(x), _fmt(v)] for x, v in zip(xi, values)),
+        map("{:.12g},{:.12g}".format, xi, values),
         {"command": "wavefunction", "kappa": cfg.kappa, "ell": cfg.ell,
          "omega": cfg.omega, "xi": xi, "R": values, "non_decaying": flag},
         [("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)), ("omega", _fmt(cfg.omega)),
@@ -250,7 +249,7 @@ def _run_compare(cfg: RunConfig) -> Output:
     rows = comparison.rows
     return Output(
         ["n", "omega_exact", "omega_closed_form", "rel_dev"],
-        ([str(r.n), _fmt(r.omega_exact), _fmt(r.omega_closed_form), _fmt(r.rel_dev)]
+        ("{},{:.12g},{:.12g},{:.12g}".format(r.n, r.omega_exact, r.omega_closed_form, r.rel_dev)
          for r in rows),
         {"command": "compare", "kappa": cfg.kappa, "ell": cfg.ell,
          "rows": [{"n": r.n, "omega_exact": r.omega_exact,
@@ -268,7 +267,7 @@ def _run_critical(cfg: RunConfig) -> Output:
     kappa_star = critical_coupling(cfg.ell, cfg.kappa_lo, cfg.kappa_hi,
                                    omega_floor=cfg.omega_floor)
     return Output(
-        ["ell", "kappa_star"], [[str(cfg.ell), _fmt(kappa_star)]],
+        ["ell", "kappa_star"], [f"{cfg.ell},{kappa_star:.12g}"],
         {"command": "critical", "ell": cfg.ell, "kappa_star": kappa_star},
         [("ell", str(cfg.ell)), ("kappa_star", _fmt(kappa_star))],
         "critical coupling located")

@@ -23,22 +23,26 @@ second parameter B = -b = ell + 1/2.  It is the only branch evaluated here:
 
 Evaluation strategy
 -------------------
-heun_continue_batch is the one evaluator.  It takes (energy, target) pairs
-with targets y < 0.  One vectorised three-term recurrence evaluates the
-Frobenius series of every target at |y| <= 0.5 (closer to the origin where
-the alternating terms would cancel), and seeds each distinct energy there
-once.  The other targets are continued along the negative real axis, which
-contains no singularity, in t = ln(-y): spectral points (Omega-1)/Omega reach
--1e4 and far beyond for shallow states, and the solution oscillates at a
-rate that stays bounded in t.  The equation is linear, so each energy's path
+heun_continue_arrays is the one evaluator.  It takes arrays of (energy,
+target) pairs, an energy being its (q0, q1) at a shared B, with targets
+y < 0; heun_continue_batch is the same call on a list of HeunParams.  One
+vectorised three-term recurrence evaluates the Frobenius series of every
+target at |y| <= 0.5 (closer to the origin where the alternating terms would
+cancel), and seeds each distinct energy there once.  It generates 16 terms
+per step and then applies the sums and the stopping rule to the block, which
+keeps the number of numpy calls per term small.  The other targets are
+continued along the negative real axis, which contains no singularity, in
+t = ln(-y): spectral points (Omega-1)/Omega reach -1e4 and far beyond for
+shallow states, and the solution oscillates at a rate that stays bounded in
+t.  The equation is linear, so each energy's path
 is cut into Chebyshev panels, every panel of every energy is solved at once
 as a linear system for its two basis solutions, and a walk over the panels'
 2 x 2 transfer matrices carries each seed to its targets.  A value depends
 only on its energy, target and tolerance, not on the rest of the batch.  A
 spectral scan is one call with many energies, as is each root-refinement
-iteration (one energy per open bracket); a radial profile
-(heun_continue_path) is one call with one energy and many targets, and
-heun_continue the one-target case.
+iteration (one energy per open bracket); both pass arrays and build no
+HeunParams.  A radial profile (heun_continue_path) is one call with one
+energy and many targets, and heun_continue the one-target case.
 
 heun_series (a coefficient list with Horner evaluation) and
 heun_second_derivative (the equation itself) are the textbook forms; the
@@ -68,6 +72,7 @@ _NODES = 16
 _TAIL_FRACTION = 0.1
 _TAIL_FLOOR = 1e-14
 _MAX_SPLITS = 20
+_SERIES_BLOCK = 16  # recurrence terms between two applications of the stopping rule
 _MAX_PANELS = 10_000  # laid per energy; targets beyond them come back NaN
 _CHUNK = 128  # panels per batched linear solve; bounds the memory of one solve
 
@@ -262,37 +267,49 @@ def _series_state(B: float, q0: np.ndarray, q1: np.ndarray, z: np.ndarray,
     The recurrence of heun_series runs on the scaled terms w_n = v_n z^n of all
     energies at once, with the same stopping rule at radius |z_i|.  An energy
     fails when a term stops being finite or it needs more than
-    SERIES_MAX_TERMS coefficients.
+    SERIES_MAX_TERMS coefficients.  The terms come _SERIES_BLOCK at a time;
+    the sums, the stopping rule and the retirement of finished energies are
+    then applied to the whole block.  Cumulative sums add in the order of a
+    term-by-term loop, so the result does not depend on the block length.
     """
     g = np.full(z.shape, np.nan)
     gp = np.full(z.shape, np.nan)
     active = np.arange(z.size)
-    w_prev = np.ones(z.size)
+    q1z = q1 * z
     w = q0 * z / (B + 1.0)
-    value = 1.0 + w
-    slope = w.copy()  # sum of n * w_n
-    abs_sum = 1.0 + np.abs(w)
-    small = np.zeros(z.size, dtype=int)
+    last = np.stack((np.ones(z.size), w))  # w_{n-1} and w_n
+    sums = np.stack((1.0 + w, w, 1.0 + np.abs(w)))  # value, sum of n * w_n, sum of |w_n|
+    small = np.zeros((2, z.size), dtype=bool)  # the stopping test at n-1 and n
     n = 1
-    while active.size and n < SERIES_MAX_TERMS:
-        w_prev, w = w, ((n * (n + B + 2.0) + q0) * w + q1 * z * w_prev) * z \
-            / ((n + 1.0) * (n + B + 1.0))
-        n += 1
-        value += w
-        slope += n * w
-        term = np.abs(w)
-        abs_sum += term
-        small = np.where((n * n + 1.0) * term < tol * abs_sum, small + 1, 0)
-        done = small >= 3
-        failed = ~np.isfinite(term)
-        if done.any() or failed.any():
-            finished = active[done]
-            g[finished] = value[done]
-            gp[finished] = slope[done] / z[done]
-            keep = ~(done | failed)
-            active, q0, q1, z = active[keep], q0[keep], q1[keep], z[keep]
-            w_prev, w, value, slope = w_prev[keep], w[keep], value[keep], slope[keep]
-            abs_sum, small = abs_sum[keep], small[keep]
+    # terms that overflow, of failed energies or past a finished one's stop, are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active.size and n < SERIES_MAX_TERMS:
+            m = np.arange(n, min(n + _SERIES_BLOCK, SERIES_MAX_TERMS), dtype=float)
+            num = (m * (m + B + 2.0))[:, None] + q0
+            den = (m + 1.0) * (m + B + 1.0)
+            w = np.empty((m.size + 2, active.size))
+            w[:2] = last
+            for i in range(m.size):
+                w[i + 2] = (num[i] * w[i + 1] + q1z * w[i]) * z / den[i]
+            n += m.size
+            j = (m + 1.0)[:, None]  # the index n of each new term
+            term = np.abs(w[2:])
+            acc = np.empty((m.size + 1, 3, active.size))
+            acc[0], acc[1:, 0], acc[1:, 1], acc[1:, 2] = sums, w[2:], j * w[2:], term
+            acc = np.cumsum(acc, axis=0)[1:]
+            small = np.concatenate((small, (j * j + 1.0) * term < tol * acc[:, 2]))
+            done = small[2:] & small[1:-1] & small[:-2]
+            stop = done | ~np.isfinite(term)
+            stopped = stop.any(axis=0)
+            hit = np.flatnonzero(stopped)
+            at = stop[:, hit].argmax(axis=0)
+            ok = done[at, hit]
+            finished, at = hit[ok], at[ok]
+            g[active[finished]] = acc[at, 0, finished]
+            gp[active[finished]] = acc[at, 1, finished] / z[finished]
+            keep = ~stopped
+            active, q0, q1z, z = active[keep], q0[keep], q1z[keep], z[keep]
+            last, sums, small = w[-2:, keep], acc[-1][:, keep], small[-2:, keep]
     return g, gp
 
 
@@ -509,41 +526,36 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
     return out
 
 
-def heun_continue_batch(params: Sequence[HeunParams], y_targets,
-                        tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """(g, g') of the physical branch for many energies, each at its own y_target < 0.
+def heun_continue_arrays(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
+                         tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """(g, g') of the physical branch for energy (B, q0_k, q1_k) at target y_k < 0.
 
-    All params must share b (one ell); the same energy may appear many times.
-    Each distinct energy is seeded once by its Frobenius series at radius
-    0.5, or closer to the origin when its series terms would cancel there (see
-    _SEED_GROWTH).  Targets inside the seed radius are read straight from the
-    series.  The others come from one chain of Chebyshev panels per energy in
-    t = ln(-y) (_continue), with each panel's basis solutions resolved to tol
-    by the size of their Chebyshev tail.  A value depends only on its energy,
-    target and tol, not on the rest of the batch.  A target whose series or
-    continuation fails comes back as NaN without affecting the others.
+    The array form of heun_continue_batch, with (B, q1, q0) as given by
+    _linear_coefficients and one 1-d entry per target; the same energy may
+    appear many times.  Each distinct energy is seeded once by its Frobenius
+    series at radius 0.5, or closer to the origin when its series terms
+    would cancel there (see _SEED_GROWTH).  Targets inside the seed radius
+    are read straight from the series.  The others come from one chain of
+    Chebyshev panels per energy in t = ln(-y) (_continue), with each panel's
+    basis solutions resolved to tol by the size of their Chebyshev tail.  A
+    value depends only on its energy, target and tol, not on the rest of the
+    batch.  A target whose series or continuation fails comes back as NaN
+    without affecting the others.
     """
-    y = np.asarray(y_targets, dtype=float).reshape(-1)
-    if len(params) != y.size:
-        raise ValueError("need one parameter set per target")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if y.size == 0:
         return np.empty(0), np.empty(0)
     if not np.all(np.isfinite(y) & (y < 0.0)):
-        raise ValueError(f"y_target must be finite and negative, got {y_targets}")
-    coeffs = np.array([_linear_coefficients(p) for p in params])
-    B = float(coeffs[0, 0])
-    if np.any(coeffs[:, 0] != B):
-        raise ValueError("all parameter sets must share b")
+        raise ValueError(f"y_target must be finite and negative, got {y}")
 
     g = np.full(y.size, np.nan)
     gp = np.full(y.size, np.nan)
-    q1, q0 = coeffs[:, 1], coeffs[:, 2]
     inner = -y <= _seed_radius(q0, q1)
     outer = np.flatnonzero(~inner)
-    energies, owner = np.unique(coeffs[outer, 1:], axis=0, return_inverse=True)
-    e1, e0 = energies.T
+    # the distinct energies, sorted by q1 and then q0 (complex numbers sort so)
+    energies, owner = np.unique(q1[outer] + 1j * q0[outer], return_inverse=True)
+    e1, e0 = energies.real, energies.imag
     radius = _seed_radius(e0, e1)
     # one series pass: the inner targets at their own y, then each outer energy's seed
     m = np.count_nonzero(inner)
@@ -561,14 +573,31 @@ def heun_continue_batch(params: Sequence[HeunParams], y_targets,
     return g, gp
 
 
+def heun_continue_batch(params: Sequence[HeunParams], y_targets,
+                        tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """(g, g') of the physical branch for many energies, each at its own y_target < 0.
+
+    All params must share b (one ell); see heun_continue_arrays.
+    """
+    y = np.asarray(y_targets, dtype=float).reshape(-1)
+    if len(params) != y.size:
+        raise ValueError("need one parameter set per target")
+    coeffs = np.array([_linear_coefficients(p) for p in params]).reshape(-1, 3)
+    B, q1, q0 = coeffs.T
+    if np.any(B != B[:1]):
+        raise ValueError("all parameter sets must share b")
+    return heun_continue_arrays(float(B[0]) if B.size else 0.0, q0, q1, y, tol)
+
+
 def heun_continue_path(p: HeunParams, y_targets, tol: float = 1e-10) -> np.ndarray:
     """Values of the physical branch of one energy at many targets y < 0.
 
-    The one-energy case of heun_continue_batch; raises HeunEvaluationError
+    The one-energy case of heun_continue_arrays; raises HeunEvaluationError
     if any target fails to evaluate.
     """
     y = np.asarray(y_targets, dtype=float)
-    g, _ = heun_continue_batch([p] * y.size, y, tol)
+    B, q1, q0 = _linear_coefficients(p)
+    g, _ = heun_continue_arrays(B, np.full(y.size, q0), np.full(y.size, q1), y.reshape(-1), tol)
     failed = y.reshape(-1)[np.isnan(g)]
     if failed.size:
         raise HeunEvaluationError(

@@ -41,8 +41,9 @@ from .heun import (
     CouplingConfig,
     EnergyPoint,
     HeunEvaluationError,
+    HeunParams,
     heun_continue,
-    heun_continue_batch,
+    heun_continue_arrays,
     heun_params,
 )
 from .specfun import (
@@ -95,11 +96,27 @@ def spectral_function(cfg: CouplingConfig, omega: float, tol: float = DEFAULT_SC
 
 def _spectral_values(cfg: CouplingConfig, omegas: np.ndarray, tol: float,
                      point_scale: float) -> np.ndarray:
-    """spectral_function at every omega in one heun_continue_batch call; NaN where it fails."""
-    energies = [EnergyPoint.from_omega(w) for w in omegas]
-    values, _ = heun_continue_batch([heun_params(cfg, ep) for ep in energies],
-                                    [spectral_point(ep, point_scale) for ep in energies],
-                                    tol=tol)
+    """spectral_function at every omega in one heun_continue_arrays call; NaN where it fails.
+
+    The parameters are those of EnergyPoint, heun_params and spectral_point,
+    computed on arrays in the same operations, and invalid ones raise the
+    same ValueError.  epsilon^2 goes through float_power, which calls the C
+    library's pow as Python's ** does; np.square can round differently.
+    """
+    invalid = ~((0.0 < omegas) & (omegas < 0.5))
+    if invalid.any():
+        EnergyPoint.from_omega(omegas[invalid][0])  # raises its ValueError
+    big_omega = 2.0 * omegas
+    epsilon = 1.0 - big_omega
+    with np.errstate(over="ignore"):  # as in Python floats; rejected just below
+        d = cfg.kappa * big_omega / np.float_power(epsilon, 2.0)
+        e = cfg.kappa / epsilon + 0.5
+    invalid = ~(np.isfinite(d) & np.isfinite(e))
+    if invalid.any():
+        HeunParams(b=-0.5 - cfg.ell, d=d[invalid][0], e=e[invalid][0])  # raises
+    B = 0.5 + cfg.ell
+    values, _ = heun_continue_arrays(B, e + B + 0.5, d,
+                                     point_scale**2 * (big_omega - 1.0) / big_omega, tol=tol)
     return values
 
 
@@ -151,7 +168,7 @@ def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
                   point_scale: float = 1.0) -> SpectralScan:
     """Sample the spectral function on a log grid and record sign-change brackets.
 
-    The whole grid is one heun_continue_batch call, with each energy held to
+    The whole grid is one heun_continue_arrays call, with each energy held to
     tol.  Energies that fail to evaluate are recorded as NaN gaps; the scan
     itself never aborts.
     """
@@ -195,8 +212,11 @@ def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
     Chandrupatla's method (scipy.optimize.elementwise.find_root), one call of f
     per iteration on every open bracket, until each is narrower than
     tol + 4*eps*omega.  f raises rather than return NaN.  A bracket without a
-    sign change under f is dropped with a RuntimeWarning.
+    sign change under f is dropped with a RuntimeWarning.  tol must be finite
+    and positive: at tol = inf the deduplication would merge every root.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     pairs = np.array(brackets, dtype=int).reshape(-1, 2)
     exact = pairs[:, 0] == pairs[:, 1]
     lo, hi = omegas[pairs[~exact, 0]], omegas[pairs[~exact, 1]]
@@ -217,14 +237,12 @@ def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
 def find_roots(scan: SpectralScan, tol: float = DEFAULT_ROOT_TOL) -> SpectrumResult:
     """Refine every scan bracket to |d omega| < tol with _bracket_roots.
 
-    Each iteration is one heun_continue_batch call over the open brackets, at
+    Each iteration is one heun_continue_arrays call over the open brackets, at
     the tightened evaluation tolerance so the bracket sign structure is
     trustworthy near convergence.  A bracket whose sign change evaporates
     under re-evaluation is dropped with a RuntimeWarning; a failed evaluation
     raises HeunEvaluationError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     cfg = CouplingConfig(kappa=scan.kappa, ell=scan.ell)
 
     def f(w: np.ndarray) -> np.ndarray:
@@ -252,6 +270,9 @@ def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
+    # a NaN cut would silently discard every level
+    if not (math.isfinite(validity) and validity > 0):
+        raise ValueError(f"validity must be finite and positive, got {validity}")
     try:
         phase = compute_phase(cfg)
     except WeakCouplingError:

@@ -1,6 +1,8 @@
 """Command-line interface tests: schemas, exit codes, determinism, round-trips."""
 
+import csv
 import dataclasses
+import io
 import json
 import os
 import shlex
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gupheun import cli, heun
+from gupheun import CouplingConfig, EnergyPoint, cli, default_xi_grid, heun, wavefunction
 from gupheun.spectral import SpectrumResult
 
 
@@ -218,6 +220,23 @@ class TestWavefunctionCommand:
         content = out.read_text().splitlines()
         assert content[0] == "xi,R"
         assert len(content) == 151
+
+    def test_csv_equals_csv_writer(self, capsys, tmp_path):
+        # rows are written as joined lines; csv.writer on the same cells
+        # must give the same bytes
+        out = tmp_path / "wf.csv"
+        code, _, _ = run_cli(capsys, "wavefunction", "--kappa", "3", "--ell", "1",
+                             "--omega", "2e-3", "-o", str(out))
+        assert code == 0
+        cfg = CouplingConfig(kappa=3.0, ell=1)
+        ep = EnergyPoint.from_omega(2e-3)
+        profile = wavefunction(cfg, ep, default_xi_grid(cfg, ep))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [["xi", "R"], *([f"{x:.12g}", f"{v:.12g}"] for x, v in
+                            zip(profile.xi.tolist(), profile.values.tolist()))])
+        assert out.read_bytes() == buf.getvalue().encode()
+        assert len(out.read_text().splitlines()) == 401
 
     def test_missing_omega_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "wavefunction", "--kappa", "2")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from gupheun import heun
@@ -21,6 +23,8 @@ from gupheun.heun import (
     heun_series,
 )
 from gupheun.specfun import hyp2f1, hyp2f1_large_negative, reduced_hypergeometric_parameters
+
+from heun_oracle import series_state_reference
 
 
 class TestTypes:
@@ -236,6 +240,62 @@ class TestContinuation:
         p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.2))
         with pytest.raises(ValueError):
             heun_continue_batch([p], [-3.0], tol=tol)
+
+    def test_mixed_b_batch_rejected(self):
+        ep = EnergyPoint.from_omega(0.2)
+        params = [heun_params(CouplingConfig(kappa=2.0, ell=ell), ep) for ell in (0, 0, 1)]
+        with pytest.raises(ValueError, match="share b"):
+            heun_continue_batch(params, [-3.0, -0.2, -3.0])
+
+
+def _series_rows(kappa, ell, rows):
+    """(B, q0, q1, z) of _series_state for (omega, fraction of the seed radius) rows."""
+    omega, fraction = np.array(rows).T
+    B, q1, q0 = np.array([_linear_coefficients(heun_params(CouplingConfig(kappa, ell),
+                                                           EnergyPoint.from_omega(w)))
+                          for w in omega]).T
+    return B[0], q0, q1, -fraction * heun._seed_radius(q0, q1)
+
+
+def _same_series(B, q0, q1, z, tol):
+    """The blocked _series_state against the term-by-term reference, bit for bit."""
+    g, gp = heun._series_state(B, q0, q1, z, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_ref, gp_ref = series_state_reference(B, q0, q1, z, tol)
+    assert np.array_equal(g, g_ref, equal_nan=True)
+    assert np.array_equal(gp, gp_ref, equal_nan=True)
+    return g, gp
+
+
+class TestSeriesState:
+    """_series_state applies the stopping rule per block of terms, with the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kappa=st.floats(0.05, 3e4), ell=st.integers(0, 3),
+           tol=st.sampled_from([1e-15, 1e-13, 1e-11]),
+           rows=st.lists(st.tuples(st.floats(1e-45, 0.45), st.floats(1e-12, 1.0)),
+                         min_size=1, max_size=12))
+    def test_matches_term_by_term_loop(self, kappa, ell, tol, rows):
+        _same_series(*_series_rows(kappa, ell, rows), tol)
+
+    @pytest.mark.parametrize("cap", [17, 31, 56])
+    def test_term_cap_at_block_edges(self, monkeypatch, cap):
+        # blocks hold terms 2-17, 18-33, 34-49, 50-65: a cap of 17 ends the
+        # first block, 31 and 56 cut the second and the fourth short
+        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", cap)
+        rows = [(w, f) for w in (0.4, 1e-3, 1e-20) for f in (1e-6, 0.01, 0.2, 0.6, 1.0)]
+        g, _ = _same_series(*_series_rows(2.0, 0, rows), 1e-13)
+        assert np.isnan(g).any() and not np.isnan(g).all()
+
+    def test_overflow_mid_block(self):
+        # beyond the unit disk the terms of the last row grow like |z|^n and
+        # overflow at term 46, in the middle of the block of terms 34-49
+        q0 = np.array([3.0, 3.0, 1e3])
+        q1 = np.array([1.0, 1.0, 1e3])
+        z = np.array([-0.3, -0.01, -1e6])
+        g, gp = _same_series(0.5, q0, q1, z, 1e-13)
+        assert np.all(np.isfinite(g[:2]) & np.isfinite(gp[:2]))
+        assert np.isnan(g[2]) and np.isnan(gp[2])
 
 
 def _spectral_batch(kappa, ell):

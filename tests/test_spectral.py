@@ -116,7 +116,31 @@ class TestBatchedScan:
         scan = spectral_scan(cfg, 1e-4, 0.45, 48)
         values = _pointwise(cfg, scan.omegas, scan.tol)
         assert scan.brackets == _find_brackets(values)
-        assert np.array_equal(np.isnan(scan.values), np.isnan(values))
+        assert np.array_equal(scan.values, values, equal_nan=True)
+
+    def test_default_grid_matches_pointwise_bitwise(self, scan_k2):
+        # the batch computes EnergyPoint, heun_params and spectral_point on
+        # arrays; every bit of the 600 values must survive that
+        values = _pointwise(CouplingConfig(kappa=2.0, ell=0), scan_k2.omegas, scan_k2.tol)
+        assert np.array_equal(scan_k2.values, values, equal_nan=True)
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5, math.nan])
+    def test_invalid_energy_raises_as_energy_point(self, omega):
+        omegas = np.array([0.1, omega, 0.2])
+        with pytest.raises(ValueError) as expected:
+            EnergyPoint.from_omega(omega)
+        with pytest.raises(ValueError) as got:
+            spectral._spectral_values(CouplingConfig(kappa=2.0, ell=0), omegas, 1e-8, 1.0)
+        assert str(got.value) == str(expected.value)
+
+    def test_non_finite_parameters_raise_as_heun_params(self):
+        # at kappa = 1e308 d and e overflow once epsilon < 1/2 or so
+        cfg = CouplingConfig(kappa=1e308, ell=1)
+        with pytest.raises(ValueError) as expected:
+            heun.heun_params(cfg, EnergyPoint.from_omega(0.4))
+        with pytest.raises(ValueError) as got:
+            spectral._spectral_values(cfg, np.array([1e-3, 0.4]), 1e-8, 1.0)
+        assert str(got.value) == str(expected.value) == "parameter d must be finite"
 
     def test_strong_coupling_near_upper_edge(self):
         cfg = CouplingConfig(kappa=3e4, ell=0)
@@ -229,6 +253,12 @@ class TestFindRoots:
         assert len(record) == 1
         assert len(result) == 1 and result.omegas[0] == pytest.approx(0.2486, abs=0.005)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tolerance_validation(self, scan_k2, tol):
+        # at tol = inf deduplication at 2*tol used to merge every root into one
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            find_roots(scan_k2, tol=tol)
+
     def test_failed_refinement_raises(self, monkeypatch):
         scan = spectral_scan(CouplingConfig(kappa=2.0, ell=0), 0.2, 0.3, 40)
         assert scan.brackets
@@ -267,6 +297,12 @@ class TestClosedForm:
         result = closed_form_spectrum(CouplingConfig(kappa=2.0, ell=0), n_max=3,
                                       validity=0.499)
         assert result.omegas[0] == pytest.approx(0.23021953744632478, rel=1e-10)
+
+    @pytest.mark.parametrize("validity", [math.nan, math.inf, 0.0, -0.1])
+    def test_validity_validation(self, validity):
+        # a NaN cut used to discard every level and return an empty spectrum
+        with pytest.raises(ValueError, match="validity must be finite and positive"):
+            closed_form_spectrum(CouplingConfig(kappa=2.0, ell=0), validity=validity)
 
     def test_weak_coupling_empty(self):
         assert len(closed_form_spectrum(CouplingConfig(kappa=0.05, ell=0))) == 0
@@ -308,6 +344,11 @@ class TestHypergeometricCondition:
         with pytest.raises(ValueError):
             hypergeometric_condition_roots(CouplingConfig(kappa=2.0, ell=0),
                                            omega_range=(1e-3, 0.2))
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tolerance_validation(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            hypergeometric_condition_roots(CouplingConfig(kappa=2.0, ell=0), tol=tol)
 
     @pytest.mark.parametrize("n_points", [0, 1])
     def test_point_count_validation(self, n_points):

@@ -44,6 +44,12 @@ iteration (one energy per open bracket); both pass arrays and build no
 HeunParams.  A radial profile (heun_continue_path) is one call with one
 energy and many targets, and heun_continue the one-target case.
 
+heun_zero_counts runs the same series and panels to count the zeros of g on
+(y, 0) for each target instead, the oscillation count that indexes the
+eigenvalues: sign changes of the series sampled inside the seed radius, then
+per panel the angle its basis solutions turn through, read against the start
+state in the walk.  Only this entry point computes the angles.
+
 heun_series (a coefficient list with Horner evaluation) and
 heun_second_derivative (the equation itself) are the textbook forms; the
 evaluator does not use them, and they serve as independent checks of it.
@@ -441,8 +447,42 @@ def _interpolate(f: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _angle_step(z: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """How far the angle of u_0 + i*u_1 turns from z0 to z, a later point of one panel.
+
+    The angle crosses a multiple of pi/2 only at a zero of u_0 or u_1, and
+    the zeros of each solution lie at least pi/_rate apart; the layout's
+    rate*h <= c keeps nodes at most 0.11*c/rate apart, below that.  So a step
+    passes at most one zero of each, less than 3*pi/2, and as the angle only
+    increases (the basis' Wronskian keeps its sign) the step is the
+    principal one moved into [-pi/2, 3*pi/2).  Steps near pi are common at
+    strong coupling, where u_1 is small next to u_0; near 0 roundoff can
+    make them slightly negative.
+    """
+    step = np.angle(z / z0)
+    return np.where(step < -0.5 * np.pi, step + 2.0 * np.pi, step)
+
+
+def _turns(values: np.ndarray) -> np.ndarray:
+    """Angle of u_0 + i*u_1 at the nodes of each panel, unwrapped from 0 at ta (panels, N)."""
+    z = values[:, :, 0] + 1j * values[:, :, 1]
+    step = _angle_step(z[:, 1:], z[:, :-1])
+    return np.concatenate((np.zeros((z.shape[0], 1)), np.cumsum(step, axis=1)), axis=1)
+
+
+def _phase(u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """(pi/2 - atan2(u', u)) mod pi for the start state (u, u') of a panel.
+
+    u = u(ta)*u_0 + u'(ta)*u_1 vanishes where the angle of u_0 + i*u_1 is
+    atan2(u', u) + pi/2 (mod pi), so a panel whose angle has turned by theta
+    holds floor((theta + phase)/pi) zeros of u in (ta, ta + theta].
+    """
+    return np.mod(0.5 * np.pi - np.arctan2(du, u), np.pi)
+
+
 def _solved_panels(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray,
-                   t_end: np.ndarray, target_keys: np.ndarray, tol: float):
+                   t_end: np.ndarray, target_keys: np.ndarray, tol: float,
+                   count: bool = False):
     """Every energy's panels from t0 to beyond t_end, solved and sorted by (energy, ta).
 
     The panels of all energies are solved together, _CHUNK at a time.  A
@@ -450,9 +490,10 @@ def _solved_panels(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray,
     round; one still flagged after _MAX_SPLITS halvings is set to NaN.
     target_keys holds the sorted keys energy + 1j*t of the targets: node
     values are kept only for panels that hold one.  Returns (owner, ta, tb,
-    ends, row, nodes): ends (panels, 4) are the basis solutions at tb, and a
-    panel holding a target has its node values in nodes[row], other panels
-    row -1.
+    ends, row, nodes, turns): ends (panels, 4) are the basis solutions at tb,
+    and a panel holding a target has its node values in nodes[row], other
+    panels row -1.  With count, turns holds each panel's _turns at tb;
+    otherwise it is empty.
     """
     pending = _layout(B, q0, q1, t0, t_end, tol)
     done = []
@@ -468,42 +509,52 @@ def _solved_panels(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray,
             keep = ~split
             held = (np.searchsorted(target_keys, o + 1j * b)
                     > np.searchsorted(target_keys, o + 1j * a))[keep]
+            turns = _turns(values[keep])[:, -1] if count else np.empty(0)
             done.append((o[keep], a[keep], b[keep], values[keep, -1], held,
-                         values[keep][held]))
+                         values[keep][held], turns))
             mid = 0.5 * (a[split] + b[split])
             halves.append((np.tile(o[split], 2), np.concatenate((a[split], mid)),
                            np.concatenate((mid, b[split]))))
         pending = tuple(np.concatenate(x) for x in zip(*halves))
         if not pending[0].size:
             break
-    owner, ta, tb, ends, held, nodes = (np.concatenate(x) for x in zip(*done))
+    owner, ta, tb, ends, held, nodes, turns = (np.concatenate(x) for x in zip(*done))
     order = np.lexsort((ta, owner))
     row = np.where(held, np.cumsum(held) - 1, -1)
-    return owner[order], ta[order], tb[order], ends[order], row[order], nodes
+    return (owner[order], ta[order], tb[order], ends[order], row[order], nodes,
+            turns[order] if count else turns)
 
 
 def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np.ndarray,
-              owner: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
+              owner: np.ndarray, t: np.ndarray, tol: float,
+              count: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """(u, u') at targets t_k of energies owner_k, from (u, u') = seed_i at t0_i.
 
     Every t_k lies beyond t0 of its energy.  A walk over panel indices,
     vectorised over energies, carries each seed through its panels' 2 x 2
     transfer matrices (_solved_panels), and each target is read from the
     node values of its panel.  Targets that the layout did not reach, or
-    beyond a non-finite panel, come back as NaN.
+    beyond a non-finite panel, come back as NaN.  With count, the walk also
+    adds up the zeros of u in each panel from its start state and its
+    _turns (see _phase), and the second result holds the number of zeros in
+    (t0, t_k] of each target; otherwise it is None.
     """
     t_end = np.full(t0.size, -np.inf)
     np.maximum.at(t_end, owner, t)
     # complex numbers sort by real part, then imaginary part: these keys
     # order targets and panels by energy, then by t
     keys = owner + 1j * t
-    o, a, b, ends, row, nodes = _solved_panels(B, q0, q1, t0, t_end, np.sort(keys), tol)
+    o, a, b, ends, row, nodes, turns = _solved_panels(B, q0, q1, t0, t_end, np.sort(keys),
+                                                      tol, count)
 
     counts = np.bincount(o, minlength=t0.size)
     first = np.cumsum(counts) - counts
     start = np.empty((o.size, 2))
     state = seed.copy()
     out = np.full((t.size, 2), np.nan)
+    zeros = np.full(t.size, np.nan) if count else None
+    before = np.empty(o.size)  # zeros of u in (t0, ta] of each panel, with count
+    passed = np.zeros(t0.size)
     # a state that overflows turns into NaN, the failure of its targets
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(counts.max()):
@@ -511,6 +562,9 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
             p = first[active] + j
             u, du = state[active, 0], state[active, 1]
             start[p] = state[active]
+            if count:
+                before[p] = passed[active]
+                passed[active] += np.floor((turns[p] + _phase(u, du)) / np.pi)
             state[active, 0] = ends[p, 0] * u + ends[p, 1] * du
             state[active, 1] = ends[p, 2] * u + ends[p, 3] * du
         # (u, u') at the nodes of each panel that holds a target, by row
@@ -523,7 +577,84 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
         k = k[reached]
         x = (t[reached] - a[k]) / (0.5 * (b[k] - a[k])) - 1.0
         out[reached] = _interpolate(solution[row[k]], x)
-    return out
+        if count:
+            # the angle at the target: unwrapped up to the node before it, plus one step
+            held = nodes[row[k]]
+            node = np.searchsorted(_X, x, side="right") - 1
+            at = np.arange(x.size)
+            u = _interpolate(held[:, :, :2], x)
+            theta = _turns(held)[at, node] + _angle_step(
+                u[:, 0] + 1j * u[:, 1], held[at, node, 0] + 1j * held[at, node, 1])
+            zeros[reached] = before[k] + np.floor((theta + _phase(*start[k].T)) / np.pi)
+    return out, zeros
+
+
+def _series_zeros(B: float, q0: np.ndarray, q1: np.ndarray, top: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """Zeros of the series of energy (B, q0_k, q1_k) on (-top_k, 0); NaN where it fails.
+
+    top_k lies within the energy's seed radius.  With s = 1 + |q0| + sqrt|q1|
+    and |y| <= 1/(4s), the recurrence of heun_series bounds each term
+    |v_n y^n|, n >= 2, by 0.32 times the larger of the two before it, so the
+    terms after v_0 = 1 add up to less than 1/2: the series' absolute sum
+    certifies |g - 1| < 1, and g > 0.  From that radius to top_k, g is
+    sampled in t = ln(-y) no more than 1/_rate apart (zeros are at least
+    pi/_rate apart), and its sign changes are counted; the last sample is
+    g(-top_k) itself.
+    """
+    t_top = np.log(top)
+    t_low = np.minimum(t_top, -np.log(4.0 * (1.0 + np.abs(q0) + np.sqrt(np.abs(q1)))))
+    steps = np.ceil((t_top - t_low) * _rate(B, q0, q1, t_top)).astype(int)
+    owner = np.repeat(np.arange(top.size), steps + 1)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(steps + 1) - (steps + 1), steps + 1)
+    h = ((t_top - t_low) / np.maximum(steps, 1))[owner]
+    g, _ = _series_state(B, q0[owner], q1[owner], -top[owner] * np.exp(-k * h), tol)
+    change = (np.signbit(g[1:]) != np.signbit(g[:-1])) & (owner[1:] == owner[:-1])
+    zeros = np.bincount(owner[1:][change], minlength=top.size).astype(float)
+    zeros[np.bincount(owner, weights=np.isnan(g), minlength=top.size) > 0] = np.nan
+    return zeros
+
+
+def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: float,
+              count: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(g, g', zeros) of heun_continue_arrays; zeros is heun_zero_counts' or None."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if y.size == 0:
+        return np.empty(0), np.empty(0), np.empty(0) if count else None
+    if not np.all(np.isfinite(y) & (y < 0.0)):
+        raise ValueError(f"y_target must be finite and negative, got {y}")
+
+    g = np.full(y.size, np.nan)
+    gp = np.full(y.size, np.nan)
+    inner = -y <= _seed_radius(q0, q1)
+    outer = np.flatnonzero(~inner)
+    # the distinct energies, sorted by q1 and then q0 (complex numbers sort so)
+    energies, owner = np.unique(q1[outer] + 1j * q0[outer], return_inverse=True)
+    e1, e0 = energies.real, energies.imag
+    radius = _seed_radius(e0, e1)
+    # one series pass: the inner targets at their own y, then each outer energy's seed
+    m = np.count_nonzero(inner)
+    sg, sgp = _series_state(B, np.concatenate((q0[inner], e0)), np.concatenate((q1[inner], e1)),
+                            np.concatenate((y[inner], -radius)), _seed_tol(tol))
+    g[inner], gp[inner] = sg[:m], sgp[:m]
+    zeros = None
+    if count:
+        zeros = _series_zeros(B, q0, q1, np.minimum(-y, _seed_radius(q0, q1)), _seed_tol(tol))
+    seeded = np.isfinite(sg[m:])[owner]  # failed series stay NaN
+    if seeded.any():
+        outer, owner = outer[seeded], owner[seeded]
+        seed = np.stack((sg[m:], -radius * sgp[m:]), axis=1)
+        u, passed = _continue(B, e0, e1, np.log(radius), seed, owner, np.log(-y[outer]), tol,
+                              count)
+        g[outer], gp[outer] = u[:, 0], u[:, 1] / y[outer]
+        if count:
+            zeros[outer] += passed
+    failed = ~(np.isfinite(g) & np.isfinite(gp))
+    g[failed] = gp[failed] = np.nan
+    if count:
+        zeros[failed] = np.nan
+    return g, gp, zeros
 
 
 def heun_continue_arrays(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
@@ -542,35 +673,31 @@ def heun_continue_arrays(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray
     batch.  A target whose series or continuation fails comes back as NaN
     without affecting the others.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if y.size == 0:
-        return np.empty(0), np.empty(0)
-    if not np.all(np.isfinite(y) & (y < 0.0)):
-        raise ValueError(f"y_target must be finite and negative, got {y}")
-
-    g = np.full(y.size, np.nan)
-    gp = np.full(y.size, np.nan)
-    inner = -y <= _seed_radius(q0, q1)
-    outer = np.flatnonzero(~inner)
-    # the distinct energies, sorted by q1 and then q0 (complex numbers sort so)
-    energies, owner = np.unique(q1[outer] + 1j * q0[outer], return_inverse=True)
-    e1, e0 = energies.real, energies.imag
-    radius = _seed_radius(e0, e1)
-    # one series pass: the inner targets at their own y, then each outer energy's seed
-    m = np.count_nonzero(inner)
-    sg, sgp = _series_state(B, np.concatenate((q0[inner], e0)), np.concatenate((q1[inner], e1)),
-                            np.concatenate((y[inner], -radius)), _seed_tol(tol))
-    g[inner], gp[inner] = sg[:m], sgp[:m]
-    seeded = np.isfinite(sg[m:])[owner]  # failed series stay NaN
-    if seeded.any():
-        outer, owner = outer[seeded], owner[seeded]
-        seed = np.stack((sg[m:], -radius * sgp[m:]), axis=1)
-        u = _continue(B, e0, e1, np.log(radius), seed, owner, np.log(-y[outer]), tol)
-        g[outer], gp[outer] = u[:, 0], u[:, 1] / y[outer]
-    failed = ~(np.isfinite(g) & np.isfinite(gp))
-    g[failed] = gp[failed] = np.nan
+    g, gp, _ = _evaluate(B, q0, q1, y, tol)
     return g, gp
+
+
+def heun_zero_counts(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
+                     tol: float = 1e-10) -> np.ndarray:
+    """Number of zeros of the physical branch of energy (B, q0_k, q1_k) on (y_k, 0).
+
+    The oscillation count by which Sturm-Liouville codes index eigenvalues
+    (Bailey, Everitt & Zettl, ACM TOMS 27 (2001) 143): on the spectral
+    line y* = (Omega-1)/Omega it drops by one at each eigenvalue as omega
+    rises.  Arguments as for heun_continue_arrays, on the same series and
+    panels.  The zeros inside the seed radius come from sampling the
+    series (_series_zeros), the ones beyond it from the angle each panel's
+    basis solutions turn through (_turns, _phase), up to the target itself.
+    Raises HeunEvaluationError if any count fails.
+    """
+    _, _, zeros = _evaluate(B, q0, q1, y, tol, count=True)
+    failed = y[np.isnan(zeros)]
+    if failed.size:
+        raise HeunEvaluationError(
+            f"zero count to y = {failed[0]} failed ({failed.size} of {y.size} targets): "
+            f"a series or a continuation panel did not evaluate"
+        )
+    return zeros.astype(int)
 
 
 def heun_continue_batch(params: Sequence[HeunParams], y_targets,

@@ -17,9 +17,12 @@ Three routes to the spectrum of the deformed inverse-square problem:
   energy.
 
 Weak coupling (4 kappa <= (ell+1/2)^2) has no bound states at all; the
-critical coupling is located by bisecting on the presence of scan brackets.
+critical coupling is located by bisecting on the presence of levels in
+(omega_floor, omega_max), counted without a scan: the zeros of the Heun
+function on (y*, 0) drop by one at each eigenvalue as omega rises (Sturm
+oscillation), so the levels in the window are N(omega_floor) - N(omega_max).
 Near the critical point the remaining states sink exponentially fast
-(omega_1 ~ exp(-2 pi / nu) with nu -> 0), so the bisection scan must reach
+(omega_1 ~ exp(-2 pi / nu) with nu -> 0), so the window must reach
 extremely shallow omega; the default floor of 1e-45 resolves the transition
 to about 1e-3 in kappa.
 
@@ -45,6 +48,7 @@ from .heun import (
     heun_continue,
     heun_continue_arrays,
     heun_params,
+    heun_zero_counts,
 )
 from .specfun import (
     WeakCouplingError,
@@ -68,9 +72,6 @@ REFINE_EVAL_TOL = 1e-10
 
 CRITICAL_OMEGA_FLOOR = 1e-45
 CRITICAL_OMEGA_MAX = 0.4
-# near the transition the sign-change period in ln(omega) is 2*pi/nu >~ 20
-# e-folds while 160 points over [1e-45, 0.4] sample every 0.65 e-folds
-CRITICAL_SCAN_POINTS = 160
 DEFAULT_KAPPA_TOL = 5e-4
 
 
@@ -94,9 +95,9 @@ def spectral_function(cfg: CouplingConfig, omega: float, tol: float = DEFAULT_SC
     return heun_continue(heun_params(cfg, ep), spectral_point(ep, point_scale), tol=tol)
 
 
-def _spectral_values(cfg: CouplingConfig, omegas: np.ndarray, tol: float,
-                     point_scale: float) -> np.ndarray:
-    """spectral_function at every omega in one heun_continue_arrays call; NaN where it fails.
+def _heun_arguments(kappa, ell: int, omegas: np.ndarray,
+                    point_scale: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(B, q0, q1, y*) of heun_continue_arrays at every omega; kappa may vary with omega.
 
     The parameters are those of EnergyPoint, heun_params and spectral_point,
     computed on arrays in the same operations, and invalid ones raise the
@@ -109,14 +110,20 @@ def _spectral_values(cfg: CouplingConfig, omegas: np.ndarray, tol: float,
     big_omega = 2.0 * omegas
     epsilon = 1.0 - big_omega
     with np.errstate(over="ignore"):  # as in Python floats; rejected just below
-        d = cfg.kappa * big_omega / np.float_power(epsilon, 2.0)
-        e = cfg.kappa / epsilon + 0.5
+        d = kappa * big_omega / np.float_power(epsilon, 2.0)
+        e = kappa / epsilon + 0.5
     invalid = ~(np.isfinite(d) & np.isfinite(e))
     if invalid.any():
-        HeunParams(b=-0.5 - cfg.ell, d=d[invalid][0], e=e[invalid][0])  # raises
-    B = 0.5 + cfg.ell
-    values, _ = heun_continue_arrays(B, e + B + 0.5, d,
-                                     point_scale**2 * (big_omega - 1.0) / big_omega, tol=tol)
+        HeunParams(b=-0.5 - ell, d=d[invalid][0], e=e[invalid][0])  # raises
+    B = 0.5 + ell
+    return B, e + B + 0.5, d, point_scale**2 * (big_omega - 1.0) / big_omega
+
+
+def _spectral_values(cfg: CouplingConfig, omegas: np.ndarray, tol: float,
+                     point_scale: float) -> np.ndarray:
+    """spectral_function at every omega in one heun_continue_arrays call; NaN where it fails."""
+    values, _ = heun_continue_arrays(*_heun_arguments(cfg.kappa, cfg.ell, omegas, point_scale),
+                                     tol=tol)
     return values
 
 
@@ -320,32 +327,52 @@ def hypergeometric_condition_roots(cfg: CouplingConfig,
                           kappa=cfg.kappa, ell=cfg.ell)
 
 
+def _level_counts(ell: int, kappas, omega_lo: float, omega_hi: float,
+                  tol: float) -> np.ndarray:
+    """Levels in (omega_lo, omega_hi) at each kappa: N(omega_lo) - N(omega_hi).
+
+    N(omega) is the number of zeros of the Heun function on (y*, 0), which
+    drops by one at each eigenvalue as omega rises; all 2 * len(kappas)
+    counts come from one heun_zero_counts call.
+    """
+    for kappa in kappas:
+        CouplingConfig(kappa=kappa, ell=ell)  # validates kappa and ell
+    n = heun_zero_counts(*_heun_arguments(np.repeat(kappas, 2), ell,
+                                          np.tile([omega_lo, omega_hi], len(kappas)), 1.0),
+                         tol=tol)
+    return n[0::2] - n[1::2]
+
+
 def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
                       omega_floor: float = CRITICAL_OMEGA_FLOOR,
                       omega_max: float = CRITICAL_OMEGA_MAX,
-                      n_points: int = CRITICAL_SCAN_POINTS,
                       kappa_tol: float = DEFAULT_KAPPA_TOL,
                       scan_tol: float = 1e-6) -> float:
-    """Bisect on scan-bracket presence to locate the critical coupling.
+    """Bisect on the presence of levels in (omega_floor, omega_max) to find the transition.
 
-    Near the transition the last bound state sits at omega ~ exp(-2 pi / nu),
-    which is why omega_floor defaults to 1e-45: a floor of 1e-5 would place
-    the detection threshold near kappa ~ 0.15 for ell = 0 instead of ~1/16.
-    Returns the transition kappa to roughly kappa_tol.  Sign detection does
-    not need tight evaluation, hence the relaxed scan_tol default.
+    At each kappa the levels in the window are counted as N(omega_floor) -
+    N(omega_max), N being the number of zeros of the Heun function on
+    (y*, 0) (heun_zero_counts): one batched evaluation of two energies, and
+    of four for the two ends of the bracket.  Near the transition the last
+    bound state sits at omega ~ exp(-2 pi / nu), which is why omega_floor
+    defaults to 1e-45: a floor of 1e-5 would place the detection threshold
+    near kappa ~ 0.115 for ell = 0 instead of ~1/16.  Returns the transition
+    kappa to roughly kappa_tol.  Counting zeros does not need tight
+    evaluation, hence the relaxed scan_tol default.  A count that fails
+    raises HeunEvaluationError.
     """
     if not kappa_lo < kappa_hi:
         raise ValueError("need kappa_lo < kappa_hi")
     # at kappa_tol <= 0 the bisection would end on adjacent floats and never stop
     if not (math.isfinite(kappa_tol) and kappa_tol > 0):
         raise ValueError(f"kappa_tol must be finite and positive, got {kappa_tol}")
+    if not (0.0 < omega_floor < omega_max < 0.5):
+        raise ValueError("need 0 < omega_floor < omega_max < 1/2")
 
-    def has_states(kappa: float) -> bool:
-        cfg = CouplingConfig(kappa=kappa, ell=ell)
-        scan = spectral_scan(cfg, omega_floor, omega_max, n_points, tol=scan_tol)
-        return len(scan.brackets) > 0
+    def has_states(*kappas: float) -> np.ndarray:
+        return _level_counts(ell, kappas, omega_floor, omega_max, scan_tol) > 0
 
-    lo_has, hi_has = has_states(kappa_lo), has_states(kappa_hi)
+    lo_has, hi_has = has_states(kappa_lo, kappa_hi)
     if lo_has == hi_has:
         raise NoTransitionError(
             f"no transition in [{kappa_lo}, {kappa_hi}]: "
@@ -354,7 +381,7 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
     lo, hi = kappa_lo, kappa_hi
     while hi - lo > kappa_tol:
         mid = 0.5 * (lo + hi)
-        if has_states(mid) == hi_has:
+        if has_states(mid)[0] == hi_has:
             hi = mid
         else:
             lo = mid

@@ -290,6 +290,14 @@ class TestCriticalCommand:
         assert content[0] == "ell,kappa_star"
         assert content[1].startswith("0,")
 
+    def test_failed_count_is_numerical_error(self, capsys, monkeypatch):
+        # the level count fails outright instead of reading as "no states"
+        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
+        code, _, err = run_cli(capsys, "critical", "--ell", "0",
+                               "--kappa-lo", "0.05", "--kappa-hi", "0.08")
+        assert code == 3
+        assert "numerical failure: zero count" in err
+
     def test_no_transition_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "critical", "--ell", "0",
                                "--kappa-lo", "0.2", "--kappa-hi", "0.3",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from gupheun import heun
+from gupheun import find_roots, heun, spectral_scan
 from gupheun.heun import (
     CouplingConfig,
     EnergyPoint,
@@ -21,6 +21,7 @@ from gupheun.heun import (
     heun_params,
     heun_second_derivative,
     heun_series,
+    heun_zero_counts,
 )
 from gupheun.specfun import hyp2f1, hyp2f1_large_negative, reduced_hypergeometric_parameters
 
@@ -246,6 +247,56 @@ class TestContinuation:
         params = [heun_params(CouplingConfig(kappa=2.0, ell=ell), ep) for ell in (0, 0, 1)]
         with pytest.raises(ValueError, match="share b"):
             heun_continue_batch(params, [-3.0, -0.2, -3.0])
+
+
+class TestZeroCounts:
+    """heun_zero_counts against the sign changes of g on a dense path to y*."""
+
+    @pytest.mark.parametrize("kappa,ell,omega", [
+        (2.0, 0, 1e-5),                  # zeros beyond the seed radius only
+        (2.0, 1, 0.01),
+        (100.0, 0, 0.3),                 # zeros inside the seed radius too
+        (3e4, 0, 0.45),
+        (0.07, 0, 1e-40),                # near the critical coupling
+        (8.229322074546221, 1, 0.4999),  # y* inside the seed radius
+    ])
+    def test_matches_sign_changes_along_the_path(self, kappa, ell, omega):
+        p = heun_params(CouplingConfig(kappa, ell), EnergyPoint.from_omega(omega))
+        y_star = (2.0 * omega - 1.0) / (2.0 * omega)
+        y = -np.exp(np.linspace(math.log(1e-8), math.log(-y_star), 3000))
+        g = heun_continue_path(p, y, tol=1e-10)
+        changes = np.concatenate(([0], np.cumsum(np.signbit(g[1:]) != np.signbit(g[:-1]))))
+        B, q1, q0 = _linear_coefficients(p)
+        at = np.arange(0, y.size, 97)
+        n = heun_zero_counts(B, np.full(at.size, q0), np.full(at.size, q1), y[at], tol=1e-10)
+        assert np.array_equal(n, changes[at])
+        assert changes[-1] > 0
+
+    def test_values_compute_no_angle(self, monkeypatch):
+        # scans, root refinement and profiles do not pay for the count
+        def no_angle(*args):
+            raise AssertionError("angle computed for a value")
+
+        monkeypatch.setattr(heun, "_turns", no_angle)
+        monkeypatch.setattr(heun, "_phase", no_angle)
+        monkeypatch.setattr(heun, "_series_zeros", no_angle)
+        cfg = CouplingConfig(kappa=2.0, ell=0)
+        assert len(find_roots(spectral_scan(cfg, 1e-4, 0.45, 60))) == 4
+        p = heun_params(cfg, EnergyPoint.from_omega(1e-3))
+        assert np.all(np.isfinite(heun_continue_path(p, -np.geomspace(1e-3, 500.0, 50))))
+
+    def test_turns_past_pi_between_two_nodes(self):
+        # the angle only increases, so a node-to-node step of 3.3 (seen up to
+        # 3.106 at kappa = 3e4) is not the principal -2.98; a step that
+        # roundoff makes slightly negative stays so
+        angle = np.array([0.0, 0.1, 3.4, 3.4 - 1e-15, 3.5])
+        values = np.stack((np.cos(angle), np.sin(angle)), axis=-1)[None]
+        assert heun._turns(values)[0] == pytest.approx(angle, abs=1e-12)
+
+    def test_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
+        with pytest.raises(HeunEvaluationError, match="zero count"):
+            heun_zero_counts(0.5, np.array([2.5]), np.array([0.1]), np.array([-40.0]))
 
 
 def _series_rows(kappa, ell, rows):

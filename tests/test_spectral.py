@@ -360,29 +360,99 @@ class TestHypergeometricCondition:
 class TestCriticalCoupling:
     def test_boundary_formula_ell1(self):
         # nu real requires kappa > (ell+1/2)^2/4 = 0.5625 for ell = 1; the
-        # scan bisection reproduces it at coarse tolerance
-        kappa_star = critical_coupling(1, 0.54, 0.62, omega_floor=1e-30,
-                                       n_points=60, kappa_tol=4e-3)
+        # bisection on the level count reproduces it at coarse tolerance
+        kappa_star = critical_coupling(1, 0.54, 0.62, omega_floor=1e-30, kappa_tol=4e-3)
         assert kappa_star == pytest.approx(0.5625, abs=0.012)
 
     def test_no_transition_both_present(self):
         with pytest.raises(NoTransitionError):
-            critical_coupling(0, 0.2, 0.3, omega_floor=1e-30, n_points=80)
+            critical_coupling(0, 0.2, 0.3, omega_floor=1e-30)
 
     def test_no_transition_both_absent(self):
         with pytest.raises(NoTransitionError):
-            critical_coupling(0, 0.01, 0.03, omega_floor=1e-20, n_points=60)
+            critical_coupling(0, 0.01, 0.03, omega_floor=1e-20)
 
     @pytest.mark.parametrize("kappa_tol", [0.0, -1e-3, math.nan])
     def test_kappa_tol_validation(self, monkeypatch, kappa_tol):
         # such a tolerance would keep the bisection going forever: it must be
-        # rejected before the first scan
-        def no_scan(*args, **kwargs):
-            raise AssertionError("scanned before checking kappa_tol")
+        # rejected before the first level count
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted levels before checking kappa_tol")
 
-        monkeypatch.setattr(spectral, "spectral_scan", no_scan)
+        monkeypatch.setattr(spectral, "heun_zero_counts", no_count)
         with pytest.raises(ValueError):
             critical_coupling(0, 0.05, 0.08, kappa_tol=kappa_tol)
+
+    @pytest.mark.parametrize("window", [(0.0, 0.4), (1e-45, 0.5), (0.4, 1e-45)])
+    def test_window_validation(self, window):
+        with pytest.raises(ValueError):
+            critical_coupling(0, 0.05, 0.08, omega_floor=window[0], omega_max=window[1])
+
+    def test_failed_count_is_numerical_error(self, monkeypatch):
+        # a count that cannot be made is a failure, not "no bound states"
+        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
+        with pytest.raises(HeunEvaluationError, match="zero count"):
+            critical_coupling(0, 0.05, 0.08)
+
+
+def _scan_levels(kappa, ell, lo, hi, points):
+    """Brackets of a points-long scan over [lo, hi], and of one with twice the points."""
+    cfg = CouplingConfig(kappa=kappa, ell=ell)
+    return tuple(len(spectral_scan(cfg, lo, hi, n, tol=1e-6).brackets)
+                 for n in (points, 2 * points))
+
+
+class TestLevelCount:
+    """N(omega_lo) - N(omega_hi), the zeros of g on (y*, 0), against dense scans.
+
+    A scan resolves every level when doubling its grid finds no more brackets.
+    """
+
+    @pytest.mark.parametrize("ell,offset,levels", [
+        (0, -1e-3, 0), (0, 8.0e-4, 0), (0, 8.8e-4, 1), (0, 1.2e-3, 1), (0, 5e-3, 2),
+        (0, 5e-2, 7), (1, 8.8e-4, 0), (1, 1.0e-3, 1)])
+    def test_near_critical(self, ell, offset, levels):
+        kappa = 0.25 * (ell + 0.5) ** 2 + offset
+        count = spectral._level_counts(ell, [kappa], 1e-45, 0.4, 1e-6)[0]
+        assert count == levels
+        assert _scan_levels(kappa, ell, 1e-45, 0.4, 80) == (levels, levels)
+
+    @pytest.mark.parametrize("kappa", [2.0, 20.0])
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_moderate_coupling(self, kappa, ell):
+        count = spectral._level_counts(ell, [kappa], 1e-12, 0.4, 1e-6)[0]
+        assert count > 0
+        assert _scan_levels(kappa, ell, 1e-12, 0.4, 300) == (count, count)
+
+    def test_counts_levels_the_default_grid_misses(self):
+        # level spacing 2*pi/nu = 0.56 e-folds at kappa = 31.6853: the
+        # 160-point critical grid over [1e-45, 0.4] (0.65 e-folds a step)
+        # finds 134 of the 182 levels; in [1e-45, 1e-42] a 100-point scan
+        # resolves all of them
+        cfg = CouplingConfig(kappa=31.6853, ell=0)
+        assert spectral._level_counts(0, [cfg.kappa], 1e-45, 0.4, 1e-6)[0] == 182
+        assert len(spectral_scan(cfg, 1e-45, 0.4, 160, tol=1e-6).brackets) == 134
+        count = spectral._level_counts(0, [cfg.kappa], 1e-45, 1e-42, 1e-6)[0]
+        assert count == 12
+        assert _scan_levels(cfg.kappa, 0, 1e-45, 1e-42, 100) == (count, count)
+
+    @pytest.mark.slow
+    def test_counts_levels_the_default_grid_misses_full_window(self):
+        # the 182 levels of the test above, from a 4000-point scan (about 3 s
+        # on a 2-core Xeon) and the doubled one
+        assert _scan_levels(31.6853, 0, 1e-45, 0.4, 4000) == (182, 182)
+
+    def test_count_is_monotone_in_omega(self):
+        # as omega -> 1/2 a zero sits near y = -(B+1)*eps/kappa, inside
+        # (y*, 0): N(0.4999) = 1 with no level above 0.4, so the levels in a
+        # window are N(omega_lo) - N(omega_hi), not N(omega_lo) alone
+        kappa, ell = 8.229322074546221, 1
+        omegas = np.exp(np.linspace(math.log(1e-45), math.log(0.4999), 60))
+        n = heun.heun_zero_counts(*spectral._heun_arguments(kappa, ell, omegas, 1.0), tol=1e-6)
+        assert np.all(np.diff(n) <= 0)
+        assert n[-1] == 1
+        assert spectral._level_counts(ell, [kappa], 0.4, 0.4999, 1e-6)[0] == 0
+        assert _scan_levels(kappa, ell, 0.4, 0.4999, 100) == (0, 0)
 
 
 class TestCompare:

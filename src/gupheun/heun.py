@@ -36,8 +36,10 @@ t = ln(-y): spectral points (Omega-1)/Omega reach -1e4 and far beyond for
 shallow states, and the solution oscillates at a rate that stays bounded in
 t.  The equation is linear, so each energy's path
 is cut into Chebyshev panels, every panel of every energy is solved at once
-as a linear system for its two basis solutions, and a walk over the panels'
-2 x 2 transfer matrices carries each seed to its targets.  A value depends
+as a linear system for its two basis solutions, and prefix products of the
+panels' 2 x 2 transfer matrices, formed by doubling in log2 of the longest
+chain rounds, carry each seed to the start of every panel and so to its
+targets.  A product spans its own energy's panels only, so a value depends
 only on its energy, target and tolerance, not on the rest of the batch.  A
 spectral scan is one call with many energies, as is each root-refinement
 iteration (one energy per open bracket); both pass arrays and build no
@@ -46,9 +48,11 @@ energy and many targets, and heun_continue the one-target case.
 
 heun_zero_counts runs the same series and panels to count the zeros of g on
 (y, 0) for each target instead, the oscillation count that indexes the
-eigenvalues: sign changes of the series sampled inside the seed radius, then
-per panel the angle its basis solutions turn through, read against the start
-state in the walk.  Only this entry point computes the angles.
+eigenvalues.  It seeds each energy closer in, where the series certifies
+g > 0 (_certified_radius), so the series holds no zero and the panels count
+all of them: per panel the angle its basis solutions turn through, read
+against the panel's start state, and a cumulative sum over the energy's
+panels.  Only this entry point computes the angles or uses that seed.
 
 heun_series (a coefficient list with Horner evaluation) and
 heun_second_derivative (the equation itself) are the textbook forms; the
@@ -324,6 +328,18 @@ def _seed_radius(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
     return np.minimum(0.5, (0.5 * _SEED_GROWTH) ** 2 / (np.abs(q0) + np.sqrt(np.abs(q1))))
 
 
+def _certified_radius(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    """|y| = 1/(4s), s = 1 + |q0| + sqrt|q1|, within which g > 0: the seed of a zero count.
+
+    There the recurrence of heun_series bounds each term |v_n y^n|, n >= 2,
+    by 0.32 times the larger of the two before it, so the terms after
+    v_0 = 1 add up to less than 1/2: the series' absolute sum certifies
+    |g - 1| < 1, and g has no zero on (-1/(4s), 0).  The series converges
+    there within a block or two of terms.
+    """
+    return 0.25 / (1.0 + np.abs(q0) + np.sqrt(np.abs(q1)))
+
+
 def _chebyshev_tables(n: int):
     """Nodes x_j = -cos(pi j/(n-1)) on [-1, 1] and the matrices that act on node values.
 
@@ -525,19 +541,57 @@ def _solved_panels(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray,
             turns[order] if count else turns)
 
 
+def _start_states(first: np.ndarray, ends: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """(u, u') at the start of every panel: its energy's seed through the panels before it.
+
+    The panels are sorted by (energy, ta); first[p] is the index of the first
+    panel of p's energy, whose seed is seed[p], and ends[p] = (a, b, c, d)
+    the transfer matrix [[a, b], [c, d]] of panel p.  Inclusive prefix
+    products of each energy's matrices come by doubling (Hillis & Steele,
+    CACM 29 (1986) 1170): in the round of distance s, panel p absorbs the
+    product that ends s panels earlier while that panel is of the same
+    energy.  So log2 of the longest chain rounds replace one step per panel,
+    a product depends on its own energy's panels only, and the memory stays
+    that of the panel list.  A product that overflows turns the states after
+    it into inf or NaN, the failure of their targets.
+    """
+    local = np.arange(first.size) - first
+    a, b, c, d = (ends[:, k].copy() for k in range(4))
+    p = np.flatnonzero(local >= 1)
+    s = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while p.size:
+            q = p - s
+            ap, bp, cp, dp = a[p], b[p], c[p], d[p]
+            aq, bq, cq, dq = a[q], b[q], c[q], d[q]
+            a[p] = ap * aq + bp * cq
+            b[p] = ap * bq + bp * dq
+            c[p] = cp * aq + dp * cq
+            d[p] = cp * bq + dp * dq
+            s *= 2
+            p = p[local[p] >= s]
+        start = seed.copy()
+        p = np.flatnonzero(local)
+        u, du = seed[p].T
+        start[p, 0] = a[p - 1] * u + b[p - 1] * du
+        start[p, 1] = c[p - 1] * u + d[p - 1] * du
+    return start
+
+
 def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np.ndarray,
               owner: np.ndarray, t: np.ndarray, tol: float,
               count: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """(u, u') at targets t_k of energies owner_k, from (u, u') = seed_i at t0_i.
 
-    Every t_k lies beyond t0 of its energy.  A walk over panel indices,
-    vectorised over energies, carries each seed through its panels' 2 x 2
-    transfer matrices (_solved_panels), and each target is read from the
-    node values of its panel.  Targets that the layout did not reach, or
-    beyond a non-finite panel, come back as NaN.  With count, the walk also
-    adds up the zeros of u in each panel from its start state and its
-    _turns (see _phase), and the second result holds the number of zeros in
-    (t0, t_k] of each target; otherwise it is None.
+    Every t_k lies beyond t0 of its energy.  Each seed is carried to the
+    start of each of its panels by the prefix products of their 2 x 2
+    transfer matrices (_solved_panels, _start_states), and each target is
+    read from the node values of its panel.  Targets that the layout did not
+    reach, or beyond a non-finite panel, come back as NaN.  With count, the
+    zeros of u in each panel follow from its start state and its _turns (see
+    _phase), a cumulative sum over the energy's panels adds them up, and the
+    second result holds the number of zeros in (t0, t_k] of each target;
+    otherwise it is None.
     """
     t_end = np.full(t0.size, -np.inf)
     np.maximum.at(t_end, owner, t)
@@ -548,25 +602,19 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
                                                       tol, count)
 
     counts = np.bincount(o, minlength=t0.size)
-    first = np.cumsum(counts) - counts
-    start = np.empty((o.size, 2))
-    state = seed.copy()
+    first = (np.cumsum(counts) - counts)[o]
+    start = _start_states(first, ends, seed[o])
     out = np.full((t.size, 2), np.nan)
-    zeros = np.full(t.size, np.nan) if count else None
-    before = np.empty(o.size)  # zeros of u in (t0, ta] of each panel, with count
-    passed = np.zeros(t0.size)
-    # a state that overflows turns into NaN, the failure of its targets
+    zeros = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(counts.max()):
-            active = np.flatnonzero(counts > j)
-            p = first[active] + j
-            u, du = state[active, 0], state[active, 1]
-            start[p] = state[active]
-            if count:
-                before[p] = passed[active]
-                passed[active] += np.floor((turns[p] + _phase(u, du)) / np.pi)
-            state[active, 0] = ends[p, 0] * u + ends[p, 1] * du
-            state[active, 1] = ends[p, 2] * u + ends[p, 3] * du
+        if count:
+            # zeros of u in (t0, ta] of each panel; a non-finite panel or
+            # state fails every target from it on, so its count can be 0
+            inside = np.floor((turns + _phase(*start.T)) / np.pi)
+            inside[~np.isfinite(inside)] = 0.0
+            total = np.cumsum(inside) - inside  # integers, so the sums are exact
+            before = total - total[first]
+            zeros = np.full(t.size, np.nan)
         # (u, u') at the nodes of each panel that holds a target, by row
         panel = np.empty(nodes.shape[0], dtype=int)
         panel[row[row >= 0]] = np.flatnonzero(row >= 0)
@@ -589,35 +637,13 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
     return out, zeros
 
 
-def _series_zeros(B: float, q0: np.ndarray, q1: np.ndarray, top: np.ndarray,
-                  tol: float) -> np.ndarray:
-    """Zeros of the series of energy (B, q0_k, q1_k) on (-top_k, 0); NaN where it fails.
-
-    top_k lies within the energy's seed radius.  With s = 1 + |q0| + sqrt|q1|
-    and |y| <= 1/(4s), the recurrence of heun_series bounds each term
-    |v_n y^n|, n >= 2, by 0.32 times the larger of the two before it, so the
-    terms after v_0 = 1 add up to less than 1/2: the series' absolute sum
-    certifies |g - 1| < 1, and g > 0.  From that radius to top_k, g is
-    sampled in t = ln(-y) no more than 1/_rate apart (zeros are at least
-    pi/_rate apart), and its sign changes are counted; the last sample is
-    g(-top_k) itself.
-    """
-    t_top = np.log(top)
-    t_low = np.minimum(t_top, -np.log(4.0 * (1.0 + np.abs(q0) + np.sqrt(np.abs(q1)))))
-    steps = np.ceil((t_top - t_low) * _rate(B, q0, q1, t_top)).astype(int)
-    owner = np.repeat(np.arange(top.size), steps + 1)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(steps + 1) - (steps + 1), steps + 1)
-    h = ((t_top - t_low) / np.maximum(steps, 1))[owner]
-    g, _ = _series_state(B, q0[owner], q1[owner], -top[owner] * np.exp(-k * h), tol)
-    change = (np.signbit(g[1:]) != np.signbit(g[:-1])) & (owner[1:] == owner[:-1])
-    zeros = np.bincount(owner[1:][change], minlength=top.size).astype(float)
-    zeros[np.bincount(owner, weights=np.isnan(g), minlength=top.size) > 0] = np.nan
-    return zeros
-
-
 def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: float,
               count: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(g, g', zeros) of heun_continue_arrays; zeros is heun_zero_counts' or None."""
+    """(g, g', zeros) of heun_continue_arrays; zeros is heun_zero_counts' or None.
+
+    With count, every energy is seeded at _certified_radius instead of
+    _seed_radius.
+    """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if y.size == 0:
@@ -627,20 +653,19 @@ def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: floa
 
     g = np.full(y.size, np.nan)
     gp = np.full(y.size, np.nan)
-    inner = -y <= _seed_radius(q0, q1)
+    radius_of = _certified_radius if count else _seed_radius
+    inner = -y <= radius_of(q0, q1)
     outer = np.flatnonzero(~inner)
     # the distinct energies, sorted by q1 and then q0 (complex numbers sort so)
     energies, owner = np.unique(q1[outer] + 1j * q0[outer], return_inverse=True)
     e1, e0 = energies.real, energies.imag
-    radius = _seed_radius(e0, e1)
+    radius = radius_of(e0, e1)
     # one series pass: the inner targets at their own y, then each outer energy's seed
     m = np.count_nonzero(inner)
     sg, sgp = _series_state(B, np.concatenate((q0[inner], e0)), np.concatenate((q1[inner], e1)),
                             np.concatenate((y[inner], -radius)), _seed_tol(tol))
     g[inner], gp[inner] = sg[:m], sgp[:m]
-    zeros = None
-    if count:
-        zeros = _series_zeros(B, q0, q1, np.minimum(-y, _seed_radius(q0, q1)), _seed_tol(tol))
+    zeros = np.zeros(y.size) if count else None  # g > 0 inside the certified radius
     seeded = np.isfinite(sg[m:])[owner]  # failed series stay NaN
     if seeded.any():
         outer, owner = outer[seeded], owner[seeded]
@@ -649,7 +674,7 @@ def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: floa
                               count)
         g[outer], gp[outer] = u[:, 0], u[:, 1] / y[outer]
         if count:
-            zeros[outer] += passed
+            zeros[outer] = passed
     failed = ~(np.isfinite(g) & np.isfinite(gp))
     g[failed] = gp[failed] = np.nan
     if count:
@@ -685,10 +710,11 @@ def heun_zero_counts(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
     (Bailey, Everitt & Zettl, ACM TOMS 27 (2001) 143): on the spectral
     line y* = (Omega-1)/Omega it drops by one at each eigenvalue as omega
     rises.  Arguments as for heun_continue_arrays, on the same series and
-    panels.  The zeros inside the seed radius come from sampling the
-    series (_series_zeros), the ones beyond it from the angle each panel's
-    basis solutions turn through (_turns, _phase), up to the target itself.
-    Raises HeunEvaluationError if any count fails.
+    panels, but each energy is seeded at _certified_radius, inside which
+    g > 0: one series pass gives the seeds (and the targets inside that
+    radius, which have no zero), and every zero beyond it comes from the
+    angle each panel's basis solutions turn through (_turns, _phase), up to
+    the target itself.  Raises HeunEvaluationError if any count fails.
     """
     _, _, zeros = _evaluate(B, q0, q1, y, tol, count=True)
     failed = y[np.isnan(zeros)]

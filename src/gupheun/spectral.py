@@ -73,6 +73,10 @@ REFINE_EVAL_TOL = 1e-10
 CRITICAL_OMEGA_FLOOR = 1e-45
 CRITICAL_OMEGA_MAX = 0.4
 DEFAULT_KAPPA_TOL = 5e-4
+# bisection levels of critical_coupling whose midpoints one count call takes:
+# a call's cost grows with its energies, and critical_coupling(0, 0.05, 0.08)
+# takes 25 / 16 / 14 / 20 / 31 ms at 1 / 2 / 3 / 4 / 6 levels (2-core Xeon)
+_LEVELS_PER_CALL = 3
 
 
 class NoTransitionError(RuntimeError):
@@ -343,6 +347,24 @@ def _level_counts(ell: int, kappas, omega_lo: float, omega_hi: float,
     return n[0::2] - n[1::2]
 
 
+def _bisection_midpoints(lo: float, hi: float, kappa_tol: float, levels: int) -> list[float]:
+    """The midpoints that bisecting [lo, hi] may visit in its next `levels` halvings.
+
+    Heap order: the midpoint of [lo, hi], then those of its two halves, and
+    so on, each computed as 0.5*(lo + hi) exactly as the bisection loop of
+    critical_coupling computes it, and only for the spans that loop would
+    still halve (wider than kappa_tol).
+    """
+    out: list[float] = []
+    spans = [(lo, hi)]
+    for _ in range(levels):
+        spans = [(a, b) for a, b in spans if b - a > kappa_tol]
+        mids = [0.5 * (a + b) for a, b in spans]
+        out += mids
+        spans = [half for (a, b), m in zip(spans, mids) for half in ((a, m), (m, b))]
+    return out
+
+
 def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
                       omega_floor: float = CRITICAL_OMEGA_FLOOR,
                       omega_max: float = CRITICAL_OMEGA_MAX,
@@ -352,14 +374,19 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
 
     At each kappa the levels in the window are counted as N(omega_floor) -
     N(omega_max), N being the number of zeros of the Heun function on
-    (y*, 0) (heun_zero_counts): one batched evaluation of two energies, and
-    of four for the two ends of the bracket.  Near the transition the last
+    (y*, 0) (heun_zero_counts).  The midpoints of the next halvings are
+    known before any count, so one batched call counts them together: the
+    first call takes the two ends of the bracket and the midpoints of the
+    first _LEVELS_PER_CALL halvings, and a new call, for the next levels, is
+    made only when the bisection walks past them.  The halvings themselves
+    are those of plain bisection.  Near the transition the last
     bound state sits at omega ~ exp(-2 pi / nu), which is why omega_floor
     defaults to 1e-45: a floor of 1e-5 would place the detection threshold
     near kappa ~ 0.115 for ell = 0 instead of ~1/16.  Returns the transition
     kappa to roughly kappa_tol.  Counting zeros does not need tight
     evaluation, hence the relaxed scan_tol default.  A count that fails
-    raises HeunEvaluationError.
+    raises HeunEvaluationError, also at a midpoint the bisection would not
+    have visited.
     """
     if not kappa_lo < kappa_hi:
         raise ValueError("need kappa_lo < kappa_hi")
@@ -369,19 +396,25 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
     if not (0.0 < omega_floor < omega_max < 0.5):
         raise ValueError("need 0 < omega_floor < omega_max < 1/2")
 
-    def has_states(*kappas: float) -> np.ndarray:
-        return _level_counts(ell, kappas, omega_floor, omega_max, scan_tol) > 0
+    has_states: dict[float, bool] = {}
 
-    lo_has, hi_has = has_states(kappa_lo, kappa_hi)
-    if lo_has == hi_has:
+    def count(*kappas: float) -> None:
+        levels = _level_counts(ell, kappas, omega_floor, omega_max, scan_tol)
+        has_states.update(zip(kappas, (levels > 0).tolist()))
+
+    lo, hi = kappa_lo, kappa_hi
+    count(lo, hi, *_bisection_midpoints(lo, hi, kappa_tol, _LEVELS_PER_CALL))
+    hi_has = has_states[hi]
+    if has_states[lo] == hi_has:
         raise NoTransitionError(
             f"no transition in [{kappa_lo}, {kappa_hi}]: "
-            f"bound states {'present' if lo_has else 'absent'} at both ends"
+            f"bound states {'present' if hi_has else 'absent'} at both ends"
         )
-    lo, hi = kappa_lo, kappa_hi
     while hi - lo > kappa_tol:
         mid = 0.5 * (lo + hi)
-        if has_states(mid)[0] == hi_has:
+        if mid not in has_states:
+            count(*_bisection_midpoints(lo, hi, kappa_tol, _LEVELS_PER_CALL))
+        if has_states[mid] == hi_has:
             hi = mid
         else:
             lo = mid
@@ -494,10 +527,12 @@ def energy_from_omega(omega: float, units: UnitSystem) -> float:
 def to_physical_energy(result: SpectrumResult, units: UnitSystem) -> list[float]:
     """Convert a spectrum to physical energies, checking unit consistency.
 
-    The units must reproduce the spectrum's kappa to 1e-12; natural-units
-    conversion (mass = beta = 1) is simply E_n = -omega_n / 2.
+    The units must reproduce the spectrum's kappa to 1e-12 relative: SI
+    constants carry roundoff into m*alpha/(2*hbar^2), and one ulp of kappa =
+    3e4 is 3.6e-12.  Natural-units conversion (mass = beta = 1) is simply
+    E_n = -omega_n / 2.
     """
-    if abs(units.kappa - result.kappa) > 1e-12:
+    if not math.isclose(units.kappa, result.kappa, rel_tol=1e-12):
         raise UnitMismatchError(
             f"units give kappa = {units.kappa!r}, spectrum has {result.kappa!r}"
         )

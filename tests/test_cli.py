@@ -177,6 +177,23 @@ class TestRootsCommand:
 
 
 class TestSpectrumCommand:
+    @pytest.mark.parametrize("kappa,code", [("30000", 0), ("30000.001", 2)])
+    def test_si_units_file_at_strong_coupling(self, capsys, tmp_path, kappa, code):
+        # CODATA constants reproduce kappa = 3e4 only to one ulp (3.6e-12):
+        # that is a match, while a kappa 3e-8 relative away is a mismatch
+        mass, hbar = 9.1093837015e-31, 1.054571817e-34
+        units = tmp_path / "units.json"
+        units.write_text(json.dumps({"mass": mass, "hbar": hbar, "beta": 1e-6,
+                                     "alpha_coupling": 2.0 * hbar**2 * 3e4 / mass}))
+        out = tmp_path / "spectrum.csv"
+        got, lines, err = run_cli(capsys, "spectrum", "--kappa", kappa, "--n-max", "3",
+                                  "-o", str(out), "--units-file", str(units))
+        assert got == code
+        if code:
+            assert "kappa" in err and lines == [] and not out.exists()
+        else:
+            assert out.read_text().splitlines()[0].endswith(",energy_si")
+
     def test_closed_form_csv(self, capsys, tmp_path):
         out = tmp_path / "spectrum.csv"
         code, lines, _ = run_cli(capsys, "spectrum", "--kappa", "2", "--ell", "0",

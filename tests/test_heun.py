@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from gupheun import find_roots, heun, spectral_scan
+from gupheun import find_roots, heun, spectral, spectral_scan
 from gupheun.heun import (
     CouplingConfig,
     EnergyPoint,
@@ -273,13 +273,17 @@ class TestZeroCounts:
         assert changes[-1] > 0
 
     def test_values_compute_no_angle(self, monkeypatch):
-        # scans, root refinement and profiles do not pay for the count
+        # scans, root refinement and profiles do not pay for the count, and
+        # keep the seed radius where the series sum keeps its digits
         def no_angle(*args):
             raise AssertionError("angle computed for a value")
 
+        def no_certified_seed(*args):
+            raise AssertionError("a value seeded at the zero count's radius")
+
         monkeypatch.setattr(heun, "_turns", no_angle)
         monkeypatch.setattr(heun, "_phase", no_angle)
-        monkeypatch.setattr(heun, "_series_zeros", no_angle)
+        monkeypatch.setattr(heun, "_certified_radius", no_certified_seed)
         cfg = CouplingConfig(kappa=2.0, ell=0)
         assert len(find_roots(spectral_scan(cfg, 1e-4, 0.45, 60))) == 4
         p = heun_params(cfg, EnergyPoint.from_omega(1e-3))
@@ -297,6 +301,55 @@ class TestZeroCounts:
         monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
         with pytest.raises(HeunEvaluationError, match="zero count"):
             heun_zero_counts(0.5, np.array([2.5]), np.array([0.1]), np.array([-40.0]))
+
+
+def _walk_one_panel_at_a_time(first, ends, seed):
+    """Start states of heun._start_states by carrying each state through one panel per step."""
+    start = np.empty_like(seed)
+    for p in range(first.size):
+        if first[p] == p:
+            state = seed[p]
+        start[p] = state
+        state = ends[p].reshape(2, 2) @ state
+    return start
+
+
+class TestStartStates:
+    """The walk's prefix products by doubling against a walk one panel at a time."""
+
+    def test_chains_of_every_length_in_one_batch(self):
+        # chain lengths at and around the powers of two where the doubling
+        # adds a round; near-rotations keep the states of order one
+        lengths = np.array([1, 2, 3, 63, 64, 65, 500])
+        heads = np.cumsum(lengths) - lengths
+        first = np.repeat(heads, lengths)
+        rng = np.random.default_rng(5)
+        angle = rng.uniform(0.0, np.pi, first.size)
+        ends = np.stack((np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)), axis=1)
+        ends *= 1.0 + 1e-3 * rng.standard_normal(ends.shape)
+        seed = np.repeat(rng.standard_normal((lengths.size, 2)), lengths, axis=0)
+        start = heun._start_states(first, ends, seed)
+        ref = _walk_one_panel_at_a_time(first, ends, seed)
+        assert np.array_equal(start[heads], seed[heads])
+        assert np.all(np.abs(start - ref).max(axis=1) <= 1e-13 * np.hypot(*ref.T))
+
+    @pytest.mark.parametrize("kappa,ell", [(0.0634, 0), (0.5634, 1)])
+    def test_deep_critical_chain(self, kappa, ell):
+        # the chain of a zero count at omega = 1e-45 next to the critical
+        # coupling, where the state falls by 1e-57 and more: the order of
+        # the roundoff changes, and the states agree within the tolerance
+        tol = 1e-6
+        B, q0, q1, y = spectral._heun_arguments(kappa, ell, np.array([1e-45]), 1.0)
+        radius = heun._certified_radius(q0, q1)
+        g, gp = heun._series_state(B, q0, q1, -radius, heun._seed_tol(tol))
+        t = np.log(-y)
+        ends = heun._solved_panels(B, q0, q1, np.log(radius), t, t * 1j, tol)[3]
+        assert ends.shape[0] > 40
+        first = np.zeros(ends.shape[0], dtype=int)
+        seed = np.tile([g[0], -radius[0] * gp[0]], (first.size, 1))
+        start = heun._start_states(first, ends, seed)
+        ref = _walk_one_panel_at_a_time(first, ends, seed)
+        assert np.all(np.abs(start - ref).max(axis=1) <= tol * np.hypot(*ref.T))
 
 
 def _series_rows(kappa, ell, rows):
@@ -370,6 +423,25 @@ class TestBatchIndependence:
             copies = heun_continue_batch([params[i]] * 3, [targets[i]] * 3, tol=tol)
             assert np.array_equal(np.ravel(alone), [g[i], gp[i]])
             assert np.array_equal(np.ravel(copies), [g[i]] * 3 + [gp[i]] * 3)
+
+    @pytest.mark.parametrize("omega", [1e-3, 1e-45])
+    def test_next_to_a_500_panel_neighbour(self, omega):
+        # the walk's products double for 9 rounds to cover the neighbour's
+        # chain; an energy of a few dozen panels, sorted before it (1e-45)
+        # or after it (1e-3), must absorb its own panels only
+        neighbour = heun_params(CouplingConfig(kappa=300.0, ell=0),
+                                EnergyPoint.from_omega(1e-45))
+        y_far = (2e-45 - 1.0) / 2e-45
+        B, q1, q0 = (np.array([x]) for x in _linear_coefficients(neighbour))
+        panels = heun._layout(B[0], q0, q1, np.log(heun._seed_radius(q0, q1)),
+                              np.log([-y_far]), 1e-10)[0]
+        assert panels.size > 480
+        ep = EnergyPoint.from_omega(omega)
+        p = heun_params(CouplingConfig(kappa=2.0, ell=0), ep)
+        y = (ep.big_omega - 1.0) / ep.big_omega
+        alone = heun_continue_batch([p], [y], tol=1e-10)
+        together = heun_continue_batch([p, neighbour], [y, y_far], tol=1e-10)
+        assert np.array_equal(np.ravel(alone), [together[0][0], together[1][0]])
 
     def test_profile_targets_equal_single_targets(self):
         p = heun_params(CouplingConfig(kappa=10.0, ell=1), EnergyPoint.from_omega(1e-4))

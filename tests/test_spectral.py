@@ -395,6 +395,59 @@ class TestCriticalCoupling:
             critical_coupling(0, 0.05, 0.08)
 
 
+def _plain_bisection(ell, kappa_lo, kappa_hi, omega_floor, kappa_tol):
+    """critical_coupling's bisection with one level count per kappa, one call each."""
+    def has_states(kappa):
+        return spectral._level_counts(ell, [kappa], omega_floor, 0.4, 1e-6)[0] > 0
+
+    lo, hi = kappa_lo, kappa_hi
+    hi_has = has_states(hi)
+    assert has_states(lo) != hi_has
+    while hi - lo > kappa_tol:
+        mid = 0.5 * (lo + hi)
+        if has_states(mid) == hi_has:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class TestCriticalCouplingCalls:
+    """critical_coupling counts the midpoints of several halvings in one call."""
+
+    @pytest.mark.parametrize("ell,kappa_lo,kappa_hi,omega_floor,kappa_tol,calls", [
+        (0, 0.0626, 0.06358, 1e-45, 5e-4, 1),    # a benchmark bracket: one halving
+        (1, 0.5627, 0.56368, 1e-45, 5e-4, 1),
+        (0, 0.05, 0.08, 1e-45, 5e-4, 2),         # six halvings
+        (1, 0.54, 0.62, 1e-30, 4e-3, 2),         # five
+        (0, 0.0630, 0.0645, 1e-45, 1e-6, 4),     # eleven
+    ])
+    def test_same_result_as_plain_bisection_in_fewer_calls(
+            self, monkeypatch, ell, kappa_lo, kappa_hi, omega_floor, kappa_tol, calls):
+        made = []
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return heun.heun_zero_counts(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", counted)
+        got = critical_coupling(ell, kappa_lo, kappa_hi, omega_floor=omega_floor,
+                                kappa_tol=kappa_tol)
+        assert len(made) == calls
+        monkeypatch.undo()
+        assert got == _plain_bisection(ell, kappa_lo, kappa_hi, omega_floor, kappa_tol)
+
+    def test_default_bracket(self):
+        assert critical_coupling(0, 0.05, 0.08) == 0.063359375
+
+    def test_midpoints_in_heap_order(self):
+        # only spans wider than kappa_tol are halved again
+        assert spectral._bisection_midpoints(0.0, 1.0, 0.3, 3) == [0.5, 0.25, 0.75]
+        assert spectral._bisection_midpoints(0.0, 1.0, 0.2, 3) == [
+            0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875]
+        assert spectral._bisection_midpoints(0.0, 1.0, 1.0, 3) == []
+
+
 def _scan_levels(kappa, ell, lo, hi, points):
     """Brackets of a points-long scan over [lo, hi], and of one with twice the points."""
     cfg = CouplingConfig(kappa=kappa, ell=ell)
@@ -513,6 +566,18 @@ class TestUnits:
         bad_units = UnitSystem(mass=1.0, hbar=1.0, beta=1.0, alpha_coupling=1.0)
         with pytest.raises(UnitMismatchError):
             to_physical_energy(result, bad_units)
+
+    def test_si_units_at_strong_coupling(self):
+        # CODATA mass and hbar give m*alpha/(2*hbar^2) = 29999.999999999996
+        # for kappa = 3e4, one ulp (3.6e-12) off: the same kappa, not a mismatch
+        mass, hbar = 9.1093837015e-31, 1.054571817e-34
+        units = UnitSystem(mass=mass, hbar=hbar, beta=1e-6,
+                           alpha_coupling=2.0 * hbar**2 * 3e4 / mass)
+        assert units.kappa == 29999.999999999996
+        result = SpectrumResult(METHOD_EXACT, (0.1,), 3e4, 0)
+        assert to_physical_energy(result, units) == [energy_from_omega(0.1, units)]
+        with pytest.raises(UnitMismatchError):
+            to_physical_energy(SpectrumResult(METHOD_EXACT, (0.1,), 3.0001e4, 0), units)
 
     def test_scale_covariance(self):
         # same kappa, different scales: omegas untouched, energies scale by

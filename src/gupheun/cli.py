@@ -137,12 +137,6 @@ def spectrum_result_to_payload(result: SpectrumResult) -> dict:
             "energy_natural_units": [energy_from_omega(w, units) for w in result.omegas]}
 
 
-def spectrum_result_from_json(text: str) -> SpectrumResult:
-    raw = json.loads(text)
-    return SpectrumResult(method=raw["method"], omegas=tuple(raw["omegas"]),
-                          kappa=raw["kappa"], ell=raw["ell"])
-
-
 def _levels(result: SpectrumResult, units: UnitSystem | None,
             pairs: list[tuple[str, str]], note: str) -> Output:
     """The level table shared by `roots` and `spectrum`; units are checked in both formats."""
@@ -347,25 +341,17 @@ def run(cfg: RunConfig) -> int:
 
 
 @functools.cache
-def _build_parser(name: str | None) -> argparse.ArgumentParser:
-    """A subparser per row of `_COMMANDS`, with one flag per setting of the row.
-
-    Only the subparser of command `name` gets its flags, or every one at
-    None: argparse hands everything after a leading command name to that
-    command's subparser alone, and the flags of the other five cost a fresh
-    process about 1.6 ms (median of 21, 2-core Xeon).
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """A subparser per row of `_COMMANDS`, with one flag per setting of the row."""
     parser = argparse.ArgumentParser(
         prog="gupheun",
         description="Bound states of the inverse-square potential with a minimal length",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     kinds = {f.name: f.type.partition(" | ")[0] for f in fields(RunConfig)}
-    for command_name, command in _COMMANDS.items():
+    for name, command in _COMMANDS.items():
         # exact spellings only: `critical --omega` is no prefix of --omega-floor
-        p = sub.add_parser(command_name, help=command.help, allow_abbrev=False)
-        if name not in (None, command_name):
-            continue
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for key, help_text in _FLAGS.items():
             if key not in (*command.settings, "config"):
                 continue
@@ -380,10 +366,7 @@ def _build_parser(name: str | None) -> argparse.ArgumentParser:
 
 def build_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve CLI flags, optional JSON config, env var and defaults."""
-    argv = sys.argv[1:] if argv is None else argv
-    # any other first argument (a flag, a typo) gets the parser with every flag
-    leading = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = vars(_build_parser(leading).parse_args(argv))
+    args = vars(_build_parser().parse_args(argv))
     name = args.pop("command")
     config_path = args.pop("config")
     command = _COMMANDS[name]

@@ -23,28 +23,26 @@ second parameter B = -b = ell + 1/2.  It is the only branch evaluated here:
 
 Evaluation strategy
 -------------------
+heun_coefficients maps (kappa, ell, omega) to the arrays (B, q0, q1), and
 heun_continue_arrays is the one evaluator.  It takes arrays of (energy,
 target) pairs, an energy being its (q0, q1) at a shared B, with targets
-y < 0; heun_continue_batch is the same call on a list of HeunParams.  One
-vectorised three-term recurrence evaluates the Frobenius series of every
-target at |y| <= 0.5 (closer to the origin where the alternating terms would
-cancel), and seeds each distinct energy there once.  It generates 16 terms
-per step and then applies the sums and the stopping rule to the block, which
-keeps the number of numpy calls per term small.  The other targets are
+y < 0.  One vectorised three-term recurrence evaluates the Frobenius series of
+every target at |y| <= 0.5 (closer to the origin where the alternating terms
+would cancel), and seeds each distinct energy there once.  It generates 16
+terms per step and then applies the sums and the stopping rule to the block,
+which keeps the number of numpy calls per term small.  The other targets are
 continued along the negative real axis, which contains no singularity, in
 t = ln(-y): spectral points (Omega-1)/Omega reach -1e4 and far beyond for
 shallow states, and the solution oscillates at a rate that stays bounded in
-t.  The equation is linear, so each energy's path
-is cut into Chebyshev panels, every panel of every energy is solved at once
-as a linear system for its two basis solutions, and prefix products of the
-panels' 2 x 2 transfer matrices, formed by doubling in log2 of the longest
-chain rounds, carry each seed to the start of every panel and so to its
-targets.  A product spans its own energy's panels only, so a value depends
-only on its energy, target and tolerance, not on the rest of the batch.  A
-spectral scan is one call with many energies, as is each root-refinement
-iteration (one energy per open bracket); both pass arrays and build no
-HeunParams.  A radial profile (heun_continue_path) is one call with one
-energy and many targets, and heun_continue the one-target case.
+t.  The equation is linear, so each energy's path is cut into Chebyshev
+panels, every panel of every energy is solved at once as a linear system for
+its two basis solutions, and prefix products of the panels' 2 x 2 transfer
+matrices, formed by doubling in log2 of the longest chain rounds, carry each
+seed to the start of every panel and so to its targets.  A product spans its
+own energy's panels only, so a value depends only on its energy, target and
+tolerance, not on the rest of the batch.  A spectral scan is one call with
+many energies, as is each root-refinement iteration (one energy per open
+bracket); a radial profile is one call with one energy and many targets.
 
 heun_zero_counts runs the same series and panels to count the zeros of g on
 (y, 0) for each target instead, the oscillation count that indexes the
@@ -53,23 +51,17 @@ g > 0 (_certified_radius), so the series holds no zero and the panels count
 all of them: per panel the angle its basis solutions turn through, read
 against the panel's start state, and a cumulative sum over the energy's
 panels.  Only this entry point computes the angles or uses that seed.
-
-heun_series (a coefficient list with Horner evaluation) and
-heun_second_derivative (the equation itself) are the textbook forms; the
-evaluator does not use them, and they serve as independent checks of it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 SERIES_MAX_TERMS = 10_000
-SERIES_RADIUS_LIMIT = 0.9
 # On y < 0 the series terms alternate in sign and peak near
 # exp(2*sqrt((|q0| + sqrt|q1|)*|y|)); continuation is seeded where that
 # stays below e^8, so the sum keeps about 12 of its 16 digits
@@ -118,152 +110,47 @@ class EnergyPoint:
     """
 
     omega: float
-    big_omega: float
-    epsilon: float
 
     def __post_init__(self):
         if not (0.0 < self.omega < 0.5):
             raise ValueError(f"omega must lie in (0, 1/2), got {self.omega}")
-        if self.big_omega != 2.0 * self.omega:
-            raise ValueError("big_omega must equal 2*omega")
-        if self.epsilon != 1.0 - self.big_omega:
-            raise ValueError("epsilon must equal 1 - big_omega")
+
+    @property
+    def big_omega(self) -> float:
+        return 2.0 * self.omega
+
+    @property
+    def epsilon(self) -> float:
+        return 1.0 - 2.0 * self.omega
 
     @classmethod
     def from_omega(cls, omega: float) -> "EnergyPoint":
-        omega = float(omega)
-        return cls(omega=omega, big_omega=2.0 * omega, epsilon=1.0 - 2.0 * omega)
+        return cls(omega=float(omega))
 
 
-@dataclass(frozen=True)
-class HeunParams:
-    """The parameters (b, d, e) of Hc(0, b, 1, d, e; y).
+def heun_coefficients(kappa, ell: int, omega: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(B, q0, q1) of heun_continue_arrays at every omega; kappa is one value or one per omega.
 
-    b = -1/2 - ell for a non-negative integer ell; the physical branch is
-    evaluated with the flipped second parameter B = -b = ell + 1/2.
+    B = ell + 1/2, q1 = d and q0 = e + B + 1/2 with d and e of the module
+    docstring.  epsilon^2 goes through float_power, which calls the C
+    library's pow as Python's ** does, so each value has the bits of those
+    formulas in Python floats; np.square can round differently.  Raises
+    ValueError for an omega outside (0, 1/2) or a d or e that is not finite.
     """
-
-    b: float
-    d: float
-    e: float
-
-    def __post_init__(self):
-        for name in ("b", "d", "e"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"parameter {name} must be finite")
-        ell = -0.5 - self.b
-        if abs(ell - round(ell)) > 1e-12 or round(ell) < 0:
-            raise ValueError(f"b must equal -1/2 - ell for integer ell >= 0, got {self.b}")
-
-
-def heun_params(cfg: CouplingConfig, ep: EnergyPoint) -> HeunParams:
-    """Confluent-Heun parameter set for coupling cfg at trial energy ep."""
-    return HeunParams(
-        b=-0.5 - cfg.ell,
-        d=cfg.kappa * ep.big_omega / ep.epsilon**2,
-        e=cfg.kappa / ep.epsilon + 0.5,
-    )
-
-
-def _linear_coefficients(p: HeunParams) -> tuple[float, float, float]:
-    """(B, q1, q0): B = -b and the polynomial part q1*y + q0 of the g term."""
-    B = -p.b
-    return B, p.d, p.e + B + 0.5
-
-
-@dataclass(frozen=True)
-class HeunSeries:
-    """Truncated Frobenius series sum(v_n y^n) of the exponent-zero solution.
-
-    coeffs[0] = 1 by normalization.  The truncation tail is below tol at
-    |y| = radius_used, so evaluations are only allowed inside that radius.
-    """
-
-    coeffs: np.ndarray
-    tol: float
-    radius_used: float
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.coeffs)
-
-    def _check_radius(self, y: float) -> None:
-        if abs(y) > self.radius_used * (1.0 + 1e-12):
-            raise ValueError(
-                f"|y| = {abs(y)} exceeds the certified series radius {self.radius_used}"
-            )
-
-    def value(self, y: float) -> float:
-        self._check_radius(y)
-        acc = 0.0
-        for v in self.coeffs[::-1]:
-            acc = acc * y + v
-        return acc
-
-    def derivative(self, y: float) -> float:
-        self._check_radius(y)
-        acc = 0.0
-        for n in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * y + n * self.coeffs[n]
-        return acc
-
-    def second_derivative(self, y: float) -> float:
-        self._check_radius(y)
-        acc = 0.0
-        for n in range(len(self.coeffs) - 1, 1, -1):
-            acc = acc * y + n * (n - 1) * self.coeffs[n]
-        return acc
-
-
-def heun_series(p: HeunParams, tol: float = 1e-12, radius: float = 0.5) -> HeunSeries:
-    """Power-series coefficients of the physical branch Hc(0, B, 1, d, e; y).
-
-    Substituting sum(v_n y^n) into the equation gives the three-term recurrence
-
-        (n+1)(n+B+1) v_{n+1} = [n(n+B+2) + q0] v_n + q1 v_{n-1}
-
-    with v_0 = 1.  Generation stops once three consecutive terms at |y| = radius
-    drop below tol relative to the accumulated (absolute) sum, with an n^2
-    weight on the term so that the residual of the truncated polynomial in the
-    differential equation (which picks up the dropped coefficients through the
-    indicial factor (n+1)(n+B+1)) is bounded by tol as well, not only the
-    value; it is an error to need more than SERIES_MAX_TERMS coefficients.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not 0 < radius <= SERIES_RADIUS_LIMIT:
-        raise ValueError(f"radius must lie in (0, {SERIES_RADIUS_LIMIT}]")
-    B, q1, q0 = _linear_coefficients(p)
-
-    coeffs = [1.0, q0 / (B + 1.0)]
-    abs_sum = 1.0 + abs(coeffs[1]) * radius
-    consecutive_small = 0
-    n = 1
-    while consecutive_small < 3:
-        if n >= SERIES_MAX_TERMS:
-            raise HeunEvaluationError(
-                f"series needs more than {SERIES_MAX_TERMS} terms at radius {radius}"
-            )
-        v = ((n * (n + B + 2.0) + q0) * coeffs[n] + q1 * coeffs[n - 1]) \
-            / ((n + 1.0) * (n + B + 1.0))
-        coeffs.append(v)
-        n += 1
-        term = abs(v) * radius**n
-        abs_sum += term
-        if (n * n + 1.0) * term < tol * abs_sum:
-            consecutive_small += 1
-        else:
-            consecutive_small = 0
-    return HeunSeries(coeffs=np.asarray(coeffs), tol=tol, radius_used=radius)
-
-
-def heun_second_derivative(p: HeunParams, y: float, g: float, gp: float) -> float:
-    """g'' of the physical branch at y given (g, g'), straight from the equation.
-
-    y must avoid 0 and 1.
-    """
-    B, q1, q0 = _linear_coefficients(p)
-    return -(((B + 1.0) / y + 2.0 / (y - 1.0)) * gp + (q1 * y + q0) / (y * (y - 1.0)) * g)
+    invalid = ~((0.0 < omega) & (omega < 0.5))
+    if invalid.any():
+        raise ValueError(f"omega must lie in (0, 1/2), got {omega[invalid][0]}")
+    big_omega = 2.0 * omega
+    epsilon = 1.0 - big_omega
+    with np.errstate(over="ignore"):  # as in Python floats; rejected just below
+        d = kappa * big_omega / np.float_power(epsilon, 2.0)
+        e = kappa / epsilon + 0.5
+    invalid = ~(np.isfinite(d) & np.isfinite(e))
+    if invalid.any():
+        name = "e" if np.isfinite(d[invalid][0]) else "d"
+        raise ValueError(f"parameter {name} must be finite")
+    B = 0.5 + ell
+    return B, e + B + 0.5, d
 
 
 def _seed_tol(tol: float) -> float:
@@ -274,10 +161,17 @@ def _series_state(B: float, q0: np.ndarray, q1: np.ndarray, z: np.ndarray,
                   tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(g, g') of every energy's Frobenius series at its own point z_i; NaN where it fails.
 
-    The recurrence of heun_series runs on the scaled terms w_n = v_n z^n of all
-    energies at once, with the same stopping rule at radius |z_i|.  An energy
-    fails when a term stops being finite or it needs more than
-    SERIES_MAX_TERMS coefficients.  The terms come _SERIES_BLOCK at a time;
+    Substituting sum(v_n y^n), v_0 = 1, into the equation gives the
+    three-term recurrence
+
+        (n+1)(n+B+1) v_{n+1} = [n(n+B+2) + q0] v_n + q1 v_{n-1},
+
+    run here on the scaled terms w_n = v_n z^n of all energies at once.  An
+    energy stops once three consecutive terms drop below tol relative to the
+    accumulated absolute sum, with an n^2 weight on the term so that the
+    residual of the truncated polynomial in the equation is bounded by tol
+    as well, not only the value.  It fails when a term stops being finite or
+    it needs more than SERIES_MAX_TERMS coefficients.  The terms come _SERIES_BLOCK at a time;
     the sums, the stopping rule and the retirement of finished energies are
     then applied to the whole block.  Cumulative sums add in the order of a
     term-by-term loop, so the result does not depend on the block length.
@@ -331,7 +225,7 @@ def _seed_radius(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
 def _certified_radius(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
     """|y| = 1/(4s), s = 1 + |q0| + sqrt|q1|, within which g > 0: the seed of a zero count.
 
-    There the recurrence of heun_series bounds each term |v_n y^n|, n >= 2,
+    There the recurrence of _series_state bounds each term |v_n y^n|, n >= 2,
     by 0.32 times the larger of the two before it, so the terms after
     v_0 = 1 add up to less than 1/2: the series' absolute sum certifies
     |g - 1| < 1, and g has no zero on (-1/(4s), 0).  The series converges
@@ -686,8 +580,8 @@ def heun_continue_arrays(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray
                          tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """(g, g') of the physical branch for energy (B, q0_k, q1_k) at target y_k < 0.
 
-    The array form of heun_continue_batch, with (B, q1, q0) as given by
-    _linear_coefficients and one 1-d entry per target; the same energy may
+    (B, q0, q1) as given by heun_coefficients, with one 1-d entry per
+    target; the same energy may
     appear many times.  Each distinct energy is seeded once by its Frobenius
     series at radius 0.5, or closer to the origin when its series terms
     would cancel there (see _SEED_GROWTH).  Targets inside the seed radius
@@ -724,43 +618,3 @@ def heun_zero_counts(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
             f"a series or a continuation panel did not evaluate"
         )
     return zeros.astype(int)
-
-
-def heun_continue_batch(params: Sequence[HeunParams], y_targets,
-                        tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """(g, g') of the physical branch for many energies, each at its own y_target < 0.
-
-    All params must share b (one ell); see heun_continue_arrays.
-    """
-    y = np.asarray(y_targets, dtype=float).reshape(-1)
-    if len(params) != y.size:
-        raise ValueError("need one parameter set per target")
-    coeffs = np.array([_linear_coefficients(p) for p in params]).reshape(-1, 3)
-    B, q1, q0 = coeffs.T
-    if np.any(B != B[:1]):
-        raise ValueError("all parameter sets must share b")
-    return heun_continue_arrays(float(B[0]) if B.size else 0.0, q0, q1, y, tol)
-
-
-def heun_continue_path(p: HeunParams, y_targets, tol: float = 1e-10) -> np.ndarray:
-    """Values of the physical branch of one energy at many targets y < 0.
-
-    The one-energy case of heun_continue_arrays; raises HeunEvaluationError
-    if any target fails to evaluate.
-    """
-    y = np.asarray(y_targets, dtype=float)
-    B, q1, q0 = _linear_coefficients(p)
-    g, _ = heun_continue_arrays(B, np.full(y.size, q0), np.full(y.size, q1), y.reshape(-1), tol)
-    failed = y.reshape(-1)[np.isnan(g)]
-    if failed.size:
-        raise HeunEvaluationError(
-            f"continuation to y = {failed[0]} failed ({failed.size} of {g.size} targets): "
-            f"the series needs more than {SERIES_MAX_TERMS} terms or overflows, "
-            f"or a continuation panel overflows or stays unresolved"
-        )
-    return g.reshape(y.shape)
-
-
-def heun_continue(p: HeunParams, y_target: float, tol: float = 1e-10) -> float:
-    """Value of the physical branch at one target y_target < 0."""
-    return float(heun_continue_path(p, [y_target], tol)[0])

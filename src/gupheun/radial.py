@@ -17,11 +17,13 @@ like xi^ell, for every coupling strength: the minimal length removes the
 strong-coupling pathology of the undeformed problem.  In the far field the
 envelope decays like exp(-rate * xi) with rate = sqrt(5 omega / (1 - 2 omega)).
 
-A profile is one call of the Heun evaluator for one energy and all grid
-points (heun_continue_path): points inside its seed radius come from the
-series, the others from one chain of continuation panels; y = 0 (xi = 0) is
-the normalization Hc = 1.  The default grid stops at 1.2 * xi* because only
-r up to ~sqrt(-alpha/E) is physically meaningful for this boundary condition.
+A profile is one heun_continue_arrays call with one energy, repeated once
+per grid point, and every grid point as a target: points inside its seed
+radius come from the series, the others from one chain of continuation
+panels; y = 0 (xi = 0) is the normalization Hc = 1, and a point that fails
+to evaluate raises HeunEvaluationError.  The default grid stops at
+1.2 * xi* because only r up to ~sqrt(-alpha/E) is physically meaningful for
+this boundary condition.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heun import CouplingConfig, EnergyPoint, heun_continue_path, heun_params
+from . import heun
+from .heun import (
+    CouplingConfig,
+    EnergyPoint,
+    HeunEvaluationError,
+    heun_coefficients,
+    heun_continue_arrays,
+)
 
 DEFAULT_GRID_POINTS = 400
 DEFAULT_GRID_START = 1e-3
@@ -51,30 +60,6 @@ def map_xi_to_y(xi, cfg: CouplingConfig, ep: EnergyPoint):
 def xi_star(cfg: CouplingConfig, ep: EnergyPoint) -> float:
     """Radius sqrt(4*kappa/(5*omega)) where y(xi) hits the spectral point."""
     return math.sqrt(4.0 * cfg.kappa / (5.0 * ep.omega))
-
-
-@dataclass(frozen=True)
-class AsymptoticExponents:
-    """Local exponents at the origin and the far-field decay rate in xi units."""
-
-    s_minus: float
-    s_plus: float
-    farfield_rate: float
-
-    def __post_init__(self):
-        if self.s_plus - self.s_minus != 2.0 * self.s_plus + 1.0:
-            raise ValueError("exponents must satisfy s_plus - s_minus = 2*ell + 1")
-        if not (math.isfinite(self.farfield_rate) and self.farfield_rate > 0):
-            raise ValueError("farfield_rate must be finite and positive")
-
-
-def asymptotic_exponents(cfg: CouplingConfig, ep: EnergyPoint) -> AsymptoticExponents:
-    """Indicial exponents (-1-ell, ell) and decay rate sqrt(5w/(1-2w))."""
-    return AsymptoticExponents(
-        s_minus=-1.0 - cfg.ell,
-        s_plus=float(cfg.ell),
-        farfield_rate=math.sqrt(5.0 * ep.omega / (1.0 - 2.0 * ep.omega)),
-    )
 
 
 @dataclass(frozen=True)
@@ -141,7 +126,17 @@ def wavefunction(cfg: CouplingConfig, ep: EnergyPoint, xi_grid) -> RadialProfile
     y = map_xi_to_y(xi, cfg, ep)
     hc = np.ones_like(y)
     off_origin = y != 0.0
-    hc[off_origin] = heun_continue_path(heun_params(cfg, ep), y[off_origin], tol=_PROFILE_TOL)
+    targets = y[off_origin]
+    B, q0, q1 = heun_coefficients(cfg.kappa, cfg.ell, np.full(targets.size, ep.omega))
+    g, _ = heun_continue_arrays(B, q0, q1, targets, tol=_PROFILE_TOL)
+    failed = targets[np.isnan(g)]
+    if failed.size:
+        raise HeunEvaluationError(
+            f"continuation to y = {failed[0]} failed ({failed.size} of {targets.size} targets): "
+            f"the series needs more than {heun.SERIES_MAX_TERMS} terms or overflows, "
+            f"or a continuation panel overflows or stays unresolved"
+        )
+    hc[off_origin] = g
 
     values = xi**cfg.ell * (1.0 - y) * hc
     return RadialProfile(xi=xi, values=values, omega=ep.omega,

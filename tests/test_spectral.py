@@ -1,7 +1,11 @@
 """Spectral scan, root finding, closed form, and unit conversion tests."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -119,8 +123,8 @@ class TestBatchedScan:
         assert np.array_equal(scan.values, values, equal_nan=True)
 
     def test_default_grid_matches_pointwise_bitwise(self, scan_k2):
-        # the batch computes EnergyPoint, heun_params and spectral_point on
-        # arrays; every bit of the 600 values must survive that
+        # one omega at a time or 600 in a batch: every bit of the 600 values
+        # must be the same
         values = _pointwise(CouplingConfig(kappa=2.0, ell=0), scan_k2.omegas, scan_k2.tol)
         assert np.array_equal(scan_k2.values, values, equal_nan=True)
 
@@ -130,17 +134,21 @@ class TestBatchedScan:
         with pytest.raises(ValueError) as expected:
             EnergyPoint.from_omega(omega)
         with pytest.raises(ValueError) as got:
+            heun.heun_coefficients(2.0, 0, omegas)
+        assert str(got.value) == str(expected.value) == f"omega must lie in (0, 1/2), got {omega}"
+        with pytest.raises(ValueError) as scanned:
             spectral._spectral_values(CouplingConfig(kappa=2.0, ell=0), omegas, 1e-8, 1.0)
-        assert str(got.value) == str(expected.value)
+        assert str(scanned.value) == str(expected.value)
 
     def test_non_finite_parameters_raise_as_heun_params(self):
         # at kappa = 1e308 d and e overflow once epsilon < 1/2 or so
-        cfg = CouplingConfig(kappa=1e308, ell=1)
-        with pytest.raises(ValueError) as expected:
-            heun.heun_params(cfg, EnergyPoint.from_omega(0.4))
         with pytest.raises(ValueError) as got:
-            spectral._spectral_values(cfg, np.array([1e-3, 0.4]), 1e-8, 1.0)
-        assert str(got.value) == str(expected.value) == "parameter d must be finite"
+            heun.heun_coefficients(1e308, 1, np.array([1e-3, 0.4]))
+        assert str(got.value) == "parameter d must be finite"
+        with pytest.raises(ValueError) as scanned:
+            spectral._spectral_values(CouplingConfig(kappa=1e308, ell=1),
+                                      np.array([1e-3, 0.4]), 1e-8, 1.0)
+        assert str(scanned.value) == "parameter d must be finite"
 
     def test_strong_coupling_near_upper_edge(self):
         cfg = CouplingConfig(kappa=3e4, ell=0)
@@ -167,8 +175,7 @@ class TestBatchedScan:
         omegas = np.exp(np.linspace(math.log(1e-4), math.log(0.45), 40))
         values = _pointwise(cfg, omegas, DEFAULT_SCAN_TOL)
         chosen = [5, 17, 30]
-        poisoned = [heun._linear_coefficients(heun.heun_params(cfg, EnergyPoint.from_omega(w)))[2]
-                    for w in omegas[chosen]]
+        poisoned = heun.heun_coefficients(cfg.kappa, cfg.ell, omegas[chosen])[1]
         equation_coefficients = heun._equation_coefficients
 
         def poison(B, q0, q1, t):
@@ -372,7 +379,8 @@ class TestCriticalCoupling:
         with pytest.raises(NoTransitionError):
             critical_coupling(0, 0.01, 0.03, omega_floor=1e-20)
 
-    @pytest.mark.parametrize("kappa_tol", [0.0, -1e-3, math.nan])
+    @pytest.mark.parametrize("kappa_tol", [0.0, -1e-3, math.nan,
+                                           4.0 * sys.float_info.epsilon * 0.08])
     def test_kappa_tol_validation(self, monkeypatch, kappa_tol):
         # such a tolerance would keep the bisection going forever: it must be
         # rejected before the first level count
@@ -382,6 +390,20 @@ class TestCriticalCoupling:
         monkeypatch.setattr(spectral, "heun_zero_counts", no_count)
         with pytest.raises(ValueError):
             critical_coupling(0, 0.05, 0.08, kappa_tol=kappa_tol)
+
+    def test_kappa_tol_below_float_spacing_does_not_hang(self):
+        # once lo and hi are adjacent floats, 0.5*(lo + hi) is one of them and
+        # hi - lo > kappa_tol stays true; a child process turns a hang into
+        # a timeout of this test instead of one of the suite
+        code = ("from gupheun.spectral import critical_coupling\n"
+                "try:\n"
+                "    critical_coupling(0, 0.0626, 0.06358, kappa_tol=1e-300)\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(spectral.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30, check=True)
+        assert proc.stdout == "kappa_tol must be finite and positive, got 1e-300\n"
 
     @pytest.mark.parametrize("window", [(0.0, 0.4), (1e-45, 0.5), (0.4, 1e-45)])
     def test_window_validation(self, window):
@@ -501,7 +523,8 @@ class TestLevelCount:
         # window are N(omega_lo) - N(omega_hi), not N(omega_lo) alone
         kappa, ell = 8.229322074546221, 1
         omegas = np.exp(np.linspace(math.log(1e-45), math.log(0.4999), 60))
-        n = heun.heun_zero_counts(*spectral._heun_arguments(kappa, ell, omegas, 1.0), tol=1e-6)
+        n = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
+                                  spectral._spectral_points(omegas, 1.0), tol=1e-6)
         assert np.all(np.diff(n) <= 0)
         assert n[-1] == 1
         assert spectral._level_counts(ell, [kappa], 0.4, 0.4999, 1e-6)[0] == 0

@@ -38,7 +38,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
 from .heun import (
     CouplingConfig,
@@ -49,6 +48,7 @@ from .heun import (
     heun_zero_counts,
 )
 from .specfun import (
+    NonConvergenceError,
     WeakCouplingError,
     compute_phase,
     hyp2f1_large_negative,
@@ -202,28 +202,78 @@ class SpectrumResult:
         return len(self.omegas)
 
 
+def _chandrupatla(f, lo: np.ndarray, hi: np.ndarray, xatol: float,
+                  maxiter: int = 2046) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros of f in every bracket [lo, hi] at once by Chandrupatla's method.
+
+    A step-for-step port of scipy.optimize.elementwise.find_root (Adv. Eng.
+    Softw. 28 (1997) 145) at xrtol = 4*eps, fatol = frtol = 0 and its cap, bit
+    for bit in x and status.  A bracket stops at the first of: an exact zero
+    (status 0), ends of one sign (-1, x NaN), NaN at both ends (-3, x NaN),
+    |x2 - x1| < |xmin|*xrtol + xatol (0), the cap (-2).  The first call of f
+    takes both ends of every bracket, each later one the open brackets.
+    """
+    x, status = np.full(lo.size, np.nan), np.full(lo.size, -2)
+    if not lo.size:
+        return x, status
+    x1, x2 = lo.astype(float), hi.astype(float)
+    f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2])), dtype=float), 2)
+    active, t, nit = np.arange(lo.size), 0.5, 0
+    while True:
+        xmin, fmin = np.where(np.abs(f1) < np.abs(f2), (x1, f1), (x2, f2))
+        st = np.where(fmin == 0.0, 0, 1)
+        st[(st == 1) & (np.sign(f1) == np.sign(f2))] = -1
+        st[(st == 1) & (~(np.isfinite(x1) & np.isfinite(x2)) | np.isnan(f1) & np.isnan(f2))] = -3
+        xmin[st < 0] = np.nan
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * (4.0 * sys.float_info.epsilon) + xatol
+        st[dx < tol] = 0
+        go = st == 1
+        x[active[~go]], status[active[~go]] = xmin[~go], st[~go]
+        active, x1, f1, x2, f2, xmin, dx, tol = (
+            v[go] for v in (active, x1, f1, x2, f2, xmin, dx, tol))
+        if not active.size or nit >= maxiter:
+            x[active] = xmin
+            return x, status
+        if nit:
+            x3, f3 = x3[go], f3[go]
+            with np.errstate(all="ignore"):
+                xi1, phi1 = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+                t = np.where(((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1)),
+                             f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)
+        xn = x1 + t * (x2 - x1)
+        fn = np.asarray(f(xn), dtype=float)
+        same = np.sign(fn) == np.sign(f1)
+        x3, f3, x2, f2 = np.where(same, (x1, f1, x2, f2), (x2, f2, x1, f1))
+        x1, f1, nit = xn, fn, nit + 1
+
+
 def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
                    tol: float) -> tuple[float, ...]:
     """Zeros of f in the brackets over omegas, decreasing, deduplicated at 2*tol.
 
     (i, i) brackets are exact zeros.  The others are refined together by
-    Chandrupatla's method (scipy.optimize.elementwise.find_root), one call of f
-    per iteration on every open bracket, until each is narrower than
-    tol + 4*eps*omega.  f raises rather than return NaN.  A bracket without a
-    sign change under f is dropped with a RuntimeWarning.  tol must be finite
-    and positive: at tol = inf the deduplication would merge every root.
+    _chandrupatla until each is narrower than tol + 4*eps*omega.  A bracket
+    without a sign change under f is dropped with a RuntimeWarning; one that
+    ends on NaN values or the iteration cap raises NonConvergenceError.  tol
+    must be finite and positive: at tol = inf deduplication merges every root.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     pairs = np.array(brackets, dtype=int).reshape(-1, 2)
     exact = pairs[:, 0] == pairs[:, 1]
     lo, hi = omegas[pairs[~exact, 0]], omegas[pairs[~exact, 1]]
-    res = find_root(f, (lo, hi), tolerances=dict(xatol=tol, fatol=0.0))
-    lost = res.status == -1
-    for a, b in zip(lo[lost], hi[lost]):
+    x, status = _chandrupatla(f, lo, hi, tol)
+    if (failed := np.flatnonzero(status < -1)).size:
+        i = failed[0]
+        raise NonConvergenceError(f"bracket [{lo[i]:g}, {hi[i]:g}] ended on " + (
+            "NaN values" if status[i] == -3 else "the iteration cap"))
+    for a, b in zip(lo[status == -1], hi[status == -1]):
         warnings.warn(f"bracket [{a:g}, {b:g}] lost its sign change; dropped",
                       RuntimeWarning, stacklevel=3)
-    roots = sorted(omegas[pairs[exact, 0]].tolist() + res.x[res.status == 0].tolist(),
+    roots = sorted(omegas[pairs[exact, 0]].tolist() + x[status == 0].tolist(),
                    reverse=True)
     deduped: list[float] = []
     for r in roots:

@@ -45,6 +45,28 @@ def test_import_leaves_out_scipy_integrate():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("module", ["gupheun.cli", "gupheun.heun", "gupheun.spectral",
+                                    "gupheun.radial", "gupheun.specfun"])
+def test_import_leaves_out_scipy_and_mpmath(module):
+    # numpy is the only runtime dependency: scipy alone took 0.7 s to import
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", f"import sys, {module}; print(sorted("
+                           "k for k in sys.modules if k.split('.')[0] in ('scipy', 'mpmath')))"],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs_without_scipy():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    # a None entry in sys.modules makes every `import scipy...` raise ImportError
+    proc = subprocess.run([sys.executable, "-W", "error", "-c",
+                           "import sys; sys.modules['scipy'] = None\n" + block],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "0.063359375"
+
+
 class TestScanCommand:
     def test_weak_coupling_summary(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"

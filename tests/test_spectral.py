@@ -1,5 +1,6 @@
 """Spectral scan, root finding, closed form, and unit conversion tests."""
 
+import functools
 import math
 import os
 import subprocess
@@ -10,10 +11,14 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from gupheun import heun, spectral
 from gupheun.heun import CouplingConfig, EnergyPoint, HeunEvaluationError
+from gupheun.specfun import NonConvergenceError
 from gupheun.spectral import (
     DEFAULT_SCAN_TOL,
     METHOD_CLOSED_FORM,
@@ -24,6 +29,8 @@ from gupheun.spectral import (
     SpectrumResult,
     UnitMismatchError,
     UnitSystem,
+    _bracket_roots,
+    _chandrupatla,
     _find_brackets,
     closed_form_spectrum,
     compare_spectra,
@@ -281,6 +288,96 @@ class TestFindRoots:
         n_lo = sum(1 for w in roots_k2.omegas if 1e-5 < w < 0.05)
         expected = nu / (2 * math.pi) * math.log(100.0)
         assert abs((n_lo - n_hi) - expected) <= 1.0
+
+
+def _scipy_chandrupatla(f, lo, hi, xatol, **maxiter):
+    """x and status of scipy's find_root at the tolerances _chandrupatla ports."""
+    res = find_root(f, (lo, hi), tolerances=dict(xatol=xatol, fatol=0.0), **maxiter)
+    return res.x, res.status
+
+
+def _bits(x):
+    """The bit patterns of x, every NaN made the same one."""
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+_FAMILIES = {
+    # each is exactly 0.0 at x = x0, where its factor (x - x0) is
+    "sine": lambda x0, a, c: lambda x: np.sin(a * (x - x0)) + c * (x - x0),
+    "cubic": lambda x0, a, c: lambda x: (x - x0) * ((x - a) ** 2 - c),
+}
+
+
+class TestChandrupatlaPort:
+    """_chandrupatla against scipy.optimize.elementwise.find_root, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from(sorted(_FAMILIES)), x0=st.floats(-3.0, 3.0),
+           a=st.floats(0.3, 20.0), c=st.floats(-2.0, 2.0),
+           ends=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(1e-9, 8.0)),
+                         min_size=1, max_size=12),
+           xatol=st.floats(1e-15, 1e-2), maxiter=st.sampled_from([None, 0, 1, 3, 6]))
+    def test_matches_scipy(self, family, x0, a, c, ends, xatol, maxiter):
+        f = _FAMILIES[family](x0, a, c)
+        grid = np.linspace(-4.0, 4.0, 65)
+        v = f(grid)
+        same_sign = np.flatnonzero(v[:-1] * v[1:] > 0)
+        assume(same_sign.size)
+        k = same_sign[0]
+        # random brackets, then exact zeros at a lower and an upper end and a
+        # bracket whose ends share a sign
+        lo = np.array([e[0] for e in ends] + [x0, x0 - 0.5, grid[k]])
+        hi = np.array([e[0] + e[1] for e in ends] + [x0 + 0.5, x0, grid[k + 1]])
+        cap = {} if maxiter is None else {"maxiter": maxiter}
+        ref_x, ref_status = _scipy_chandrupatla(f, lo, hi, xatol, **cap)
+        x, status = _chandrupatla(f, lo, hi, xatol, **cap)
+        assert status.tolist() == ref_status.tolist()
+        assert _bits(x).tolist() == _bits(ref_x).tolist()
+        assert status[-1] == -1 and status[-3] == status[-2] == 0
+
+    def test_nan_inside_bracket(self):
+        def f(x):
+            return np.where((x > 1.0) & (x < 2.0) | (x > 7.7) & (x < 7.8), np.nan, np.cos(x))
+
+        # [1, 2] is NaN inside; [7, 8.5] only at its first midpoint, after
+        # which it shrinks onto the edge 7.7 of the NaN window as in scipy
+        lo, hi = np.array([4.0, 1.0, 0.0, 7.0]), np.array([5.0, 2.0, 0.5, 8.5])
+        x, status = _chandrupatla(f, lo, hi, 1e-9)
+        ref_x, ref_status = _scipy_chandrupatla(f, lo, hi, 1e-9)
+        assert status.tolist() == ref_status.tolist() == [0, -3, -1, 0]
+        assert _bits(x).tolist() == _bits(ref_x).tolist()
+        with pytest.raises(NonConvergenceError, match=r"\[1, 2\] ended on NaN values"):
+            _bracket_roots(f, np.array([0.0, 0.5, 1.0, 2.0, 4.0, 5.0]),
+                           ((0, 1), (2, 3), (4, 5)), 1e-9)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_chandrupatla",
+                            functools.partial(_chandrupatla, maxiter=1))
+        with pytest.raises(NonConvergenceError, match=r"\[1, 2\] ended on the iteration cap"):
+            _bracket_roots(np.cos, np.array([1.0, 2.0]), ((0, 1),), 1e-9)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.75, 2.0, 4.0, 20.0, 100.0])
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_find_roots_matches_scipy(self, monkeypatch, kappa, ell):
+        scan = spectral_scan(CouplingConfig(kappa=kappa, ell=ell))
+        roots = find_roots(scan).omegas
+        monkeypatch.setattr(spectral, "_chandrupatla", _scipy_chandrupatla)
+        assert roots == find_roots(scan).omegas
+
+    def test_refinement_calls(self, monkeypatch, scan_k2, scan_k005):
+        values, calls = spectral._spectral_values, []
+
+        def counted(*args):
+            calls.append(args[1].size)
+            return values(*args)
+
+        monkeypatch.setattr(spectral, "_spectral_values", counted)
+        assert len(find_roots(scan_k2)) == 5
+        # one call takes both ends of all 5 brackets, then one per iteration
+        assert calls[0] == 10 and len(calls) <= 5
+        calls.clear()
+        assert len(find_roots(scan_k005)) == 0
+        assert calls == []
 
 
 class TestClosedForm:

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
@@ -341,17 +342,30 @@ def run(cfg: RunConfig) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """A subparser per row of `_COMMANDS`, with one flag per setting of the row."""
+def _build_parser(invoked: str | None) -> argparse.ArgumentParser:
+    """A subparser per row of `_COMMANDS`; only the `invoked` one gets its flags.
+
+    Every command is registered by name and help, so `gupheun --help` and
+    the invalid-choice error list them all, while only the command that
+    argparse will hand the rest of the arguments to pays for its
+    `add_argument` calls.  The help formatter gets the terminal width read
+    once here, as argparse would read it for every formatter it makes.
+    """
+    width = shutil.get_terminal_size().columns - 2  # argparse's own default
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="gupheun",
         description="Bound states of the inverse-square potential with a minimal length",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     kinds = {f.name: f.type.partition(" | ")[0] for f in fields(RunConfig)}
     for name, command in _COMMANDS.items():
         # exact spellings only: `critical --omega` is no prefix of --omega-floor
-        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False,
+                           formatter_class=formatter)
+        if name != invoked:
+            continue
         for key, help_text in _FLAGS.items():
             if key not in (*command.settings, "config"):
                 continue
@@ -366,7 +380,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def build_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve CLI flags, optional JSON config, env var and defaults."""
-    args = vars(_build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes the first argument that is not an option as the command
+    invoked = next((a for a in argv if not a.startswith("-")), None)
+    args = vars(_build_parser(invoked if invoked in _COMMANDS else None).parse_args(argv))
     name = args.pop("command")
     config_path = args.pop("config")
     command = _COMMANDS[name]

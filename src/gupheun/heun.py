@@ -44,6 +44,22 @@ tolerance, not on the rest of the batch.  A spectral scan is one call with
 many energies, as is each root-refinement iteration (one energy per open
 bracket); a radial profile is one call with one energy and many targets.
 
+Far from the origin, once e^t >> 1 and before q1 e^t grows to order one,
+P -> B + 2 and Q -> q0: the equation is the undeformed inverse-square one,
+whose exponents -(B+2)/2 +- i*nu/2 make the geometric tower.  There panels
+are not needed.  Each energy whose path reaches its stretch [t1, t2]
+(_far_field) crosses it as one far panel, the closed-form transfer
+exp(A∞ (t2 - t1)) in a cos/sinc form that stays finite as nu -> 0
+(_far_step).  t1 and t2 depend on the energy and tol only, and they are
+set so that the deviations of P and Q, times the transfer's growth over the
+stretch, stay below the panels' tail tolerance.  The walk carries a far
+panel like any other, a target inside it is read from the same closed
+form, and a zero count takes its zeros from the phase, which advances by
+nu/2 per unit of t.  The stretch starts beyond t = ln(4/(tol/10)), so
+spectral scans and profiles, whose targets stop near t = 11, never reach
+it; the floors of critical_coupling do, and a floor energy at 1e-45 lays
+17 panels (ell = 0) instead of 41.
+
 heun_zero_counts runs the same series and panels to count the zeros of g on
 (y, 0) for each target instead, the oscillation count that indexes the
 eigenvalues.  It seeds each energy closer in, where the series certifies
@@ -77,6 +93,7 @@ _MAX_SPLITS = 20
 _SERIES_BLOCK = 16  # recurrence terms between two applications of the stopping rule
 _MAX_PANELS = 10_000  # laid per energy; targets beyond them come back NaN
 _CHUNK = 128  # panels per batched linear solve; bounds the memory of one solve
+_FAR_NEWTON = 4  # Newton steps for the length of the far-field stretch (_far_field)
 
 
 class HeunEvaluationError(RuntimeError):
@@ -266,46 +283,119 @@ def _tail_tol(tol: float) -> float:
     return max(_TAIL_FRACTION * tol, _TAIL_FLOOR)
 
 
-def _rate(B: float, q0: np.ndarray, q1: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """A bound on how fast u grows or oscillates near t, increasing in t.
+def _rate(B: float, abs_q0: np.ndarray, abs_q1: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """A bound on how fast u grows or oscillates near t, increasing in t; takes |q0| and |q1|.
 
     With frozen coefficients u ~ exp(r t), r^2 + P r + Q = 0, so
     |r| <= (2/sqrt(3)) sqrt(P^2 + |Q|), and on y < 0 0 < P < B + 2 and
     |Q| <= e (|q0| + |q1| e)/(1 + e).
     """
     e = np.exp(t)
-    return np.sqrt((B + 2.0) ** 2 + e * (np.abs(q0) + np.abs(q1) * e) / (1.0 + e))
+    return np.sqrt((B + 2.0) ** 2 + e * (abs_q0 + abs_q1 * e) / (1.0 + e))
+
+
+def _far_field(B: float, q0: np.ndarray, q1: np.ndarray, t_end: np.ndarray,
+               tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each energy's far-field stretch [t1, t2], crossed by one exp(A∞ s); inf where none.
+
+    Far out, Y = (u, u') obeys Y' = (A∞ + E(t)) Y with
+    A∞ = [[0, 1], [-q0, -(B+2)]] and E = [[0, 0], [-dQ, -dP]],
+    dP = -2/(1+e^t), dQ = -(q0 + q1 e^(2t))/(1+e^t).  In the norm of
+    (sigma u, u'), sigma = sqrt(q0):
+
+    - |E(t)| <= a e^(-t) + b e^t, a = sqrt(4 + q0), b = q1/sigma;
+    - |exp(A∞ s)| <= e^(-beta s) G(s), G(s) = e^(k s) (1 + c min(s, m)), from
+      the form of _far_step, with beta = (B+2)/2, w^2 = q0 - beta^2,
+      c = sigma + beta, k = sqrt(max(-w^2, 0)) and m = 1/sqrt|w^2|.
+
+    To first order in E, exp(A∞ L) misses the transfer over [t1, t2 = t1 + L]
+    by the integral of exp(A∞ (t2 - tau)) E(tau) Y(tau).  Measured as a
+    panel's tail is, against the largest size of the solution, here
+    e^(-beta L) times the largest e^(beta (tau - t1)) |Y(tau)| of the
+    stretch, that is at most G(L) a e^(-t1) + e^(k L) J b e^(t2), where
+    J = 1 + c (1 - e^(-m)) bounds the integral of e^(-s) (1 + c min(s, m)):
+    a deviation near t1 is carried through the whole growth G(L), one near
+    t2 only the short way.  Both terms are set to eta/2, eta = _tail_tol(tol),
+    which gives (k + 1/2) L + ln(1 + c min(L, m))/2 = ln(eta/(2 sqrt(J a b))).
+    Its left side is concave and increasing in L, so Newton from L = 0 stays
+    below the root and every iterate is a valid length.  t1 >= ln(4/eta):
+    an energy whose path ends before that, or with q0 <= 0 or q1 <= 0 (none
+    in the spectral problem), gets no stretch.
+    """
+    t1 = np.full(q0.size, np.inf)
+    t2 = np.full(q0.size, np.inf)
+    eta = _tail_tol(tol)
+    sel = np.flatnonzero((t_end > math.log(4.0 / eta)) & (q0 > 0.0) & (q1 > 0.0))
+    if not sel.size:
+        return t1, t2
+    q0, q1 = q0[sel], q1[sel]
+    beta = 0.5 * (B + 2.0)
+    sigma = np.sqrt(q0)
+    a, b, c = np.sqrt(4.0 + q0), q1 / sigma, sigma + beta
+    w2 = q0 - beta * beta
+    with np.errstate(divide="ignore"):
+        m = 1.0 / np.sqrt(np.abs(w2))  # inf at w^2 = 0, where C I + S N = I + s N
+    J = 1.0 - c * np.expm1(-m)
+    rhs = np.log(eta / (2.0 * np.sqrt(J * a * b)))
+    ok = rhs > 0.0
+    sel, a, b, c, w2, m, J, rhs = (x[ok] for x in (sel, a, b, c, w2, m, J, rhs))
+    k = np.sqrt(np.maximum(-w2, 0.0))
+    L = np.zeros(sel.size)
+    for _ in range(_FAR_NEWTON):
+        excess = (k + 0.5) * L + 0.5 * np.log1p(c * np.minimum(L, m)) - rhs
+        slope = k + 0.5 + np.where(L < m, 0.5 * c / (1.0 + c * L), 0.0)
+        L -= excess / slope
+    # G(L) a e^(-t1) = e^(k L) J b e^(t1 + L), both at most eta/2
+    t1[sel] = 0.5 * (np.log((1.0 + c * np.minimum(L, m)) * a / (J * b)) - L)
+    t2[sel] = t1[sel] + L
+    return t1, t2
 
 
 def _layout(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, t_end: np.ndarray,
-            tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panels (owner, ta, tb) from each energy's t0 until one ends beyond its t_end.
+            tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Panels (owner, ta, tb, far) from each energy's t0 until one ends beyond its t_end.
 
     On a panel of width h, exp(i*r*t) has Chebyshev coefficients
     2*J_k(r*h/2) ~ 2*(r*h/4)^k/k!; keeping rate*h below c holds the one at
     k = _NODES - 2 to _tail_tol(tol).  The width c/rate(ta + c/rate(ta))
-    keeps h*rate(tb) <= c, since the rate increases.  Panel j of an energy
-    depends on nothing but (B, q0, q1, t0, tol), so an energy gets the same
-    panels in any batch.  An energy stops after _MAX_PANELS panels even short
-    of t_end.
+    keeps h*rate(tb) <= c, since the rate increases.  A panel that would
+    start inside its energy's far-field stretch [t1, t2] (_far_field) runs
+    to t2 instead and is marked far: one closed-form transfer, no nodes.
+    Panel j of an energy depends on nothing but (B, q0, q1, t0, tol), so an
+    energy gets the same panels in any batch, and one that ends before its
+    t1 gets the panels it would get without a stretch.  An energy stops after
+    _MAX_PANELS panels even short of t_end.
     """
     k = _NODES - 2
     c = 4.0 * (0.5 * _tail_tol(tol) * math.factorial(k)) ** (1.0 / k)
-    owners, starts, ends = [], [], []
+    t1, t2 = _far_field(B, q0, q1, t_end, tol)
+    stretched = bool(np.isfinite(t1).any())
+    abs_q0, abs_q1 = np.abs(q0), np.abs(q1)
+    owners, starts, ends, fars = [], [], [], []
     t = t0.copy()
     idx = np.flatnonzero(t0 < t_end)
     for _ in range(_MAX_PANELS):
         if not idx.size:
             break
         ta = t[idx]
-        qa, qb = q0[idx], q1[idx]
+        qa, qb = abs_q0[idx], abs_q1[idx]
         tb = ta + c / _rate(B, qa, qb, ta + c / _rate(B, qa, qb, ta))
+        if stretched:
+            far = t1[idx] <= ta
+            if far.any():
+                # once per energy: into the stretch, unless the last panel passed it
+                t1[idx[far]] = np.inf
+                far &= ta < t2[idx]
+                tb[far] = t2[idx[far]]
+            fars.append(far)
         owners.append(idx)
         starts.append(ta)
         ends.append(tb)
         t[idx] = tb
         idx = idx[tb <= t_end[idx]]
-    return np.concatenate(owners), np.concatenate(starts), np.concatenate(ends)
+    owner = np.concatenate(owners)
+    far = np.concatenate(fars) if stretched else np.zeros(owner.size, dtype=bool)
+    return owner, np.concatenate(starts), np.concatenate(ends), far
 
 
 def _panel_solutions(B: float, q0: np.ndarray, q1: np.ndarray, ta: np.ndarray,
@@ -390,6 +480,43 @@ def _phase(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     return np.mod(0.5 * np.pi - np.arctan2(du, u), np.pi)
 
 
+def _far_step(B: float, q0: np.ndarray, s: np.ndarray,
+              count: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """exp(A∞ s) of _far_field as the ends (u_0, u_1, u_0', u_1') of a panel, and its turns.
+
+    With beta = (B+2)/2 and N = A∞ + beta I, N^2 = -w^2 I, w^2 = q0 - beta^2
+    = nu^2/4, so exp(A∞ s) = e^(-beta s) (C I + S N) with C = cos(w s),
+    S = sin(w s)/w for w^2 > 0 and C = cosh(k s), S = sinh(k s)/k for
+    w^2 = -k^2 < 0.  Written as e^((k - beta) s) times
+    C = cos(w s) (1 + e^(-2 k s))/2 and S = s sinc(w s) (1 - e^(-2 k s))/(2 k s),
+    with one of w and k zero, nothing overflows for any s >= 0 (k < beta as
+    q0 > 0), and C and S tend to 1 and s as nu -> 0.  With count, the second
+    result is the angle of u_0 + i*u_1 = e^((k - beta) s) (C + beta S + i S)
+    turned since s = 0, the _turns of the panel: it grows by pi each half
+    period pi/w, where C I + S N = -I, and S >= 0 keeps it within
+    [n pi, (n+1) pi], n = floor(w s/pi), so the phase advances by w = nu/2
+    per unit of t.  It is read from C and S alone, so a transfer that
+    underflows keeps its angle.  Otherwise the second result is None.
+    """
+    beta = 0.5 * (B + 2.0)
+    w2 = q0 - beta * beta
+    w = np.sqrt(np.maximum(w2, 0.0))
+    k = np.sqrt(np.maximum(-w2, 0.0))
+    x = 2.0 * k * s
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shrink = np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
+    C = np.cos(w * s) * 0.5 * (1.0 + np.exp(-x))
+    S = s * np.sinc(w * s / np.pi) * shrink
+    turns = None
+    if count:
+        angle = np.arctan2(S, C + beta * S)  # the turned angle up to a multiple of 2 pi
+        middle = (np.floor(w * s / np.pi) + 0.5) * np.pi
+        turns = angle + 2.0 * np.pi * np.round((middle - angle) / (2.0 * np.pi))
+    grow = np.exp((k - beta) * s)
+    C, S = grow * C, grow * S
+    return np.stack((C + beta * S, S, -q0 * S, C - beta * S), axis=-1), turns
+
+
 def _solved_panels(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray,
                    t_end: np.ndarray, target_keys: np.ndarray, tol: float,
                    count: bool = False):
@@ -399,14 +526,23 @@ def _solved_panels(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray,
     panel that _unresolved flags is halved and its halves solved in the next
     round; one still flagged after _MAX_SPLITS halvings is set to NaN.
     target_keys holds the sorted keys energy + 1j*t of the targets: node
-    values are kept only for panels that hold one.  Returns (owner, ta, tb,
-    ends, row, nodes, turns): ends (panels, 4) are the basis solutions at tb,
-    and a panel holding a target has its node values in nodes[row], other
-    panels row -1.  With count, turns holds each panel's _turns at tb;
-    otherwise it is empty.
+    values are kept only for panels that hold one.  A far panel of the
+    layout is not solved: its ends and turns come in closed form
+    (_far_step) and it has no nodes.  Returns (owner, ta,
+    tb, ends, row, nodes, turns, far): ends (panels, 4) are the basis
+    solutions at tb, and a panel holding a target has its node values in
+    nodes[row], other panels row -1.  With count, turns holds each panel's
+    _turns at tb; otherwise it is empty.
     """
-    pending = _layout(B, q0, q1, t0, t_end, tol)
+    owner, ta, tb, far = _layout(B, q0, q1, t0, t_end, tol)
     done = []
+    if far.any():
+        o, a, b = owner[far], ta[far], tb[far]
+        ends, turns = _far_step(B, q0[o], b - a, count)
+        done.append((o, a, b, ends, np.zeros(o.size, dtype=bool), np.empty((0, _NODES, 4)),
+                     turns if count else np.empty(0), np.ones(o.size, dtype=bool)))
+        owner, ta, tb = owner[~far], ta[~far], tb[~far]
+    pending = owner, ta, tb
     for depth in range(_MAX_SPLITS + 1):
         halves = []
         for lo in range(0, pending[0].size, _CHUNK):
@@ -421,18 +557,18 @@ def _solved_panels(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray,
                     > np.searchsorted(target_keys, o + 1j * a))[keep]
             turns = _turns(values[keep])[:, -1] if count else np.empty(0)
             done.append((o[keep], a[keep], b[keep], values[keep, -1], held,
-                         values[keep][held], turns))
+                         values[keep][held], turns, np.zeros(held.size, dtype=bool)))
             mid = 0.5 * (a[split] + b[split])
             halves.append((np.tile(o[split], 2), np.concatenate((a[split], mid)),
                            np.concatenate((mid, b[split]))))
         pending = tuple(np.concatenate(x) for x in zip(*halves))
         if not pending[0].size:
             break
-    owner, ta, tb, ends, held, nodes, turns = (np.concatenate(x) for x in zip(*done))
+    owner, ta, tb, ends, held, nodes, turns, far = (np.concatenate(x) for x in zip(*done))
     order = np.lexsort((ta, owner))
     row = np.where(held, np.cumsum(held) - 1, -1)
     return (owner[order], ta[order], tb[order], ends[order], row[order], nodes,
-            turns[order] if count else turns)
+            turns[order] if count else turns, far[order])
 
 
 def _start_states(first: np.ndarray, ends: np.ndarray, seed: np.ndarray) -> np.ndarray:
@@ -480,7 +616,8 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
     Every t_k lies beyond t0 of its energy.  Each seed is carried to the
     start of each of its panels by the prefix products of their 2 x 2
     transfer matrices (_solved_panels, _start_states), and each target is
-    read from the node values of its panel.  Targets that the layout did not
+    read from the node values of its panel, or from the closed form of its
+    far panel.  Targets that the layout did not
     reach, or beyond a non-finite panel, come back as NaN.  With count, the
     zeros of u in each panel follow from its start state and its _turns (see
     _phase), a cumulative sum over the energy's panels adds them up, and the
@@ -492,8 +629,8 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
     # complex numbers sort by real part, then imaginary part: these keys
     # order targets and panels by energy, then by t
     keys = owner + 1j * t
-    o, a, b, ends, row, nodes, turns = _solved_panels(B, q0, q1, t0, t_end, np.sort(keys),
-                                                      tol, count)
+    o, a, b, ends, row, nodes, turns, far = _solved_panels(B, q0, q1, t0, t_end,
+                                                           np.sort(keys), tol, count)
 
     counts = np.bincount(o, minlength=t0.size)
     first = (np.cumsum(counts) - counts)[o]
@@ -516,6 +653,17 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
                     + nodes[:, :, 1::2] * start[panel, None, 1:])
         k = np.searchsorted(o + 1j * a, keys, side="right") - 1
         reached = t < b[k]
+        stretch = reached & far[k]
+        if stretch.any():
+            # targets inside a far panel: its closed form at the target
+            reached &= ~stretch
+            j = k[stretch]
+            s = t[stretch] - a[j]
+            m, theta = _far_step(B, q0[o[j]], s, count)
+            u, du = start[j].T
+            out[stretch] = np.stack((m[:, 0] * u + m[:, 1] * du, m[:, 2] * u + m[:, 3] * du), 1)
+            if count:
+                zeros[stretch] = before[j] + np.floor((theta + _phase(u, du)) / np.pi)
         k = k[reached]
         x = (t[reached] - a[k]) / (0.5 * (b[k] - a[k])) - 1.0
         out[reached] = _interpolate(solution[row[k]], x)
@@ -607,8 +755,8 @@ def heun_zero_counts(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
     panels, but each energy is seeded at _certified_radius, inside which
     g > 0: one series pass gives the seeds (and the targets inside that
     radius, which have no zero), and every zero beyond it comes from the
-    angle each panel's basis solutions turn through (_turns, _phase), up to
-    the target itself.  Raises HeunEvaluationError if any count fails.
+    angle each panel's basis solutions turn through (_turns, _phase), or
+    the phase a far panel advances by (_far_step), up to the target itself.  Raises HeunEvaluationError if any count fails.
     """
     _, _, zeros = _evaluate(B, q0, q1, y, tol, count=True)
     failed = y[np.isnan(zeros)]

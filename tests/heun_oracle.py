@@ -191,3 +191,8 @@ def series_state_reference(B, q0, q1, z, tol):
             w_prev, w, value, slope = w_prev[keep], w[keep], value[keep], slope[keep]
             abs_sum, small = abs_sum[keep], small[keep]
     return g, gp
+
+
+def no_far_field(B, q0, q1, t_end, tol):
+    """heun._far_field with the stretch switched off: every energy keeps its panel-only path."""
+    return np.full(q0.size, np.inf), np.full(q0.size, np.inf)

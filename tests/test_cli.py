@@ -1,5 +1,6 @@
 """Command-line interface tests: schemas, exit codes, determinism, round-trips."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -570,3 +571,43 @@ class TestCommandTable:
                                        "--config", str(cfg_file))
             assert (code, lines) == (2, []), key
             assert f"unknown config keys for {command}: [{key!r}]" in err
+
+    def test_parsing_adds_flags_to_the_invoked_command_only(self, monkeypatch):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def recording(parser, *flags, **kwargs):
+            added.append((parser.prog, flags))
+            return add_argument(parser, *flags, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+        cli._build_parser.cache_clear()
+        try:
+            cfg = cli.build_config(["critical", "--ell", "1", "--omega-floor", "1e-20"])
+        finally:
+            cli._build_parser.cache_clear()
+        assert (cfg.command, cfg.ell, cfg.omega_floor) == ("critical", 1, 1e-20)
+        flagged = {prog for prog, flags in added if flags != ("-h", "--help")}
+        assert flagged == {"gupheun critical"}
+        # every command is still registered, each with its own help flag
+        helped = [prog for prog, flags in added if flags == ("-h", "--help")]
+        assert helped == ["gupheun", *(f"gupheun {name}" for name in cli._COMMANDS)]
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_lists_every_flag_of_the_command(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: gupheun {command} [-h]")
+        for key in (*cli._COMMANDS[command].settings, "config"):
+            flag = "--output" if key == "output_path" else "--" + key.replace("_", "-")
+            assert f" {flag}" in out, flag
+
+    @pytest.mark.parametrize("argv, code, stream", [(["--help"], 0, "out"), (["bogus"], 2, "err")])
+    def test_top_level_lists_every_command(self, capsys, argv, code, stream):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+        text = getattr(capsys.readouterr(), stream)
+        assert "{" + ",".join(cli._COMMANDS) + "}" in text

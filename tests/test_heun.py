@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from gupheun import find_roots, heun, spectral, spectral_scan
 from gupheun.heun import (
@@ -23,6 +24,7 @@ from heun_oracle import (
     coefficients,
     heun_second_derivative,
     heun_series,
+    no_far_field,
     one_energy,
     series_state_reference,
 )
@@ -356,16 +358,18 @@ class TestStartStates:
     @pytest.mark.parametrize("kappa,ell", [(0.0634, 0), (0.5634, 1)])
     def test_deep_critical_chain(self, kappa, ell):
         # the chain of a zero count at omega = 1e-45 next to the critical
-        # coupling, where the state falls by 1e-57 and more: the order of
-        # the roundoff changes, and the states agree within the tolerance
+        # coupling, where the state falls by 1e-57 and more, 1e-32 of it in
+        # the one far-field step: the order of the roundoff changes, and the
+        # states agree within the tolerance
         tol = 1e-6
         B, q0, q1 = heun_coefficients(kappa, ell, np.array([1e-45]))
         y = spectral._spectral_points(np.array([1e-45]), 1.0)
         radius = heun._certified_radius(q0, q1)
         g, gp = heun._series_state(B, q0, q1, -radius, heun._seed_tol(tol))
         t = np.log(-y)
-        ends = heun._solved_panels(B, q0, q1, np.log(radius), t, t * 1j, tol)[3]
-        assert ends.shape[0] > 40
+        panels = heun._solved_panels(B, q0, q1, np.log(radius), t, t * 1j, tol)
+        ends, far = panels[3], panels[7]
+        assert ends.shape[0] > 15 and np.count_nonzero(far) == 1
         first = np.zeros(ends.shape[0], dtype=int)
         seed = np.tile([g[0], -radius[0] * gp[0]], (first.size, 1))
         start = heun._start_states(first, ends, seed)
@@ -442,10 +446,11 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("omega", [1e-3, 1e-45])
     def test_next_to_a_500_panel_neighbour(self, omega):
-        # the walk's products double for 9 rounds to cover the neighbour's
-        # chain; an energy of a few dozen panels, sorted before it (1e-45)
-        # or after it (1e-3), must absorb its own panels only
-        B, q0, q1 = heun_coefficients(np.array([2.0, 300.0]), 0, np.array([omega, 1e-45]))
+        # the walk's products double for 9 rounds and more to cover the
+        # neighbour's chain, long even with its far-field stretch; an energy
+        # of a few dozen panels, sorted before it (1e-45) or after it
+        # (1e-3), must absorb its own panels only
+        B, q0, q1 = heun_coefficients(np.array([2.0, 3000.0]), 0, np.array([omega, 1e-45]))
         y = spectral._spectral_points(np.array([omega, 1e-45]), 1.0)
         panels = heun._layout(B, q0[1:], q1[1:], np.log(heun._seed_radius(q0[1:], q1[1:])),
                               np.log(-y[1:]), 1e-10)[0]
@@ -453,6 +458,25 @@ class TestBatchIndependence:
         alone = heun_continue_arrays(B, q0[:1], q1[:1], y[:1], tol=1e-10)
         together = heun_continue_arrays(B, q0, q1, y, tol=1e-10)
         assert np.array_equal(np.ravel(alone), [together[0][0], together[1][0]])
+
+    def test_deep_energies_alone_and_in_a_batch(self):
+        # floor energies cross their far-field stretch in one closed-form
+        # step, and the targets at 1e20 and 1e30 lie inside it: values and
+        # zero counts keep their bits next to shallow and deeper energies
+        kappa = np.array([0.0634, 0.0634, 2.0, 100.0, 0.5634])
+        omega = np.array([1e-45, 0.4, 1e-100, 1e-3, 1e-45])
+        B, q0, q1 = heun_coefficients(kappa, 0, omega)
+        y = spectral._spectral_points(omega, 1.0)
+        q0, q1 = np.append(q0, q0[[0, 0]]), np.append(q1, q1[[0, 0]])
+        y = np.append(y, [-1e20, -1e30])
+        t1, t2 = heun._far_field(B, q0[:1], q1[:1], np.log(-y[:1]), 1e-6)
+        assert t1[0] < math.log(1e20) < math.log(1e30) < t2[0]
+        g, gp = heun_continue_arrays(B, q0, q1, y, tol=1e-6)
+        n = heun_zero_counts(B, q0, q1, y, tol=1e-6)
+        for i in (0, 2, 5, 6):
+            alone = heun_continue_arrays(B, q0[[i]], q1[[i]], y[[i]], tol=1e-6)
+            assert np.array_equal(np.ravel(alone), [g[i], gp[i]])
+            assert heun_zero_counts(B, q0[[i]], q1[[i]], y[[i]], tol=1e-6)[0] == n[i]
 
     def test_profile_targets_equal_single_targets(self):
         energy = coefficients(10.0, 1, 1e-4)
@@ -518,3 +542,110 @@ class TestAgainstDOP853:
                 g, gp = one_energy(energy, targets, tol=tol)
                 error = np.maximum(np.abs(g - g_ref), np.abs(targets * (gp - gp_ref)))
                 assert np.all(error <= tol * scale), (energy, tol)
+
+
+def _far_grid(ell):
+    """(B, q0, q1, y): 40 targets from y = -0.3 to y* per energy, (energies, 40) for y.
+
+    kappa from kappa* + 1e-5 to 100 and omega from 1e-20 down to 1e-150 for
+    ell <= 1; for ell >= 2 down to 1e-100, since beyond it the states fall
+    below the smallest double (e^(-(ell + 5/2) t/2) at t = ln(1e150)), on the
+    panels as in the far field.
+    """
+    kappa_star = 0.25 * (ell + 0.5) ** 2
+    kappas = kappa_star + np.array([1e-5, 1e-3, 0.1, 1.0])
+    omegas = [1e-20, 1e-45, 1e-100] + ([1e-150] if ell <= 1 else [])
+    kappa, omega = (np.ravel(x) for x in np.meshgrid(np.append(kappas, 100.0), omegas))
+    y_star = spectral._spectral_points(omega, 1.0)
+    y = -np.geomspace(0.3, -y_star, 40, axis=1)
+    B, q0, q1 = heun_coefficients(np.repeat(kappa, 40), ell, np.repeat(omega, 40))
+    return B, q0, q1, y
+
+
+def _envelope(B, y, u, du):
+    """The largest |(u, u')| of each energy so far, carried by the decay of the Wronskian.
+
+    Every solution shares the factor exp(-int P/2) = e^(-B t/2)/(1 + e^t)
+    of the Wronskian's square root, so an error made upstream stays that
+    small relative to it; the decay-free size never shrinks.
+    """
+    t = np.log(-y)
+    decay = -0.5 * (B * t + 2.0 * np.logaddexp(0.0, t))
+    size = np.log(np.hypot(u, du)) - decay
+    return np.exp(np.maximum.accumulate(size, axis=1) + decay)
+
+
+class TestFarField:
+    """The closed-form far-field stretch against the panel-only path it replaces."""
+
+    @pytest.mark.parametrize("B, q0", [
+        (0.5, 1.4), (0.5, 1.5625), (0.5, 1.5626), (0.5, 101.5),  # nu^2 < 0, = 0, > 0
+        (2.5, 1.0),   # cosh(k s) alone overflows beyond s = 352
+        (-1.5, 0.05), (-1.5, 0.0625), (-1.5, 0.0626),  # beta = 1/4: representable at s = 600
+    ])
+    def test_transfer_against_expm(self, B, q0):
+        s = np.array([0.0, 1e-3, 0.7, 5.0, 50.0, 300.0, 600.0])
+        with np.errstate(over="raise"):
+            ends, turns = heun._far_step(B, np.full(s.size, q0), s, count=True)
+        A = np.array([[0.0, 1.0], [-q0, -(B + 2.0)]])
+        for k in range(s.size):
+            ref = expm(A * s[k])
+            scale = np.abs(ref).max()
+            if scale > 1e-290:
+                # expm itself is off by up to 2e-10 of the scale near nu = 0 at s = 300
+                assert np.abs(ends[k] - ref.ravel()).max() <= 1e-9 * scale, s[k]
+            else:
+                assert np.all(np.isfinite(ends[k])) and np.abs(ends[k]).max() <= 1e-280
+        # the turned angle against the unwrapped angle of (u_0, u_1) on a fine grid
+        fine = np.linspace(0.0, 40.0, 4001)
+        values, fine_turns = heun._far_step(B, np.full(fine.size, q0), fine, count=True)
+        angle = np.unwrap(np.angle(values[:, 0] + 1j * values[:, 1]))
+        assert fine_turns == pytest.approx(angle, abs=1e-9)
+        assert np.all(np.diff(fine_turns) >= -1e-12)
+
+    @pytest.mark.parametrize("ell, limit, before", [(0, 20, 40), (1, 28, 56)])
+    def test_panels_of_a_critical_floor_energy(self, monkeypatch, ell, limit, before):
+        # the benchmark's floor energies, kappa* + 1e-4 to kappa* + 1.23e-3 at
+        # omega = 1e-45, counted at its tolerance 1e-6
+        kappa = 0.25 * (ell + 0.5) ** 2 + np.array([1e-4, 5e-4, 1.23e-3])
+        B, q0, q1 = heun_coefficients(kappa, ell, np.full(3, 1e-45))
+        t = np.log(-spectral._spectral_points(np.full(3, 1e-45), 1.0))
+        t0 = np.log(heun._certified_radius(q0, q1))
+
+        def panels():
+            owner, *_, far = heun._solved_panels(B, q0, q1, t0, t, np.arange(3) + 1j * t,
+                                                 1e-6, count=True)
+            return np.bincount(owner), np.bincount(owner[far], minlength=3)
+
+        chain, far = panels()
+        assert np.all(chain <= limit) and np.array_equal(far, [1, 1, 1])
+        monkeypatch.setattr(heun, "_far_field", no_far_field)
+        chain, far = panels()
+        assert np.all(chain >= before) and not far.any()
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    def test_against_the_panel_only_path(self, monkeypatch, ell, tol):
+        B, q0, q1, y = _far_grid(ell)
+        flat = y.ravel()
+        n = heun_zero_counts(B, q0, q1, flat, tol=tol)
+        g, gp = heun_continue_arrays(B, q0, q1, flat, tol=tol)
+        t1, _ = heun._far_field(B, q0[::40], q1[::40], np.log(-y[:, -1]), tol)
+        assert np.isfinite(t1[5:]).all()  # every energy from omega = 1e-45 down takes it
+        monkeypatch.setattr(heun, "_far_field", no_far_field)
+        assert np.array_equal(heun_zero_counts(B, q0, q1, flat, tol=tol), n)
+        g_panels, gp_panels = heun_continue_arrays(B, q0, q1, flat, tol=tol)
+        g_ref, gp_ref = heun_continue_arrays(B, q0, q1, flat, tol=tol / 10)
+        u, du = g_ref.reshape(y.shape), (y.ravel() * gp_ref).reshape(y.shape)
+        scale = _envelope(B, y, u, du)
+
+        def error(g, gp):
+            return np.maximum(np.abs(g.reshape(y.shape) - u),
+                              np.abs((flat * gp).reshape(y.shape) - du)) / scale
+
+        # for every energy whose panel-only path at tol stays within tol of
+        # its reference at tol/10, the far field does too; at 1e-10 the
+        # panels of the deepest near-critical energies drift by up to 3 tol
+        converged = np.all(error(g_panels, gp_panels) <= tol, axis=1)
+        assert converged.mean() >= (1.0 if tol >= 1e-8 else 0.9)
+        assert np.all(error(g, gp)[converged] <= tol)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.optimize.elementwise import find_root
 
-from gupheun import heun, spectral
+from gupheun import default_xi_grid, heun, spectral, wavefunction
 from gupheun.heun import CouplingConfig, EnergyPoint, HeunEvaluationError
 from gupheun.specfun import NonConvergenceError
 from gupheun.spectral import (
@@ -45,7 +45,7 @@ from gupheun.spectral import (
     to_physical_energy,
 )
 
-from heun_oracle import heun_oracle
+from heun_oracle import heun_oracle, no_far_field
 
 RATIO_K2 = math.exp(-2.0 * math.pi / math.sqrt(7.75))
 
@@ -512,6 +512,57 @@ class TestCriticalCoupling:
         monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
         with pytest.raises(HeunEvaluationError, match="zero count"):
             critical_coupling(0, 0.05, 0.08)
+
+
+def _stretch_spy(monkeypatch):
+    """Record, per heun._far_field call, whether any energy got a far-field stretch."""
+    taken = []
+    far_field = heun._far_field
+
+    def spy(*args):
+        t1, t2 = far_field(*args)
+        taken.append(bool(np.isfinite(t1).any()))
+        return t1, t2
+
+    monkeypatch.setattr(heun, "_far_field", spy)
+    return taken
+
+
+class TestFarFieldStretch:
+    """Deep floors cross the far field in closed form; shallow windows never reach it."""
+
+    @pytest.mark.parametrize("omega_floor", [1e-20, 1e-45, 1e-100])
+    @pytest.mark.parametrize("ell, kappa_lo, kappa_hi", [(0, 0.05, 0.3), (1, 0.5, 0.9)])
+    def test_critical_coupling_same_with_the_stretch_on_and_off(
+            self, monkeypatch, ell, kappa_lo, kappa_hi, omega_floor):
+        taken = _stretch_spy(monkeypatch)
+        on = critical_coupling(ell, kappa_lo, kappa_hi, omega_floor=omega_floor)
+        assert any(taken)
+        monkeypatch.setattr(heun, "_far_field", no_far_field)
+        assert critical_coupling(ell, kappa_lo, kappa_hi, omega_floor=omega_floor) == on
+
+    @pytest.mark.parametrize("kappa", [0.05, 2.0, 5.0, 100.0])
+    @pytest.mark.parametrize("ell", [0, 2])
+    def test_default_scan_is_the_panel_only_path(self, monkeypatch, kappa, ell):
+        cfg = CouplingConfig(kappa=kappa, ell=ell)
+        taken = _stretch_spy(monkeypatch)
+        scan = spectral_scan(cfg, spectral.DEFAULT_OMEGA_MIN, spectral.DEFAULT_OMEGA_MAX,
+                             spectral.DEFAULT_SCAN_POINTS)
+        assert taken and not any(taken)
+        monkeypatch.setattr(heun, "_far_field", no_far_field)
+        ref = spectral_scan(cfg, spectral.DEFAULT_OMEGA_MIN, spectral.DEFAULT_OMEGA_MAX,
+                            spectral.DEFAULT_SCAN_POINTS)
+        assert np.array_equal(scan.values, ref.values, equal_nan=True)
+        assert scan.brackets == ref.brackets
+
+    def test_default_profile_is_the_panel_only_path(self, monkeypatch):
+        cfg, ep = CouplingConfig(kappa=10.0, ell=0), EnergyPoint.from_omega(1e-5)
+        taken = _stretch_spy(monkeypatch)
+        profile = wavefunction(cfg, ep, default_xi_grid(cfg, ep))
+        assert taken and not any(taken)
+        monkeypatch.setattr(heun, "_far_field", no_far_field)
+        ref = wavefunction(cfg, ep, default_xi_grid(cfg, ep))
+        assert np.array_equal(profile.values, ref.values)
 
 
 def _plain_bisection(ell, kappa_lo, kappa_hi, omega_floor, kappa_tol):

@@ -48,7 +48,6 @@ from .spectral import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-DEFAULT_TOL = 1e-8
 
 # annotation of a RunConfig field -> the type of its flag; a config file may
 # give an int for a float, and bool (an int subclass) only where it says bool
@@ -65,7 +64,7 @@ class RunConfig:
     omega_min: float = spectral.DEFAULT_OMEGA_MIN
     omega_max: float = spectral.DEFAULT_OMEGA_MAX
     points: int = spectral.DEFAULT_SCAN_POINTS
-    tol: float = DEFAULT_TOL
+    tol: float = spectral.DEFAULT_SCAN_TOL
     validity: float = spectral.DEFAULT_VALIDITY
     output_path: str | None = None
     format: str = "csv"

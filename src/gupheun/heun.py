@@ -21,52 +21,27 @@ second parameter B = -b = ell + 1/2.  It is the only branch evaluated here:
     g'' + ( (B+1)/y + 2/(y-1) ) g' + (q1 y + q0) / ( y(y-1) ) g = 0,
     q1 = d,   q0 = e + B + 1/2.
 
-Evaluation strategy
--------------------
-heun_coefficients maps (kappa, ell, omega) to the arrays (B, q0, q1), and
-heun_continue_arrays is the one evaluator.  It takes arrays of (energy,
-target) pairs, an energy being its (q0, q1) at a shared B, with targets
-y < 0.  One vectorised three-term recurrence evaluates the Frobenius series of
-every target at |y| <= 0.5 (closer to the origin where the alternating terms
-would cancel), and seeds each distinct energy there once.  It generates 16
-terms per step and then applies the sums and the stopping rule to the block,
-which keeps the number of numpy calls per term small.  The other targets are
-continued along the negative real axis, which contains no singularity, in
-t = ln(-y): spectral points (Omega-1)/Omega reach -1e4 and far beyond for
-shallow states, and the solution oscillates at a rate that stays bounded in
-t.  The equation is linear, so each energy's path is cut into Chebyshev
-panels, every panel of every energy is solved at once as a linear system for
-its two basis solutions, and prefix products of the panels' 2 x 2 transfer
-matrices, formed by doubling in log2 of the longest chain rounds, carry each
-seed to the start of every panel and so to its targets.  A product spans its
-own energy's panels only, so a value depends only on its energy, target and
-tolerance, not on the rest of the batch.  A spectral scan is one call with
-many energies, as is each root-refinement iteration (one energy per open
-bracket); a radial profile is one call with one energy and many targets.
+Evaluation
+----------
+heun_coefficients maps (kappa, ell, omega) to the arrays (B, q0, q1).
+heun_continue_arrays (values) and heun_zero_counts (the zeros of g on
+(y, 0)) share one evaluator, _evaluate, which takes arrays of (energy,
+target) pairs with targets y < 0 through these stages in order:
 
-Far from the origin, once e^t >> 1 and before q1 e^t grows to order one,
-P -> B + 2 and Q -> q0: the equation is the undeformed inverse-square one,
-whose exponents -(B+2)/2 +- i*nu/2 make the geometric tower.  There panels
-are not needed.  Each energy whose path reaches its stretch [t1, t2]
-(_far_field) crosses it as one far panel, the closed-form transfer
-exp(A∞ (t2 - t1)) in a cos/sinc form that stays finite as nu -> 0
-(_far_step).  t1 and t2 depend on the energy and tol only, and they are
-set so that the deviations of P and Q, times the transfer's growth over the
-stretch, stay below the panels' tail tolerance.  The walk carries a far
-panel like any other, a target inside it is read from the same closed
-form, and a zero count takes its zeros from the phase, which advances by
-nu/2 per unit of t.  The stretch starts beyond t = ln(4/(tol/10)), so
-spectral scans and profiles, whose targets stop near t = 11, never reach
-it; the floors of critical_coupling do, and a floor energy at 1e-45 lays
-17 panels (ell = 0) instead of 41.
-
-heun_zero_counts runs the same series and panels to count the zeros of g on
-(y, 0) for each target instead, the oscillation count that indexes the
-eigenvalues.  It seeds each energy closer in, where the series certifies
-g > 0 (_certified_radius), so the series holds no zero and the panels count
-all of them: per panel the angle its basis solutions turn through, read
-against the panel's start state, and a cumulative sum over the energy's
-panels.  Only this entry point computes the angles or uses that seed.
+1. _series_state: one Frobenius-series pass gives the targets near the
+   origin and seeds every distinct energy at _seed_radius, or at
+   _certified_radius for a count.
+2. _layout: each energy's path beyond its seed, in t = ln(-y), is cut into
+   Chebyshev panels, and the far-field stretch of _far_field, where the
+   path reaches it, into one far panel.
+3. _solved_panels: every panel of every energy is solved at once
+   (_panel_solutions) and halved while _unresolved; a far panel comes in
+   closed form (_far_step).
+4. _start_states: prefix products of each energy's 2 x 2 transfer matrices
+   carry its seed to the start of every panel.
+5. _continue: each target is read from its panel (_interpolate, or
+   _far_step inside a far panel); a count adds up the angle each panel's
+   basis solutions turn through (_turns, _phase).
 """
 
 from __future__ import annotations
@@ -381,12 +356,9 @@ def _layout(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, t_end: np.
         qa, qb = abs_q0[idx], abs_q1[idx]
         tb = ta + c / _rate(B, qa, qb, ta + c / _rate(B, qa, qb, ta))
         if stretched:
-            far = t1[idx] <= ta
-            if far.any():
-                # once per energy: into the stretch, unless the last panel passed it
-                t1[idx[far]] = np.inf
-                far &= ta < t2[idx]
-                tb[far] = t2[idx[far]]
+            # a far panel ends at t2, so the panel after it is no longer in [t1, t2)
+            far = (t1[idx] <= ta) & (ta < t2[idx])
+            tb[far] = t2[idx[far]]
             fars.append(far)
         owners.append(idx)
         starts.append(ta)
@@ -480,8 +452,7 @@ def _phase(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     return np.mod(0.5 * np.pi - np.arctan2(du, u), np.pi)
 
 
-def _far_step(B: float, q0: np.ndarray, s: np.ndarray,
-              count: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+def _far_step(B: float, q0: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(A∞ s) of _far_field as the ends (u_0, u_1, u_0', u_1') of a panel, and its turns.
 
     With beta = (B+2)/2 and N = A∞ + beta I, N^2 = -w^2 I, w^2 = q0 - beta^2
@@ -490,13 +461,13 @@ def _far_step(B: float, q0: np.ndarray, s: np.ndarray,
     w^2 = -k^2 < 0.  Written as e^((k - beta) s) times
     C = cos(w s) (1 + e^(-2 k s))/2 and S = s sinc(w s) (1 - e^(-2 k s))/(2 k s),
     with one of w and k zero, nothing overflows for any s >= 0 (k < beta as
-    q0 > 0), and C and S tend to 1 and s as nu -> 0.  With count, the second
-    result is the angle of u_0 + i*u_1 = e^((k - beta) s) (C + beta S + i S)
-    turned since s = 0, the _turns of the panel: it grows by pi each half
-    period pi/w, where C I + S N = -I, and S >= 0 keeps it within
-    [n pi, (n+1) pi], n = floor(w s/pi), so the phase advances by w = nu/2
-    per unit of t.  It is read from C and S alone, so a transfer that
-    underflows keeps its angle.  Otherwise the second result is None.
+    q0 > 0), and C and S tend to 1 and s as nu -> 0.  The second result is
+    the angle of u_0 + i*u_1 = e^((k - beta) s) (C + beta S + i S) turned
+    since s = 0, the _turns of the panel, which only zero counts read: it
+    grows by pi each half period pi/w, where C I + S N = -I, and S >= 0 keeps
+    it within [n pi, (n+1) pi], n = floor(w s/pi), so the phase advances by
+    w = nu/2 per unit of t.  It is read from C and S alone, so a transfer
+    that underflows keeps its angle.
     """
     beta = 0.5 * (B + 2.0)
     w2 = q0 - beta * beta
@@ -507,11 +478,9 @@ def _far_step(B: float, q0: np.ndarray, s: np.ndarray,
         shrink = np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
     C = np.cos(w * s) * 0.5 * (1.0 + np.exp(-x))
     S = s * np.sinc(w * s / np.pi) * shrink
-    turns = None
-    if count:
-        angle = np.arctan2(S, C + beta * S)  # the turned angle up to a multiple of 2 pi
-        middle = (np.floor(w * s / np.pi) + 0.5) * np.pi
-        turns = angle + 2.0 * np.pi * np.round((middle - angle) / (2.0 * np.pi))
+    angle = np.arctan2(S, C + beta * S)  # the turned angle up to a multiple of 2 pi
+    middle = (np.floor(w * s / np.pi) + 0.5) * np.pi
+    turns = angle + 2.0 * np.pi * np.round((middle - angle) / (2.0 * np.pi))
     grow = np.exp((k - beta) * s)
     C, S = grow * C, grow * S
     return np.stack((C + beta * S, S, -q0 * S, C - beta * S), axis=-1), turns
@@ -528,17 +497,18 @@ def _solved_panels(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray,
     target_keys holds the sorted keys energy + 1j*t of the targets: node
     values are kept only for panels that hold one.  A far panel of the
     layout is not solved: its ends and turns come in closed form
-    (_far_step) and it has no nodes.  Returns (owner, ta,
-    tb, ends, row, nodes, turns, far): ends (panels, 4) are the basis
-    solutions at tb, and a panel holding a target has its node values in
-    nodes[row], other panels row -1.  With count, turns holds each panel's
-    _turns at tb; otherwise it is empty.
+    (_far_step) and it has no nodes.  Returns (owner, ta, tb, ends, row,
+    nodes, turns, far): ends (panels, 4) are the basis solutions at tb, and
+    a panel holding a target has its node values in nodes[row], other panels
+    row -1, so _continue reads each target from nodes[row] of its panel.
+    With count, turns holds each panel's _turns at tb; otherwise it is
+    empty.
     """
     owner, ta, tb, far = _layout(B, q0, q1, t0, t_end, tol)
     done = []
     if far.any():
         o, a, b = owner[far], ta[far], tb[far]
-        ends, turns = _far_step(B, q0[o], b - a, count)
+        ends, turns = _far_step(B, q0[o], b - a)
         done.append((o, a, b, ends, np.zeros(o.size, dtype=bool), np.empty((0, _NODES, 4)),
                      turns if count else np.empty(0), np.ones(o.size, dtype=bool)))
         owner, ta, tb = owner[~far], ta[~far], tb[~far]
@@ -613,16 +583,21 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
               count: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """(u, u') at targets t_k of energies owner_k, from (u, u') = seed_i at t0_i.
 
-    Every t_k lies beyond t0 of its energy.  Each seed is carried to the
-    start of each of its panels by the prefix products of their 2 x 2
-    transfer matrices (_solved_panels, _start_states), and each target is
-    read from the node values of its panel, or from the closed form of its
-    far panel.  Targets that the layout did not
-    reach, or beyond a non-finite panel, come back as NaN.  With count, the
-    zeros of u in each panel follow from its start state and its _turns (see
-    _phase), a cumulative sum over the energy's panels adds them up, and the
-    second result holds the number of zeros in (t0, t_k] of each target;
-    otherwise it is None.
+    The path runs along the negative real axis, which holds no singularity,
+    in t = ln(-y): spectral points (Omega-1)/Omega reach -1e4 and far beyond
+    for shallow states, and the solution oscillates at a rate that stays
+    bounded in t.  Every t_k lies beyond t0 of its energy.  Each seed is
+    carried to the start of each of its panels by the prefix products of
+    their 2 x 2 transfer matrices (_solved_panels, _start_states).  Each
+    target is read in one pass from its own panel: the node values of the
+    panel's basis solutions, combined with the panel's start state and
+    interpolated at the target, or the closed form of a far panel at the
+    target.  Targets that the layout did not reach, or beyond a non-finite
+    panel, come back as NaN.  With count, the zeros of u in each panel
+    follow from its start state and its _turns (see _phase), a cumulative
+    sum over the energy's panels adds them up, and the second result holds
+    the number of zeros in (t0, t_k] of each target, the turns up to the
+    target read from the same node values; otherwise it is None.
     """
     t_end = np.full(t0.size, -np.inf)
     np.maximum.at(t_end, owner, t)
@@ -646,11 +621,6 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
             total = np.cumsum(inside) - inside  # integers, so the sums are exact
             before = total - total[first]
             zeros = np.full(t.size, np.nan)
-        # (u, u') at the nodes of each panel that holds a target, by row
-        panel = np.empty(nodes.shape[0], dtype=int)
-        panel[row[row >= 0]] = np.flatnonzero(row >= 0)
-        solution = (nodes[:, :, 0::2] * start[panel, None, :1]
-                    + nodes[:, :, 1::2] * start[panel, None, 1:])
         k = np.searchsorted(o + 1j * a, keys, side="right") - 1
         reached = t < b[k]
         stretch = reached & far[k]
@@ -659,17 +629,18 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
             reached &= ~stretch
             j = k[stretch]
             s = t[stretch] - a[j]
-            m, theta = _far_step(B, q0[o[j]], s, count)
+            m, theta = _far_step(B, q0[o[j]], s)
             u, du = start[j].T
             out[stretch] = np.stack((m[:, 0] * u + m[:, 1] * du, m[:, 2] * u + m[:, 3] * du), 1)
             if count:
                 zeros[stretch] = before[j] + np.floor((theta + _phase(u, du)) / np.pi)
         k = k[reached]
         x = (t[reached] - a[k]) / (0.5 * (b[k] - a[k])) - 1.0
-        out[reached] = _interpolate(solution[row[k]], x)
+        held = nodes[row[k]]  # the basis solutions at the nodes of each target's panel
+        out[reached] = _interpolate(held[:, :, 0::2] * start[k, None, :1]
+                                    + held[:, :, 1::2] * start[k, None, 1:], x)
         if count:
             # the angle at the target: unwrapped up to the node before it, plus one step
-            held = nodes[row[k]]
             node = np.searchsorted(_X, x, side="right") - 1
             at = np.arange(x.size)
             u = _interpolate(held[:, :, :2], x)
@@ -756,7 +727,8 @@ def heun_zero_counts(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
     g > 0: one series pass gives the seeds (and the targets inside that
     radius, which have no zero), and every zero beyond it comes from the
     angle each panel's basis solutions turn through (_turns, _phase), or
-    the phase a far panel advances by (_far_step), up to the target itself.  Raises HeunEvaluationError if any count fails.
+    the phase a far panel advances by (_far_step), up to the target itself.
+    Raises HeunEvaluationError if any count fails.
     """
     _, _, zeros = _evaluate(B, q0, q1, y, tol, count=True)
     failed = y[np.isnan(zeros)]

@@ -41,7 +41,6 @@ import numpy as np
 
 from .heun import (
     CouplingConfig,
-    EnergyPoint,
     HeunEvaluationError,
     heun_coefficients,
     heun_continue_arrays,
@@ -73,8 +72,11 @@ CRITICAL_OMEGA_MAX = 0.4
 DEFAULT_KAPPA_TOL = 5e-4
 # bisection levels of critical_coupling whose midpoints one count call takes:
 # a call's cost grows with its energies, and critical_coupling(0, 0.05, 0.08)
-# takes 25 / 16 / 14 / 20 / 31 ms at 1 / 2 / 3 / 4 / 6 levels (2-core Xeon)
+# takes 7.4 / 4.6 / 4.7 / 5.6 / 11.2 ms at 1 / 2 / 3 / 4 / 6 levels (2-core
+# Xeon, medians of 15 rounds, each the best of 5)
 _LEVELS_PER_CALL = 3
+# evaluation tolerance of critical_coupling's zero counts, looser than a scan's
+_COUNT_TOL = 1e-6
 
 
 class NoTransitionError(RuntimeError):
@@ -86,14 +88,9 @@ class UnitMismatchError(ValueError):
 
 
 def _spectral_points(omegas, point_scale: float):
-    """y* = c^2 (Omega-1)/Omega at every omega (a float or an array)."""
+    """y* = c^2 (Omega-1)/Omega at every omega (a float or an array), radius c*sqrt(-alpha/E)."""
     big_omega = 2.0 * omegas
     return point_scale**2 * (big_omega - 1.0) / big_omega
-
-
-def spectral_point(ep: EnergyPoint, point_scale: float = 1.0) -> float:
-    """Evaluation argument y* = c^2 (Omega-1)/Omega for cutoff radius c*sqrt(-alpha/E)."""
-    return _spectral_points(ep.omega, point_scale)
 
 
 def _spectral_values(cfg: CouplingConfig, omegas: np.ndarray, tol: float,
@@ -208,10 +205,13 @@ def _chandrupatla(f, lo: np.ndarray, hi: np.ndarray, xatol: float,
 
     A step-for-step port of scipy.optimize.elementwise.find_root (Adv. Eng.
     Softw. 28 (1997) 145) at xrtol = 4*eps, fatol = frtol = 0 and its cap, bit
-    for bit in x and status.  A bracket stops at the first of: an exact zero
-    (status 0), ends of one sign (-1, x NaN), NaN at both ends (-3, x NaN),
-    |x2 - x1| < |xmin|*xrtol + xatol (0), the cap (-2).  The first call of f
-    takes both ends of every bracket, each later one the open brackets.
+    for bit in x and status wherever f is finite.  A bracket stops at the
+    first of: an exact zero (status 0), ends of one sign (-1, x NaN), NaN at
+    either end (-3, x NaN), |x2 - x1| < |xmin|*xrtol + xatol (0), the cap
+    (-2).  scipy stops only at NaN at both ends: a bracket with one NaN end
+    stays open there and can shrink onto the edge of a NaN region, to end
+    with status 0 at no root.  The first call of f takes both ends of every
+    bracket, each later one the open brackets.
     """
     x, status = np.full(lo.size, np.nan), np.full(lo.size, -2)
     if not lo.size:
@@ -223,7 +223,7 @@ def _chandrupatla(f, lo: np.ndarray, hi: np.ndarray, xatol: float,
         xmin, fmin = np.where(np.abs(f1) < np.abs(f2), (x1, f1), (x2, f2))
         st = np.where(fmin == 0.0, 0, 1)
         st[(st == 1) & (np.sign(f1) == np.sign(f2))] = -1
-        st[(st == 1) & (~(np.isfinite(x1) & np.isfinite(x2)) | np.isnan(f1) & np.isnan(f2))] = -3
+        st[(st == 1) & (~(np.isfinite(x1) & np.isfinite(x2)) | np.isnan(f1) | np.isnan(f2))] = -3
         xmin[st < 0] = np.nan
         dx = np.abs(x2 - x1)
         tol = np.abs(xmin) * (4.0 * sys.float_info.epsilon) + xatol
@@ -311,10 +311,11 @@ def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
     """Explicit low-energy tower omega_n = exp[(2/nu)(arg B - (n+1/2)pi)] / 2.
 
     Levels at or above the validity cut violate the shallow-energy premise and
-    are discarded; weak coupling returns an empty spectrum (not an error).  The
-    levels decrease strictly, so the tower stops at the first one below the
-    smallest normal float: from there they underflow towards 0.0 and stop
-    being distinct.
+    are discarded, and so are levels at or above 1/2, outside the bound-state
+    range, whatever the cut; weak coupling returns an empty spectrum (not an
+    error).  The levels decrease strictly, so the tower stops at the first one
+    below the smallest normal float: from there they underflow towards 0.0
+    and stop being distinct.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -326,12 +327,13 @@ def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
     except WeakCouplingError:
         return SpectrumResult(method=METHOD_CLOSED_FORM, omegas=(),
                               kappa=cfg.kappa, ell=cfg.ell)
+    cut = min(validity, 0.5)
     omegas = []
     for n in range(n_max + 1):
         w = 0.5 * math.exp((2.0 / phase.nu) * (phase.b_arg - (n + 0.5) * math.pi))
         if w < sys.float_info.min:
             break
-        if w < validity:
+        if w < cut:
             omegas.append(w)
     return SpectrumResult(method=METHOD_CLOSED_FORM, omegas=tuple(omegas),
                           kappa=cfg.kappa, ell=cfg.ell)
@@ -405,8 +407,7 @@ def _bisection_midpoints(lo: float, hi: float, kappa_tol: float, levels: int) ->
 def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
                       omega_floor: float = CRITICAL_OMEGA_FLOOR,
                       omega_max: float = CRITICAL_OMEGA_MAX,
-                      kappa_tol: float = DEFAULT_KAPPA_TOL,
-                      scan_tol: float = 1e-6) -> float:
+                      kappa_tol: float = DEFAULT_KAPPA_TOL) -> float:
     """Bisect on the presence of levels in (omega_floor, omega_max) to find the transition.
 
     At each kappa the levels in the window are counted as N(omega_floor) -
@@ -421,9 +422,9 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
     defaults to 1e-45: a floor of 1e-5 would place the detection threshold
     near kappa ~ 0.115 for ell = 0 instead of ~1/16.  Returns the transition
     kappa to roughly kappa_tol.  Counting zeros does not need tight
-    evaluation, hence the relaxed scan_tol default.  A count that fails
-    raises HeunEvaluationError, also at a midpoint the bisection would not
-    have visited.
+    evaluation, so the counts run at the relaxed _COUNT_TOL.  A count that
+    fails raises HeunEvaluationError, also at a midpoint the bisection would
+    not have visited.
     """
     if not kappa_lo < kappa_hi:
         raise ValueError("need kappa_lo < kappa_hi")
@@ -438,7 +439,7 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
     has_states: dict[float, bool] = {}
 
     def count(*kappas: float) -> None:
-        levels = _level_counts(ell, kappas, omega_floor, omega_max, scan_tol)
+        levels = _level_counts(ell, kappas, omega_floor, omega_max, _COUNT_TOL)
         has_states.update(zip(kappas, (levels > 0).tolist()))
 
     lo, hi = kappa_lo, kappa_hi
@@ -488,29 +489,26 @@ def compare_spectra(exact: SpectrumResult, approx: SpectrumResult) -> SpectrumCo
     if (exact.kappa, exact.ell) != (approx.kappa, approx.ell):
         raise ValueError("spectra to compare must share (kappa, ell)")
     try:
-        ratio_ref = math.exp(-2.0 * math.pi / compute_phase(
-            CouplingConfig(exact.kappa, exact.ell)).nu)
+        nu = compute_phase(CouplingConfig(exact.kappa, exact.ell)).nu
     except WeakCouplingError:
-        ratio_ref = None
+        ratio_ref, cap = None, math.inf
+    else:
+        # pairs farther apart than half the level spacing 2*pi/nu stay unmatched
+        ratio_ref, cap = math.exp(-2.0 * math.pi / nu), math.pi / nu
 
     rows = []
     if exact.omegas and approx.omegas:
-        # globally greedy matching on log distance, each root used once; pairs
-        # farther apart than half the level spacing 2*pi/nu stay unmatched
-        cap = math.pi / compute_phase(CouplingConfig(exact.kappa, exact.ell)).nu \
-            if ratio_ref is not None else math.inf
+        # globally greedy matching on log distance, each root used once
         candidates = sorted(
             (abs(math.log(w) - math.log(wa)), n, j)
             for n, w in enumerate(exact.omegas, start=1)
             for j, wa in enumerate(approx.omegas)
         )
-        used_exact: set[int] = set()
         used_approx: set[int] = set()
         matches = {}
         for dist, n, j in candidates:
-            if dist > cap or n in used_exact or j in used_approx:
+            if dist > cap or n in matches or j in used_approx:
                 continue
-            used_exact.add(n)
             used_approx.add(j)
             matches[n] = j
         for n, w in enumerate(exact.omegas, start=1):

@@ -196,3 +196,16 @@ def series_state_reference(B, q0, q1, z, tol):
 def no_far_field(B, q0, q1, t_end, tol):
     """heun._far_field with the stretch switched off: every energy keeps its panel-only path."""
     return np.full(q0.size, np.inf), np.full(q0.size, np.inf)
+
+
+def envelope(B, y, u, du):
+    """The largest |(u, u')| of each energy so far, carried by the decay of the Wronskian.
+
+    Every solution shares the factor exp(-int P/2) = e^(-B t/2)/(1 + e^t)
+    of the Wronskian's square root, so an error made upstream stays that
+    small relative to it; the decay-free size never shrinks.
+    """
+    t = np.log(-y)
+    decay = -0.5 * (B * t + 2.0 * np.logaddexp(0.0, t))
+    size = np.log(np.hypot(u, du)) - decay
+    return np.exp(np.maximum.accumulate(size, axis=1) + decay)

@@ -237,6 +237,19 @@ class TestSpectrumCommand:
         assert summary["summary"] == "no bound states"
         assert out.read_text().splitlines() == ["n,omega,energy_natural_units,method"]
 
+    @pytest.mark.parametrize("argv, column", [
+        (("spectrum", "--kappa", "5"), "omega"),
+        (("compare", "--kappa", "20", "--ell", "1"), "omega_closed_form"),
+    ])
+    def test_validity_above_one_half(self, capsys, tmp_path, argv, column):
+        # the tower's n = 0 term lies above 1/2 in both: a cut of 1 keeps
+        # every level below 1/2 instead of exiting 2 on that term
+        out = tmp_path / "levels.csv"
+        code, lines, err = run_cli(capsys, *argv, "--validity", "1", "-o", str(out))
+        assert code == 0, err
+        omegas = [float(r[column]) for r in csv.DictReader(out.read_text().splitlines())]
+        assert omegas and all(0.0 < w < 0.5 for w in omegas)
+
     def test_tower_stops_at_float_floor(self, capsys, tmp_path):
         # beyond n ~ 313 the kappa = 2 levels underflow towards 0.0
         out = tmp_path / "spectrum.csv"

@@ -22,6 +22,7 @@ from gupheun.specfun import hyp2f1, hyp2f1_large_negative, reduced_hypergeometri
 
 from heun_oracle import (
     coefficients,
+    envelope,
     heun_second_derivative,
     heun_series,
     no_far_field,
@@ -562,19 +563,6 @@ def _far_grid(ell):
     return B, q0, q1, y
 
 
-def _envelope(B, y, u, du):
-    """The largest |(u, u')| of each energy so far, carried by the decay of the Wronskian.
-
-    Every solution shares the factor exp(-int P/2) = e^(-B t/2)/(1 + e^t)
-    of the Wronskian's square root, so an error made upstream stays that
-    small relative to it; the decay-free size never shrinks.
-    """
-    t = np.log(-y)
-    decay = -0.5 * (B * t + 2.0 * np.logaddexp(0.0, t))
-    size = np.log(np.hypot(u, du)) - decay
-    return np.exp(np.maximum.accumulate(size, axis=1) + decay)
-
-
 class TestFarField:
     """The closed-form far-field stretch against the panel-only path it replaces."""
 
@@ -586,7 +574,7 @@ class TestFarField:
     def test_transfer_against_expm(self, B, q0):
         s = np.array([0.0, 1e-3, 0.7, 5.0, 50.0, 300.0, 600.0])
         with np.errstate(over="raise"):
-            ends, turns = heun._far_step(B, np.full(s.size, q0), s, count=True)
+            ends, turns = heun._far_step(B, np.full(s.size, q0), s)
         A = np.array([[0.0, 1.0], [-q0, -(B + 2.0)]])
         for k in range(s.size):
             ref = expm(A * s[k])
@@ -598,7 +586,7 @@ class TestFarField:
                 assert np.all(np.isfinite(ends[k])) and np.abs(ends[k]).max() <= 1e-280
         # the turned angle against the unwrapped angle of (u_0, u_1) on a fine grid
         fine = np.linspace(0.0, 40.0, 4001)
-        values, fine_turns = heun._far_step(B, np.full(fine.size, q0), fine, count=True)
+        values, fine_turns = heun._far_step(B, np.full(fine.size, q0), fine)
         angle = np.unwrap(np.angle(values[:, 0] + 1j * values[:, 1]))
         assert fine_turns == pytest.approx(angle, abs=1e-9)
         assert np.all(np.diff(fine_turns) >= -1e-12)
@@ -637,7 +625,7 @@ class TestFarField:
         g_panels, gp_panels = heun_continue_arrays(B, q0, q1, flat, tol=tol)
         g_ref, gp_ref = heun_continue_arrays(B, q0, q1, flat, tol=tol / 10)
         u, du = g_ref.reshape(y.shape), (y.ravel() * gp_ref).reshape(y.shape)
-        scale = _envelope(B, y, u, du)
+        scale = envelope(B, y, u, du)
 
         def error(g, gp):
             return np.maximum(np.abs(g.reshape(y.shape) - u),

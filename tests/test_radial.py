@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from gupheun import spectral
 from gupheun.heun import CouplingConfig, EnergyPoint
 from gupheun.radial import (
     default_xi_grid,
@@ -15,7 +16,7 @@ from gupheun.radial import (
     wavefunction,
     xi_star,
 )
-from gupheun.spectral import spectral_function, spectral_point
+from gupheun.spectral import spectral_function
 
 from heun_oracle import coefficients, heun_oracle, heun_series, one_energy
 
@@ -33,7 +34,7 @@ class TestCoordinateMap:
                                  ell=int(rng.integers(0, 3)))
             ep = EnergyPoint.from_omega(float(rng.uniform(1e-4, 0.49)))
             y = map_xi_to_y(xi_star(cfg, ep), cfg, ep)
-            assert y == pytest.approx(spectral_point(ep), rel=1e-12)
+            assert y == pytest.approx(spectral._spectral_points(ep.omega, 1.0), rel=1e-12)
 
     def test_xi_star_kappa2(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)

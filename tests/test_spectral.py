@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.optimize.elementwise import find_root
 
-from gupheun import default_xi_grid, heun, spectral, wavefunction
+from gupheun import default_xi_grid, heun, radial, spectral, wavefunction
 from gupheun.heun import CouplingConfig, EnergyPoint, HeunEvaluationError
 from gupheun.specfun import NonConvergenceError
 from gupheun.spectral import (
@@ -40,20 +40,19 @@ from gupheun.spectral import (
     hypergeometric_condition_roots,
     natural_units_for,
     spectral_function,
-    spectral_point,
     spectral_scan,
     to_physical_energy,
 )
 
-from heun_oracle import heun_oracle, no_far_field
+from heun_oracle import envelope, heun_oracle, no_far_field
 
 RATIO_K2 = math.exp(-2.0 * math.pi / math.sqrt(7.75))
 
 
 class TestScan:
     def test_spectral_point(self):
-        assert spectral_point(EnergyPoint.from_omega(0.25)) == -1.0
-        assert spectral_point(EnergyPoint.from_omega(0.25), point_scale=2.0) == -4.0
+        assert spectral._spectral_points(0.25, 1.0) == -1.0
+        assert spectral._spectral_points(0.25, 2.0) == -4.0
 
     def test_weak_coupling_no_brackets(self):
         scan = spectral_scan(CouplingConfig(kappa=0.05, ell=0), 1e-4, 0.4, 200)
@@ -340,15 +339,20 @@ class TestChandrupatlaPort:
             return np.where((x > 1.0) & (x < 2.0) | (x > 7.7) & (x < 7.8), np.nan, np.cos(x))
 
         # [1, 2] is NaN inside; [7, 8.5] only at its first midpoint, after
-        # which it shrinks onto the edge 7.7 of the NaN window as in scipy
+        # which scipy keeps it open and shrinks it onto the edge 7.7 of the
+        # NaN window, to report a root there; the port stops it on the NaN end
         lo, hi = np.array([4.0, 1.0, 0.0, 7.0]), np.array([5.0, 2.0, 0.5, 8.5])
         x, status = _chandrupatla(f, lo, hi, 1e-9)
         ref_x, ref_status = _scipy_chandrupatla(f, lo, hi, 1e-9)
-        assert status.tolist() == ref_status.tolist() == [0, -3, -1, 0]
-        assert _bits(x).tolist() == _bits(ref_x).tolist()
+        assert status.tolist() == [0, -3, -1, -3]
+        assert status[:3].tolist() == ref_status[:3].tolist()
+        assert _bits(x[:3]).tolist() == _bits(ref_x[:3]).tolist()
+        assert np.isnan(x[3])
         with pytest.raises(NonConvergenceError, match=r"\[1, 2\] ended on NaN values"):
             _bracket_roots(f, np.array([0.0, 0.5, 1.0, 2.0, 4.0, 5.0]),
                            ((0, 1), (2, 3), (4, 5)), 1e-9)
+        with pytest.raises(NonConvergenceError, match=r"\[7, 8.5\] ended on NaN values"):
+            _bracket_roots(f, np.array([4.0, 5.0, 7.0, 8.5]), ((0, 1), (2, 3)), 1e-9)
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_chandrupatla",
@@ -401,6 +405,14 @@ class TestClosedForm:
         result = closed_form_spectrum(CouplingConfig(kappa=2.0, ell=0), n_max=3,
                                       validity=0.499)
         assert result.omegas[0] == pytest.approx(0.23021953744632478, rel=1e-10)
+
+    def test_validity_above_one_half(self):
+        # at kappa = 5 the n = 0 term of the tower is 0.505..., above every
+        # bound state: a cut above 1/2 drops it instead of failing on it
+        full = closed_form_spectrum(CouplingConfig(kappa=5.0, ell=0), n_max=4, validity=1.0)
+        assert 0.0 < max(full.omegas) < 0.5
+        assert full.omegas == closed_form_spectrum(CouplingConfig(kappa=5.0, ell=0), n_max=4,
+                                                   validity=0.5).omegas
 
     @pytest.mark.parametrize("validity", [math.nan, math.inf, 0.0, -0.1])
     def test_validity_validation(self, validity):
@@ -563,6 +575,26 @@ class TestFarFieldStretch:
         monkeypatch.setattr(heun, "_far_field", no_far_field)
         ref = wavefunction(cfg, ep, default_xi_grid(cfg, ep))
         assert np.array_equal(profile.values, ref.values)
+
+    def test_deep_profile_through_the_stretch(self, monkeypatch):
+        # 129 of the 400 grid points lie inside the stretch and are read from
+        # the far panel's closed form
+        cfg, ep = CouplingConfig(kappa=10.0, ell=0), EnergyPoint.from_omega(1e-40)
+        xi = default_xi_grid(cfg, ep)
+        taken = _stretch_spy(monkeypatch)
+        profile = wavefunction(cfg, ep, xi)
+        assert taken and all(taken)
+        monkeypatch.setattr(heun, "_far_field", no_far_field)
+        assert profile.non_decaying == wavefunction(cfg, ep, xi).non_decaying
+        # Hc against the panel-only path at tol/10, measured against the
+        # envelope as TestFarField measures the kernel
+        tol = radial._PROFILE_TOL
+        y = radial.map_xi_to_y(xi, cfg, ep)
+        B, q0, q1 = heun.heun_coefficients(cfg.kappa, cfg.ell, np.full(y.size, ep.omega))
+        g, gp = heun.heun_continue_arrays(B, q0, q1, y, tol=tol / 10)
+        hc = profile.values / (xi**cfg.ell * (1.0 - y))
+        scale = envelope(B, y[None], g[None], (y * gp)[None])[0]
+        assert np.all(np.abs(hc - g) <= tol * scale)
 
 
 def _plain_bisection(ell, kappa_lo, kappa_hi, omega_floor, kappa_tol):

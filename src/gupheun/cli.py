@@ -8,9 +8,8 @@ fields) and never opens a file; `run` hands it to the one writer, `_emit`.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.  The
 last stdout line is a machine-parsable `key=value` summary.  Where a command
-reads the tolerance, its default 1e-8 can be overridden by the GUP_HEUN_TOL
-environment variable, by a JSON config file (--config), or by --tol (highest
-precedence).
+reads the tolerance, its default 1e-8 can be overridden by a JSON config file
+(--config) or by --tol, which wins.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import shutil
 import sys
 from collections.abc import Callable, Iterable
@@ -313,7 +311,7 @@ _FLAGS = {
     "ell": "orbital quantum number",
     "omega_min": None, "omega_max": None, "points": None,
     "point_scale": "cutoff radius factor c in r = c*sqrt(-alpha/E)",
-    "tol": "evaluation tolerance (default 1e-8, env GUP_HEUN_TOL)",
+    "tol": "evaluation tolerance (default 1e-8)",
     "output_path": None, "format": None,
     "units_file": "JSON with mass, hbar, beta, alpha_coupling",
     "gnuplot": None,
@@ -378,7 +376,7 @@ def _build_parser(invoked: str | None) -> argparse.ArgumentParser:
 
 
 def build_config(argv: list[str] | None = None) -> RunConfig:
-    """Resolve CLI flags, optional JSON config, env var and defaults."""
+    """Resolve CLI flags, an optional JSON config file and the defaults."""
     argv = sys.argv[1:] if argv is None else argv
     # argparse takes the first argument that is not an option as the command
     invoked = next((a for a in argv if not a.startswith("-")), None)
@@ -388,9 +386,6 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
     command = _COMMANDS[name]
 
     merged = dict(command.defaults)
-    env_tol = os.environ.get("GUP_HEUN_TOL")
-    if env_tol is not None:
-        merged["tol"] = float(env_tol)
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)

@@ -97,8 +97,8 @@ class CouplingConfig:
 class EnergyPoint:
     """Dimensionless trial energy omega = -2*m*beta*E with derived quantities.
 
-    big_omega = 2*omega and epsilon = 1 - big_omega; bound states require
-    omega in (0, 1/2) so that epsilon stays positive.
+    big_omega = 2*omega; bound states require omega in (0, 1/2) so that
+    epsilon = 1 - big_omega stays positive.
     """
 
     omega: float
@@ -110,10 +110,6 @@ class EnergyPoint:
     @property
     def big_omega(self) -> float:
         return 2.0 * self.omega
-
-    @property
-    def epsilon(self) -> float:
-        return 1.0 - 2.0 * self.omega
 
     @classmethod
     def from_omega(cls, omega: float) -> "EnergyPoint":

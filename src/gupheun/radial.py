@@ -83,10 +83,6 @@ class RadialProfile:
             raise ValueError("profile values must be finite")
 
     @property
-    def xi_star(self) -> float:
-        return math.sqrt(4.0 * self.kappa / (5.0 * self.omega))
-
-    @property
     def non_decaying(self) -> bool:
         """True when |R| near xi* fails to drop below its mid-range level.
 
@@ -95,7 +91,7 @@ class RadialProfile:
         [0.45, 0.55]*xi*.  Eigenvalues decay by an order of magnitude or more
         into the tail, non-eigenvalues do not.  Requires the grid to reach xi*.
         """
-        xs = self.xi_star
+        xs = xi_star(CouplingConfig(self.kappa, self.ell), EnergyPoint(self.omega))
         if self.xi[-1] < xs:
             raise ValueError("grid does not reach xi*; flag undefined")
         absval = np.abs(self.values)
@@ -108,10 +104,17 @@ class RadialProfile:
 
 def default_xi_grid(cfg: CouplingConfig, ep: EnergyPoint,
                     n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Log-spaced grid over [1e-3, 1.2*xi*], resolving power law and spectral zero."""
+    """Log-spaced grid over [1e-3, 1.2*xi*], resolving power law and spectral zero.
+
+    Raises ValueError when 1.2*xi* does not exceed the 1e-3 start (a tiny
+    kappa at a large omega), where the grid would run backwards.
+    """
     if n < 2:
         raise ValueError("need at least two grid points")
     stop = DEFAULT_GRID_STRETCH * xi_star(cfg, ep)
+    if stop <= DEFAULT_GRID_START:
+        raise ValueError(f"1.2*xi* = {stop:.3g} does not exceed the grid start "
+                         f"{DEFAULT_GRID_START:g}")
     return np.exp(np.linspace(math.log(DEFAULT_GRID_START), math.log(stop), n))
 
 

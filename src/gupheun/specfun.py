@@ -1,4 +1,4 @@
-"""Complex log-gamma and Gauss hypergeometric 2F1 on the principal branch.
+"""Complex log-gamma and the Gauss hypergeometric 2F1 at large negative argument.
 
 Everything the quantization condition needs from classical analysis lives
 here:
@@ -7,10 +7,10 @@ here:
   (g = 7, the standard 15-digit coefficient set) valid for Re z >= 1/2,
   extended left by the exact principal-branch recurrence
   log Gamma(z) = log Gamma(z+1) - log z;
-* the Gauss series for F(alpha, gamma; delta; z) inside |z| < 0.9;
-* the Pfaff map z -> z/(z-1) for real z in (-2, -0.9];
-* the two-term 1/z connection formula for real z <= -2, which is the form
-  the low-energy quantization condition is read off from;
+* F(alpha, gamma; delta; z) for real z <= -2 only, by the two-term 1/z
+  connection formula, each term a Gauss series in 1/z: the shallow-energy
+  quantization condition reads F at z = -1/Omega <= -10, and no other
+  regime of 2F1 is used;
 * the phase data (nu, |B|, arg B) of the gamma-function combination
 
       B = Gamma(i nu) / ( Gamma(1/4 + ell/2 + i nu/2) Gamma(5/4 + ell/2 + i nu/2) )
@@ -59,7 +59,7 @@ class WeakCouplingError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Neither the series nor a transformation regime applies."""
+    """A series or an iteration did not converge to a finite value."""
 
 
 def _require_finite(z: complex, where: str) -> complex:
@@ -118,10 +118,6 @@ class PhaseData:
         if not -math.pi < self.b_arg <= math.pi:
             raise ValueError("b_arg must lie in (-pi, pi]")
 
-    @property
-    def b_value(self) -> complex:
-        return self.b_modulus * cmath.exp(1j * self.b_arg)
-
 
 def compute_phase(cfg: CouplingConfig) -> PhaseData:
     """nu, |B| and arg(B) for a strong-coupling configuration.
@@ -164,39 +160,6 @@ def _gauss_series(alpha: complex, gamma_: complex, delta: complex, z: complex,
             consecutive_small = 0
         n += 1
     return total
-
-
-def hyp2f1(alpha: complex, gamma_: complex, delta: complex, z: complex,
-           tol: float = SERIES_TOL) -> complex:
-    """Gauss hypergeometric F(alpha, gamma; delta; z) on the principal branch.
-
-    Dispatch: defining series for |z| < 0.9; for real z the Pfaff
-    transformation covers (-2, -0.9] and the 1/z connection formula covers
-    z <= -2.  Anything else (z near 1, complex z outside the disk) raises
-    NonConvergenceError.
-    """
-    alpha, gamma_, delta, z = complex(alpha), complex(gamma_), complex(delta), complex(z)
-    if _is_nonpositive_integer(delta):
-        raise GammaPoleError(f"delta = {delta} is a non-positive integer")
-    if abs(z) < 0.9:
-        return _require_finite(_gauss_series(alpha, gamma_, delta, z, tol), "hyp2f1")
-    if z.imag == 0.0 and z.real <= -2.0:
-        try:
-            return hyp2f1_large_negative(alpha, gamma_, delta, z.real, tol)
-        except GammaPoleError:
-            # degenerate (integer gamma-alpha) connection case: the Pfaff map
-            # still converges for moderately negative arguments
-            if abs(z / (z - 1.0)) >= 0.9:
-                raise
-    if z.imag == 0.0 and z.real <= -0.9:
-        # Pfaff: F(a,g;d;z) = (1-z)^(-a) F(a, d-g; d; z/(z-1)); the mapped
-        # argument stays below 0.9 for z > -9
-        w = z / (z - 1.0)
-        value = (1.0 - z) ** (-alpha) * _gauss_series(alpha, delta - gamma_, delta, w, tol)
-        return _require_finite(value, "hyp2f1")
-    raise NonConvergenceError(
-        f"no series or transformation regime applies at z = {z}"
-    )
 
 
 def hyp2f1_large_negative(alpha: complex, gamma_: complex, delta: complex,

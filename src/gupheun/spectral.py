@@ -132,9 +132,9 @@ class SpectralScan:
             raise ValueError("omegas and values must have equal length")
         for i, j in self.brackets:
             vi, vj = self.values[i], self.values[j]
-            if i != j and not (np.isfinite(vi) and np.isfinite(vj)
-                               and _opposite_signs(vi, vj)):
-                raise ValueError(f"bracket ({i}, {j}) lacks opposite-sign endpoints")
+            if j != i + 1 or not (np.isfinite(vi) and np.isfinite(vj)
+                                  and _opposite_signs(vi, vj)):
+                raise ValueError(f"bracket ({i}, {j}) is not a sign change between neighbours")
 
 
 def _opposite_signs(a, b):
@@ -143,17 +143,15 @@ def _opposite_signs(a, b):
 
 
 def _find_brackets(values: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """(i, i) at exact zeros and (i, i+1) at sign changes; NaN points are gaps."""
+    """(i, i+1) wherever values i and i+1 are finite, nonzero and of opposite sign.
+
+    NaN points are gaps, and so are exact zeros: the Heun evaluation reaches
+    0.0 only when a value underflows, which marks no root.
+    """
     v = np.asarray(values, dtype=float)
     finite = np.isfinite(v)
-    pair = finite[:-1] & finite[1:]
-    zero = pair & (v[:-1] == 0.0)
-    change = pair & _opposite_signs(v[:-1], v[1:])
-    left = np.flatnonzero(zero | change)
-    out = list(zip(left.tolist(), (left + change[left]).tolist()))
-    if v.size and v[-1] == 0.0:
-        out.append((v.size - 1, v.size - 1))
-    return tuple(out)
+    left = np.flatnonzero(finite[:-1] & finite[1:] & _opposite_signs(v[:-1], v[1:]))
+    return tuple((i, i + 1) for i in left.tolist())
 
 
 def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
@@ -254,7 +252,7 @@ def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
                    tol: float) -> tuple[float, ...]:
     """Zeros of f in the brackets over omegas, decreasing, deduplicated at 2*tol.
 
-    (i, i) brackets are exact zeros.  The others are refined together by
+    The brackets, (i, i+1) pairs of _find_brackets, are refined together by
     _chandrupatla until each is narrower than tol + 4*eps*omega.  A bracket
     without a sign change under f is dropped with a RuntimeWarning; one that
     ends on NaN values or the iteration cap raises NonConvergenceError.  tol
@@ -263,8 +261,7 @@ def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     pairs = np.array(brackets, dtype=int).reshape(-1, 2)
-    exact = pairs[:, 0] == pairs[:, 1]
-    lo, hi = omegas[pairs[~exact, 0]], omegas[pairs[~exact, 1]]
+    lo, hi = omegas[pairs[:, 0]], omegas[pairs[:, 1]]
     x, status = _chandrupatla(f, lo, hi, tol)
     if (failed := np.flatnonzero(status < -1)).size:
         i = failed[0]
@@ -273,8 +270,7 @@ def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
     for a, b in zip(lo[status == -1], hi[status == -1]):
         warnings.warn(f"bracket [{a:g}, {b:g}] lost its sign change; dropped",
                       RuntimeWarning, stacklevel=3)
-    roots = sorted(omegas[pairs[exact, 0]].tolist() + x[status == 0].tolist(),
-                   reverse=True)
+    roots = sorted(x[status == 0].tolist(), reverse=True)
     deduped: list[float] = []
     for r in roots:
         if not deduped or deduped[-1] - r > 2.0 * tol:
@@ -341,12 +337,12 @@ def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
 
 def hypergeometric_condition_roots(cfg: CouplingConfig,
                                    omega_range: tuple[float, float] = (1e-6, DEFAULT_VALIDITY),
-                                   tol: float = DEFAULT_ROOT_TOL,
                                    n_points: int = 400) -> SpectrumResult:
     """Zeros of F(alpha', gamma'; delta'; -1/Omega): the intermediate spectrum.
 
     The condition only makes sense in the shallow window omega < 0.05 where
-    the reduction applies; weak coupling returns an empty result.
+    the reduction applies; weak coupling returns an empty result.  Roots are
+    refined to DEFAULT_ROOT_TOL.
     """
     lo, hi = omega_range
     if not (0.0 < lo < hi <= DEFAULT_VALIDITY):
@@ -365,7 +361,7 @@ def hypergeometric_condition_roots(cfg: CouplingConfig,
                          for x in w])
 
     omegas = np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
-    roots = _bracket_roots(f, omegas, _find_brackets(f(omegas)), tol)
+    roots = _bracket_roots(f, omegas, _find_brackets(f(omegas)), DEFAULT_ROOT_TOL)
     return SpectrumResult(method=METHOD_HYPERGEOMETRIC, omegas=roots,
                           kappa=cfg.kappa, ell=cfg.ell)
 
@@ -406,11 +402,11 @@ def _bisection_midpoints(lo: float, hi: float, kappa_tol: float, levels: int) ->
 
 def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
                       omega_floor: float = CRITICAL_OMEGA_FLOOR,
-                      omega_max: float = CRITICAL_OMEGA_MAX,
                       kappa_tol: float = DEFAULT_KAPPA_TOL) -> float:
     """Bisect on the presence of levels in (omega_floor, omega_max) to find the transition.
 
-    At each kappa the levels in the window are counted as N(omega_floor) -
+    The window's upper end omega_max is CRITICAL_OMEGA_MAX = 0.4.  At each
+    kappa the levels in the window are counted as N(omega_floor) -
     N(omega_max), N being the number of zeros of the Heun function on
     (y*, 0) (heun_zero_counts).  The midpoints of the next halvings are
     known before any count, so one batched call counts them together: the
@@ -433,13 +429,13 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
     spacing = 4.0 * sys.float_info.epsilon * max(abs(kappa_lo), abs(kappa_hi))
     if not (math.isfinite(kappa_tol) and kappa_tol > spacing):
         raise ValueError(f"kappa_tol must be finite and positive, got {kappa_tol}")
-    if not (0.0 < omega_floor < omega_max < 0.5):
+    if not (0.0 < omega_floor < CRITICAL_OMEGA_MAX):
         raise ValueError("need 0 < omega_floor < omega_max < 1/2")
 
     has_states: dict[float, bool] = {}
 
     def count(*kappas: float) -> None:
-        levels = _level_counts(ell, kappas, omega_floor, omega_max, _COUNT_TOL)
+        levels = _level_counts(ell, kappas, omega_floor, CRITICAL_OMEGA_MAX, _COUNT_TOL)
         has_states.update(zip(kappas, (levels > 0).tolist()))
 
     lo, hi = kappa_lo, kappa_hi

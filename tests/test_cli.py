@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from gupheun import CouplingConfig, EnergyPoint, cli, default_xi_grid, heun, wavefunction
+from gupheun import (CouplingConfig, EnergyPoint, cli, default_xi_grid, find_roots, heun,
+                     spectral_scan, wavefunction)
 from gupheun.spectral import SpectrumResult
 
 
@@ -101,6 +102,19 @@ class TestScanCommand:
         assert run_cli(capsys, *args, "-o", str(a))[0] == 0
         assert run_cli(capsys, *args, "-o", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_point_scale_reaches_the_library(self, capsys, tmp_path):
+        window = ("--kappa", "2", "--omega-min", "1e-4", "--omega-max", "0.45",
+                  "--points", "200", "--point-scale", "0.5", "--format", "json", "-o")
+        assert run_cli(capsys, "scan", *window, str(tmp_path / "scan.json"))[0] == 0
+        assert run_cli(capsys, "roots", *window, str(tmp_path / "roots.json"))[0] == 0
+        scan = spectral_scan(CouplingConfig(kappa=2.0, ell=0), 1e-4, 0.45, 200, point_scale=0.5)
+        scan_out = json.loads((tmp_path / "scan.json").read_text())
+        assert scan_out["omegas"] == scan.omegas.tolist()
+        assert scan_out["values"] == scan.values.tolist()
+        assert scan_out["brackets"] == [list(b) for b in scan.brackets]
+        roots_out = json.loads((tmp_path / "roots.json").read_text())
+        assert roots_out["omegas"] == list(find_roots(scan).omegas)
 
 
 class TestRootsCommand:
@@ -291,6 +305,13 @@ class TestWavefunctionCommand:
         assert out.read_bytes() == buf.getvalue().encode()
         assert len(out.read_text().splitlines()) == 401
 
+    def test_grid_start_beyond_xi_star_is_config_error(self, capsys):
+        # 1.2*xi* = 1.7e-4 at kappa = 1e-8, omega = 0.4: below the 1e-3 start
+        code, lines, err = run_cli(capsys, "wavefunction", "--kappa", "1e-8", "--omega", "0.4")
+        assert code == 2 and lines == []
+        assert err.startswith("invalid configuration: 1.2*xi* = ")
+        assert "grid start 0.001" in err
+
     def test_missing_omega_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "wavefunction", "--kappa", "2")
         assert code == 2
@@ -364,17 +385,16 @@ class TestConfiguration:
         code, _, _ = run_cli(capsys, "scan", "--kappa", "-1", "--points", "10")
         assert code == 2
 
-    def test_env_var_tolerance(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("GUP_HEUN_TOL", "1e-6")
-        code, lines, _ = run_cli(capsys, "scan", "--kappa", "0.75",
-                                 "--omega-min", "0.04", "--omega-max", "0.06",
-                                 "--points", "20", "-o", str(tmp_path / "s.csv"))
-        assert code == 0
-
-    def test_env_var_invalid(self, capsys, monkeypatch):
+    def test_tol_env_var_is_not_read(self, capsys, monkeypatch, tmp_path):
+        # the tolerance comes from --tol or the config file; no environment
+        # variable reaches a run, whether or not its command reads tol
+        scan = ("scan", "--kappa", "0.75", "--omega-min", "0.04", "--omega-max", "0.06",
+                "--points", "20", "-o")
+        assert run_cli(capsys, *scan, str(tmp_path / "plain.csv"))[0] == 0
         monkeypatch.setenv("GUP_HEUN_TOL", "not-a-number")
-        code, _, err = run_cli(capsys, "scan", "--kappa", "0.75", "--points", "10")
-        assert code == 2
+        assert run_cli(capsys, *scan, str(tmp_path / "env.csv"))[0] == 0
+        assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert run_cli(capsys, "critical")[0] == 0
 
     def test_config_file(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -423,10 +443,6 @@ class TestConfiguration:
         code, lines, err = run_cli(capsys, command, "--config", str(cfg_file))
         assert code == 2 and lines == []
         assert err.startswith("invalid configuration") and repr(key) in err
-
-    def test_env_tolerance_on_a_command_without_tol(self, capsys, monkeypatch):
-        monkeypatch.setenv("GUP_HEUN_TOL", "1e-6")
-        assert run_cli(capsys, "spectrum", "--kappa", "2")[0] == 0
 
     def test_config_not_an_object(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.json"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from gupheun.heun import (
     heun_continue_arrays,
     heun_zero_counts,
 )
-from gupheun.specfun import hyp2f1, hyp2f1_large_negative, reduced_hypergeometric_parameters
+from gupheun.specfun import hyp2f1_large_negative, reduced_hypergeometric_parameters
 
 from heun_oracle import (
     coefficients,
@@ -48,7 +49,7 @@ class TestTypes:
 
     def test_energy_point(self):
         ep = EnergyPoint.from_omega(0.25)
-        assert ep.big_omega == 0.5 and ep.epsilon == 0.5
+        assert ep.big_omega == 0.5
         with pytest.raises(ValueError):
             EnergyPoint.from_omega(0.5)
         with pytest.raises(ValueError):
@@ -155,7 +156,7 @@ class TestHeunSeries:
         s = heun_series(*_degenerate(kappa), tol=1e-15, radius=0.5)
         ap, gp, dp = reduced_hypergeometric_parameters(CouplingConfig(kappa=kappa, ell=0))
         for y in (-0.5, -0.2, 0.1, 0.3, 0.5):
-            ref = hyp2f1(ap, gp, dp, y).real / (1.0 - y)
+            ref = complex(mpmath.hyp2f1(ap, gp, dp, y)).real / (1.0 - y)
             assert s.value(y) == pytest.approx(ref, rel=1e-12)
 
     def test_truncated_series_solves_equation(self):

@@ -197,6 +197,13 @@ class TestWavefunction:
         with pytest.raises(ValueError):
             wavefunction(cfg, ep, np.array([-0.1, 0.2]))
 
+    def test_default_grid_needs_xi_star_beyond_its_start(self):
+        # a tiny kappa at a large omega puts 1.2*xi* below the 1e-3 start
+        cfg = CouplingConfig(kappa=1e-8, ell=0)
+        ep = EnergyPoint.from_omega(0.4)
+        with pytest.raises(ValueError, match=r"1\.2\*xi\* = 0\.00017 .* grid start 0\.001"):
+            default_xi_grid(cfg, ep)
+
     def test_flag_needs_grid_reaching_xi_star(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)
         ep = EnergyPoint.from_omega(0.01)

@@ -85,17 +85,12 @@ def _pointwise(cfg, omegas, tol):
 class TestBrackets:
     def test_matches_loop_reference(self):
         def loop_brackets(values):
+            # NaN points and exact zeros are gaps alike
             out = []
             for i in range(len(values) - 1):
                 vi, vj = values[i], values[i + 1]
-                if not (np.isfinite(vi) and np.isfinite(vj)):
-                    continue
-                if vi == 0.0:
-                    out.append((i, i))
-                elif vi * vj < 0.0:
+                if np.isfinite(vi) and np.isfinite(vj) and vi * vj < 0.0:
                     out.append((i, i + 1))
-            if len(values) and values[-1] == 0.0:
-                out.append((len(values) - 1, len(values) - 1))
             return tuple(out)
 
         rng = np.random.default_rng(7)
@@ -114,6 +109,18 @@ class TestBrackets:
         assert brackets == ((0, 1), (1, 2))
         # the product of these underflows to -0.0, which hid the sign change
         assert _find_brackets(np.array([1e-200, -1e-200])) == ((0, 1),)
+
+    def test_underflowed_values_make_no_brackets(self):
+        # below omega ~ 3e-261 the values at kappa = 2 underflow to -0.0; an
+        # exact zero there is no root, so every bracket is a sign change
+        # between two finite, nonzero neighbours
+        scan = spectral_scan(CouplingConfig(kappa=2.0, ell=0), 1e-300, 0.45, 100)
+        assert np.any(scan.values == 0.0) and scan.brackets
+        for i, j in scan.brackets:
+            vi, vj = scan.values[i], scan.values[j]
+            assert j == i + 1
+            assert np.isfinite(vi) and np.isfinite(vj) and vi != 0.0 and vj != 0.0
+            assert np.signbit(vi) != np.signbit(vj)
 
 
 class TestBatchedScan:
@@ -384,6 +391,22 @@ class TestChandrupatlaPort:
         assert calls == []
 
 
+class TestPointScale:
+    """point_scale = c moves the spectral point to y* = c^2 (Omega-1)/Omega."""
+
+    def test_roots_move_with_the_cutoff(self):
+        cfg = CouplingConfig(kappa=2.0, ell=0)
+        half = find_roots(spectral_scan(cfg, 1e-4, 0.45, 200, point_scale=0.5))
+        full = find_roots(spectral_scan(cfg, 1e-4, 0.45, 200))
+        assert half.omegas == pytest.approx((0.0698, 0.00562, 0.000566), rel=2e-3)
+        assert full.omegas[0] == pytest.approx(0.2486, rel=1e-3)
+        assert not set(half.omegas) & set(full.omegas)
+        # each root of c = 0.5 is a sign change of the condition at c = 0.5
+        for w in half.omegas:
+            lo, hi = spectral._spectral_values(cfg, np.array([w - 2e-9, w + 2e-9]), 1e-10, 0.5)
+            assert np.signbit(lo) != np.signbit(hi)
+
+
 class TestClosedForm:
     def test_successive_ratio_is_exact(self):
         result = closed_form_spectrum(CouplingConfig(kappa=2.0, ell=0), n_max=6)
@@ -461,11 +484,6 @@ class TestHypergeometricCondition:
             hypergeometric_condition_roots(CouplingConfig(kappa=2.0, ell=0),
                                            omega_range=(1e-3, 0.2))
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
-    def test_tolerance_validation(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            hypergeometric_condition_roots(CouplingConfig(kappa=2.0, ell=0), tol=tol)
-
     @pytest.mark.parametrize("n_points", [0, 1])
     def test_point_count_validation(self, n_points):
         # fewer than two points hold no bracket and would report no levels
@@ -514,10 +532,11 @@ class TestCriticalCoupling:
                               text=True, timeout=30, check=True)
         assert proc.stdout == "kappa_tol must be finite and positive, got 1e-300\n"
 
-    @pytest.mark.parametrize("window", [(0.0, 0.4), (1e-45, 0.5), (0.4, 1e-45)])
-    def test_window_validation(self, window):
+    @pytest.mark.parametrize("omega_floor", [0.0, 0.4, 0.5, math.nan])
+    def test_window_validation(self, omega_floor):
+        # the window ends at CRITICAL_OMEGA_MAX = 0.4
         with pytest.raises(ValueError):
-            critical_coupling(0, 0.05, 0.08, omega_floor=window[0], omega_max=window[1])
+            critical_coupling(0, 0.05, 0.08, omega_floor=omega_floor)
 
     def test_failed_count_is_numerical_error(self, monkeypatch):
         # a count that cannot be made is a failure, not "no bound states"

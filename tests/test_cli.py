@@ -385,16 +385,32 @@ class TestConfiguration:
         code, _, _ = run_cli(capsys, "scan", "--kappa", "-1", "--points", "10")
         assert code == 2
 
-    def test_tol_env_var_is_not_read(self, capsys, monkeypatch, tmp_path):
-        # the tolerance comes from --tol or the config file; no environment
-        # variable reaches a run, whether or not its command reads tol
-        scan = ("scan", "--kappa", "0.75", "--omega-min", "0.04", "--omega-max", "0.06",
-                "--points", "20", "-o")
-        assert run_cli(capsys, *scan, str(tmp_path / "plain.csv"))[0] == 0
+    # the tolerance comes from --tol or the config file; no environment
+    # variable reaches a run, whether or not its command reads tol
+    _ENV_SCAN = ("scan", "--kappa", "0.75", "--omega-min", "0.04", "--omega-max", "0.06",
+                 "--points", "20", "-o")
+
+    def _scan_bytes_with_env(self, capsys, monkeypatch, tmp_path, value):
+        assert run_cli(capsys, *self._ENV_SCAN, str(tmp_path / "plain.csv"))[0] == 0
+        monkeypatch.setenv("GUP_HEUN_TOL", value)
+        assert run_cli(capsys, *self._ENV_SCAN, str(tmp_path / "env.csv"))[0] == 0
+        return (tmp_path / "env.csv").read_bytes(), (tmp_path / "plain.csv").read_bytes()
+
+    def test_env_var_tolerance(self, capsys, monkeypatch, tmp_path):
+        # --tol 1e-6 changes these bytes, so the same value in the
+        # environment would show if it were read
+        env, plain = self._scan_bytes_with_env(capsys, monkeypatch, tmp_path, "1e-6")
+        assert env == plain
+
+    def test_env_var_invalid(self, capsys, monkeypatch, tmp_path):
+        env, plain = self._scan_bytes_with_env(capsys, monkeypatch, tmp_path, "not-a-number")
+        assert env == plain
+
+    def test_env_tolerance_on_a_command_without_tol(self, capsys, monkeypatch):
         monkeypatch.setenv("GUP_HEUN_TOL", "not-a-number")
-        assert run_cli(capsys, *scan, str(tmp_path / "env.csv"))[0] == 0
-        assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
         assert run_cli(capsys, "critical")[0] == 0
+        monkeypatch.setenv("GUP_HEUN_TOL", "-1")
+        assert run_cli(capsys, "spectrum", "--kappa", "2")[0] == 0
 
     def test_config_file(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.json"

@@ -21,6 +21,7 @@ import json
 import math
 import shutil
 import sys
+import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 
@@ -171,10 +172,28 @@ def _emit(cfg: RunConfig, out: Output) -> str:
 
 
 def _exact_roots(cfg: RunConfig) -> SpectrumResult:
-    """Scan the configured window and refine every bracket (`roots`, `compare`)."""
+    """Count the window's levels, then scan it and refine every bracket (`roots`, `compare`).
+
+    The count, N(omega_min) - N(omega_max) from one two-energy zero count at
+    the scan's tol and point_scale, spares a window without levels its scan;
+    fewer roots than levels draw a RuntimeWarning.  Where the count fails,
+    the scan decides alone.
+    """
+    try:
+        (levels,) = spectral._level_counts(cfg.ell, [cfg.kappa], cfg.omega_min, cfg.omega_max,
+                                           cfg.tol, cfg.point_scale)
+    except HeunEvaluationError:
+        levels = None
+    if levels == 0:
+        return SpectrumResult(spectral.METHOD_EXACT, (), cfg.kappa, cfg.ell)
     scan = spectral_scan(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points,
                          tol=cfg.tol, point_scale=cfg.point_scale)
-    return find_roots(scan, tol=min(cfg.tol, spectral.DEFAULT_ROOT_TOL))
+    result = find_roots(scan, tol=min(cfg.tol, spectral.DEFAULT_ROOT_TOL))
+    if levels is not None and len(result) < levels:
+        warnings.warn(f"found {len(result)} of {levels} levels in "
+                      f"[{cfg.omega_min:g}, {cfg.omega_max:g}]; refine the grid",
+                      RuntimeWarning, stacklevel=2)
+    return result
 
 
 def _run_scan(cfg: RunConfig) -> Output:

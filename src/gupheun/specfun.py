@@ -163,7 +163,7 @@ def _gauss_series(alpha: complex, gamma_: complex, delta: complex, z: complex,
 
 
 def hyp2f1_large_negative(alpha: complex, gamma_: complex, delta: complex,
-                          z: float, tol: float = SERIES_TOL) -> complex:
+                          z: float) -> complex:
     """F(alpha, gamma; delta; z) for real z <= -2 via the 1/z connection formula.
 
         F = G(d)G(g-a)/(G(g)G(d-a)) (-z)^(-a) F(a, 1-d+a; 1-g+a; 1/z)
@@ -193,9 +193,11 @@ def hyp2f1_large_negative(alpha: complex, gamma_: complex, delta: complex,
     coeff_g = cmath.exp(log_gamma(delta) + log_gamma(alpha - gamma_)
                         - log_gamma(alpha) - log_gamma(delta - gamma_))
     term_a = (coeff_a * cmath.exp(-alpha * log_neg_z)
-              * _gauss_series(alpha, 1.0 - delta + alpha, 1.0 - gamma_ + alpha, inv_z, tol))
+              * _gauss_series(alpha, 1.0 - delta + alpha, 1.0 - gamma_ + alpha, inv_z,
+                              SERIES_TOL))
     term_g = (coeff_g * cmath.exp(-gamma_ * log_neg_z)
-              * _gauss_series(gamma_, 1.0 - delta + gamma_, 1.0 - alpha + gamma_, inv_z, tol))
+              * _gauss_series(gamma_, 1.0 - delta + gamma_, 1.0 - alpha + gamma_, inv_z,
+                              SERIES_TOL))
     return _require_finite(term_a + term_g, "hyp2f1_large_negative")
 
 

@@ -4,7 +4,10 @@ Three routes to the spectrum of the deformed inverse-square problem:
 
 * exact_heun: zeros in omega of Hc(a, -b, c, d, e; (Omega-1)/Omega), located
   by a log-spaced scan and refined in one batch.  This is the condition
-  R(xi*) = 0 at the edge of the physical range.
+  R(xi*) = 0 at the edge of the physical range.  `roots` and `compare`
+  count the levels in the window first, as critical_coupling does (below):
+  a window without levels is not scanned, and fewer roots than levels draw
+  a warning.
 * hypergeometric_condition: zeros of F(alpha', gamma'; delta'; -1/Omega),
   the shallow-energy reduction of the same boundary condition.
 * closed_form: the explicit tower
@@ -154,6 +157,11 @@ def _find_brackets(values: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in left.tolist())
 
 
+def _check_window(omega_min: float, omega_max: float) -> None:
+    if not (0.0 < omega_min < omega_max < 0.5):
+        raise ValueError("need 0 < omega_min < omega_max < 1/2")
+
+
 def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
                   omega_max: float = DEFAULT_OMEGA_MAX,
                   n_points: int = DEFAULT_SCAN_POINTS,
@@ -165,8 +173,7 @@ def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
     tol.  Energies that fail to evaluate are recorded as NaN gaps; the scan
     itself never aborts.
     """
-    if not (0.0 < omega_min < omega_max < 0.5):
-        raise ValueError("need 0 < omega_min < omega_max < 1/2")
+    _check_window(omega_min, omega_max)
     if n_points < 2:
         raise ValueError("need at least two scan points")
     omegas = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), n_points))
@@ -367,18 +374,23 @@ def hypergeometric_condition_roots(cfg: CouplingConfig,
 
 
 def _level_counts(ell: int, kappas, omega_lo: float, omega_hi: float,
-                  tol: float) -> np.ndarray:
+                  tol: float, point_scale: float = 1.0) -> np.ndarray:
     """Levels in (omega_lo, omega_hi) at each kappa: N(omega_lo) - N(omega_hi).
 
-    N(omega) is the number of zeros of the Heun function on (y*, 0), which
-    drops by one at each eigenvalue as omega rises; all 2 * len(kappas)
-    counts come from one heun_zero_counts call.
+    N(omega) is the number of zeros of the Heun function on (y*, 0), y* the
+    spectral point at point_scale, which drops by one at each eigenvalue as
+    omega rises; all 2 * len(kappas) counts come from one heun_zero_counts
+    call.  critical_coupling counts at point_scale 1, and the CLI's `roots`
+    and `compare` count their window at the scan's point_scale before they
+    scan it.  A window that spectral_scan would reject raises its ValueError
+    before any count.
     """
     for kappa in kappas:
         CouplingConfig(kappa=kappa, ell=ell)  # validates kappa and ell
+    _check_window(omega_lo, omega_hi)
     omegas = np.tile([omega_lo, omega_hi], len(kappas))
     n = heun_zero_counts(*heun_coefficients(np.repeat(kappas, 2), ell, omegas),
-                         _spectral_points(omegas, 1.0), tol=tol)
+                         _spectral_points(omegas, point_scale), tol=tol)
     return n[0::2] - n[1::2]
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from gupheun import (CouplingConfig, EnergyPoint, cli, default_xi_grid, find_roots, heun,
-                     spectral_scan, wavefunction)
+                     spectral, spectral_scan, wavefunction)
 from gupheun.spectral import SpectrumResult
 
 
@@ -346,6 +346,63 @@ class TestCompareCommand:
         assert len(content) >= 2
         summary = parse_summary(lines[-1])
         assert summary["agreement_empty"] == "false"
+
+
+class TestCountBeforeScan:
+    """`roots` and `compare` count the window's levels before they scan it."""
+
+    @pytest.mark.parametrize("command,key", [("roots", "roots"), ("compare", "pairs")])
+    @pytest.mark.parametrize("kappa", ["0.05", "0.1"])
+    def test_empty_window_is_not_scanned(self, capsys, monkeypatch, command, key, kappa):
+        # 0.05 lies below the critical coupling 1/16; at 0.1 the ground level
+        # lies below the window's floor 1e-5
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned a window without levels")
+
+        monkeypatch.setattr(cli, "spectral_scan", no_scan)
+        code, lines, err = run_cli(capsys, command, "--kappa", kappa, "--ell", "0")
+        assert (code, err) == (0, "")
+        assert parse_summary(lines[-1])[key] == "0"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [("roots", "--kappa", "2"), ("compare", "--kappa", "2"),
+                                      ("roots", "--kappa", "0.1"),
+                                      ("compare", "--kappa", "0.05")])
+    def test_failed_count_falls_back_to_the_scan(self, capsys, monkeypatch, tmp_path,
+                                                 argv, fmt):
+        def run(name):
+            out = tmp_path / f"{name}.{fmt}"
+            code, lines, err = run_cli(capsys, *argv, "--format", fmt, "-o", str(out))
+            return code, lines, err, out.read_bytes()
+
+        counted = run("counted")
+        calls = []
+
+        def failed_count(*args, **kwargs):
+            calls.append(args)
+            raise heun.HeunEvaluationError("zero count failed")
+
+        monkeypatch.setattr(spectral, "_level_counts", failed_count)
+        assert run("scanned") == counted
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("window", [("0.3", "0.2"), ("1e-5", "0.6")])
+    @pytest.mark.parametrize("command", ["roots", "compare"])
+    def test_invalid_window_exit_2(self, capsys, command, window):
+        # checked before the count, which would find no level in [0.3, 0.2]
+        code, lines, err = run_cli(capsys, command, "--kappa", "0.1", "--omega-min", window[0],
+                                   "--omega-max", window[1])
+        assert (code, lines) == (2, [])
+        assert err == "invalid configuration: need 0 < omega_min < omega_max < 1/2\n"
+
+    def test_missing_levels_warn(self, capsys):
+        # 20 points over [1e-5, 0.45] bracket 7 of the 31 levels at kappa = 100
+        with pytest.warns(RuntimeWarning) as record:
+            code, lines, _ = run_cli(capsys, "roots", "--kappa", "100", "--points", "20")
+        assert [str(w.message) for w in record] == [
+            "found 7 of 31 levels in [1e-05, 0.45]; refine the grid"]
+        assert code == 0
+        assert parse_summary(lines[-1])["roots"] == "7"
 
 
 class TestCriticalCommand:

@@ -716,6 +716,19 @@ class TestLevelCount:
         # on a 2-core Xeon) and the doubled one
         assert _scan_levels(31.6853, 0, 1e-45, 0.4, 4000) == (182, 182)
 
+    @pytest.mark.parametrize("kappa,ell,point_scale,levels", [
+        (0.1, 0, 2.0, 0), (0.3, 0, 2.0, 2), (0.75, 0, 0.5, 2), (0.75, 1, 2.0, 1),
+        (2.0, 1, 0.5, 3), (2.0, 2, 1.0, 1), (5.0, 2, 0.5, 5), (20.0, 2, 2.0, 14)])
+    def test_default_window_at_the_scan_point_scale(self, kappa, ell, point_scale, levels):
+        # the count that `roots` and `compare` take before they scan: at the
+        # scan's tol and point_scale it equals the default 600-point scan's
+        # brackets; five of these eight count otherwise at point_scale 1
+        count = spectral._level_counts(ell, [kappa], spectral.DEFAULT_OMEGA_MIN,
+                                       spectral.DEFAULT_OMEGA_MAX, DEFAULT_SCAN_TOL,
+                                       point_scale)[0]
+        scan = spectral_scan(CouplingConfig(kappa=kappa, ell=ell), point_scale=point_scale)
+        assert count == len(scan.brackets) == levels
+
     def test_count_is_monotone_in_omega(self):
         # as omega -> 1/2 a zero sits near y = -(B+1)*eps/kappa, inside
         # (y*, 0): N(0.4999) = 1 with no level above 0.4, so the levels in a

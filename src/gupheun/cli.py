@@ -175,23 +175,24 @@ def _exact_roots(cfg: RunConfig) -> SpectrumResult:
     """Count the window's levels, then scan it and refine every bracket (`roots`, `compare`).
 
     The count, N(omega_min) - N(omega_max) from one two-energy zero count at
-    the scan's tol and point_scale, spares a window without levels its scan;
-    fewer roots than levels draw a RuntimeWarning.  Where the count fails,
-    the scan decides alone.
+    the scan's tol and point_scale, certifies the result: a window without
+    levels is not scanned, and fewer roots than levels draw a RuntimeWarning
+    that names where they were lost, in the scan's brackets (refine the
+    grid) or in their refinement.  A count that fails raises
+    HeunEvaluationError, as in critical_coupling.
     """
-    try:
-        (levels,) = spectral._level_counts(cfg.ell, [cfg.kappa], cfg.omega_min, cfg.omega_max,
-                                           cfg.tol, cfg.point_scale)
-    except HeunEvaluationError:
-        levels = None
+    (levels,) = spectral._level_counts(cfg.ell, [cfg.kappa], cfg.omega_min, cfg.omega_max,
+                                       cfg.tol, cfg.point_scale)
     if levels == 0:
         return SpectrumResult(spectral.METHOD_EXACT, (), cfg.kappa, cfg.ell)
     scan = spectral_scan(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points,
                          tol=cfg.tol, point_scale=cfg.point_scale)
     result = find_roots(scan, tol=min(cfg.tol, spectral.DEFAULT_ROOT_TOL))
-    if levels is not None and len(result) < levels:
-        warnings.warn(f"found {len(result)} of {levels} levels in "
-                      f"[{cfg.omega_min:g}, {cfg.omega_max:g}]; refine the grid",
+    k, b = len(result), len(scan.brackets)
+    if k < levels:
+        warnings.warn(f"found {k} of {levels} levels in [{cfg.omega_min:g}, {cfg.omega_max:g}]"
+                      + ("; refine the grid" if b < levels else "")
+                      + (f"; the refinement kept {k} of {b} brackets" if k < b else ""),
                       RuntimeWarning, stacklevel=2)
     return result
 
@@ -203,16 +204,22 @@ def _run_scan(cfg: RunConfig) -> Output:
     n = len(scan.brackets)
     # one conversion to Python floats feeds both the CSV cells and the JSON lists
     omegas, values = scan.omegas.tolist(), scan.values.tolist()
+    failed = sum(map(math.isnan, values))
+    if failed:
+        note = f"{n} sign-change bracket(s); {failed} of {cfg.points} points failed"
+    else:
+        note = "no bound states" if n == 0 else f"{n} sign-change bracket(s)"
     return Output(
         ["omega", "hc_value", "bracket_flag"],
         ("{:.12g},{:.12g},{:d}".format(w, v, int(i in left_endpoints))
          for i, (w, v) in enumerate(zip(omegas, values))),
         {"command": "scan", "kappa": cfg.kappa, "ell": cfg.ell,
-         "omegas": omegas, "values": values,
+         # a failed point is NaN, which JSON cannot hold (RFC 8259): null
+         "omegas": omegas, "values": [None if math.isnan(v) else v for v in values],
          "brackets": [[int(i), int(j)] for i, j in scan.brackets]},
         [("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)), ("points", str(cfg.points)),
          ("brackets", str(n))],
-        "no bound states" if n == 0 else f"{n} sign-change bracket(s)")
+        note)
 
 
 def _run_roots(cfg: RunConfig) -> Output:

@@ -425,9 +425,11 @@ def _angle_step(z: np.ndarray, z0: np.ndarray) -> np.ndarray:
     increases (the basis' Wronskian keeps its sign) the step is the
     principal one moved into [-pi/2, 3*pi/2).  Steps near pi are common at
     strong coupling, where u_1 is small next to u_0; near 0 roundoff can
-    make them slightly negative.
+    make them slightly negative.  A value that underflowed to 0 gives a NaN
+    step, which fails the count of its target.
     """
-    step = np.angle(z / z0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.angle(z / z0)
     return np.where(step < -0.5 * np.pi, step + 2.0 * np.pi, step)
 
 
@@ -657,8 +659,10 @@ def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: floa
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if y.size == 0:
         return np.empty(0), np.empty(0), np.empty(0) if count else None
-    if not np.all(np.isfinite(y) & (y < 0.0)):
-        raise ValueError(f"y_target must be finite and negative, got {y}")
+    bad = y[~(np.isfinite(y) & (y < 0.0))]
+    if bad.size:
+        raise ValueError(f"y_target must be finite and negative, got {bad[0]} "
+                         f"({bad.size} of {y.size} targets)")
 
     g = np.full(y.size, np.nan)
     gp = np.full(y.size, np.nan)

@@ -107,11 +107,14 @@ def default_xi_grid(cfg: CouplingConfig, ep: EnergyPoint,
     """Log-spaced grid over [1e-3, 1.2*xi*], resolving power law and spectral zero.
 
     Raises ValueError when 1.2*xi* does not exceed the 1e-3 start (a tiny
-    kappa at a large omega), where the grid would run backwards.
+    kappa at a large omega), where the grid would run backwards, or is not
+    finite (an omega near the smallest floats).
     """
     if n < 2:
         raise ValueError("need at least two grid points")
     stop = DEFAULT_GRID_STRETCH * xi_star(cfg, ep)
+    if not math.isfinite(stop):
+        raise ValueError(f"1.2*xi* at omega = {ep.omega:g} is not finite")
     if stop <= DEFAULT_GRID_START:
         raise ValueError(f"1.2*xi* = {stop:.3g} does not exceed the grid start "
                          f"{DEFAULT_GRID_START:g}")

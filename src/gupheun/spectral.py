@@ -157,9 +157,19 @@ def _find_brackets(values: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in left.tolist())
 
 
-def _check_window(omega_min: float, omega_max: float) -> None:
+def _check_window(omega_min: float, omega_max: float, point_scale: float) -> None:
+    """Reject a window outside (0, 1/2) or whose spectral point at omega_min overflows.
+
+    y* ~ -c^2/(2 omega) passes the largest float below omega of about
+    2.7e-309 at c = 1, and for any omega once c exceeds about 1e154.
+    """
     if not (0.0 < omega_min < omega_max < 0.5):
         raise ValueError("need 0 < omega_min < omega_max < 1/2")
+    with np.errstate(over="ignore"):  # numpy scalars overflow to inf, Python's c**2 raises
+        y = _spectral_points(np.float64(omega_min), np.float64(point_scale))
+    if not np.isfinite(y):
+        raise ValueError(f"the spectral point y* = c^2 (Omega-1)/Omega at omega = "
+                         f"{omega_min:g}, c = {point_scale:g}, is not finite")
 
 
 def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
@@ -173,7 +183,7 @@ def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
     tol.  Energies that fail to evaluate are recorded as NaN gaps; the scan
     itself never aborts.
     """
-    _check_window(omega_min, omega_max)
+    _check_window(omega_min, omega_max, point_scale)
     if n_points < 2:
         raise ValueError("need at least two scan points")
     omegas = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), n_points))
@@ -387,7 +397,7 @@ def _level_counts(ell: int, kappas, omega_lo: float, omega_hi: float,
     """
     for kappa in kappas:
         CouplingConfig(kappa=kappa, ell=ell)  # validates kappa and ell
-    _check_window(omega_lo, omega_hi)
+    _check_window(omega_lo, omega_hi, point_scale)
     omegas = np.tile([omega_lo, omega_hi], len(kappas))
     n = heun_zero_counts(*heun_coefficients(np.repeat(kappas, 2), ell, omegas),
                          _spectral_points(omegas, point_scale), tol=tol)

@@ -95,6 +95,25 @@ class TestScanCommand:
         flags = [row.split(",")[2] for row in out.read_text().splitlines()[1:]]
         assert flags.count("1") == 1
 
+    def test_failed_points_are_null_in_json(self, capsys, tmp_path):
+        # every point fails at kappa = 1e9; JSON has no NaN (RFC 8259)
+        out = tmp_path / "scan.json"
+        code, lines, _ = run_cli(capsys, "scan", "--kappa", "1e9", "--points", "5",
+                                 "--format", "json", "-o", str(out))
+        assert code == 0
+        summary = parse_summary(lines[-1])
+        assert summary["brackets"] == "0"
+        assert summary["summary"] == "0 sign-change bracket(s); 5 of 5 points failed"
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert json.loads(out.read_text(), parse_constant=no_constant)["values"] == [None] * 5
+        assert run_cli(capsys, "scan", "--kappa", "1e9", "--points", "5",
+                       "-o", str(tmp_path / "scan.csv"))[0] == 0
+        assert [row.split(",")[1] for row in
+                (tmp_path / "scan.csv").read_text().splitlines()[1:]] == ["nan"] * 5
+
     def test_determinism_byte_identical(self, capsys, tmp_path):
         args = ("scan", "--kappa", "0.75", "--ell", "0", "--omega-min", "0.01",
                 "--omega-max", "0.2", "--points", "50")
@@ -365,26 +384,30 @@ class TestCountBeforeScan:
         assert parse_summary(lines[-1])[key] == "0"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("argv", [("roots", "--kappa", "2"), ("compare", "--kappa", "2"),
-                                      ("roots", "--kappa", "0.1"),
-                                      ("compare", "--kappa", "0.05")])
-    def test_failed_count_falls_back_to_the_scan(self, capsys, monkeypatch, tmp_path,
-                                                 argv, fmt):
-        def run(name):
-            out = tmp_path / f"{name}.{fmt}"
-            code, lines, err = run_cli(capsys, *argv, "--format", fmt, "-o", str(out))
-            return code, lines, err, out.read_bytes()
-
-        counted = run("counted")
-        calls = []
-
+    @pytest.mark.parametrize("command", ["roots", "compare"])
+    def test_failed_count_is_numerical_error(self, capsys, monkeypatch, tmp_path, command, fmt):
+        # no scan decides alone: without its certificate the run fails
         def failed_count(*args, **kwargs):
-            calls.append(args)
             raise heun.HeunEvaluationError("zero count failed")
 
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned a window whose count failed")
+
         monkeypatch.setattr(spectral, "_level_counts", failed_count)
-        assert run("scanned") == counted
-        assert len(calls) == 1
+        monkeypatch.setattr(cli, "spectral_scan", no_scan)
+        out = tmp_path / f"{command}.{fmt}"
+        code, lines, err = run_cli(capsys, command, "--kappa", "2", "--format", fmt,
+                                   "-o", str(out))
+        assert (code, lines, err) == (3, [], "numerical failure: zero count failed\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["roots", "compare"])
+    def test_count_that_fails_at_strong_coupling(self, capsys, command):
+        # at kappa = 1e9 the count and every scan point fail; the scan alone
+        # read that as "no bound states"
+        code, lines, err = run_cli(capsys, command, "--kappa", "1e9", "--points", "20")
+        assert (code, lines) == (3, [])
+        assert err.startswith("numerical failure: zero count")
 
     @pytest.mark.parametrize("window", [("0.3", "0.2"), ("1e-5", "0.6")])
     @pytest.mark.parametrize("command", ["roots", "compare"])
@@ -403,6 +426,16 @@ class TestCountBeforeScan:
             "found 7 of 31 levels in [1e-05, 0.45]; refine the grid"]
         assert code == 0
         assert parse_summary(lines[-1])["roots"] == "7"
+
+    def test_merged_roots_warn(self, capsys):
+        # the 600-point scan brackets all 12 levels of [1e-12, 0.45] at
+        # kappa = 2; refining at 1e-9 absolute merges the two deepest pairs
+        with pytest.warns(RuntimeWarning) as record:
+            code, lines, _ = run_cli(capsys, "roots", "--kappa", "2", "--omega-min", "1e-12")
+        assert [str(w.message) for w in record] == [
+            "found 10 of 12 levels in [1e-12, 0.45]; the refinement kept 10 of 12 brackets"]
+        assert code == 0
+        assert parse_summary(lines[-1])["roots"] == "10"
 
 
 class TestCriticalCommand:
@@ -468,6 +501,19 @@ class TestConfiguration:
         assert run_cli(capsys, "critical")[0] == 0
         monkeypatch.setenv("GUP_HEUN_TOL", "-1")
         assert run_cli(capsys, "spectrum", "--kappa", "2")[0] == 0
+
+    @pytest.mark.parametrize("argv", [("roots", "--kappa", "2", "--omega-min", "1e-320"),
+                                      ("wavefunction", "--kappa", "2", "--omega", "1e-320"),
+                                      ("scan", "--kappa", "2", "--point-scale", "1e200")])
+    def test_overflowing_spectral_point_is_one_config_error(self, argv):
+        # y* and xi* overflow below omega ~ 2.7e-309, y* also for c > ~1e154;
+        # in a fresh interpreter, so that numpy warnings would reach stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "gupheun.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("invalid configuration: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("is not finite\n")
 
     def test_config_file(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.json"

@@ -268,6 +268,12 @@ class TestContinuation:
             one_energy(energy, [0.5])
         with pytest.raises(ValueError):
             one_energy(energy, [0.0])
+        # the first bad target and how many there are, not the whole array
+        targets = np.concatenate(([-3.0, -math.inf], np.full(398, 0.5)))
+        with pytest.raises(ValueError) as info:
+            one_energy(energy, targets)
+        assert str(info.value) == ("y_target must be finite and negative, "
+                                   "got -inf (399 of 400 targets)")
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_validation(self, tol):
@@ -325,6 +331,15 @@ class TestZeroCounts:
         monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
         with pytest.raises(HeunEvaluationError, match="zero count"):
             heun_zero_counts(0.5, np.array([2.5]), np.array([0.1]), np.array([-40.0]))
+
+    def test_underflowed_nodes_fail_without_a_numpy_warning(self):
+        # at kappa = 1e5, omega = 1e-300 panel node values underflow to 0, and
+        # the angle step between two of them divides 0 by 0: the count fails
+        # with the package's error, not numpy's RuntimeWarning
+        B, q0, q1 = coefficients(1e5, 0, 1e-300)
+        y_star = spectral._spectral_points(1e-300, 1.0)
+        with pytest.raises(HeunEvaluationError, match="zero count"):
+            heun_zero_counts(B, np.array([q0]), np.array([q1]), np.array([y_star]), tol=1e-12)
 
 
 def _walk_one_panel_at_a_time(first, ends, seed):

@@ -5,9 +5,13 @@ Three routes to the spectrum of the deformed inverse-square problem:
 * exact_heun: zeros in omega of Hc(a, -b, c, d, e; (Omega-1)/Omega), located
   by a log-spaced scan and refined in one batch.  This is the condition
   R(xi*) = 0 at the edge of the physical range.  `roots` and `compare`
-  count the levels in the window first, as critical_coupling does (below):
-  a window without levels is not scanned, and fewer roots than levels draw
-  a warning.
+  find the scan's brackets from the zero count that critical_coupling
+  bisects on (below), valuing only the grid neighbours whose count drops
+  by an odd number (_counted_brackets): a window without levels values no
+  point, and fewer roots than levels draw a warning.  Where the levels are
+  sparse on the grid this takes a third to a half of the scan's time;
+  where they crowd it (kappa >= 1e3 on the default grid) the whole grid is
+  valued, as the scan does, after a count of its two ends.
 * hypergeometric_condition: zeros of F(alpha', gamma'; delta'; -1/Omega),
   the shallow-energy reduction of the same boundary condition.
 * closed_form: the explicit tower
@@ -80,6 +84,9 @@ DEFAULT_KAPPA_TOL = 5e-4
 _LEVELS_PER_CALL = 3
 # evaluation tolerance of critical_coupling's zero counts, looser than a scan's
 _COUNT_TOL = 1e-6
+# grid energies in the coarse zero count of _counted_brackets: every 16th of
+# the default 600, and the whole grid in one call up to 40 points
+_COARSE_POINTS = 40
 
 
 class NoTransitionError(RuntimeError):
@@ -183,13 +190,77 @@ def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
     tol.  Energies that fail to evaluate are recorded as NaN gaps; the scan
     itself never aborts.
     """
-    _check_window(omega_min, omega_max, point_scale)
-    if n_points < 2:
-        raise ValueError("need at least two scan points")
-    omegas = np.exp(np.linspace(math.log(omega_min), math.log(omega_max), n_points))
+    omegas = _scan_grid(omega_min, omega_max, n_points, point_scale)
     values = _spectral_values(cfg, omegas, tol, point_scale)
     return SpectralScan(omegas=omegas, values=values, brackets=_find_brackets(values),
                         kappa=cfg.kappa, ell=cfg.ell, tol=tol, point_scale=point_scale)
+
+
+def _scan_grid(omega_min: float, omega_max: float, n_points: int,
+               point_scale: float) -> np.ndarray:
+    """The log grid of spectral_scan, after its checks of the window and n_points."""
+    _check_window(omega_min, omega_max, point_scale)
+    if n_points < 2:
+        raise ValueError("need at least two scan points")
+    return np.exp(np.linspace(math.log(omega_min), math.log(omega_max), n_points))
+
+
+def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float,
+                      n_points: int, tol: float, point_scale: float
+                      ) -> tuple[np.ndarray, tuple[tuple[int, int], ...], int]:
+    """spectral_scan's grid and brackets, found by the zero count; and the grid's levels.
+
+    N(omega), the zeros of the Heun function on (y*, 0), drops by one at each
+    eigenvalue as omega rises, and the sign of Hc at y* follows its parity.
+    A first heun_zero_counts call counts the grid's two ends: N(first) -
+    N(last) is the number of levels on the grid, and a grid without levels
+    is done.  Otherwise a second call counts every stride-th grid energy,
+    about _COARSE_POINTS of them, and each interval whose count drops is
+    bisected on grid indices, all of them in one call per halving, down to
+    neighbours (i, i+1); a pair whose count drops by an odd number is a
+    candidate.  One _spectral_values call at the scan's tol and point_scale
+    takes the candidates' ends, and _find_brackets keeps the sign changes
+    among them: those values are the scan's own, so the brackets are a
+    subset of the scan's, and all of them where every sign change of the
+    scan drops the count by an odd number.  Where the levels crowd the grid,
+    so that the bisection would take about as many energies as the grid
+    holds, the whole grid is valued instead, as the scan does.  A count that
+    rises with omega, or that fails, raises HeunEvaluationError.
+    """
+    omegas = _scan_grid(omega_min, omega_max, n_points, point_scale)
+    counts = np.full(n_points, -1)
+
+    def count(todo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Count at grid indices todo; every counted index and the drops between them."""
+        w = omegas[todo]
+        counts[todo] = heun_zero_counts(*heun_coefficients(cfg.kappa, cfg.ell, w),
+                                        _spectral_points(w, point_scale), tol=tol)
+        known = np.flatnonzero(counts >= 0)
+        drops = counts[known[:-1]] - counts[known[1:]]
+        if (rise := np.flatnonzero(drops < 0)).size:
+            i, j = known[rise[0]], known[rise[0] + 1]
+            raise HeunEvaluationError(
+                f"zero count rises with omega, from {counts[i]} at omega = {omegas[i]:g} "
+                f"to {counts[j]} at omega = {omegas[j]:g}")
+        return known, drops
+
+    known, drops = count(np.array([0, n_points - 1]))
+    levels = int(drops[0])
+    stride = -(-(n_points - 1) // (_COARSE_POINTS - 1))
+    # a level costs about log2(stride) counts and two values
+    if levels * (stride.bit_length() + 1) >= n_points:
+        return omegas, _find_brackets(_spectral_values(cfg, omegas, tol, point_scale)), levels
+    todo = np.arange(stride, n_points - 1, stride) if levels else np.arange(0)
+    while todo.size:
+        known, drops = count(todo)
+        wide = (drops > 0) & (np.diff(known) > 1)
+        todo = (known[:-1][wide] + known[1:][wide]) // 2
+    left = known[:-1][drops % 2 == 1]  # every dropping interval is one step wide now
+    values = np.full(n_points, np.nan)
+    if left.size:
+        ends = np.union1d(left, left + 1)
+        values[ends] = _spectral_values(cfg, omegas[ends], tol, point_scale)
+    return omegas, _find_brackets(values), levels
 
 
 @dataclass(frozen=True)
@@ -304,19 +375,24 @@ def find_roots(scan: SpectralScan, tol: float = DEFAULT_ROOT_TOL) -> SpectrumRes
     under re-evaluation is dropped with a RuntimeWarning; a failed evaluation
     raises HeunEvaluationError.
     """
-    cfg = CouplingConfig(kappa=scan.kappa, ell=scan.ell)
+    return _refine(CouplingConfig(kappa=scan.kappa, ell=scan.ell), scan.omegas, scan.brackets,
+                   scan.tol, scan.point_scale, tol)
+
+
+def _refine(cfg: CouplingConfig, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
+            scan_tol: float, point_scale: float, tol: float) -> SpectrumResult:
+    """find_roots on the brackets over a grid taken at scan_tol and point_scale."""
 
     def f(w: np.ndarray) -> np.ndarray:
-        values = _spectral_values(cfg, w, min(REFINE_EVAL_TOL, scan.tol), scan.point_scale)
+        values = _spectral_values(cfg, w, min(REFINE_EVAL_TOL, scan_tol), point_scale)
         failed = w[np.isnan(values)]
         if failed.size:
             raise HeunEvaluationError(f"refinement evaluation failed at omega = "
                                       f"{failed[0]:g} ({failed.size} of {w.size})")
         return values
 
-    return SpectrumResult(method=METHOD_EXACT,
-                          omegas=_bracket_roots(f, scan.omegas, scan.brackets, tol),
-                          kappa=scan.kappa, ell=scan.ell)
+    return SpectrumResult(method=METHOD_EXACT, omegas=_bracket_roots(f, omegas, brackets, tol),
+                          kappa=cfg.kappa, ell=cfg.ell)
 
 
 def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,

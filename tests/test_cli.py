@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gupheun import (CouplingConfig, EnergyPoint, cli, default_xi_grid, find_roots, heun,
@@ -374,14 +375,22 @@ class TestCountBeforeScan:
     @pytest.mark.parametrize("kappa", ["0.05", "0.1"])
     def test_empty_window_is_not_scanned(self, capsys, monkeypatch, command, key, kappa):
         # 0.05 lies below the critical coupling 1/16; at 0.1 the ground level
-        # lies below the window's floor 1e-5
-        def no_scan(*args, **kwargs):
-            raise AssertionError("scanned a window without levels")
+        # lies below the window's floor 1e-5: one count call, no value
+        calls = []
 
-        monkeypatch.setattr(cli, "spectral_scan", no_scan)
+        def counted(*args, **kwargs):
+            calls.append(args[-1].size)
+            return heun.heun_zero_counts(*args, **kwargs)
+
+        def no_values(*args, **kwargs):
+            raise AssertionError("valued a window without levels")
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", counted)
+        monkeypatch.setattr(spectral, "_spectral_values", no_values)
         code, lines, err = run_cli(capsys, command, "--kappa", kappa, "--ell", "0")
         assert (code, err) == (0, "")
         assert parse_summary(lines[-1])[key] == "0"
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", ["roots", "compare"])
@@ -390,15 +399,31 @@ class TestCountBeforeScan:
         def failed_count(*args, **kwargs):
             raise heun.HeunEvaluationError("zero count failed")
 
-        def no_scan(*args, **kwargs):
-            raise AssertionError("scanned a window whose count failed")
+        def no_values(*args, **kwargs):
+            raise AssertionError("valued a window whose count failed")
 
-        monkeypatch.setattr(spectral, "_level_counts", failed_count)
-        monkeypatch.setattr(cli, "spectral_scan", no_scan)
+        monkeypatch.setattr(spectral, "heun_zero_counts", failed_count)
+        monkeypatch.setattr(spectral, "_spectral_values", no_values)
         out = tmp_path / f"{command}.{fmt}"
         code, lines, err = run_cli(capsys, command, "--kappa", "2", "--format", fmt,
                                    "-o", str(out))
         assert (code, lines, err) == (3, [], "numerical failure: zero count failed\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["roots", "compare"])
+    def test_count_that_rises_is_numerical_error(self, capsys, monkeypatch, tmp_path, command):
+        # N(omega) cannot grow with omega; a count that does is a failure,
+        # not an interval to skip
+        def rising(*args, **kwargs):
+            return np.arange(args[-1].size)
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", rising)
+        out = tmp_path / "out.csv"
+        code, lines, err = run_cli(capsys, command, "--kappa", "2", "--points", "5",
+                                   "-o", str(out))
+        assert (code, lines) == (3, [])
+        assert err == ("numerical failure: zero count rises with omega, from 0 at "
+                       "omega = 1e-05 to 1 at omega = 0.45\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["roots", "compare"])
@@ -592,7 +617,7 @@ class TestConfiguration:
         def no_scan(*args, **kwargs):
             raise AssertionError("scanned before reading the units file")
 
-        monkeypatch.setattr(cli, "spectral_scan", no_scan)
+        monkeypatch.setattr(spectral, "_counted_brackets", no_scan)
         code, _, err = run_cli(capsys, "roots", "--kappa", "2",
                                "--units-file", str(tmp_path / "missing.json"))
         assert code == 2

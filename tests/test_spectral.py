@@ -743,6 +743,60 @@ class TestLevelCount:
         assert _scan_levels(kappa, ell, 0.4, 0.4999, 100) == (0, 0)
 
 
+class TestCountedBrackets:
+    """_counted_brackets finds spectral_scan's brackets from the zero count."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_kappa=st.floats(math.log(0.05), math.log(100.0)), ell=st.integers(0, 3),
+           log_omega_min=st.floats(math.log(1e-20), math.log(1e-3)),
+           points=st.integers(2, 800), point_scale=st.sampled_from([1.0, 0.5]))
+    def test_brackets_are_the_scans(self, log_kappa, ell, log_omega_min, points, point_scale):
+        cfg, omega_min = CouplingConfig(kappa=math.exp(log_kappa), ell=ell), math.exp(log_omega_min)
+        scan = spectral_scan(cfg, omega_min, 0.45, points, point_scale=point_scale)
+        omegas, brackets, levels = spectral._counted_brackets(
+            cfg, omega_min, 0.45, points, DEFAULT_SCAN_TOL, point_scale)
+        assert np.array_equal(omegas, scan.omegas)
+        assert brackets == scan.brackets
+        assert len(brackets) <= levels
+
+    def test_candidates_without_a_sign_change_are_dropped(self, monkeypatch, scan_k2):
+        # a count with one more level, between grid points 300 and 301 of
+        # the default window, makes that pair a candidate; its values have
+        # one sign, so it is no bracket, as in the scan
+        cfg = CouplingConfig(kappa=2.0, ell=0)
+        assert (300, 301) not in scan_k2.brackets
+        y_cut = spectral._spectral_points(scan_k2.omegas[300], 1.0)
+
+        def one_more_level(B, q0, q1, y, tol):
+            return heun.heun_zero_counts(B, q0, q1, y, tol=tol) + (y <= y_cut)
+
+        valued = []
+
+        def spy(cfg, omegas, tol, point_scale):
+            valued.extend(omegas.tolist())
+            return spectral_values(cfg, omegas, tol, point_scale)
+
+        spectral_values = spectral._spectral_values
+        monkeypatch.setattr(spectral, "heun_zero_counts", one_more_level)
+        monkeypatch.setattr(spectral, "_spectral_values", spy)
+        _, brackets, levels = spectral._counted_brackets(
+            cfg, 1e-5, 0.45, 600, DEFAULT_SCAN_TOL, 1.0)
+        assert levels == 6 and set(scan_k2.omegas[300:302]) <= set(valued)
+        assert brackets == scan_k2.brackets
+
+    @pytest.mark.slow
+    def test_underflowed_values_are_no_brackets(self):
+        # 22089 levels on 100 points crowd the grid, which is valued whole;
+        # the deepest values underflow to 0.0, and 21 grid pairs whose count
+        # drops by an odd number hold the same 14 sign changes as the scan
+        cfg = CouplingConfig(kappa=1e4, ell=0)
+        scan = spectral_scan(cfg, 1e-300, 0.45, 100)
+        _, brackets, levels = spectral._counted_brackets(cfg, 1e-300, 0.45, 100,
+                                                         DEFAULT_SCAN_TOL, 1.0)
+        assert levels == 22089 and np.any(scan.values == 0.0)
+        assert brackets == scan.brackets and len(brackets) == 14
+
+
 class TestCompare:
     def test_identical_zero_deviation(self, roots_k2):
         comparison = compare_spectra(roots_k2, roots_k2)

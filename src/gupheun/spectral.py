@@ -10,8 +10,8 @@ Three routes to the spectrum of the deformed inverse-square problem:
   by an odd number (_counted_brackets): a window without levels values no
   point, and fewer roots than levels draw a warning.  Where the levels are
   sparse on the grid this takes a third to a half of the scan's time;
-  where they crowd it (kappa >= 1e3 on the default grid) the whole grid is
-  valued, as the scan does, after a count of its two ends.
+  where they crowd it (kappa >= 1e3 on the default grid) nearly every grid
+  energy is counted as well as valued, and it takes as long or longer.
 * hypergeometric_condition: zeros of F(alpha', gamma'; delta'; -1/Omega),
   the shallow-energy reduction of the same boundary condition.
 * closed_form: the explicit tower
@@ -222,10 +222,9 @@ def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float,
     takes the candidates' ends, and _find_brackets keeps the sign changes
     among them: those values are the scan's own, so the brackets are a
     subset of the scan's, and all of them where every sign change of the
-    scan drops the count by an odd number.  Where the levels crowd the grid,
-    so that the bisection would take about as many energies as the grid
-    holds, the whole grid is valued instead, as the scan does.  A count that
-    rises with omega, or that fails, raises HeunEvaluationError.
+    scan drops the count by an odd number.  A count that rises with omega
+    between any two counted grid energies, or that fails, raises
+    HeunEvaluationError.
     """
     omegas = _scan_grid(omega_min, omega_max, n_points, point_scale)
     counts = np.full(n_points, -1)
@@ -247,9 +246,6 @@ def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float,
     known, drops = count(np.array([0, n_points - 1]))
     levels = int(drops[0])
     stride = -(-(n_points - 1) // (_COARSE_POINTS - 1))
-    # a level costs about log2(stride) counts and two values
-    if levels * (stride.bit_length() + 1) >= n_points:
-        return omegas, _find_brackets(_spectral_values(cfg, omegas, tol, point_scale)), levels
     todo = np.arange(stride, n_points - 1, stride) if levels else np.arange(0)
     while todo.size:
         known, drops = count(todo)
@@ -337,14 +333,15 @@ def _chandrupatla(f, lo: np.ndarray, hi: np.ndarray, xatol: float,
 
 
 def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
-                   tol: float) -> tuple[float, ...]:
+                   tol: float, stacklevel: int = 3) -> tuple[float, ...]:
     """Zeros of f in the brackets over omegas, decreasing, deduplicated at 2*tol.
 
     The brackets, (i, i+1) pairs of _find_brackets, are refined together by
     _chandrupatla until each is narrower than tol + 4*eps*omega.  A bracket
-    without a sign change under f is dropped with a RuntimeWarning; one that
-    ends on NaN values or the iteration cap raises NonConvergenceError.  tol
-    must be finite and positive: at tol = inf deduplication merges every root.
+    without a sign change under f is dropped with a RuntimeWarning at
+    stacklevel (by default the caller's caller); one that ends on NaN values
+    or the iteration cap raises NonConvergenceError.  tol must be finite and
+    positive: at tol = inf deduplication merges every root.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -357,7 +354,7 @@ def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
             "NaN values" if status[i] == -3 else "the iteration cap"))
     for a, b in zip(lo[status == -1], hi[status == -1]):
         warnings.warn(f"bracket [{a:g}, {b:g}] lost its sign change; dropped",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=stacklevel)
     roots = sorted(x[status == 0].tolist(), reverse=True)
     deduped: list[float] = []
     for r in roots:
@@ -376,12 +373,17 @@ def find_roots(scan: SpectralScan, tol: float = DEFAULT_ROOT_TOL) -> SpectrumRes
     raises HeunEvaluationError.
     """
     return _refine(CouplingConfig(kappa=scan.kappa, ell=scan.ell), scan.omegas, scan.brackets,
-                   scan.tol, scan.point_scale, tol)
+                   scan.tol, scan.point_scale, tol, stacklevel=3)
 
 
 def _refine(cfg: CouplingConfig, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
-            scan_tol: float, point_scale: float, tol: float) -> SpectrumResult:
-    """find_roots on the brackets over a grid taken at scan_tol and point_scale."""
+            scan_tol: float, point_scale: float, tol: float,
+            stacklevel: int = 2) -> SpectrumResult:
+    """find_roots on the brackets over a grid taken at scan_tol and point_scale.
+
+    A dropped bracket's warning takes stacklevel as warnings.warn would
+    here: the default 2 points it at the caller.
+    """
 
     def f(w: np.ndarray) -> np.ndarray:
         values = _spectral_values(cfg, w, min(REFINE_EVAL_TOL, scan_tol), point_scale)
@@ -391,7 +393,8 @@ def _refine(cfg: CouplingConfig, omegas: np.ndarray, brackets: tuple[tuple[int, 
                                       f"{failed[0]:g} ({failed.size} of {w.size})")
         return values
 
-    return SpectrumResult(method=METHOD_EXACT, omegas=_bracket_roots(f, omegas, brackets, tol),
+    return SpectrumResult(method=METHOD_EXACT,
+                          omegas=_bracket_roots(f, omegas, brackets, tol, stacklevel + 1),
                           kappa=cfg.kappa, ell=cfg.ell)
 
 

@@ -410,20 +410,28 @@ class TestCountBeforeScan:
         assert (code, lines, err) == (3, [], "numerical failure: zero count failed\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("points,lo,hi", [pytest.param(5, 0, 4, id="ends"),
+                                              pytest.param(600, 288, 304, id="interior")])
     @pytest.mark.parametrize("command", ["roots", "compare"])
-    def test_count_that_rises_is_numerical_error(self, capsys, monkeypatch, tmp_path, command):
+    def test_count_that_rises_is_numerical_error(self, capsys, monkeypatch, tmp_path, command,
+                                                 points, lo, hi):
         # N(omega) cannot grow with omega; a count that does is a failure,
-        # not an interval to skip
-        def rising(*args, **kwargs):
-            return np.arange(args[-1].size)
+        # not an interval to skip: between the grid ends, or between the
+        # coarse points 288 and 304 of a grid whose ends count 5 levels
+        omegas = spectral._scan_grid(1e-5, 0.45, points, 1.0)
+        y_grid = spectral._spectral_points(omegas, 1.0)
+
+        def rising(B, q0, q1, y, tol):
+            i = np.searchsorted(y_grid, y)
+            return np.where(i == hi, 6, np.where(i <= lo, 5, 0))
 
         monkeypatch.setattr(spectral, "heun_zero_counts", rising)
         out = tmp_path / "out.csv"
-        code, lines, err = run_cli(capsys, command, "--kappa", "2", "--points", "5",
+        code, lines, err = run_cli(capsys, command, "--kappa", "2", "--points", str(points),
                                    "-o", str(out))
         assert (code, lines) == (3, [])
-        assert err == ("numerical failure: zero count rises with omega, from 0 at "
-                       "omega = 1e-05 to 1 at omega = 0.45\n")
+        assert err == (f"numerical failure: zero count rises with omega, from 5 at "
+                       f"omega = {omegas[lo]:g} to 6 at omega = {omegas[hi]:g}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["roots", "compare"])

@@ -270,7 +270,7 @@ class TestFindRoots:
                             kappa=2.0, ell=0)
         with pytest.warns(RuntimeWarning, match="lost its sign change") as record:
             result = find_roots(scan)
-        assert len(record) == 1
+        assert len(record) == 1 and record[0].filename == __file__
         assert len(result) == 1 and result.omegas[0] == pytest.approx(0.2486, abs=0.005)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
@@ -785,15 +785,25 @@ class TestCountedBrackets:
         assert brackets == scan_k2.brackets
 
     @pytest.mark.slow
-    def test_underflowed_values_are_no_brackets(self):
-        # 22089 levels on 100 points crowd the grid, which is valued whole;
-        # the deepest values underflow to 0.0, and 21 grid pairs whose count
-        # drops by an odd number hold the same 14 sign changes as the scan
+    def test_underflowed_values_are_no_brackets(self, monkeypatch):
+        # the deepest values underflow to 0.0: 21 grid pairs whose count
+        # drops by an odd number, 36 distinct ends, hold the same 14 sign
+        # changes as the scan, and no other grid energy is valued
         cfg = CouplingConfig(kappa=1e4, ell=0)
         scan = spectral_scan(cfg, 1e-300, 0.45, 100)
+        valued = []
+
+        def spy(cfg, omegas, tol, point_scale):
+            valued.append(omegas)
+            return spectral_values(cfg, omegas, tol, point_scale)
+
+        spectral_values = spectral._spectral_values
+        monkeypatch.setattr(spectral, "_spectral_values", spy)
         _, brackets, levels = spectral._counted_brackets(cfg, 1e-300, 0.45, 100,
                                                          DEFAULT_SCAN_TOL, 1.0)
-        assert levels == 22089 and np.any(scan.values == 0.0)
+        (ends,) = valued
+        assert levels == 22089 and ends.size == 36
+        assert np.any(scan.values[np.isin(scan.omegas, ends)] == 0.0)
         assert brackets == scan.brackets and len(brackets) == 14
 
 

@@ -24,13 +24,12 @@ second parameter B = -b = ell + 1/2.  It is the only branch evaluated here:
 Evaluation
 ----------
 heun_coefficients maps (kappa, ell, omega) to the arrays (B, q0, q1).
-heun_continue_arrays (values) and heun_zero_counts (the zeros of g on
-(y, 0)) share one evaluator, _evaluate, which takes arrays of (energy,
-target) pairs with targets y < 0 through these stages in order:
+heun_continue_arrays (values), heun_zero_counts (zeros of g on (y, 0)) and
+_counts_and_values (both) share one evaluator, _evaluate, which takes arrays
+of (energy, target) pairs with targets y < 0 through these stages in order:
 
 1. _series_state: one Frobenius-series pass gives the targets near the
-   origin and seeds every distinct energy at _seed_radius, or at
-   _certified_radius for a count.
+   origin and seeds every distinct energy at _certified_radius.
 2. _layout: each energy's path beyond its seed, in t = ln(-y), is cut into
    Chebyshev panels, and the far-field stretch of _far_field, where the
    path reaches it, into one far panel.
@@ -53,10 +52,6 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 SERIES_MAX_TERMS = 10_000
-# On y < 0 the series terms alternate in sign and peak near
-# exp(2*sqrt((|q0| + sqrt|q1|)*|y|)); continuation is seeded where that
-# stays below e^8, so the sum keeps about 12 of its 16 digits
-_SEED_GROWTH = 8.0
 # Continuation panels (_layout, _solved_panels): _NODES Chebyshev points
 # each; a panel is halved while a basis solution's Chebyshev tail exceeds
 # _TAIL_FRACTION * tol (never less than _TAIL_FLOOR, 100 times the roundoff
@@ -205,19 +200,15 @@ def _series_state(B: float, q0: np.ndarray, q1: np.ndarray, z: np.ndarray,
     return g, gp
 
 
-def _seed_radius(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    """|y| of each energy's series seed: 0.5, or closer in where the terms would cancel."""
-    return np.minimum(0.5, (0.5 * _SEED_GROWTH) ** 2 / (np.abs(q0) + np.sqrt(np.abs(q1))))
-
-
 def _certified_radius(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    """|y| = 1/(4s), s = 1 + |q0| + sqrt|q1|, within which g > 0: the seed of a zero count.
+    """|y| = 1/(4s), s = 1 + |q0| + sqrt|q1|, within which g > 0: every energy's seed.
 
     There the recurrence of _series_state bounds each term |v_n y^n|, n >= 2,
     by 0.32 times the larger of the two before it, so the terms after
     v_0 = 1 add up to less than 1/2: the series' absolute sum certifies
-    |g - 1| < 1, and g has no zero on (-1/(4s), 0).  The series converges
-    there within a block or two of terms.
+    |g - 1| < 1, and g has no zero on (-1/(4s), 0), which seeds a zero
+    count at 0.  No term exceeds v_0, so the sum loses no digits to
+    cancellation, and it converges within a block or two of terms.
     """
     return 0.25 / (1.0 + np.abs(q0) + np.sqrt(np.abs(q1)))
 
@@ -650,10 +641,10 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
 
 def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: float,
               count: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(g, g', zeros) of heun_continue_arrays; zeros is heun_zero_counts' or None.
+    """(g, g', zeros) of heun_continue_arrays; zeros is _counts_and_values' or None.
 
-    With count, every energy is seeded at _certified_radius instead of
-    _seed_radius.
+    Every energy is seeded at _certified_radius, so a value does not depend
+    on whether it is counted; count only adds the angles of the panels.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -666,13 +657,12 @@ def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: floa
 
     g = np.full(y.size, np.nan)
     gp = np.full(y.size, np.nan)
-    radius_of = _certified_radius if count else _seed_radius
-    inner = -y <= radius_of(q0, q1)
+    inner = -y <= _certified_radius(q0, q1)
     outer = np.flatnonzero(~inner)
     # the distinct energies, sorted by q1 and then q0 (complex numbers sort so)
     energies, owner = np.unique(q1[outer] + 1j * q0[outer], return_inverse=True)
     e1, e0 = energies.real, energies.imag
-    radius = radius_of(e0, e1)
+    radius = _certified_radius(e0, e1)
     # one series pass: the inner targets at their own y, then each outer energy's seed
     m = np.count_nonzero(inner)
     sg, sgp = _series_state(B, np.concatenate((q0[inner], e0)), np.concatenate((q1[inner], e1)),
@@ -700,11 +690,10 @@ def heun_continue_arrays(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray
     """(g, g') of the physical branch for energy (B, q0_k, q1_k) at target y_k < 0.
 
     (B, q0, q1) as given by heun_coefficients, with one 1-d entry per
-    target; the same energy may
-    appear many times.  Each distinct energy is seeded once by its Frobenius
-    series at radius 0.5, or closer to the origin when its series terms
-    would cancel there (see _SEED_GROWTH).  Targets inside the seed radius
-    are read straight from the series.  The others come from one chain of
+    target; the same energy may appear many times.  Each distinct energy is
+    seeded once by its Frobenius series at _certified_radius, where the
+    series' terms cannot cancel.  Targets inside that radius are read
+    straight from the series.  The others come from one chain of
     Chebyshev panels per energy in t = ln(-y) (_continue), with each panel's
     basis solutions resolved to tol by the size of their Chebyshev tail.  A
     value depends only on its energy, target and tol, not on the rest of the
@@ -715,6 +704,19 @@ def heun_continue_arrays(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray
     return g, gp
 
 
+def _counts_and_values(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
+                       tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """heun_zero_counts and, from the same panels, g of heun_continue_arrays, bit for bit."""
+    g, _, zeros = _evaluate(B, q0, q1, y, tol, count=True)
+    failed = y[np.isnan(zeros)]
+    if failed.size:
+        raise HeunEvaluationError(
+            f"zero count to y = {failed[0]} failed ({failed.size} of {y.size} targets): "
+            f"a series or a continuation panel did not evaluate"
+        )
+    return zeros.astype(int), g
+
+
 def heun_zero_counts(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
                      tol: float = 1e-10) -> np.ndarray:
     """Number of zeros of the physical branch of energy (B, q0_k, q1_k) on (y_k, 0).
@@ -722,19 +724,11 @@ def heun_zero_counts(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
     The oscillation count by which Sturm-Liouville codes index eigenvalues
     (Bailey, Everitt & Zettl, ACM TOMS 27 (2001) 143): on the spectral
     line y* = (Omega-1)/Omega it drops by one at each eigenvalue as omega
-    rises.  Arguments as for heun_continue_arrays, on the same series and
-    panels, but each energy is seeded at _certified_radius, inside which
-    g > 0: one series pass gives the seeds (and the targets inside that
-    radius, which have no zero), and every zero beyond it comes from the
-    angle each panel's basis solutions turn through (_turns, _phase), or
-    the phase a far panel advances by (_far_step), up to the target itself.
-    Raises HeunEvaluationError if any count fails.
+    rises.  Arguments as for heun_continue_arrays, on the same seeds and
+    panels.  g > 0 inside the seed radius, so the targets there have no
+    zero, and every zero beyond it comes from the angle each panel's basis
+    solutions turn through (_turns, _phase), or the phase a far panel
+    advances by (_far_step), up to the target itself.  Raises
+    HeunEvaluationError if any count fails.
     """
-    _, _, zeros = _evaluate(B, q0, q1, y, tol, count=True)
-    failed = y[np.isnan(zeros)]
-    if failed.size:
-        raise HeunEvaluationError(
-            f"zero count to y = {failed[0]} failed ({failed.size} of {y.size} targets): "
-            f"a series or a continuation panel did not evaluate"
-        )
-    return zeros.astype(int)
+    return _counts_and_values(B, q0, q1, y, tol)[0]

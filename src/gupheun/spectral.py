@@ -6,12 +6,10 @@ Three routes to the spectrum of the deformed inverse-square problem:
   by a log-spaced scan and refined in one batch.  This is the condition
   R(xi*) = 0 at the edge of the physical range.  `roots` and `compare`
   find the scan's brackets from the zero count that critical_coupling
-  bisects on (below), valuing only the grid neighbours whose count drops
-  by an odd number (_counted_brackets): a window without levels values no
-  point, and fewer roots than levels draw a warning.  Where the levels are
-  sparse on the grid this takes a third to a half of the scan's time;
-  where they crowd it (kappa >= 1e3 on the default grid) nearly every grid
-  energy is counted as well as valued, and it takes as long or longer.
+  bisects on (below), which brings the scan's values with it; only the
+  grid neighbours whose count drops by an odd number are tested for a
+  sign change (_counted_brackets).  A window without levels takes one
+  count of its two ends, and fewer roots than levels draw a warning.
 * hypergeometric_condition: zeros of F(alpha', gamma'; delta'; -1/Omega),
   the shallow-energy reduction of the same boundary condition.
 * closed_form: the explicit tower
@@ -49,6 +47,7 @@ import numpy as np
 from .heun import (
     CouplingConfig,
     HeunEvaluationError,
+    _counts_and_values,
     heun_coefficients,
     heun_continue_arrays,
     heun_zero_counts,
@@ -87,6 +86,12 @@ _COUNT_TOL = 1e-6
 # grid energies in the coarse zero count of _counted_brackets: every 16th of
 # the default 600, and the whole grid in one call up to 40 points
 _COARSE_POINTS = 40
+# halvings of each dropping interval per count call of _counted_brackets (3
+# points an interval; 2 calls at stride 16, not 4): 14.9 / 13.6 / 15.2 ms at
+# 1 / 2 / 3 at kappa = 2, 21.8 / 16.5 / 17.4 ms on 2400 points, but 53 / 72 /
+# 94 ms at kappa = 100, where nearly every coarse interval drops (2-core Xeon,
+# default window, medians of 9 rounds, each the best of 3)
+_HALVINGS_PER_CALL = 2
 
 
 class NoTransitionError(RuntimeError):
@@ -212,28 +217,29 @@ def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float,
 
     N(omega), the zeros of the Heun function on (y*, 0), drops by one at each
     eigenvalue as omega rises, and the sign of Hc at y* follows its parity.
-    A first heun_zero_counts call counts the grid's two ends: N(first) -
-    N(last) is the number of levels on the grid, and a grid without levels
-    is done.  Otherwise a second call counts every stride-th grid energy,
-    about _COARSE_POINTS of them, and each interval whose count drops is
-    bisected on grid indices, all of them in one call per halving, down to
-    neighbours (i, i+1); a pair whose count drops by an odd number is a
-    candidate.  One _spectral_values call at the scan's tol and point_scale
-    takes the candidates' ends, and _find_brackets keeps the sign changes
-    among them: those values are the scan's own, so the brackets are a
-    subset of the scan's, and all of them where every sign change of the
-    scan drops the count by an odd number.  A count that rises with omega
-    between any two counted grid energies, or that fails, raises
+    Each _counts_and_values call, at the scan's tol and point_scale, returns
+    the counts with the scan's own values.  A first call counts the grid's
+    two ends: N(first) - N(last) is the number of levels on the grid, and a
+    grid without levels is done.  Otherwise a second call counts every
+    stride-th grid energy, about _COARSE_POINTS of them, and each interval
+    whose count drops is bisected on grid indices, _HALVINGS_PER_CALL
+    halvings of all of them per call, down to neighbours (i, i+1); a pair
+    whose count drops by an odd number is a candidate, and _find_brackets
+    keeps the sign changes among the candidates' values.  So the brackets
+    are a subset of the scan's, and all of them where every sign change of
+    the scan drops the count by an odd number.  A count that rises with
+    omega between any two counted grid energies, or that fails, raises
     HeunEvaluationError.
     """
     omegas = _scan_grid(omega_min, omega_max, n_points, point_scale)
     counts = np.full(n_points, -1)
+    values = np.full(n_points, np.nan)
 
     def count(todo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Count at grid indices todo; every counted index and the drops between them."""
         w = omegas[todo]
-        counts[todo] = heun_zero_counts(*heun_coefficients(cfg.kappa, cfg.ell, w),
-                                        _spectral_points(w, point_scale), tol=tol)
+        counts[todo], values[todo] = _counts_and_values(
+            *heun_coefficients(cfg.kappa, cfg.ell, w), _spectral_points(w, point_scale), tol=tol)
         known = np.flatnonzero(counts >= 0)
         drops = counts[known[:-1]] - counts[known[1:]]
         if (rise := np.flatnonzero(drops < 0)).size:
@@ -249,14 +255,15 @@ def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float,
     todo = np.arange(stride, n_points - 1, stride) if levels else np.arange(0)
     while todo.size:
         known, drops = count(todo)
-        wide = (drops > 0) & (np.diff(known) > 1)
-        todo = (known[:-1][wide] + known[1:][wide]) // 2
+        lo, hi = known[:-1][drops > 0], known[1:][drops > 0]
+        for _ in range(_HALVINGS_PER_CALL):  # each halving's midpoints join lo
+            mid = (lo + hi) // 2
+            lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        todo = np.setdiff1d(lo, known)
     left = known[:-1][drops % 2 == 1]  # every dropping interval is one step wide now
-    values = np.full(n_points, np.nan)
-    if left.size:
-        ends = np.union1d(left, left + 1)
-        values[ends] = _spectral_values(cfg, omegas[ends], tol, point_scale)
-    return omegas, _find_brackets(values), levels
+    candidates = np.full(n_points, np.nan)
+    candidates[left], candidates[left + 1] = values[left], values[left + 1]
+    return omegas, _find_brackets(candidates), levels
 
 
 @dataclass(frozen=True)
@@ -463,23 +470,20 @@ def hypergeometric_condition_roots(cfg: CouplingConfig,
 
 
 def _level_counts(ell: int, kappas, omega_lo: float, omega_hi: float,
-                  tol: float, point_scale: float = 1.0) -> np.ndarray:
+                  tol: float) -> np.ndarray:
     """Levels in (omega_lo, omega_hi) at each kappa: N(omega_lo) - N(omega_hi).
 
-    N(omega) is the number of zeros of the Heun function on (y*, 0), y* the
-    spectral point at point_scale, which drops by one at each eigenvalue as
-    omega rises; all 2 * len(kappas) counts come from one heun_zero_counts
-    call.  critical_coupling counts at point_scale 1, and the CLI's `roots`
-    and `compare` count their window at the scan's point_scale before they
-    scan it.  A window that spectral_scan would reject raises its ValueError
-    before any count.
+    N(omega) is the number of zeros of the Heun function on (y*, 0), which
+    drops by one at each eigenvalue as omega rises; all 2 * len(kappas)
+    counts come from one heun_zero_counts call.  A window that
+    spectral_scan would reject raises its ValueError before any count.
     """
     for kappa in kappas:
         CouplingConfig(kappa=kappa, ell=ell)  # validates kappa and ell
-    _check_window(omega_lo, omega_hi, point_scale)
+    _check_window(omega_lo, omega_hi, 1.0)
     omegas = np.tile([omega_lo, omega_hi], len(kappas))
     n = heun_zero_counts(*heun_coefficients(np.repeat(kappas, 2), ell, omegas),
-                         _spectral_points(omegas, point_scale), tol=tol)
+                         _spectral_points(omegas, 1.0), tol=tol)
     return n[0::2] - n[1::2]
 
 

@@ -224,9 +224,9 @@ class TestRootsCommand:
         assert not out.exists()
 
     def test_failed_refinement_exit_3(self, capsys, monkeypatch):
-        # the scan's series stop at 1e-11 and settle within 56 terms; the
-        # refinement's stop at 1e-13 and need more
-        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 56)
+        # the seed series of the counts and the scan stop at 1e-11 and settle
+        # within 12 terms; the refinement's stop at 1e-13 and need more
+        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 12)
         code, _, err = run_cli(capsys, "roots", "--kappa", "2", "--omega-min", "0.2",
                                "--omega-max", "0.3", "--points", "40")
         assert code == 3
@@ -369,7 +369,7 @@ class TestCompareCommand:
 
 
 class TestCountBeforeScan:
-    """`roots` and `compare` count the window's levels before they scan it."""
+    """`roots` and `compare` bracket the window's levels by their zero count."""
 
     @pytest.mark.parametrize("command,key", [("roots", "roots"), ("compare", "pairs")])
     @pytest.mark.parametrize("kappa", ["0.05", "0.1"])
@@ -380,12 +380,12 @@ class TestCountBeforeScan:
 
         def counted(*args, **kwargs):
             calls.append(args[-1].size)
-            return heun.heun_zero_counts(*args, **kwargs)
+            return heun._counts_and_values(*args, **kwargs)
 
         def no_values(*args, **kwargs):
             raise AssertionError("valued a window without levels")
 
-        monkeypatch.setattr(spectral, "heun_zero_counts", counted)
+        monkeypatch.setattr(spectral, "_counts_and_values", counted)
         monkeypatch.setattr(spectral, "_spectral_values", no_values)
         code, lines, err = run_cli(capsys, command, "--kappa", kappa, "--ell", "0")
         assert (code, err) == (0, "")
@@ -402,7 +402,7 @@ class TestCountBeforeScan:
         def no_values(*args, **kwargs):
             raise AssertionError("valued a window whose count failed")
 
-        monkeypatch.setattr(spectral, "heun_zero_counts", failed_count)
+        monkeypatch.setattr(spectral, "_counts_and_values", failed_count)
         monkeypatch.setattr(spectral, "_spectral_values", no_values)
         out = tmp_path / f"{command}.{fmt}"
         code, lines, err = run_cli(capsys, command, "--kappa", "2", "--format", fmt,
@@ -423,9 +423,9 @@ class TestCountBeforeScan:
 
         def rising(B, q0, q1, y, tol):
             i = np.searchsorted(y_grid, y)
-            return np.where(i == hi, 6, np.where(i <= lo, 5, 0))
+            return np.where(i == hi, 6, np.where(i <= lo, 5, 0)), np.ones(y.size)
 
-        monkeypatch.setattr(spectral, "heun_zero_counts", rising)
+        monkeypatch.setattr(spectral, "_counts_and_values", rising)
         out = tmp_path / "out.csv"
         code, lines, err = run_cli(capsys, command, "--kappa", "2", "--points", str(points),
                                    "-o", str(out))

@@ -304,20 +304,32 @@ class TestZeroCounts:
         assert changes[-1] > 0
 
     def test_values_compute_no_angle(self, monkeypatch):
-        # scans, root refinement and profiles do not pay for the count, and
-        # keep the seed radius where the series sum keeps its digits
+        # scans, root refinement and profiles do not pay for the count
         def no_angle(*args):
             raise AssertionError("angle computed for a value")
 
-        def no_certified_seed(*args):
-            raise AssertionError("a value seeded at the zero count's radius")
-
         monkeypatch.setattr(heun, "_turns", no_angle)
         monkeypatch.setattr(heun, "_phase", no_angle)
-        monkeypatch.setattr(heun, "_certified_radius", no_certified_seed)
         cfg = CouplingConfig(kappa=2.0, ell=0)
         assert len(find_roots(spectral_scan(cfg, 1e-4, 0.45, 60))) == 4
         one_energy(coefficients(2.0, 0, 1e-3), -np.geomspace(1e-3, 500.0, 50))
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    def test_values_are_the_value_path(self, ell, tol):
+        # one seed for values and counts: g from a count is heun_continue_arrays'
+        # g, bit for bit, at y*, beyond the seed and inside it
+        kappa, omega = (np.ravel(x) for x in np.meshgrid(
+            [0.05, 0.3, 2.0, 100.0, 3e3], [1e-12, 1e-5, 0.01, 0.3, 0.45]))
+        B, q0, q1 = heun_coefficients(kappa, ell, omega)
+        radius = heun._certified_radius(q0, q1)
+        y = np.stack((spectral._spectral_points(omega, 1.0), np.full(omega.size, -0.3),
+                      -0.5 * radius, -radius), axis=1)
+        q0, q1 = np.repeat(q0, 4), np.repeat(q1, 4)
+        n, g = heun._counts_and_values(B, q0, q1, y.ravel(), tol=tol)
+        assert np.array_equal(g, heun_continue_arrays(B, q0, q1, y.ravel(), tol=tol)[0])
+        assert np.array_equal(n, heun_zero_counts(B, q0, q1, y.ravel(), tol=tol))
+        assert np.all(n.reshape(y.shape)[:, 2:] == 0) and np.any(n > 0)
 
     def test_turns_past_pi_between_two_nodes(self):
         # the angle only increases, so a node-to-node step of 3.3 (seen up to
@@ -395,10 +407,15 @@ class TestStartStates:
 
 
 def _series_rows(kappa, ell, rows):
-    """(B, q0, q1, z) of _series_state for (omega, fraction of the seed radius) rows."""
+    """(B, q0, q1, z) of _series_state for (omega, fraction of a wide radius) rows.
+
+    The radius is 0.5, or less where the series terms would peak above e^8:
+    out there the series takes up to several hundred terms, far more blocks
+    than at the evaluator's seed, _certified_radius.
+    """
     omega, fraction = np.array(rows).T
     B, q0, q1 = heun_coefficients(kappa, ell, omega)
-    return B, q0, q1, -fraction * heun._seed_radius(q0, q1)
+    return B, q0, q1, -fraction * np.minimum(0.5, 16.0 / (np.abs(q0) + np.sqrt(np.abs(q1))))
 
 
 def _same_series(B, q0, q1, z, tol):
@@ -469,7 +486,7 @@ class TestBatchIndependence:
         # (1e-3), must absorb its own panels only
         B, q0, q1 = heun_coefficients(np.array([2.0, 3000.0]), 0, np.array([omega, 1e-45]))
         y = spectral._spectral_points(np.array([omega, 1e-45]), 1.0)
-        panels = heun._layout(B, q0[1:], q1[1:], np.log(heun._seed_radius(q0[1:], q1[1:])),
+        panels = heun._layout(B, q0[1:], q1[1:], np.log(heun._certified_radius(q0[1:], q1[1:])),
                               np.log(-y[1:]), 1e-10)[0]
         assert panels.size > 480
         alone = heun_continue_arrays(B, q0[:1], q1[:1], y[:1], tol=1e-10)
@@ -511,8 +528,8 @@ _DOP853_CASES = [(0.75, 0, 1e-45), (0.75, 2, 1e-20), (2.0, 0, 1e-45), (2.0, 2, 1
 def dop853_paths():
     """(energy, targets, g, g') per case, from a DOP853 solve at rtol 1e-12 off the series seed.
 
-    The seed sits where the series terms stay below e^8, as in the
-    evaluator, and the six targets reach out to y*.
+    The seed sits where the series terms stay below e^8, and the six
+    targets reach out to y*.
     """
     paths = []
     for kappa, ell, omega in _DOP853_CASES:

@@ -171,9 +171,10 @@ class TestBatchedScan:
         assert scan.brackets == _find_brackets(values)
 
     def test_failed_series_become_gaps(self, monkeypatch):
-        # with the term cap lowered, only the energies whose target sits
-        # close to the origin keep a convergent series
-        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 50)
+        # with the term cap inside the first block of terms, only the six
+        # highest energies, whose seed series settle within 12 terms, keep a
+        # value
+        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 12)
         cfg = CouplingConfig(kappa=2.0, ell=0)
         scan = spectral_scan(cfg, 1e-4, 0.45, 40)
         values = _pointwise(cfg, scan.omegas, scan.tol)
@@ -720,13 +721,14 @@ class TestLevelCount:
         (0.1, 0, 2.0, 0), (0.3, 0, 2.0, 2), (0.75, 0, 0.5, 2), (0.75, 1, 2.0, 1),
         (2.0, 1, 0.5, 3), (2.0, 2, 1.0, 1), (5.0, 2, 0.5, 5), (20.0, 2, 2.0, 14)])
     def test_default_window_at_the_scan_point_scale(self, kappa, ell, point_scale, levels):
-        # the count that `roots` and `compare` take before they scan: at the
-        # scan's tol and point_scale it equals the default 600-point scan's
-        # brackets; five of these eight count otherwise at point_scale 1
-        count = spectral._level_counts(ell, [kappa], spectral.DEFAULT_OMEGA_MIN,
-                                       spectral.DEFAULT_OMEGA_MAX, DEFAULT_SCAN_TOL,
-                                       point_scale)[0]
-        scan = spectral_scan(CouplingConfig(kappa=kappa, ell=ell), point_scale=point_scale)
+        # the count that `roots` and `compare` bracket by: at the scan's tol
+        # and point_scale it equals the default 600-point scan's brackets;
+        # five of these eight count otherwise at point_scale 1
+        cfg = CouplingConfig(kappa=kappa, ell=ell)
+        _, _, count = spectral._counted_brackets(
+            cfg, spectral.DEFAULT_OMEGA_MIN, spectral.DEFAULT_OMEGA_MAX,
+            spectral.DEFAULT_SCAN_POINTS, DEFAULT_SCAN_TOL, point_scale)
+        scan = spectral_scan(cfg, point_scale=point_scale)
         assert count == len(scan.brackets) == levels
 
     def test_count_is_monotone_in_omega(self):
@@ -767,43 +769,62 @@ class TestCountedBrackets:
         assert (300, 301) not in scan_k2.brackets
         y_cut = spectral._spectral_points(scan_k2.omegas[300], 1.0)
 
-        def one_more_level(B, q0, q1, y, tol):
-            return heun.heun_zero_counts(B, q0, q1, y, tol=tol) + (y <= y_cut)
-
         valued = []
 
-        def spy(cfg, omegas, tol, point_scale):
-            valued.extend(omegas.tolist())
-            return spectral_values(cfg, omegas, tol, point_scale)
+        def one_more_level(B, q0, q1, y, tol):
+            valued.extend(y.tolist())
+            counts, values = heun._counts_and_values(B, q0, q1, y, tol=tol)
+            return counts + (y <= y_cut), values
 
-        spectral_values = spectral._spectral_values
-        monkeypatch.setattr(spectral, "heun_zero_counts", one_more_level)
-        monkeypatch.setattr(spectral, "_spectral_values", spy)
+        monkeypatch.setattr(spectral, "_counts_and_values", one_more_level)
         _, brackets, levels = spectral._counted_brackets(
             cfg, 1e-5, 0.45, 600, DEFAULT_SCAN_TOL, 1.0)
-        assert levels == 6 and set(scan_k2.omegas[300:302]) <= set(valued)
+        pair = spectral._spectral_points(scan_k2.omegas[300:302], 1.0)
+        assert levels == 6 and set(pair) <= set(valued)
         assert brackets == scan_k2.brackets
+
+    def test_values_come_with_the_counts(self, monkeypatch, scan_k2):
+        # kappa = 2 on the default window: counts of the 2 grid ends, the 37
+        # coarse points and 5 intervals of 16 points halved twice per call
+        # twice, and no value call: the candidates' values come with their
+        # counts
+        sizes = []
+
+        def counted(*args, **kwargs):
+            sizes.append(args[-1].size)
+            return heun._counts_and_values(*args, **kwargs)
+
+        def no_values(*args, **kwargs):
+            raise AssertionError("valued a grid energy apart from its count")
+
+        monkeypatch.setattr(spectral, "_counts_and_values", counted)
+        monkeypatch.setattr(spectral, "_spectral_values", no_values)
+        _, brackets, levels = spectral._counted_brackets(
+            CouplingConfig(kappa=2.0, ell=0), 1e-5, 0.45, 600, DEFAULT_SCAN_TOL, 1.0)
+        assert sizes == [2, 37, 15, 15]
+        assert brackets == scan_k2.brackets and levels == 5
 
     @pytest.mark.slow
     def test_underflowed_values_are_no_brackets(self, monkeypatch):
         # the deepest values underflow to 0.0: 21 grid pairs whose count
         # drops by an odd number, 36 distinct ends, hold the same 14 sign
-        # changes as the scan, and no other grid energy is valued
+        # changes as the scan, and no other grid energy's value is tested
         cfg = CouplingConfig(kappa=1e4, ell=0)
         scan = spectral_scan(cfg, 1e-300, 0.45, 100)
-        valued = []
+        tested = []
 
-        def spy(cfg, omegas, tol, point_scale):
-            valued.append(omegas)
-            return spectral_values(cfg, omegas, tol, point_scale)
+        def spy(values):
+            tested.append(values)
+            return find_brackets(values)
 
-        spectral_values = spectral._spectral_values
-        monkeypatch.setattr(spectral, "_spectral_values", spy)
+        find_brackets = spectral._find_brackets
+        monkeypatch.setattr(spectral, "_find_brackets", spy)
         _, brackets, levels = spectral._counted_brackets(cfg, 1e-300, 0.45, 100,
                                                          DEFAULT_SCAN_TOL, 1.0)
-        (ends,) = valued
+        (values,) = tested
+        ends = np.flatnonzero(~np.isnan(values))
         assert levels == 22089 and ends.size == 36
-        assert np.any(scan.values[np.isin(scan.omegas, ends)] == 0.0)
+        assert np.any(values[ends] == 0.0)
         assert brackets == scan.brackets and len(brackets) == 14
 
 

@@ -705,7 +705,7 @@ def heun_continue_arrays(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray
 
 
 def _counts_and_values(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
-                       tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+                       tol: float) -> tuple[np.ndarray, np.ndarray]:
     """heun_zero_counts and, from the same panels, g of heun_continue_arrays, bit for bit."""
     g, _, zeros = _evaluate(B, q0, q1, y, tol, count=True)
     failed = y[np.isnan(zeros)]

@@ -13,7 +13,7 @@ from .spectral import (
     closed_form_spectrum,
     compare_spectra,
     critical_coupling,
-    find_roots,
+    exact_spectrum,
     spectral_scan,
 )
 
@@ -26,7 +26,7 @@ __all__ = [
     "compare_spectra",
     "critical_coupling",
     "default_xi_grid",
-    "find_roots",
+    "exact_spectrum",
     "spectral_scan",
     "wavefunction",
 ]

@@ -21,7 +21,6 @@ import json
 import math
 import shutil
 import sys
-import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 
@@ -38,6 +37,7 @@ from .spectral import (
     compare_spectra,
     critical_coupling,
     energy_from_omega,
+    exact_spectrum,
     natural_units_for,
     spectral_scan,
     to_physical_energy,
@@ -170,32 +170,6 @@ def _emit(cfg: RunConfig, out: Output) -> str:
     return " ".join(f"{k}={v}" for k, v in pairs)
 
 
-def _exact_roots(cfg: RunConfig) -> SpectrumResult:
-    """Bracket the window's levels by their zero count, then refine them (`roots`, `compare`).
-
-    spectral._counted_brackets finds the brackets that `scan` would report
-    without valuing every grid point (kappa = 2 on the default window:
-    count calls of 2, 37, 15 and 15 energies, which bring their values, in
-    about a quarter of the 600-point scan's time), and with them the
-    window's level count, which certifies the result: fewer roots than
-    levels draw a RuntimeWarning that names where they were lost, in the
-    brackets (refine the grid) or in their refinement.  A count that fails
-    or rises with omega raises HeunEvaluationError, as in critical_coupling.
-    """
-    coupling = cfg.coupling
-    omegas, brackets, levels = spectral._counted_brackets(
-        coupling, cfg.omega_min, cfg.omega_max, cfg.points, cfg.tol, cfg.point_scale)
-    result = spectral._refine(coupling, omegas, brackets, cfg.tol, cfg.point_scale,
-                              tol=min(cfg.tol, spectral.DEFAULT_ROOT_TOL))
-    k, b = len(result), len(brackets)
-    if k < levels:
-        warnings.warn(f"found {k} of {levels} levels in [{cfg.omega_min:g}, {cfg.omega_max:g}]"
-                      + ("; refine the grid" if b < levels else "")
-                      + (f"; the refinement kept {k} of {b} brackets" if k < b else ""),
-                      RuntimeWarning, stacklevel=2)
-    return result
-
-
 def _run_scan(cfg: RunConfig) -> Output:
     scan = spectral_scan(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points,
                          tol=cfg.tol, point_scale=cfg.point_scale)
@@ -223,7 +197,8 @@ def _run_scan(cfg: RunConfig) -> Output:
 
 def _run_roots(cfg: RunConfig) -> Output:
     units = _load_units(cfg.units_file) if cfg.units_file else None
-    result = _exact_roots(cfg)
+    result = exact_spectrum(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points, cfg.tol,
+                            cfg.point_scale)
     n = len(result)
     pairs = [("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)), ("roots", str(n))]
     if n:
@@ -260,7 +235,8 @@ def _run_wavefunction(cfg: RunConfig) -> Output:
 
 
 def _run_compare(cfg: RunConfig) -> Output:
-    exact = _exact_roots(cfg)
+    exact = exact_spectrum(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points, cfg.tol,
+                           cfg.point_scale)
     approx = closed_form_spectrum(cfg.coupling, n_max=cfg.n_max, validity=cfg.validity)
     comparison = compare_spectra(exact, approx)
     rows = comparison.rows
@@ -306,7 +282,7 @@ class Command:
 
 
 # the log grid and its evaluation: `scan` values every point of it, `roots`
-# and `compare` bracket their levels on it (spectral._counted_brackets)
+# and `compare` bracket their levels on it (spectral.exact_spectrum)
 _SCAN = ("omega_min", "omega_max", "points", "point_scale", "tol")
 _LEVELS_PLOT = ('set logscale y\nset xlabel "n"\nset ylabel "omega"\n'
                 'plot DATA using 1:2 with points pt 7 title ')

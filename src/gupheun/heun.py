@@ -24,9 +24,9 @@ second parameter B = -b = ell + 1/2.  It is the only branch evaluated here:
 Evaluation
 ----------
 heun_coefficients maps (kappa, ell, omega) to the arrays (B, q0, q1).
-heun_continue_arrays (values), heun_zero_counts (zeros of g on (y, 0)) and
-_counts_and_values (both) share one evaluator, _evaluate, which takes arrays
-of (energy, target) pairs with targets y < 0 through these stages in order:
+heun_continue_arrays (values) and heun_zero_counts (zeros of g on (y, 0),
+with the values) share one evaluator, _evaluate, which takes arrays of
+(energy, target) pairs with targets y < 0 through these stages in order:
 
 1. _series_state: one Frobenius-series pass gives the targets near the
    origin and seeds every distinct energy at _certified_radius.
@@ -641,7 +641,7 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
 
 def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: float,
               count: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(g, g', zeros) of heun_continue_arrays; zeros is _counts_and_values' or None.
+    """(g, g', zeros) of heun_continue_arrays; zeros is heun_zero_counts' or None.
 
     Every energy is seeded at _certified_radius, so a value does not depend
     on whether it is counted; count only adds the angles of the panels.
@@ -704,22 +704,9 @@ def heun_continue_arrays(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray
     return g, gp
 
 
-def _counts_and_values(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
-                       tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """heun_zero_counts and, from the same panels, g of heun_continue_arrays, bit for bit."""
-    g, _, zeros = _evaluate(B, q0, q1, y, tol, count=True)
-    failed = y[np.isnan(zeros)]
-    if failed.size:
-        raise HeunEvaluationError(
-            f"zero count to y = {failed[0]} failed ({failed.size} of {y.size} targets): "
-            f"a series or a continuation panel did not evaluate"
-        )
-    return zeros.astype(int), g
-
-
 def heun_zero_counts(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
-                     tol: float = 1e-10) -> np.ndarray:
-    """Number of zeros of the physical branch of energy (B, q0_k, q1_k) on (y_k, 0).
+                     tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros of the physical branch of energy (B, q0_k, q1_k) on (y_k, 0), and g at y_k.
 
     The oscillation count by which Sturm-Liouville codes index eigenvalues
     (Bailey, Everitt & Zettl, ACM TOMS 27 (2001) 143): on the spectral
@@ -728,7 +715,15 @@ def heun_zero_counts(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
     panels.  g > 0 inside the seed radius, so the targets there have no
     zero, and every zero beyond it comes from the angle each panel's basis
     solutions turn through (_turns, _phase), or the phase a far panel
-    advances by (_far_step), up to the target itself.  Raises
+    advances by (_far_step), up to the target itself.  g, from the same
+    panels, is heun_continue_arrays' g bit for bit.  Raises
     HeunEvaluationError if any count fails.
     """
-    return _counts_and_values(B, q0, q1, y, tol)[0]
+    g, _, zeros = _evaluate(B, q0, q1, y, tol, count=True)
+    failed = y[np.isnan(zeros)]
+    if failed.size:
+        raise HeunEvaluationError(
+            f"zero count to y = {failed[0]} failed ({failed.size} of {y.size} targets): "
+            f"a series or a continuation panel did not evaluate"
+        )
+    return zeros.astype(int), g

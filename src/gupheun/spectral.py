@@ -2,11 +2,11 @@
 
 Three routes to the spectrum of the deformed inverse-square problem:
 
-* exact_heun: zeros in omega of Hc(a, -b, c, d, e; (Omega-1)/Omega), located
-  by a log-spaced scan and refined in one batch.  This is the condition
-  R(xi*) = 0 at the edge of the physical range.  `roots` and `compare`
-  find the scan's brackets from the zero count that critical_coupling
-  bisects on (below), which brings the scan's values with it; only the
+* exact_heun (exact_spectrum): zeros in omega of Hc(a, -b, c, d, e;
+  (Omega-1)/Omega), bracketed on a log-spaced grid and refined in one
+  batch.  This is the condition R(xi*) = 0 at the edge of the physical
+  range.  The brackets are spectral_scan's, found from the zero count that
+  critical_coupling bisects on (below), which brings their values; only the
   grid neighbours whose count drops by an odd number are tested for a
   sign change (_counted_brackets).  A window without levels takes one
   count of its two ends, and fewer roots than levels draw a warning.
@@ -47,7 +47,6 @@ import numpy as np
 from .heun import (
     CouplingConfig,
     HeunEvaluationError,
-    _counts_and_values,
     heun_coefficients,
     heun_continue_arrays,
     heun_zero_counts,
@@ -139,8 +138,6 @@ class SpectralScan:
     brackets: tuple[tuple[int, int], ...]
     kappa: float
     ell: int
-    tol: float = DEFAULT_SCAN_TOL
-    point_scale: float = 1.0
 
     def __post_init__(self):
         if len(self.omegas) != len(self.values):
@@ -198,7 +195,7 @@ def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
     omegas = _scan_grid(omega_min, omega_max, n_points, point_scale)
     values = _spectral_values(cfg, omegas, tol, point_scale)
     return SpectralScan(omegas=omegas, values=values, brackets=_find_brackets(values),
-                        kappa=cfg.kappa, ell=cfg.ell, tol=tol, point_scale=point_scale)
+                        kappa=cfg.kappa, ell=cfg.ell)
 
 
 def _scan_grid(omega_min: float, omega_max: float, n_points: int,
@@ -217,7 +214,7 @@ def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float,
 
     N(omega), the zeros of the Heun function on (y*, 0), drops by one at each
     eigenvalue as omega rises, and the sign of Hc at y* follows its parity.
-    Each _counts_and_values call, at the scan's tol and point_scale, returns
+    Each heun_zero_counts call, at the scan's tol and point_scale, returns
     the counts with the scan's own values.  A first call counts the grid's
     two ends: N(first) - N(last) is the number of levels on the grid, and a
     grid without levels is done.  Otherwise a second call counts every
@@ -238,7 +235,7 @@ def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float,
     def count(todo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Count at grid indices todo; every counted index and the drops between them."""
         w = omegas[todo]
-        counts[todo], values[todo] = _counts_and_values(
+        counts[todo], values[todo] = heun_zero_counts(
             *heun_coefficients(cfg.kappa, cfg.ell, w), _spectral_points(w, point_scale), tol=tol)
         known = np.flatnonzero(counts >= 0)
         drops = counts[known[:-1]] - counts[known[1:]]
@@ -340,13 +337,13 @@ def _chandrupatla(f, lo: np.ndarray, hi: np.ndarray, xatol: float,
 
 
 def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
-                   tol: float, stacklevel: int = 3) -> tuple[float, ...]:
+                   tol: float) -> tuple[float, ...]:
     """Zeros of f in the brackets over omegas, decreasing, deduplicated at 2*tol.
 
     The brackets, (i, i+1) pairs of _find_brackets, are refined together by
     _chandrupatla until each is narrower than tol + 4*eps*omega.  A bracket
-    without a sign change under f is dropped with a RuntimeWarning at
-    stacklevel (by default the caller's caller); one that ends on NaN values
+    without a sign change under f is dropped with a RuntimeWarning at the
+    caller's caller; one that ends on NaN values
     or the iteration cap raises NonConvergenceError.  tol must be finite and
     positive: at tol = inf deduplication merges every root.
     """
@@ -361,7 +358,7 @@ def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
             "NaN values" if status[i] == -3 else "the iteration cap"))
     for a, b in zip(lo[status == -1], hi[status == -1]):
         warnings.warn(f"bracket [{a:g}, {b:g}] lost its sign change; dropped",
-                      RuntimeWarning, stacklevel=stacklevel)
+                      RuntimeWarning, stacklevel=3)
     roots = sorted(x[status == 0].tolist(), reverse=True)
     deduped: list[float] = []
     for r in roots:
@@ -370,39 +367,41 @@ def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
     return tuple(deduped)
 
 
-def find_roots(scan: SpectralScan, tol: float = DEFAULT_ROOT_TOL) -> SpectrumResult:
-    """Refine every scan bracket to |d omega| < tol with _bracket_roots.
+def exact_spectrum(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
+                   omega_max: float = DEFAULT_OMEGA_MAX,
+                   n_points: int = DEFAULT_SCAN_POINTS,
+                   tol: float = DEFAULT_SCAN_TOL,
+                   point_scale: float = 1.0) -> SpectrumResult:
+    """The levels on spectral_scan's grid: its brackets, refined by _bracket_roots.
 
-    Each iteration is one heun_continue_arrays call over the open brackets, at
-    the tightened evaluation tolerance so the bracket sign structure is
-    trustworthy near convergence.  A bracket whose sign change evaporates
-    under re-evaluation is dropped with a RuntimeWarning; a failed evaluation
-    raises HeunEvaluationError.
+    _counted_brackets finds the brackets of the same spectral_scan from the
+    zero count, without valuing every grid point, and with them the grid's
+    level count.  They are refined together to min(tol, DEFAULT_ROOT_TOL),
+    evaluated at min(REFINE_EVAL_TOL, tol) so that their signs hold near
+    convergence.  Fewer roots than levels draw a RuntimeWarning at the
+    caller that names where they were lost: in the brackets (refine the
+    grid) or in their refinement.  A count or an evaluation that fails, or
+    a count that rises with omega, raises HeunEvaluationError.
     """
-    return _refine(CouplingConfig(kappa=scan.kappa, ell=scan.ell), scan.omegas, scan.brackets,
-                   scan.tol, scan.point_scale, tol, stacklevel=3)
-
-
-def _refine(cfg: CouplingConfig, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
-            scan_tol: float, point_scale: float, tol: float,
-            stacklevel: int = 2) -> SpectrumResult:
-    """find_roots on the brackets over a grid taken at scan_tol and point_scale.
-
-    A dropped bracket's warning takes stacklevel as warnings.warn would
-    here: the default 2 points it at the caller.
-    """
+    omegas, brackets, levels = _counted_brackets(cfg, omega_min, omega_max, n_points, tol,
+                                                 point_scale)
 
     def f(w: np.ndarray) -> np.ndarray:
-        values = _spectral_values(cfg, w, min(REFINE_EVAL_TOL, scan_tol), point_scale)
+        values = _spectral_values(cfg, w, min(REFINE_EVAL_TOL, tol), point_scale)
         failed = w[np.isnan(values)]
         if failed.size:
             raise HeunEvaluationError(f"refinement evaluation failed at omega = "
                                       f"{failed[0]:g} ({failed.size} of {w.size})")
         return values
 
-    return SpectrumResult(method=METHOD_EXACT,
-                          omegas=_bracket_roots(f, omegas, brackets, tol, stacklevel + 1),
-                          kappa=cfg.kappa, ell=cfg.ell)
+    roots = _bracket_roots(f, omegas, brackets, min(tol, DEFAULT_ROOT_TOL))
+    k, b = len(roots), len(brackets)
+    if k < levels:
+        warnings.warn(f"found {k} of {levels} levels in [{omega_min:g}, {omega_max:g}]"
+                      + ("; refine the grid" if b < levels else "")
+                      + (f"; the refinement kept {k} of {b} brackets" if k < b else ""),
+                      RuntimeWarning, stacklevel=2)
+    return SpectrumResult(method=METHOD_EXACT, omegas=roots, kappa=cfg.kappa, ell=cfg.ell)
 
 
 def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
@@ -469,24 +468,6 @@ def hypergeometric_condition_roots(cfg: CouplingConfig,
                           kappa=cfg.kappa, ell=cfg.ell)
 
 
-def _level_counts(ell: int, kappas, omega_lo: float, omega_hi: float,
-                  tol: float) -> np.ndarray:
-    """Levels in (omega_lo, omega_hi) at each kappa: N(omega_lo) - N(omega_hi).
-
-    N(omega) is the number of zeros of the Heun function on (y*, 0), which
-    drops by one at each eigenvalue as omega rises; all 2 * len(kappas)
-    counts come from one heun_zero_counts call.  A window that
-    spectral_scan would reject raises its ValueError before any count.
-    """
-    for kappa in kappas:
-        CouplingConfig(kappa=kappa, ell=ell)  # validates kappa and ell
-    _check_window(omega_lo, omega_hi, 1.0)
-    omegas = np.tile([omega_lo, omega_hi], len(kappas))
-    n = heun_zero_counts(*heun_coefficients(np.repeat(kappas, 2), ell, omegas),
-                         _spectral_points(omegas, 1.0), tol=tol)
-    return n[0::2] - n[1::2]
-
-
 def _bisection_midpoints(lo: float, hi: float, kappa_tol: float, levels: int) -> list[float]:
     """The midpoints that bisecting [lo, hi] may visit in its next `levels` halvings.
 
@@ -529,19 +510,24 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
     """
     if not kappa_lo < kappa_hi:
         raise ValueError("need kappa_lo < kappa_hi")
+    if not (0.0 < omega_floor < CRITICAL_OMEGA_MAX):
+        raise ValueError("need 0 < omega_floor < omega_max < 1/2")
+    for kappa in (kappa_lo, kappa_hi):
+        CouplingConfig(kappa=kappa, ell=ell)  # validates kappa and ell
     # at a kappa_tol within a few floats of the bracket's spacing, or <= 0,
     # the bisection would end on adjacent floats and never stop
     spacing = 4.0 * sys.float_info.epsilon * max(abs(kappa_lo), abs(kappa_hi))
     if not (math.isfinite(kappa_tol) and kappa_tol > spacing):
         raise ValueError(f"kappa_tol must be finite and positive, got {kappa_tol}")
-    if not (0.0 < omega_floor < CRITICAL_OMEGA_MAX):
-        raise ValueError("need 0 < omega_floor < omega_max < 1/2")
+    _check_window(omega_floor, CRITICAL_OMEGA_MAX, 1.0)
 
     has_states: dict[float, bool] = {}
 
     def count(*kappas: float) -> None:
-        levels = _level_counts(ell, kappas, omega_floor, CRITICAL_OMEGA_MAX, _COUNT_TOL)
-        has_states.update(zip(kappas, (levels > 0).tolist()))
+        omegas = np.tile([omega_floor, CRITICAL_OMEGA_MAX], len(kappas))
+        n, _ = heun_zero_counts(*heun_coefficients(np.repeat(kappas, 2), ell, omegas),
+                                _spectral_points(omegas, 1.0), tol=_COUNT_TOL)
+        has_states.update(zip(kappas, (n[0::2] > n[1::2]).tolist()))
 
     lo, hi = kappa_lo, kappa_hi
     count(lo, hi, *_bisection_midpoints(lo, hi, kappa_tol, _LEVELS_PER_CALL))

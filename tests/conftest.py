@@ -2,7 +2,7 @@
 
 import pytest
 
-from gupheun import CouplingConfig, find_roots, spectral_scan
+from gupheun import CouplingConfig, exact_spectrum, spectral_scan
 
 
 @pytest.fixture(scope="session")
@@ -12,8 +12,8 @@ def scan_k2():
 
 
 @pytest.fixture(scope="session")
-def roots_k2(scan_k2):
-    return find_roots(scan_k2, tol=1e-9)
+def roots_k2():
+    return exact_spectrum(CouplingConfig(kappa=2.0, ell=0), 1e-5, 0.45, 600, tol=1e-8)
 
 
 @pytest.fixture(scope="session")

@@ -25,9 +25,8 @@ from gupheun.specfun import (
 from gupheun.spectral import (
     closed_form_spectrum,
     critical_coupling,
-    find_roots,
+    exact_spectrum,
     hypergeometric_condition_roots,
-    spectral_scan,
 )
 
 from heun_oracle import coefficients, heun_second_derivative, heun_series, one_energy
@@ -41,8 +40,7 @@ def report(num, name, ok, detail):
 
 def test_criterion_1_ground_state_kappa_34():
     t0 = time.perf_counter()
-    scan = spectral_scan(CouplingConfig(kappa=0.75, ell=0), 1e-5, 0.45, 600, tol=1e-8)
-    result = find_roots(scan, tol=1e-9)
+    result = exact_spectrum(CouplingConfig(kappa=0.75, ell=0), 1e-5, 0.45, 600, tol=1e-8)
     elapsed = time.perf_counter() - t0
     omega_1 = result.omegas[0]
     ok = abs(omega_1 - 0.0491) <= 0.002 and elapsed < 10.0

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gupheun import (CouplingConfig, EnergyPoint, cli, default_xi_grid, find_roots, heun,
+from gupheun import (CouplingConfig, EnergyPoint, cli, default_xi_grid, exact_spectrum, heun,
                      spectral, spectral_scan, wavefunction)
 from gupheun.spectral import SpectrumResult
 
@@ -67,7 +67,8 @@ def test_readme_library_example_runs_without_scipy():
     proc = subprocess.run([sys.executable, "-W", "error", "-c",
                            "import sys; sys.modules['scipy'] = None\n" + block],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip().splitlines()[-1] == "0.063359375"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0].startswith("(0.248601740965") and lines[-1] == "0.063359375"
 
 
 class TestScanCommand:
@@ -134,7 +135,8 @@ class TestScanCommand:
         assert scan_out["values"] == scan.values.tolist()
         assert scan_out["brackets"] == [list(b) for b in scan.brackets]
         roots_out = json.loads((tmp_path / "roots.json").read_text())
-        assert roots_out["omegas"] == list(find_roots(scan).omegas)
+        assert roots_out["omegas"] == list(exact_spectrum(
+            CouplingConfig(kappa=2.0, ell=0), 1e-4, 0.45, 200, point_scale=0.5).omegas)
 
 
 class TestRootsCommand:
@@ -380,12 +382,12 @@ class TestCountBeforeScan:
 
         def counted(*args, **kwargs):
             calls.append(args[-1].size)
-            return heun._counts_and_values(*args, **kwargs)
+            return heun.heun_zero_counts(*args, **kwargs)
 
         def no_values(*args, **kwargs):
             raise AssertionError("valued a window without levels")
 
-        monkeypatch.setattr(spectral, "_counts_and_values", counted)
+        monkeypatch.setattr(spectral, "heun_zero_counts", counted)
         monkeypatch.setattr(spectral, "_spectral_values", no_values)
         code, lines, err = run_cli(capsys, command, "--kappa", kappa, "--ell", "0")
         assert (code, err) == (0, "")
@@ -402,7 +404,7 @@ class TestCountBeforeScan:
         def no_values(*args, **kwargs):
             raise AssertionError("valued a window whose count failed")
 
-        monkeypatch.setattr(spectral, "_counts_and_values", failed_count)
+        monkeypatch.setattr(spectral, "heun_zero_counts", failed_count)
         monkeypatch.setattr(spectral, "_spectral_values", no_values)
         out = tmp_path / f"{command}.{fmt}"
         code, lines, err = run_cli(capsys, command, "--kappa", "2", "--format", fmt,
@@ -425,7 +427,7 @@ class TestCountBeforeScan:
             i = np.searchsorted(y_grid, y)
             return np.where(i == hi, 6, np.where(i <= lo, 5, 0)), np.ones(y.size)
 
-        monkeypatch.setattr(spectral, "_counts_and_values", rising)
+        monkeypatch.setattr(spectral, "heun_zero_counts", rising)
         out = tmp_path / "out.csv"
         code, lines, err = run_cli(capsys, command, "--kappa", "2", "--points", str(points),
                                    "-o", str(out))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from gupheun import find_roots, heun, spectral, spectral_scan
+from gupheun import heun, spectral, spectral_scan
 from gupheun.heun import (
     CouplingConfig,
     EnergyPoint,
@@ -299,7 +299,7 @@ class TestZeroCounts:
         g, _ = one_energy((B, q0, q1), y, tol=1e-10)
         changes = np.concatenate(([0], np.cumsum(np.signbit(g[1:]) != np.signbit(g[:-1]))))
         at = np.arange(0, y.size, 97)
-        n = heun_zero_counts(B, np.full(at.size, q0), np.full(at.size, q1), y[at], tol=1e-10)
+        n, _ = heun_zero_counts(B, np.full(at.size, q0), np.full(at.size, q1), y[at], tol=1e-10)
         assert np.array_equal(n, changes[at])
         assert changes[-1] > 0
 
@@ -311,7 +311,13 @@ class TestZeroCounts:
         monkeypatch.setattr(heun, "_turns", no_angle)
         monkeypatch.setattr(heun, "_phase", no_angle)
         cfg = CouplingConfig(kappa=2.0, ell=0)
-        assert len(find_roots(spectral_scan(cfg, 1e-4, 0.45, 60))) == 4
+        scan = spectral_scan(cfg, 1e-4, 0.45, 60)
+
+        def f(w):
+            return spectral._spectral_values(cfg, w, spectral.REFINE_EVAL_TOL, 1.0)
+
+        assert len(spectral._bracket_roots(f, scan.omegas, scan.brackets,
+                                           spectral.DEFAULT_ROOT_TOL)) == 4
         one_energy(coefficients(2.0, 0, 1e-3), -np.geomspace(1e-3, 500.0, 50))
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
@@ -326,9 +332,9 @@ class TestZeroCounts:
         y = np.stack((spectral._spectral_points(omega, 1.0), np.full(omega.size, -0.3),
                       -0.5 * radius, -radius), axis=1)
         q0, q1 = np.repeat(q0, 4), np.repeat(q1, 4)
-        n, g = heun._counts_and_values(B, q0, q1, y.ravel(), tol=tol)
+        n, g = heun_zero_counts(B, q0, q1, y.ravel(), tol=tol)
         assert np.array_equal(g, heun_continue_arrays(B, q0, q1, y.ravel(), tol=tol)[0])
-        assert np.array_equal(n, heun_zero_counts(B, q0, q1, y.ravel(), tol=tol))
+        assert np.array_equal(n, heun_zero_counts(B, q0, q1, y.ravel(), tol=tol)[0])
         assert np.all(n.reshape(y.shape)[:, 2:] == 0) and np.any(n > 0)
 
     def test_turns_past_pi_between_two_nodes(self):
@@ -506,11 +512,11 @@ class TestBatchIndependence:
         t1, t2 = heun._far_field(B, q0[:1], q1[:1], np.log(-y[:1]), 1e-6)
         assert t1[0] < math.log(1e20) < math.log(1e30) < t2[0]
         g, gp = heun_continue_arrays(B, q0, q1, y, tol=1e-6)
-        n = heun_zero_counts(B, q0, q1, y, tol=1e-6)
+        n, _ = heun_zero_counts(B, q0, q1, y, tol=1e-6)
         for i in (0, 2, 5, 6):
             alone = heun_continue_arrays(B, q0[[i]], q1[[i]], y[[i]], tol=1e-6)
             assert np.array_equal(np.ravel(alone), [g[i], gp[i]])
-            assert heun_zero_counts(B, q0[[i]], q1[[i]], y[[i]], tol=1e-6)[0] == n[i]
+            assert heun_zero_counts(B, q0[[i]], q1[[i]], y[[i]], tol=1e-6)[0][0] == n[i]
 
     def test_profile_targets_equal_single_targets(self):
         energy = coefficients(10.0, 1, 1e-4)
@@ -649,12 +655,12 @@ class TestFarField:
     def test_against_the_panel_only_path(self, monkeypatch, ell, tol):
         B, q0, q1, y = _far_grid(ell)
         flat = y.ravel()
-        n = heun_zero_counts(B, q0, q1, flat, tol=tol)
+        n, _ = heun_zero_counts(B, q0, q1, flat, tol=tol)
         g, gp = heun_continue_arrays(B, q0, q1, flat, tol=tol)
         t1, _ = heun._far_field(B, q0[::40], q1[::40], np.log(-y[:, -1]), tol)
         assert np.isfinite(t1[5:]).all()  # every energy from omega = 1e-45 down takes it
         monkeypatch.setattr(heun, "_far_field", no_far_field)
-        assert np.array_equal(heun_zero_counts(B, q0, q1, flat, tol=tol), n)
+        assert np.array_equal(heun_zero_counts(B, q0, q1, flat, tol=tol)[0], n)
         g_panels, gp_panels = heun_continue_arrays(B, q0, q1, flat, tol=tol)
         g_ref, gp_ref = heun_continue_arrays(B, q0, q1, flat, tol=tol / 10)
         u, du = g_ref.reshape(y.shape), (y.ravel() * gp_ref).reshape(y.shape)

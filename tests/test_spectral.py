@@ -36,7 +36,7 @@ from gupheun.spectral import (
     compare_spectra,
     critical_coupling,
     energy_from_omega,
-    find_roots,
+    exact_spectrum,
     hypergeometric_condition_roots,
     natural_units_for,
     spectral_function,
@@ -131,14 +131,14 @@ class TestBatchedScan:
     def test_matches_pointwise(self, kappa, ell):
         cfg = CouplingConfig(kappa=kappa, ell=ell)
         scan = spectral_scan(cfg, 1e-4, 0.45, 48)
-        values = _pointwise(cfg, scan.omegas, scan.tol)
+        values = _pointwise(cfg, scan.omegas, DEFAULT_SCAN_TOL)
         assert scan.brackets == _find_brackets(values)
         assert np.array_equal(scan.values, values, equal_nan=True)
 
     def test_default_grid_matches_pointwise_bitwise(self, scan_k2):
         # one omega at a time or 600 in a batch: every bit of the 600 values
         # must be the same
-        values = _pointwise(CouplingConfig(kappa=2.0, ell=0), scan_k2.omegas, scan_k2.tol)
+        values = _pointwise(CouplingConfig(kappa=2.0, ell=0), scan_k2.omegas, DEFAULT_SCAN_TOL)
         assert np.array_equal(scan_k2.values, values, equal_nan=True)
 
     @pytest.mark.parametrize("omega", [0.0, 0.5, math.nan])
@@ -166,7 +166,7 @@ class TestBatchedScan:
     def test_strong_coupling_near_upper_edge(self):
         cfg = CouplingConfig(kappa=3e4, ell=0)
         scan = spectral_scan(cfg, 0.3, 0.45, 16)
-        values = _pointwise(cfg, scan.omegas, scan.tol)
+        values = _pointwise(cfg, scan.omegas, DEFAULT_SCAN_TOL)
         assert np.array_equal(np.isnan(scan.values), np.isnan(values))
         assert scan.brackets == _find_brackets(values)
 
@@ -177,7 +177,7 @@ class TestBatchedScan:
         monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 12)
         cfg = CouplingConfig(kappa=2.0, ell=0)
         scan = spectral_scan(cfg, 1e-4, 0.45, 40)
-        values = _pointwise(cfg, scan.omegas, scan.tol)
+        values = _pointwise(cfg, scan.omegas, DEFAULT_SCAN_TOL)
         failed = np.isnan(values)
         assert failed.any() and not failed.all()
         assert np.array_equal(np.isnan(scan.values), failed)
@@ -219,15 +219,14 @@ class TestMpmathOracle:
 
     def test_root_at_strong_coupling(self):
         ref = mpmath.findroot(lambda w: heun_oracle(20.0, 1, w), mpmath.mpf("0.40944"))
-        scan = spectral_scan(CouplingConfig(kappa=20.0, ell=1), 0.40, 0.42, 20)
-        (root,) = find_roots(scan, tol=1e-12).omegas
+        (root,) = exact_spectrum(CouplingConfig(kappa=20.0, ell=1), 0.40, 0.42, 20,
+                                 tol=1e-12).omegas
         assert abs(root - float(ref)) < 1e-9
 
 
 class TestFindRoots:
     def test_kappa_34_ground_state(self):
-        scan = spectral_scan(CouplingConfig(kappa=0.75, ell=0), 5e-4, 0.45, 300)
-        result = find_roots(scan, tol=1e-9)
+        result = exact_spectrum(CouplingConfig(kappa=0.75, ell=0), 5e-4, 0.45, 300)
         assert result.method == METHOD_EXACT
         assert len(result) >= 2
         assert result.omegas[0] == pytest.approx(0.0491, abs=0.002)
@@ -256,36 +255,49 @@ class TestFindRoots:
 
         reference = sorted((brentq(f, scan.omegas[i], scan.omegas[j], xtol=xtol)
                             for i, j in scan.brackets), reverse=True)
-        roots = find_roots(scan, tol=xtol).omegas
+        roots = exact_spectrum(cfg, 1e-4, 0.45, 200).omegas  # refined to DEFAULT_ROOT_TOL = xtol
         assert len(roots) == len(reference) > 0
         assert np.max(np.abs(np.subtract(roots, reference))) < xtol
 
-    def test_bracket_without_sign_change_dropped(self):
-        # (0, 1) holds the kappa = 2 ground state 0.2486; the stored values at
-        # 0.30 and 0.35 claim a sign change that the spectral function lacks
+    def test_bracket_without_sign_change_dropped(self, monkeypatch):
+        # (0, 1) holds the kappa = 2 ground state 0.2486, the one level of
+        # the window; (2, 3), over 0.30 and 0.35, claims a sign change that
+        # the spectral function lacks
         cfg = CouplingConfig(kappa=2.0, ell=0)
         omegas = np.array([0.24, 0.26, 0.30, 0.35])
-        values = np.array([spectral_function(cfg, 0.24), spectral_function(cfg, 0.26),
-                           1.0, -1.0])
-        scan = SpectralScan(omegas=omegas, values=values, brackets=((0, 1), (2, 3)),
-                            kappa=2.0, ell=0)
+        monkeypatch.setattr(spectral, "_counted_brackets",
+                            lambda *args: (omegas, ((0, 1), (2, 3)), 1))
         with pytest.warns(RuntimeWarning, match="lost its sign change") as record:
-            result = find_roots(scan)
+            result = exact_spectrum(cfg, 0.24, 0.35, 4)
         assert len(record) == 1 and record[0].filename == __file__
         assert len(result) == 1 and result.omegas[0] == pytest.approx(0.2486, abs=0.005)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
-    def test_tolerance_validation(self, scan_k2, tol):
-        # at tol = inf deduplication at 2*tol used to merge every root into one
+    def test_tolerance_validation(self, tol):
+        # the first count rejects it; at tol = inf deduplication at 2*tol
+        # in _bracket_roots used to merge every root into one
         with pytest.raises(ValueError, match="tol must be finite and positive"):
-            find_roots(scan_k2, tol=tol)
+            exact_spectrum(CouplingConfig(kappa=2.0, ell=0), 0.2, 0.3, 40, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            _bracket_roots(np.cos, np.array([1.0, 2.0]), ((0, 1),), tol)
 
     def test_failed_refinement_raises(self, monkeypatch):
+        # the seed series of the counts stop at 1e-11 and settle within 12
+        # terms; the refinement's stop at 1e-13 and need more
         scan = spectral_scan(CouplingConfig(kappa=2.0, ell=0), 0.2, 0.3, 40)
         assert scan.brackets
-        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
-        with pytest.raises(HeunEvaluationError):
-            find_roots(scan)
+        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 12)
+        with pytest.raises(HeunEvaluationError, match="refinement evaluation failed"):
+            exact_spectrum(CouplingConfig(kappa=2.0, ell=0), 0.2, 0.3, 40)
+
+    def test_missing_levels_warn_at_the_caller(self):
+        # 20 points over [1e-5, 0.45] bracket 7 of the 31 levels at kappa = 100
+        with pytest.warns(RuntimeWarning) as record:
+            result = exact_spectrum(CouplingConfig(kappa=100.0), 1e-5, 0.45, 20)
+        assert [str(w.message) for w in record] == [
+            "found 7 of 31 levels in [1e-05, 0.45]; refine the grid"]
+        assert record[0].filename == __file__
+        assert len(result) == 7
 
     def test_level_count_growth(self, roots_k2):
         # counts in (omega, 0.05) grow like (nu/2pi) ln(1/omega): two decades
@@ -312,6 +324,29 @@ _FAMILIES = {
     # each is exactly 0.0 at x = x0, where its factor (x - x0) is
     "sine": lambda x0, a, c: lambda x: np.sin(a * (x - x0)) + c * (x - x0),
     "cubic": lambda x0, a, c: lambda x: (x - x0) * ((x - a) ** 2 - c),
+}
+
+
+# the default window's roots, 600 points over [1e-5, 0.45], from refining
+# every bracket of spectral_scan: exact_spectrum, which brackets by the zero
+# count, must give them bit for bit
+_DEFAULT_WINDOW_ROOTS = {
+    (0.75, 0): (0.04914192474812995, 0.0009090313208849509, 2.036679302663564e-05),
+    (0.75, 1): (0.00016980083556015544,),
+    (2.0, 0): (0.24860174096556462, 0.016723968720656127, 0.001617263007787629,
+               0.00016712850538168532, 1.7460202686956712e-05),
+    (2.0, 1): (0.04239560782112648, 0.002513670689312098, 0.00017861660889480514,
+               1.2967182860710597e-05),
+    (20.0, 0): (0.23829060781839959, 0.09363947091532546, 0.04071318197039005,
+                0.018705438971113604, 0.008868264473595344, 0.0042816282479905075,
+                0.002089135953507215, 0.0010255894239207808, 0.0005052373227890608,
+                0.00024938702209810113, 0.0001232343575374943, 6.093332993174053e-05,
+                3.0138651477668722e-05, 1.4909744030580789e-05),
+    (20.0, 1): (0.4094382652861445, 0.14452952688486143, 0.05939311662686869,
+                0.02637579089090657, 0.012223741615071846, 0.005804164486982384,
+                0.0027946823751666705, 0.0013564447826740372, 0.000661381558634286,
+                0.0003233092171687905, 0.00015827242676923588, 7.754180921627454e-05,
+                3.8006122192300096e-05, 1.8632536379943273e-05),
 }
 
 
@@ -371,12 +406,14 @@ class TestChandrupatlaPort:
     @pytest.mark.parametrize("kappa", [0.3, 0.75, 2.0, 4.0, 20.0, 100.0])
     @pytest.mark.parametrize("ell", [0, 1, 2])
     def test_find_roots_matches_scipy(self, monkeypatch, kappa, ell):
-        scan = spectral_scan(CouplingConfig(kappa=kappa, ell=ell))
-        roots = find_roots(scan).omegas
+        cfg = CouplingConfig(kappa=kappa, ell=ell)
+        roots = exact_spectrum(cfg).omegas
+        if (kappa, ell) in _DEFAULT_WINDOW_ROOTS:
+            assert roots == _DEFAULT_WINDOW_ROOTS[kappa, ell]
         monkeypatch.setattr(spectral, "_chandrupatla", _scipy_chandrupatla)
-        assert roots == find_roots(scan).omegas
+        assert roots == exact_spectrum(cfg).omegas
 
-    def test_refinement_calls(self, monkeypatch, scan_k2, scan_k005):
+    def test_refinement_calls(self, monkeypatch):
         values, calls = spectral._spectral_values, []
 
         def counted(*args):
@@ -384,11 +421,11 @@ class TestChandrupatlaPort:
             return values(*args)
 
         monkeypatch.setattr(spectral, "_spectral_values", counted)
-        assert len(find_roots(scan_k2)) == 5
+        assert len(exact_spectrum(CouplingConfig(kappa=2.0, ell=0))) == 5
         # one call takes both ends of all 5 brackets, then one per iteration
         assert calls[0] == 10 and len(calls) <= 5
         calls.clear()
-        assert len(find_roots(scan_k005)) == 0
+        assert len(exact_spectrum(CouplingConfig(kappa=0.05, ell=0))) == 0
         assert calls == []
 
 
@@ -397,8 +434,8 @@ class TestPointScale:
 
     def test_roots_move_with_the_cutoff(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)
-        half = find_roots(spectral_scan(cfg, 1e-4, 0.45, 200, point_scale=0.5))
-        full = find_roots(spectral_scan(cfg, 1e-4, 0.45, 200))
+        half = exact_spectrum(cfg, 1e-4, 0.45, 200, point_scale=0.5)
+        full = exact_spectrum(cfg, 1e-4, 0.45, 200)
         assert half.omegas == pytest.approx((0.0698, 0.00562, 0.000566), rel=2e-3)
         assert full.omegas[0] == pytest.approx(0.2486, rel=1e-3)
         assert not set(half.omegas) & set(full.omegas)
@@ -519,6 +556,17 @@ class TestCriticalCoupling:
         with pytest.raises(ValueError):
             critical_coupling(0, 0.05, 0.08, kappa_tol=kappa_tol)
 
+    def test_infinite_kappa_is_a_bad_kappa(self, monkeypatch):
+        # an infinite end makes the float spacing infinite; it is rejected as
+        # a kappa, before kappa_tol is measured against that spacing
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted levels before checking the kappas")
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", no_count)
+        with pytest.raises(ValueError) as exc:
+            critical_coupling(0, 0.05, math.inf)
+        assert str(exc.value) == "kappa must be finite and positive, got inf"
+
     def test_kappa_tol_below_float_spacing_does_not_hang(self):
         # once lo and hi are adjacent floats, 0.5*(lo + hi) is one of them and
         # hi - lo > kappa_tol stays true; a child process turns a hang into
@@ -617,10 +665,18 @@ class TestFarFieldStretch:
         assert np.all(np.abs(hc - g) <= tol * scale)
 
 
+def _two_end_count(ell, kappa, omega_lo, omega_hi):
+    """Levels in (omega_lo, omega_hi): N(omega_lo) - N(omega_hi), counted at tol 1e-6."""
+    omegas = np.array([omega_lo, omega_hi])
+    n, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
+                                 spectral._spectral_points(omegas, 1.0), tol=1e-6)
+    return n[0] - n[1]
+
+
 def _plain_bisection(ell, kappa_lo, kappa_hi, omega_floor, kappa_tol):
     """critical_coupling's bisection with one level count per kappa, one call each."""
     def has_states(kappa):
-        return spectral._level_counts(ell, [kappa], omega_floor, 0.4, 1e-6)[0] > 0
+        return _two_end_count(ell, kappa, omega_floor, 0.4) > 0
 
     lo, hi = kappa_lo, kappa_hi
     hi_has = has_states(hi)
@@ -688,14 +744,14 @@ class TestLevelCount:
         (0, 5e-2, 7), (1, 8.8e-4, 0), (1, 1.0e-3, 1)])
     def test_near_critical(self, ell, offset, levels):
         kappa = 0.25 * (ell + 0.5) ** 2 + offset
-        count = spectral._level_counts(ell, [kappa], 1e-45, 0.4, 1e-6)[0]
+        count = _two_end_count(ell, kappa, 1e-45, 0.4)
         assert count == levels
         assert _scan_levels(kappa, ell, 1e-45, 0.4, 80) == (levels, levels)
 
     @pytest.mark.parametrize("kappa", [2.0, 20.0])
     @pytest.mark.parametrize("ell", [0, 1, 2])
     def test_moderate_coupling(self, kappa, ell):
-        count = spectral._level_counts(ell, [kappa], 1e-12, 0.4, 1e-6)[0]
+        count = _two_end_count(ell, kappa, 1e-12, 0.4)
         assert count > 0
         assert _scan_levels(kappa, ell, 1e-12, 0.4, 300) == (count, count)
 
@@ -705,9 +761,9 @@ class TestLevelCount:
         # finds 134 of the 182 levels; in [1e-45, 1e-42] a 100-point scan
         # resolves all of them
         cfg = CouplingConfig(kappa=31.6853, ell=0)
-        assert spectral._level_counts(0, [cfg.kappa], 1e-45, 0.4, 1e-6)[0] == 182
+        assert _two_end_count(0, cfg.kappa, 1e-45, 0.4) == 182
         assert len(spectral_scan(cfg, 1e-45, 0.4, 160, tol=1e-6).brackets) == 134
-        count = spectral._level_counts(0, [cfg.kappa], 1e-45, 1e-42, 1e-6)[0]
+        count = _two_end_count(0, cfg.kappa, 1e-45, 1e-42)
         assert count == 12
         assert _scan_levels(cfg.kappa, 0, 1e-45, 1e-42, 100) == (count, count)
 
@@ -737,11 +793,11 @@ class TestLevelCount:
         # window are N(omega_lo) - N(omega_hi), not N(omega_lo) alone
         kappa, ell = 8.229322074546221, 1
         omegas = np.exp(np.linspace(math.log(1e-45), math.log(0.4999), 60))
-        n = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
-                                  spectral._spectral_points(omegas, 1.0), tol=1e-6)
+        n, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
+                                     spectral._spectral_points(omegas, 1.0), tol=1e-6)
         assert np.all(np.diff(n) <= 0)
         assert n[-1] == 1
-        assert spectral._level_counts(ell, [kappa], 0.4, 0.4999, 1e-6)[0] == 0
+        assert _two_end_count(ell, kappa, 0.4, 0.4999) == 0
         assert _scan_levels(kappa, ell, 0.4, 0.4999, 100) == (0, 0)
 
 
@@ -773,10 +829,10 @@ class TestCountedBrackets:
 
         def one_more_level(B, q0, q1, y, tol):
             valued.extend(y.tolist())
-            counts, values = heun._counts_and_values(B, q0, q1, y, tol=tol)
+            counts, values = heun.heun_zero_counts(B, q0, q1, y, tol=tol)
             return counts + (y <= y_cut), values
 
-        monkeypatch.setattr(spectral, "_counts_and_values", one_more_level)
+        monkeypatch.setattr(spectral, "heun_zero_counts", one_more_level)
         _, brackets, levels = spectral._counted_brackets(
             cfg, 1e-5, 0.45, 600, DEFAULT_SCAN_TOL, 1.0)
         pair = spectral._spectral_points(scan_k2.omegas[300:302], 1.0)
@@ -792,12 +848,12 @@ class TestCountedBrackets:
 
         def counted(*args, **kwargs):
             sizes.append(args[-1].size)
-            return heun._counts_and_values(*args, **kwargs)
+            return heun.heun_zero_counts(*args, **kwargs)
 
         def no_values(*args, **kwargs):
             raise AssertionError("valued a grid energy apart from its count")
 
-        monkeypatch.setattr(spectral, "_counts_and_values", counted)
+        monkeypatch.setattr(spectral, "heun_zero_counts", counted)
         monkeypatch.setattr(spectral, "_spectral_values", no_values)
         _, brackets, levels = spectral._counted_brackets(
             CouplingConfig(kappa=2.0, ell=0), 1e-5, 0.45, 600, DEFAULT_SCAN_TOL, 1.0)

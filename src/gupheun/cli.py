@@ -54,7 +54,11 @@ _TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 
 @dataclass
 class RunConfig:
-    """One resolved invocation; field defaults are the documented CLI defaults."""
+    """One resolved invocation; field defaults are the documented CLI defaults.
+
+    Checks types, finite floats, the command and the format; each range is
+    checked by the library function that uses the value, and exits 2 as well.
+    """
 
     command: str
     kappa: float = 1.0
@@ -90,12 +94,6 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.points < 2:
-            raise ValueError("points must be at least 2")
-        if self.point_scale <= 0:
-            raise ValueError("point_scale must be positive")
 
     @property
     def coupling(self) -> CouplingConfig:
@@ -128,17 +126,13 @@ def _load_units(path: str) -> UnitSystem:
         raise ValueError(f"units file {path} missing key {exc}") from exc
 
 
-def spectrum_result_to_payload(result: SpectrumResult) -> dict:
-    units = natural_units_for(result.kappa)
-    return {"method": result.method, "kappa": result.kappa, "ell": result.ell,
-            "omegas": list(result.omegas),
-            "energy_natural_units": [energy_from_omega(w, units) for w in result.omegas]}
-
-
 def _levels(result: SpectrumResult, units: UnitSystem | None,
             pairs: list[tuple[str, str]], note: str) -> Output:
     """The level table shared by `roots` and `spectrum`; units are checked in both formats."""
-    payload = spectrum_result_to_payload(result)
+    natural = natural_units_for(result.kappa)
+    payload = {"method": result.method, "kappa": result.kappa, "ell": result.ell,
+               "omegas": list(result.omegas),
+               "energy_natural_units": [energy_from_omega(w, natural) for w in result.omegas]}
     header = ["n", "omega", "energy_natural_units", "method"]
     row = "{},{:.12g},{:.12g},{}"
     columns = [itertools.count(1), payload["omegas"], payload["energy_natural_units"],
@@ -220,7 +214,7 @@ def _run_wavefunction(cfg: RunConfig) -> Output:
     if cfg.omega is None:
         raise ValueError("wavefunction requires --omega")
     coupling = cfg.coupling
-    ep = EnergyPoint.from_omega(cfg.omega)
+    ep = EnergyPoint(cfg.omega)
     profile = wavefunction(coupling, ep, default_xi_grid(coupling, ep, n=cfg.points))
     flag = profile.non_decaying
     xi, values = profile.xi.tolist(), profile.values.tolist()

@@ -90,25 +90,13 @@ class CouplingConfig:
 
 @dataclass(frozen=True)
 class EnergyPoint:
-    """Dimensionless trial energy omega = -2*m*beta*E with derived quantities.
-
-    big_omega = 2*omega; bound states require omega in (0, 1/2) so that
-    epsilon = 1 - big_omega stays positive.
-    """
+    """Dimensionless trial energy omega = -2*m*beta*E, in (0, 1/2) so that 1 - 2*omega > 0."""
 
     omega: float
 
     def __post_init__(self):
         if not (0.0 < self.omega < 0.5):
             raise ValueError(f"omega must lie in (0, 1/2), got {self.omega}")
-
-    @property
-    def big_omega(self) -> float:
-        return 2.0 * self.omega
-
-    @classmethod
-    def from_omega(cls, omega: float) -> "EnergyPoint":
-        return cls(omega=float(omega))
 
 
 def heun_coefficients(kappa, ell: int, omega: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

@@ -53,7 +53,7 @@ def map_xi_to_y(xi, cfg: CouplingConfig, ep: EnergyPoint):
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0):
         raise ValueError("xi must be non-negative")
-    y = -(1.0 - ep.big_omega) * 5.0 * xi**2 / (8.0 * cfg.kappa)
+    y = -(1.0 - 2.0 * ep.omega) * 5.0 * xi**2 / (8.0 * cfg.kappa)
     return float(y) if y.ndim == 0 else y
 
 

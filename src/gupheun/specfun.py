@@ -11,7 +11,7 @@ here:
   connection formula, each term a Gauss series in 1/z: the shallow-energy
   quantization condition reads F at z = -1/Omega <= -10, and no other
   regime of 2F1 is used;
-* the phase data (nu, |B|, arg B) of the gamma-function combination
+* the phase data (nu, arg B) of the gamma-function combination
 
       B = Gamma(i nu) / ( Gamma(1/4 + ell/2 + i nu/2) Gamma(5/4 + ell/2 + i nu/2) )
 
@@ -104,23 +104,20 @@ def log_gamma(z: complex) -> complex:
 
 @dataclass(frozen=True)
 class PhaseData:
-    """Oscillation index nu and modulus/phase of the coefficient B."""
+    """Oscillation index nu and phase arg B of the coefficient B."""
 
     nu: float
-    b_modulus: float
     b_arg: float
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu > 0):
             raise ValueError("nu must be finite and positive")
-        if not (math.isfinite(self.b_modulus) and self.b_modulus > 0):
-            raise ValueError("b_modulus must be finite and positive")
         if not -math.pi < self.b_arg <= math.pi:
             raise ValueError("b_arg must lie in (-pi, pi]")
 
 
 def compute_phase(cfg: CouplingConfig) -> PhaseData:
-    """nu, |B| and arg(B) for a strong-coupling configuration.
+    """nu and arg(B) for a strong-coupling configuration.
 
     Raises WeakCouplingError when 4*kappa <= (ell + 1/2)^2, where the
     inverse-square tower collapses and no bound state exists.
@@ -136,8 +133,7 @@ def compute_phase(cfg: CouplingConfig) -> PhaseData:
     log_b = (log_gamma(1j * nu)
              - log_gamma(0.25 + 0.5 * cfg.ell + 0.5j * nu)
              - log_gamma(1.25 + 0.5 * cfg.ell + 0.5j * nu))
-    b = cmath.exp(log_b)
-    return PhaseData(nu=nu, b_modulus=abs(b), b_arg=cmath.phase(b))
+    return PhaseData(nu=nu, b_arg=cmath.phase(cmath.exp(log_b)))
 
 
 def _gauss_series(alpha: complex, gamma_: complex, delta: complex, z: complex,

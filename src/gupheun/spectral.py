@@ -102,7 +102,12 @@ class UnitMismatchError(ValueError):
 
 
 def _spectral_points(omegas, point_scale: float):
-    """y* = c^2 (Omega-1)/Omega at every omega (a float or an array), radius c*sqrt(-alpha/E)."""
+    """y* = c^2 (Omega-1)/Omega at every omega (a float or an array), radius c*sqrt(-alpha/E).
+
+    Every use of the cutoff factor c = point_scale runs through here, and so does its check.
+    """
+    if not (math.isfinite(point_scale) and point_scale > 0):
+        raise ValueError(f"point_scale must be finite and positive, got {point_scale}")
     big_omega = 2.0 * omegas
     return point_scale**2 * (big_omega - 1.0) / big_omega
 
@@ -136,8 +141,6 @@ class SpectralScan:
     omegas: np.ndarray
     values: np.ndarray
     brackets: tuple[tuple[int, int], ...]
-    kappa: float
-    ell: int
 
     def __post_init__(self):
         if len(self.omegas) != len(self.values):
@@ -167,10 +170,9 @@ def _find_brackets(values: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 
 def _check_window(omega_min: float, omega_max: float, point_scale: float) -> None:
-    """Reject a window outside (0, 1/2) or whose spectral point at omega_min overflows.
+    """Reject a window outside (0, 1/2), a bad c, or a spectral point at omega_min that overflows.
 
-    y* ~ -c^2/(2 omega) passes the largest float below omega of about
-    2.7e-309 at c = 1, and for any omega once c exceeds about 1e154.
+    y* ~ -c^2/(2 omega) overflows below omega ~ 2.7e-309 at c = 1, and at any omega for c > ~1e154.
     """
     if not (0.0 < omega_min < omega_max < 0.5):
         raise ValueError("need 0 < omega_min < omega_max < 1/2")
@@ -194,8 +196,7 @@ def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
     """
     omegas = _scan_grid(omega_min, omega_max, n_points, point_scale)
     values = _spectral_values(cfg, omegas, tol, point_scale)
-    return SpectralScan(omegas=omegas, values=values, brackets=_find_brackets(values),
-                        kappa=cfg.kappa, ell=cfg.ell)
+    return SpectralScan(omegas=omegas, values=values, brackets=_find_brackets(values))
 
 
 def _scan_grid(omega_min: float, omega_max: float, n_points: int,
@@ -449,8 +450,7 @@ def hypergeometric_condition_roots(cfg: CouplingConfig,
     lo, hi = omega_range
     if not (0.0 < lo < hi <= DEFAULT_VALIDITY):
         raise ValueError("omega_range must satisfy 0 < lo < hi <= 0.05")
-    if n_points < 2:
-        raise ValueError("need at least two scan points")
+    omegas = _scan_grid(lo, hi, n_points, 1.0)
     try:
         alpha_p, gamma_p, delta_p = reduced_hypergeometric_parameters(cfg)
     except WeakCouplingError:
@@ -462,7 +462,6 @@ def hypergeometric_condition_roots(cfg: CouplingConfig,
         return np.array([hyp2f1_large_negative(alpha_p, gamma_p, delta_p, -0.5 / x).real
                          for x in w])
 
-    omegas = np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
     roots = _bracket_roots(f, omegas, _find_brackets(f(omegas)), DEFAULT_ROOT_TOL)
     return SpectrumResult(method=METHOD_HYPERGEOMETRIC, omegas=roots,
                           kappa=cfg.kappa, ell=cfg.ell)
@@ -514,11 +513,13 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
         raise ValueError("need 0 < omega_floor < omega_max < 1/2")
     for kappa in (kappa_lo, kappa_hi):
         CouplingConfig(kappa=kappa, ell=ell)  # validates kappa and ell
-    # at a kappa_tol within a few floats of the bracket's spacing, or <= 0,
-    # the bisection would end on adjacent floats and never stop
-    spacing = 4.0 * sys.float_info.epsilon * max(abs(kappa_lo), abs(kappa_hi))
-    if not (math.isfinite(kappa_tol) and kappa_tol > spacing):
+    if not (math.isfinite(kappa_tol) and kappa_tol > 0):
         raise ValueError(f"kappa_tol must be finite and positive, got {kappa_tol}")
+    # bisection down to a few float spacings would end on adjacent floats, never stopping
+    spacing = 4.0 * sys.float_info.epsilon * kappa_hi
+    if kappa_tol <= spacing:
+        raise ValueError(f"4 float spacings of kappa in [{kappa_lo:g}, {kappa_hi:g}] are "
+                         f"{spacing:.3g}, not below kappa_tol = {kappa_tol:.3g}")
     _check_window(omega_floor, CRITICAL_OMEGA_MAX, 1.0)
 
     has_states: dict[float, bool] = {}
@@ -625,17 +626,8 @@ class UnitSystem:
                 raise ValueError(f"{name} must be finite and positive")
 
     @property
-    def min_length(self) -> float:
-        return self.hbar * math.sqrt(5.0 * self.beta)
-
-    @property
     def kappa(self) -> float:
         return self.mass * self.alpha_coupling / (2.0 * self.hbar**2)
-
-    @property
-    def energy_scale(self) -> float:
-        """Deformation energy 1/(4 m beta), equal to 5 hbar^2/(4 m dx_min^2)."""
-        return 1.0 / (4.0 * self.mass * self.beta)
 
 
 def natural_units_for(kappa: float) -> UnitSystem:

@@ -121,7 +121,7 @@ def test_criterion_6_heun_hypergeometric_degeneration():
 def test_criterion_7_wavefunction_behavior(roots_k2):
     cfg = CouplingConfig(kappa=2.0, ell=0)
     root = min(roots_k2.omegas, key=lambda w: abs(w - 0.0167))
-    ep = EnergyPoint.from_omega(root)
+    ep = EnergyPoint(root)
     xs = xi_star(cfg, ep)
     grid = np.unique(np.append(default_xi_grid(cfg, ep), xs))
     profile = wavefunction(cfg, ep, grid)
@@ -129,8 +129,8 @@ def test_criterion_7_wavefunction_behavior(roots_k2):
     bound = 1e-4 * np.max(np.abs(profile.values))
     decaying_ok = r_star < bound and profile.non_decaying is False
 
-    off = wavefunction(cfg, EnergyPoint.from_omega(0.004),
-                       default_xi_grid(cfg, EnergyPoint.from_omega(0.004)))
+    off = wavefunction(cfg, EnergyPoint(0.004),
+                       default_xi_grid(cfg, EnergyPoint(0.004)))
     ok = decaying_ok and off.non_decaying is True
     report(7, "wavefunction decay at/off eigenvalue", ok,
            f"|R(xi*)|={r_star:.2e} (<{bound:.2e}) at omega={root:.6f}; "
@@ -178,7 +178,7 @@ def test_criterion_8_property_suite(tmp_path):
             failures.append(f"overlap band at y={y}")
 
     # near-origin log slope equals ell to 1e-2
-    ep = EnergyPoint.from_omega(0.02)
+    ep = EnergyPoint(0.02)
     for ell in (0, 1):
         cfg = CouplingConfig(kappa=2.0, ell=ell)
         prof = wavefunction(cfg, ep, default_xi_grid(cfg, ep, n=150))

@@ -168,7 +168,7 @@ class TestRootsCommand:
         assert result.kappa == 2.0 and result.ell == 0
         assert list(result.omegas) == payload["omegas"]
         # re-serializing reproduces the payload exactly
-        assert cli.spectrum_result_to_payload(result) == payload
+        assert cli._levels(result, None, [], "").payload == payload
 
     def test_units_file_adds_si_column(self, capsys, tmp_path):
         units = tmp_path / "units.json"
@@ -318,7 +318,7 @@ class TestWavefunctionCommand:
                              "--omega", "2e-3", "-o", str(out))
         assert code == 0
         cfg = CouplingConfig(kappa=3.0, ell=1)
-        ep = EnergyPoint.from_omega(2e-3)
+        ep = EnergyPoint(2e-3)
         profile = wavefunction(cfg, ep, default_xi_grid(cfg, ep))
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
@@ -504,6 +504,14 @@ class TestCriticalCommand:
         assert code == 3
         assert "no transition" in err
 
+    def test_bracket_far_from_zero_is_blamed_on_the_bracket(self, capsys):
+        # near 2e13, 4 float spacings of kappa (0.0178) exceed the kappa_tol
+        # of 5e-4, which no flag sets: the message names the bracket instead
+        code, lines, err = run_cli(capsys, "critical", "--kappa-lo", "1e13", "--kappa-hi", "2e13")
+        assert (code, lines) == (2, [])
+        assert err == ("invalid configuration: 4 float spacings of kappa in [1e+13, 2e+13] "
+                       "are 0.0178, not below kappa_tol = 0.0005\n")
+
 
 class TestConfiguration:
     def test_bad_kappa_exit_2(self, capsys):
@@ -622,6 +630,22 @@ class TestConfiguration:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "invalid configuration" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("scan", "--tol", "0"), "tol must be finite and positive, got 0.0"),
+        (("roots", "--tol", "-1"), "tol must be finite and positive, got -1.0"),
+        (("scan", "--points", "1"), "need at least two scan points"),
+        (("compare", "--points", "0"), "need at least two scan points"),
+        (("wavefunction", "--omega", "0.004", "--points", "1"), "need at least two grid points"),
+        (("roots", "--point-scale", "0"), "point_scale must be finite and positive, got 0.0"),
+    ])
+    def test_range_is_checked_by_the_library(self, capsys, tmp_path, argv, message):
+        # RunConfig checks types and finiteness; the function that uses the
+        # value checks its range, before any output is written
+        out = tmp_path / "out.csv"
+        code, lines, err = run_cli(capsys, *argv, "--kappa", "2", "-o", str(out))
+        assert (code, lines, err) == (2, [], f"invalid configuration: {message}\n")
+        assert not out.exists()
 
     def test_units_file_read_before_scan(self, capsys, monkeypatch, tmp_path):
         def no_scan(*args, **kwargs):

@@ -48,12 +48,11 @@ class TestTypes:
             CouplingConfig(kappa=float("inf"))
 
     def test_energy_point(self):
-        ep = EnergyPoint.from_omega(0.25)
-        assert ep.big_omega == 0.5
+        assert EnergyPoint(0.25).omega == 0.25
         with pytest.raises(ValueError):
-            EnergyPoint.from_omega(0.5)
+            EnergyPoint(0.5)
         with pytest.raises(ValueError):
-            EnergyPoint.from_omega(0.0)
+            EnergyPoint(0.0)
 
     def test_params_invariants(self):
         with pytest.raises(ValueError, match="parameter d must be finite"):
@@ -191,8 +190,9 @@ class TestContinuation:
     def test_spectral_zero_kappa_34(self):
         # omega = 0.0491 sits at a zero of the boundary condition; the
         # evaluation point is (Omega-1)/Omega ~ -9.183
-        ep = EnergyPoint.from_omega(0.0491)
-        ystar = (ep.big_omega - 1.0) / ep.big_omega
+        ep = EnergyPoint(0.0491)
+        big_omega = 2 * ep.omega
+        ystar = (big_omega - 1.0) / big_omega
         assert ystar == pytest.approx(-9.1833, abs=2e-4)
         value = _value(coefficients(0.75, 0, ep.omega), ystar, tol=1e-10)
         assert abs(value) < 1e-3
@@ -248,8 +248,9 @@ class TestContinuation:
         omegas = np.arange(0.019, 0.021, 1e-4)
         vals = []
         for w in omegas:
-            ep = EnergyPoint.from_omega(float(w))
-            ystar = (ep.big_omega - 1.0) / ep.big_omega
+            ep = EnergyPoint(float(w))
+            big_omega = 2 * ep.omega
+            ystar = (big_omega - 1.0) / big_omega
             vals.append(_value(coefficients(2.0, 0, ep.omega), ystar, tol=1e-10))
         vals = np.array(vals)
         second = np.abs(np.diff(vals, 2))
@@ -539,11 +540,12 @@ def dop853_paths():
     """
     paths = []
     for kappa, ell, omega in _DOP853_CASES:
-        ep = EnergyPoint.from_omega(omega)
+        ep = EnergyPoint(omega)
         energy = coefficients(kappa, ell, omega)
         B, q0, q1 = energy
         seed = -min(0.5, 16.0 / (abs(q0) + math.sqrt(abs(q1))))
-        targets = np.geomspace(1.5 * seed, (ep.big_omega - 1.0) / ep.big_omega, 6)
+        big_omega = 2 * ep.omega
+        targets = np.geomspace(1.5 * seed, (big_omega - 1.0) / big_omega, 6)
         series = heun_series(*energy, tol=1e-16, radius=-seed)
 
         def rhs(t, state, energy=energy):

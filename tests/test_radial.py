@@ -24,7 +24,7 @@ from heun_oracle import coefficients, heun_oracle, heun_series, one_energy
 class TestCoordinateMap:
     def test_origin(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)
-        ep = EnergyPoint.from_omega(0.1)
+        ep = EnergyPoint(0.1)
         assert map_xi_to_y(0.0, cfg, ep) == 0.0
 
     def test_xi_star_lands_on_spectral_point(self):
@@ -32,18 +32,18 @@ class TestCoordinateMap:
         for _ in range(20):
             cfg = CouplingConfig(kappa=float(rng.uniform(0.05, 5.0)),
                                  ell=int(rng.integers(0, 3)))
-            ep = EnergyPoint.from_omega(float(rng.uniform(1e-4, 0.49)))
+            ep = EnergyPoint(float(rng.uniform(1e-4, 0.49)))
             y = map_xi_to_y(xi_star(cfg, ep), cfg, ep)
             assert y == pytest.approx(spectral._spectral_points(ep.omega, 1.0), rel=1e-12)
 
     def test_xi_star_kappa2(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)
-        ep = EnergyPoint.from_omega(0.0167)
+        ep = EnergyPoint(0.0167)
         assert xi_star(cfg, ep) == pytest.approx(9.788, abs=1e-3)
 
     def test_negative_xi_rejected(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)
-        ep = EnergyPoint.from_omega(0.1)
+        ep = EnergyPoint(0.1)
         with pytest.raises(ValueError):
             map_xi_to_y(-1.0, cfg, ep)
 
@@ -75,23 +75,23 @@ def asymptotic_exponents(cfg: CouplingConfig, ep: EnergyPoint) -> AsymptoticExpo
 class TestAsymptoticExponents:
     def test_l0(self):
         exps = asymptotic_exponents(CouplingConfig(kappa=2.0, ell=0),
-                                    EnergyPoint.from_omega(0.1))
+                                    EnergyPoint(0.1))
         assert (exps.s_minus, exps.s_plus) == (-1.0, 0.0)
 
     def test_exponent_gap(self):
         for ell in (0, 1, 3):
             exps = asymptotic_exponents(CouplingConfig(kappa=1.0, ell=ell),
-                                        EnergyPoint.from_omega(0.2))
+                                        EnergyPoint(0.2))
             assert exps.s_plus - exps.s_minus == 2 * ell + 1
 
     def test_rate_value(self):
         exps = asymptotic_exponents(CouplingConfig(kappa=2.0, ell=0),
-                                    EnergyPoint.from_omega(0.1))
+                                    EnergyPoint(0.1))
         assert exps.farfield_rate == pytest.approx(math.sqrt(0.5 / 0.8), rel=1e-14)
 
     def test_rate_shallow_limit(self):
         exps = asymptotic_exponents(CouplingConfig(kappa=2.0, ell=0),
-                                    EnergyPoint.from_omega(1e-6))
+                                    EnergyPoint(1e-6))
         assert exps.farfield_rate == pytest.approx(math.sqrt(5e-6), rel=1e-5)
 
     def test_rate_against_direct_integration(self):
@@ -100,7 +100,7 @@ class TestAsymptoticExponents:
         # of u = xi*R beyond the turning point xi*
         kappa, omega, ell = 2.0, 0.1, 0
         rate = asymptotic_exponents(CouplingConfig(kappa, ell),
-                                    EnergyPoint.from_omega(omega)).farfield_rate
+                                    EnergyPoint(omega)).farfield_rate
 
         def u_second(xi, u):
             prefactor = 1.0 - 2.0 * omega + 8.0 * kappa / (5.0 * xi**2)
@@ -126,7 +126,7 @@ def _log_slope(profile, lo, hi):
 
 class TestWavefunction:
     def test_near_origin_power_law(self):
-        ep = EnergyPoint.from_omega(0.02)
+        ep = EnergyPoint(0.02)
         for ell in (0, 1, 2):
             cfg = CouplingConfig(kappa=2.0, ell=ell)
             profile = wavefunction(cfg, ep, default_xi_grid(cfg, ep, n=200))
@@ -135,7 +135,7 @@ class TestWavefunction:
     def test_branch_never_depends_on_coupling(self):
         # the regularized problem keeps the xi^ell branch for every kappa,
         # weak or strong
-        ep = EnergyPoint.from_omega(0.02)
+        ep = EnergyPoint(0.02)
         for kappa in (0.05, 0.0625, 0.75, 2.0, 10.0):
             cfg = CouplingConfig(kappa=kappa, ell=0)
             profile = wavefunction(cfg, ep, default_xi_grid(cfg, ep, n=150))
@@ -153,7 +153,7 @@ class TestWavefunction:
         # at kappa = 100 a series summed at y = -0.5 cancels away its digits;
         # every grid point must still match a 50-digit sum of the series
         cfg = CouplingConfig(kappa=100.0, ell=0)
-        ep = EnergyPoint.from_omega(0.3)
+        ep = EnergyPoint(0.3)
         profile = wavefunction(cfg, ep, default_xi_grid(cfg, ep))
         y = map_xi_to_y(profile.xi, cfg, ep)
         scale = np.max(np.abs(profile.values))
@@ -164,7 +164,7 @@ class TestWavefunction:
             assert abs(profile.values[i] - ref) < 1e-8 * scale
 
     def test_grid_through_origin(self):
-        ep = EnergyPoint.from_omega(0.1)
+        ep = EnergyPoint(0.1)
         grid = np.linspace(0.0, 2.0, 9)
         for ell, r0 in ((0, 1.0), (1, 0.0)):
             profile = wavefunction(CouplingConfig(kappa=2.0, ell=ell), ep, grid)
@@ -175,7 +175,7 @@ class TestWavefunction:
         cfg = CouplingConfig(kappa=2.0, ell=0)
         root = brentq(lambda w: spectral_function(cfg, w, tol=1e-10),
                       0.0165, 0.017, xtol=1e-12)
-        ep = EnergyPoint.from_omega(root)
+        ep = EnergyPoint(root)
         xs = xi_star(cfg, ep)
         grid = np.unique(np.append(default_xi_grid(cfg, ep, n=200), xs))
         profile = wavefunction(cfg, ep, grid)
@@ -185,13 +185,13 @@ class TestWavefunction:
 
     def test_non_eigenvalue_does_not_decay(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)
-        ep = EnergyPoint.from_omega(0.004)
+        ep = EnergyPoint(0.004)
         profile = wavefunction(cfg, ep, default_xi_grid(cfg, ep, n=200))
         assert profile.non_decaying is True
 
     def test_grid_validation(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)
-        ep = EnergyPoint.from_omega(0.1)
+        ep = EnergyPoint(0.1)
         with pytest.raises(ValueError):
             wavefunction(cfg, ep, np.array([0.5, 0.4, 0.6]))
         with pytest.raises(ValueError):
@@ -200,13 +200,13 @@ class TestWavefunction:
     def test_default_grid_needs_xi_star_beyond_its_start(self):
         # a tiny kappa at a large omega puts 1.2*xi* below the 1e-3 start
         cfg = CouplingConfig(kappa=1e-8, ell=0)
-        ep = EnergyPoint.from_omega(0.4)
+        ep = EnergyPoint(0.4)
         with pytest.raises(ValueError, match=r"1\.2\*xi\* = 0\.00017 .* grid start 0\.001"):
             default_xi_grid(cfg, ep)
 
     def test_flag_needs_grid_reaching_xi_star(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)
-        ep = EnergyPoint.from_omega(0.01)
+        ep = EnergyPoint(0.01)
         profile = wavefunction(cfg, ep, np.linspace(0.1, 1.0, 30))
         with pytest.raises(ValueError):
             profile.non_decaying

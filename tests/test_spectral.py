@@ -104,8 +104,7 @@ class TestBrackets:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             brackets = _find_brackets(values)
-            SpectralScan(omegas=np.array([0.1, 0.2, 0.3]), values=values,
-                         brackets=brackets, kappa=1.0, ell=0)
+            SpectralScan(omegas=np.array([0.1, 0.2, 0.3]), values=values, brackets=brackets)
         assert brackets == ((0, 1), (1, 2))
         # the product of these underflows to -0.0, which hid the sign change
         assert _find_brackets(np.array([1e-200, -1e-200])) == ((0, 1),)
@@ -145,7 +144,7 @@ class TestBatchedScan:
     def test_invalid_energy_raises_as_energy_point(self, omega):
         omegas = np.array([0.1, omega, 0.2])
         with pytest.raises(ValueError) as expected:
-            EnergyPoint.from_omega(omega)
+            EnergyPoint(omega)
         with pytest.raises(ValueError) as got:
             heun.heun_coefficients(2.0, 0, omegas)
         assert str(got.value) == str(expected.value) == f"omega must lie in (0, 1/2), got {omega}"
@@ -444,6 +443,18 @@ class TestPointScale:
             lo, hi = spectral._spectral_values(cfg, np.array([w - 2e-9, w + 2e-9]), 1e-10, 0.5)
             assert np.signbit(lo) != np.signbit(hi)
 
+    @pytest.mark.parametrize("point_scale", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda cfg, c: spectral_function(cfg, 0.1, point_scale=c),
+        lambda cfg, c: spectral_scan(cfg, 1e-3, 0.45, 10, point_scale=c),
+        lambda cfg, c: exact_spectrum(cfg, 1e-3, 0.45, 10, point_scale=c),
+    ], ids=["spectral_function", "spectral_scan", "exact_spectrum"])
+    def test_cutoff_must_be_finite_and_positive(self, call, point_scale):
+        # c = -1 would run as c = 1, and c = 0 would fail as a bad target y* = 0
+        with pytest.raises(ValueError, match=f"^point_scale must be finite and positive, "
+                                             f"got {point_scale}$"):
+            call(CouplingConfig(kappa=2.0, ell=0), point_scale)
+
 
 class TestClosedForm:
     def test_successive_ratio_is_exact(self):
@@ -579,7 +590,8 @@ class TestCriticalCoupling:
         env = dict(os.environ, PYTHONPATH=str(Path(spectral.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=30, check=True)
-        assert proc.stdout == "kappa_tol must be finite and positive, got 1e-300\n"
+        assert proc.stdout == ("4 float spacings of kappa in [0.0626, 0.06358] are 5.65e-17, "
+                               "not below kappa_tol = 1e-300\n")
 
     @pytest.mark.parametrize("omega_floor", [0.0, 0.4, 0.5, math.nan])
     def test_window_validation(self, omega_floor):
@@ -636,7 +648,7 @@ class TestFarFieldStretch:
         assert scan.brackets == ref.brackets
 
     def test_default_profile_is_the_panel_only_path(self, monkeypatch):
-        cfg, ep = CouplingConfig(kappa=10.0, ell=0), EnergyPoint.from_omega(1e-5)
+        cfg, ep = CouplingConfig(kappa=10.0, ell=0), EnergyPoint(1e-5)
         taken = _stretch_spy(monkeypatch)
         profile = wavefunction(cfg, ep, default_xi_grid(cfg, ep))
         assert taken and not any(taken)
@@ -647,7 +659,7 @@ class TestFarFieldStretch:
     def test_deep_profile_through_the_stretch(self, monkeypatch):
         # 129 of the 400 grid points lie inside the stretch and are read from
         # the far panel's closed form
-        cfg, ep = CouplingConfig(kappa=10.0, ell=0), EnergyPoint.from_omega(1e-40)
+        cfg, ep = CouplingConfig(kappa=10.0, ell=0), EnergyPoint(1e-40)
         xi = default_xi_grid(cfg, ep)
         taken = _stretch_spy(monkeypatch)
         profile = wavefunction(cfg, ep, xi)
@@ -925,17 +937,6 @@ class TestUnits:
         result = SpectrumResult(METHOD_EXACT, (0.2486,), 2.0, 0)
         energies = to_physical_energy(result, natural_units_for(2.0))
         assert energies == [pytest.approx(-0.1243, rel=1e-12)]
-
-    def test_prefactor_identity(self):
-        # 1/(4 m beta) equals 5 hbar^2 / (4 m dx_min^2) identically
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            units = UnitSystem(mass=float(rng.uniform(0.1, 10)),
-                               hbar=float(rng.uniform(0.1, 10)),
-                               beta=float(rng.uniform(0.01, 10)),
-                               alpha_coupling=float(rng.uniform(0.1, 10)))
-            assert units.energy_scale == pytest.approx(
-                5.0 * units.hbar**2 / (4.0 * units.mass * units.min_length**2), rel=1e-14)
 
     def test_kappa_mismatch_rejected(self):
         result = SpectrumResult(METHOD_EXACT, (0.1,), 2.0, 0)

@@ -1,6 +1,6 @@
 """Bound-state spectra: exact Heun condition, closed form, and comparisons.
 
-Three routes to the spectrum of the deformed inverse-square problem:
+Two routes to the spectrum of the deformed inverse-square problem:
 
 * exact_heun (exact_spectrum): zeros in omega of Hc(a, -b, c, d, e;
   (Omega-1)/Omega), bracketed on a log-spaced grid and refined in one
@@ -10,8 +10,6 @@ Three routes to the spectrum of the deformed inverse-square problem:
   grid neighbours whose count drops by an odd number are tested for a
   sign change (_counted_brackets).  A window without levels takes one
   count of its two ends, and fewer roots than levels draw a warning.
-* hypergeometric_condition: zeros of F(alpha', gamma'; delta'; -1/Omega),
-  the shallow-energy reduction of the same boundary condition.
 * closed_form: the explicit tower
 
       omega_n = 1/2 * exp[ (2/nu) * (arg B - (n + 1/2) pi) ],   n = 0, 1, ...
@@ -20,6 +18,9 @@ Three routes to the spectrum of the deformed inverse-square problem:
   above the validity cut (default omega >= 0.05) are discarded.  Successive
   levels contract by exactly exp(-2 pi / nu): the accumulation point at zero
   energy.
+
+The shallow-energy reduction F(alpha', gamma'; delta'; -1/Omega) = 0 that
+links the two is a test reference (tests/hyp_oracle.py), not a route.
 
 Weak coupling (4 kappa <= (ell+1/2)^2) has no bound states at all; the
 critical coupling is located by bisecting on the presence of levels in
@@ -55,14 +56,11 @@ from .specfun import (
     NonConvergenceError,
     WeakCouplingError,
     compute_phase,
-    hyp2f1_large_negative,
-    reduced_hypergeometric_parameters,
 )
 
 METHOD_EXACT = "exact_heun"
 METHOD_CLOSED_FORM = "closed_form"
-METHOD_HYPERGEOMETRIC = "hypergeometric_condition"
-_METHODS = (METHOD_EXACT, METHOD_CLOSED_FORM, METHOD_HYPERGEOMETRIC)
+_METHODS = (METHOD_EXACT, METHOD_CLOSED_FORM)
 
 DEFAULT_OMEGA_MIN = 1e-5
 DEFAULT_OMEGA_MAX = 0.45
@@ -435,35 +433,6 @@ def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
         if w < cut:
             omegas.append(w)
     return SpectrumResult(method=METHOD_CLOSED_FORM, omegas=tuple(omegas),
-                          kappa=cfg.kappa, ell=cfg.ell)
-
-
-def hypergeometric_condition_roots(cfg: CouplingConfig,
-                                   omega_range: tuple[float, float] = (1e-6, DEFAULT_VALIDITY),
-                                   n_points: int = 400) -> SpectrumResult:
-    """Zeros of F(alpha', gamma'; delta'; -1/Omega): the intermediate spectrum.
-
-    The condition only makes sense in the shallow window omega < 0.05 where
-    the reduction applies; weak coupling returns an empty result.  Roots are
-    refined to DEFAULT_ROOT_TOL.
-    """
-    lo, hi = omega_range
-    if not (0.0 < lo < hi <= DEFAULT_VALIDITY):
-        raise ValueError("omega_range must satisfy 0 < lo < hi <= 0.05")
-    omegas = _scan_grid(lo, hi, n_points, 1.0)
-    try:
-        alpha_p, gamma_p, delta_p = reduced_hypergeometric_parameters(cfg)
-    except WeakCouplingError:
-        return SpectrumResult(method=METHOD_HYPERGEOMETRIC, omegas=(),
-                              kappa=cfg.kappa, ell=cfg.ell)
-
-    def f(w: np.ndarray) -> np.ndarray:
-        # conjugate parameter pair: the imaginary part is roundoff
-        return np.array([hyp2f1_large_negative(alpha_p, gamma_p, delta_p, -0.5 / x).real
-                         for x in w])
-
-    roots = _bracket_roots(f, omegas, _find_brackets(f(omegas)), DEFAULT_ROOT_TOL)
-    return SpectrumResult(method=METHOD_HYPERGEOMETRIC, omegas=roots,
                           kappa=cfg.kappa, ell=cfg.ell)
 
 

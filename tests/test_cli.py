@@ -647,6 +647,18 @@ class TestConfiguration:
         assert (code, lines, err) == (2, [], f"invalid configuration: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--kappa", "2", "--tol=-1e-8"), "tol must be finite and positive, got -1e-08"),
+        (("--kappa=-1e-3",), "kappa must be finite and positive, got -0.001"),
+    ])
+    def test_negative_value_in_exponent_form(self, capsys, tmp_path, argv, message):
+        # argparse reads a separate "-1e-8" as an option, not as a negative
+        # number; written with "=" the value reaches the range check
+        out = tmp_path / "out.csv"
+        code, lines, err = run_cli(capsys, "roots", *argv, "-o", str(out))
+        assert (code, lines, err) == (2, [], f"invalid configuration: {message}\n")
+        assert not out.exists()
+
     def test_units_file_read_before_scan(self, capsys, monkeypatch, tmp_path):
         def no_scan(*args, **kwargs):
             raise AssertionError("scanned before reading the units file")

@@ -19,7 +19,6 @@ from gupheun.heun import (
     heun_continue_arrays,
     heun_zero_counts,
 )
-from gupheun.specfun import hyp2f1_large_negative, reduced_hypergeometric_parameters
 
 from heun_oracle import (
     coefficients,
@@ -30,6 +29,7 @@ from heun_oracle import (
     one_energy,
     series_state_reference,
 )
+from hyp_oracle import hyp2f1_large_negative, reduced_hypergeometric_parameters
 
 
 def _value(energy, y, tol):

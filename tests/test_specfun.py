@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 
 from gupheun.heun import CouplingConfig
-from gupheun.specfun import (
+from gupheun.specfun import GammaPoleError, WeakCouplingError, compute_phase, log_gamma
+
+from hyp_oracle import (
     SERIES_TOL,
-    GammaPoleError,
-    WeakCouplingError,
     _gauss_series,
-    compute_phase,
     hyp2f1_large_negative,
-    log_gamma,
     reduced_hypergeometric_parameters,
 )
 
@@ -102,6 +100,19 @@ class TestComputePhase:
         phase34 = compute_phase(CouplingConfig(kappa=0.75, ell=0))
         assert phase34.nu == pytest.approx(math.sqrt(2.75), rel=1e-14)
         assert phase34.b_arg == pytest.approx(-0.210662935921219968, abs=1e-12)
+
+    @pytest.mark.parametrize("kappa, ell", [(1.0, 1), (3.0, 1), (2.0, 2), (5.0, 2),
+                                            (20.0, 3)])
+    def test_against_mpmath_at_nonzero_ell(self, kappa, ell):
+        # the ell/2 shifts of B's lower gamma arguments, checked away from ell = 0
+        phase = compute_phase(CouplingConfig(kappa=kappa, ell=ell))
+        with mp.workdps(30):
+            assert phase.nu == float(mp.sqrt(4 * mp.mpf(kappa) - (ell + mp.mpf(0.5)) ** 2))
+            nu = mp.mpf(phase.nu)
+            b = mp.gamma(1j * nu) / (mp.gamma(0.25 + ell / 2 + 0.5j * nu)
+                                     * mp.gamma(1.25 + ell / 2 + 0.5j * nu))
+            ref = float(mp.arg(b))
+        assert abs(math.remainder(phase.b_arg - ref, 2 * math.pi)) <= 1e-12
 
     def test_weak_coupling_boundary(self):
         with pytest.raises(WeakCouplingError):

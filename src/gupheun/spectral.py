@@ -73,21 +73,20 @@ REFINE_EVAL_TOL = 1e-10
 CRITICAL_OMEGA_FLOOR = 1e-45
 CRITICAL_OMEGA_MAX = 0.4
 DEFAULT_KAPPA_TOL = 5e-4
-# bisection levels of critical_coupling whose midpoints one count call takes:
-# a call's cost grows with its energies, and critical_coupling(0, 0.05, 0.08)
-# takes 7.4 / 4.6 / 4.7 / 5.6 / 11.2 ms at 1 / 2 / 3 / 4 / 6 levels (2-core
-# Xeon, medians of 15 rounds, each the best of 5)
+# halvings per count call of critical_coupling: a call's cost grows with its
+# energies; critical_coupling(0, 0.05, 0.08) takes 7.4 / 4.6 / 4.7 / 5.6 / 11.2
+# ms at 1 / 2 / 3 / 4 / 6 (2-core Xeon, medians of 15 rounds, each best of 5)
 _LEVELS_PER_CALL = 3
 # evaluation tolerance of critical_coupling's zero counts, looser than a scan's
 _COUNT_TOL = 1e-6
 # grid energies in the coarse zero count of _counted_brackets: every 16th of
 # the default 600, and the whole grid in one call up to 40 points
 _COARSE_POINTS = 40
-# halvings of each dropping interval per count call of _counted_brackets (3
-# points an interval; 2 calls at stride 16, not 4): 14.9 / 13.6 / 15.2 ms at
-# 1 / 2 / 3 at kappa = 2, 21.8 / 16.5 / 17.4 ms on 2400 points, but 53 / 72 /
-# 94 ms at kappa = 100, where nearly every coarse interval drops (2-core Xeon,
-# default window, medians of 9 rounds, each the best of 3)
+# halvings per count call of _counted_brackets (3 points an interval; 2 calls
+# at stride 16, not 4): 14.9 / 13.6 / 15.2 ms at 1 / 2 / 3 at kappa = 2, 21.8 /
+# 16.5 / 17.4 ms on 2400 points, but 53 / 72 / 94 ms at kappa = 100, where
+# nearly every coarse interval drops (2-core Xeon, default window, medians of 9
+# rounds, each the best of 3)
 _HALVINGS_PER_CALL = 2
 
 
@@ -206,6 +205,36 @@ def _scan_grid(omega_min: float, omega_max: float, n_points: int,
     return np.exp(np.linspace(math.log(omega_min), math.log(omega_max), n_points))
 
 
+def _bisect(count, x, n, width, split, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Halve every step of a monotone integer function down to spans at most width wide.
+
+    x are sorted points and n the function's values there, or None while x
+    is to be counted, by the first call.  An interval between neighbours is
+    open where their values differ and it is wider than width.  Each round
+    is one call count(points) -> values on the midpoints split(a, b) of the
+    next `levels` halvings of every open interval, in heap order (the
+    midpoint of each, then those of its halves, ...), halving only spans
+    wider than width; no point is counted twice.  Returns the counted
+    points, sorted, and their values.
+    """
+    x = np.asarray(x)
+    todo, n = (x, np.arange(x.size)) if n is None else (x[:0], np.asarray(n))
+    while True:
+        step = n[:-1] != n[1:]
+        a, b = x[:-1][step], x[1:][step]
+        for _ in range(levels):
+            wide = b - a > width
+            a, b = a[wide], b[wide]
+            mid = split(a, b)
+            todo = np.concatenate((todo, mid))
+            a, b = np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel()
+        if not todo.size:
+            return x, n
+        # a point's last value wins: its count replaces the stand-in of n = None
+        x, last = np.unique(np.concatenate((x, todo))[::-1], return_index=True)
+        n, todo = np.concatenate((n, count(todo)))[::-1][last], x[:0]
+
+
 def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float,
                       n_points: int, tol: float, point_scale: float
                       ) -> tuple[np.ndarray, tuple[tuple[int, int], ...], int]:
@@ -213,50 +242,43 @@ def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float,
 
     N(omega), the zeros of the Heun function on (y*, 0), drops by one at each
     eigenvalue as omega rises, and the sign of Hc at y* follows its parity.
-    Each heun_zero_counts call, at the scan's tol and point_scale, returns
-    the counts with the scan's own values.  A first call counts the grid's
-    two ends: N(first) - N(last) is the number of levels on the grid, and a
-    grid without levels is done.  Otherwise a second call counts every
-    stride-th grid energy, about _COARSE_POINTS of them, and each interval
-    whose count drops is bisected on grid indices, _HALVINGS_PER_CALL
-    halvings of all of them per call, down to neighbours (i, i+1); a pair
-    whose count drops by an odd number is a candidate, and _find_brackets
-    keeps the sign changes among the candidates' values.  So the brackets
-    are a subset of the scan's, and all of them where every sign change of
-    the scan drops the count by an odd number.  A count that rises with
-    omega between any two counted grid energies, or that fails, raises
-    HeunEvaluationError.
+    Each heun_zero_counts call, at the scan's tol and point_scale, brings
+    the scan's own values.  A first call counts the grid's two ends, whose
+    difference is the grid's levels; a grid with levels gets a second call
+    on every stride-th energy, about _COARSE_POINTS, and _bisect halves the
+    grid indices where the count drops, _HALVINGS_PER_CALL halvings a call,
+    down to neighbours.  Of the pairs whose count drops by an odd number,
+    _find_brackets keeps the sign changes: a subset of the scan's brackets,
+    all of them where each of its sign changes drops the count by an odd
+    number.  A count that fails, or rises with omega between two counted
+    energies, raises HeunEvaluationError.
     """
     omegas = _scan_grid(omega_min, omega_max, n_points, point_scale)
     counts = np.full(n_points, -1)
     values = np.full(n_points, np.nan)
 
-    def count(todo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Count at grid indices todo; every counted index and the drops between them."""
+    def count(todo: np.ndarray) -> np.ndarray:
+        """The counts at grid indices todo, once no counted pair rises with omega."""
         w = omegas[todo]
         counts[todo], values[todo] = heun_zero_counts(
             *heun_coefficients(cfg.kappa, cfg.ell, w), _spectral_points(w, point_scale), tol=tol)
         known = np.flatnonzero(counts >= 0)
-        drops = counts[known[:-1]] - counts[known[1:]]
-        if (rise := np.flatnonzero(drops < 0)).size:
+        if (rise := np.flatnonzero(np.diff(counts[known]) > 0)).size:
             i, j = known[rise[0]], known[rise[0] + 1]
             raise HeunEvaluationError(
                 f"zero count rises with omega, from {counts[i]} at omega = {omegas[i]:g} "
                 f"to {counts[j]} at omega = {omegas[j]:g}")
-        return known, drops
+        return counts[todo]
 
-    known, drops = count(np.array([0, n_points - 1]))
-    levels = int(drops[0])
+    first, last = count(np.array([0, n_points - 1]))
+    levels = int(first - last)
     stride = -(-(n_points - 1) // (_COARSE_POINTS - 1))
-    todo = np.arange(stride, n_points - 1, stride) if levels else np.arange(0)
-    while todo.size:
-        known, drops = count(todo)
-        lo, hi = known[:-1][drops > 0], known[1:][drops > 0]
-        for _ in range(_HALVINGS_PER_CALL):  # each halving's midpoints join lo
-            mid = (lo + hi) // 2
-            lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        todo = np.setdiff1d(lo, known)
-    left = known[:-1][drops % 2 == 1]  # every dropping interval is one step wide now
+    if levels and n_points > 2:
+        count(np.arange(stride, n_points - 1, stride))
+    known = np.flatnonzero(counts >= 0)
+    x, n = _bisect(count, known, counts[known], 1, lambda a, b: (a + b) // 2,
+                   _HALVINGS_PER_CALL)
+    left = x[:-1][(n[:-1] - n[1:]) % 2 == 1]  # every dropping interval is one step wide now
     candidates = np.full(n_points, np.nan)
     candidates[left], candidates[left + 1] = values[left], values[left + 1]
     return omegas, _find_brackets(candidates), levels
@@ -436,45 +458,21 @@ def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
                           kappa=cfg.kappa, ell=cfg.ell)
 
 
-def _bisection_midpoints(lo: float, hi: float, kappa_tol: float, levels: int) -> list[float]:
-    """The midpoints that bisecting [lo, hi] may visit in its next `levels` halvings.
-
-    Heap order: the midpoint of [lo, hi], then those of its two halves, and
-    so on, each computed as 0.5*(lo + hi) exactly as the bisection loop of
-    critical_coupling computes it, and only for the spans that loop would
-    still halve (wider than kappa_tol).
-    """
-    out: list[float] = []
-    spans = [(lo, hi)]
-    for _ in range(levels):
-        spans = [(a, b) for a, b in spans if b - a > kappa_tol]
-        mids = [0.5 * (a + b) for a, b in spans]
-        out += mids
-        spans = [half for (a, b), m in zip(spans, mids) for half in ((a, m), (m, b))]
-    return out
-
-
 def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
                       omega_floor: float = CRITICAL_OMEGA_FLOOR,
                       kappa_tol: float = DEFAULT_KAPPA_TOL) -> float:
     """Bisect on the presence of levels in (omega_floor, omega_max) to find the transition.
 
     The window's upper end omega_max is CRITICAL_OMEGA_MAX = 0.4.  At each
-    kappa the levels in the window are counted as N(omega_floor) -
-    N(omega_max), N being the number of zeros of the Heun function on
-    (y*, 0) (heun_zero_counts).  The midpoints of the next halvings are
-    known before any count, so one batched call counts them together: the
-    first call takes the two ends of the bracket and the midpoints of the
-    first _LEVELS_PER_CALL halvings, and a new call, for the next levels, is
-    made only when the bisection walks past them.  The halvings themselves
-    are those of plain bisection.  Near the transition the last
-    bound state sits at omega ~ exp(-2 pi / nu), which is why omega_floor
-    defaults to 1e-45: a floor of 1e-5 would place the detection threshold
-    near kappa ~ 0.115 for ell = 0 instead of ~1/16.  Returns the transition
-    kappa to roughly kappa_tol.  Counting zeros does not need tight
-    evaluation, so the counts run at the relaxed _COUNT_TOL.  A count that
-    fails raises HeunEvaluationError, also at a midpoint the bisection would
-    not have visited.
+    kappa its levels are N(omega_floor) - N(omega_max), N being the zeros of
+    the Heun function on (y*, 0), counted at the relaxed _COUNT_TOL
+    (heun_zero_counts).  _bisect halves [kappa_lo, kappa_hi] to kappa_tol as
+    plain bisection does, _LEVELS_PER_CALL halvings a call, the ends in the
+    first, and the middle of the last span is returned.  Near the transition
+    the last level sits at omega ~ exp(-2 pi / nu), hence the default floor
+    1e-45: a floor of 1e-5 would place the threshold near kappa ~ 0.115 for
+    ell = 0 instead of ~1/16.  A count that fails, or presence that changes
+    more than once across the counted kappas, raises HeunEvaluationError.
     """
     if not kappa_lo < kappa_hi:
         raise ValueError("need kappa_lo < kappa_hi")
@@ -491,31 +489,24 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
                          f"{spacing:.3g}, not below kappa_tol = {kappa_tol:.3g}")
     _check_window(omega_floor, CRITICAL_OMEGA_MAX, 1.0)
 
-    has_states: dict[float, bool] = {}
-
-    def count(*kappas: float) -> None:
-        omegas = np.tile([omega_floor, CRITICAL_OMEGA_MAX], len(kappas))
+    def count(kappas: np.ndarray) -> np.ndarray:
+        """Whether levels lie in the window at each of kappas."""
+        omegas = np.tile([omega_floor, CRITICAL_OMEGA_MAX], kappas.size)
         n, _ = heun_zero_counts(*heun_coefficients(np.repeat(kappas, 2), ell, omegas),
                                 _spectral_points(omegas, 1.0), tol=_COUNT_TOL)
-        has_states.update(zip(kappas, (n[0::2] > n[1::2]).tolist()))
+        return n[0::2] > n[1::2]
 
-    lo, hi = kappa_lo, kappa_hi
-    count(lo, hi, *_bisection_midpoints(lo, hi, kappa_tol, _LEVELS_PER_CALL))
-    hi_has = has_states[hi]
-    if has_states[lo] == hi_has:
-        raise NoTransitionError(
-            f"no transition in [{kappa_lo}, {kappa_hi}]: "
-            f"bound states {'present' if hi_has else 'absent'} at both ends"
-        )
-    while hi - lo > kappa_tol:
-        mid = 0.5 * (lo + hi)
-        if mid not in has_states:
-            count(*_bisection_midpoints(lo, hi, kappa_tol, _LEVELS_PER_CALL))
-        if has_states[mid] == hi_has:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    kappas, present = _bisect(count, [kappa_lo, kappa_hi], None, kappa_tol,
+                              lambda a, b: 0.5 * (a + b), _LEVELS_PER_CALL)
+    flips = np.flatnonzero(present[:-1] != present[1:])
+    if flips.size > 1:
+        raise HeunEvaluationError(
+            f"presence of levels in ({omega_floor:g}, {CRITICAL_OMEGA_MAX}) changes more than once "
+            f"with kappa: again between kappa = {kappas[flips[1]]} and {kappas[flips[1] + 1]}")
+    if not flips.size:
+        raise NoTransitionError(f"no transition in [{kappa_lo}, {kappa_hi}]: bound states "
+                                f"{'present' if present[-1] else 'absent'} at both ends")
+    return 0.5 * float(kappas[flips[0]] + kappas[flips[0] + 1])
 
 
 @dataclass(frozen=True)

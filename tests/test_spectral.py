@@ -730,12 +730,84 @@ class TestCriticalCouplingCalls:
     def test_default_bracket(self):
         assert critical_coupling(0, 0.05, 0.08) == 0.063359375
 
+    def test_presence_that_changes_twice_is_a_numerical_failure(self, monkeypatch):
+        # levels only for kappa in [0.055, 0.06] and from 0.07 on: the first
+        # call finds them at 0.0575 and not at 0.06125, a second change that
+        # plain bisection on the ends would walk past
+        def coefficients(kappa, ell, omega):
+            return kappa, ell, omega
+
+        def zero_counts(kappa, ell, omega, y, tol):
+            present = ((0.055 <= kappa) & (kappa <= 0.06)) | (kappa >= 0.07)
+            return np.where(present & (omega < 0.4), 1, 0), None
+
+        monkeypatch.setattr(spectral, "heun_coefficients", coefficients)
+        monkeypatch.setattr(spectral, "heun_zero_counts", zero_counts)
+        with pytest.raises(HeunEvaluationError, match=r"^presence of levels in \(1e-45, 0.4\) "
+                           r"changes more than once with kappa: again between kappa = "
+                           r"0.05984375 and 0.0603125$"):
+            critical_coupling(0, 0.05, 0.08)
+
+
+def _halve(a, b):
+    return 0.5 * (a + b)
+
+
+class TestBisect:
+    """spectral._bisect, on monotone step functions f(x) = #{steps <= x}."""
+
+    @staticmethod
+    def _bisect(steps, x, n, width, split, levels):
+        """_bisect's points and values, and the points of each count call."""
+        calls = []
+
+        def count(points):
+            calls.append(points.tolist())
+            return np.searchsorted(steps, points, side="right")
+
+        return (*spectral._bisect(count, x, n, width, split, levels), calls)
+
     def test_midpoints_in_heap_order(self):
-        # only spans wider than kappa_tol are halved again
-        assert spectral._bisection_midpoints(0.0, 1.0, 0.3, 3) == [0.5, 0.25, 0.75]
-        assert spectral._bisection_midpoints(0.0, 1.0, 0.2, 3) == [
-            0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875]
-        assert spectral._bisection_midpoints(0.0, 1.0, 1.0, 3) == []
+        # the first call, three halvings of [0, 1]; only spans wider than
+        # width are halved again
+        def first_call(width):
+            *_, calls = self._bisect([0.9], [0.0, 1.0], [0, 1], width, _halve, 3)
+            return calls[0] if calls else []
+
+        assert first_call(0.3) == [0.5, 0.25, 0.75]
+        assert first_call(0.2) == [0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875]
+        assert first_call(1.0) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), on_grid=st.booleans(), counted=st.booleans(),
+           levels=st.integers(1, 4))
+    def test_every_step_ends_in_a_narrow_span(self, data, on_grid, counted, levels):
+        if on_grid:
+            hi = data.draw(st.integers(1, 5000))
+            step = st.integers(1, hi)
+            width, split = 1, lambda a, b: (a + b) // 2
+        else:
+            hi = 1.0
+            step = st.floats(0.0, 1.0, exclude_min=True)
+            width, split = data.draw(st.floats(1e-9, 2.0)), _halve
+        steps = np.sort(data.draw(st.lists(step, max_size=6)))
+        ends = [0, hi]
+        n = np.searchsorted(steps, ends, side="right") if counted else None
+        x, got, calls = self._bisect(steps, ends, n, width, split, levels)
+
+        counted_points = [*(ends if counted else []), *(p for c in calls for p in c)]
+        assert len(set(counted_points)) == len(counted_points) == x.size
+        assert np.all(np.diff(x) > 0) and x[0] == 0 and x[-1] == hi
+        assert np.array_equal(got, np.searchsorted(steps, x, side="right"))
+        right = np.searchsorted(x, steps)  # x[right - 1] < step <= x[right]
+        assert np.all(x[right] - x[right - 1] <= width)
+        if len(steps) == 1:
+            lo, up, halvings = 0, hi, 0
+            while up - lo > width:   # plain bisection
+                mid = split(lo, up)
+                (lo, up), halvings = (lo, mid) if mid >= steps[0] else (mid, up), halvings + 1
+            assert x[right[0] - 1] == lo and x[right[0]] == up
+            assert len(calls) == max(-(-halvings // levels), 0 if counted else 1)
 
 
 def _scan_levels(kappa, ell, lo, hi, points):

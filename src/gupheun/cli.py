@@ -37,9 +37,7 @@ from .spectral import (
     closed_form_spectrum,
     compare_spectra,
     critical_coupling,
-    energy_from_omega,
     exact_spectrum,
-    natural_units_for,
     spectral_scan,
     to_physical_energy,
 )
@@ -120,6 +118,8 @@ _fmt = "{:.12g}".format  # a float as a CSV cell or summary value
 def _load_units(path: str) -> UnitSystem:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"units file {path} must hold a JSON object")
     try:
         return UnitSystem(mass=raw["mass"], hbar=raw["hbar"], beta=raw["beta"],
                           alpha_coupling=raw["alpha_coupling"])
@@ -130,10 +130,9 @@ def _load_units(path: str) -> UnitSystem:
 def _levels(result: SpectrumResult, units: UnitSystem | None,
             pairs: list[tuple[str, str]], note: str) -> Output:
     """The level table shared by `roots` and `spectrum`; units are checked in both formats."""
-    natural = natural_units_for(result.kappa)
     payload = {"method": result.method, "kappa": result.kappa, "ell": result.ell,
                "omegas": list(result.omegas),
-               "energy_natural_units": [energy_from_omega(w, natural) for w in result.omegas]}
+               "energy_natural_units": [-w / 2.0 for w in result.omegas]}  # m = beta = 1
     header = ["n", "omega", "energy_natural_units", "method"]
     row = "{},{:.12g},{:.12g},{}"
     columns = [itertools.count(1), payload["omegas"], payload["energy_natural_units"],
@@ -168,8 +167,8 @@ def _emit(cfg: RunConfig, out: Output) -> str:
 def _run_scan(cfg: RunConfig) -> Output:
     scan = spectral_scan(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points,
                          tol=cfg.tol, point_scale=cfg.point_scale)
-    left_endpoints = {i for i, _ in scan.brackets}
-    n = len(scan.brackets)
+    brackets = scan.brackets
+    n, left_endpoints = len(brackets), {i for i, _ in brackets}
     # one conversion to Python floats feeds both the CSV cells and the JSON lists
     omegas, values = scan.omegas.tolist(), scan.values.tolist()
     failed = sum(map(math.isnan, values))
@@ -184,7 +183,7 @@ def _run_scan(cfg: RunConfig) -> Output:
         {"command": "scan", "kappa": cfg.kappa, "ell": cfg.ell,
          # a failed point is NaN, which JSON cannot hold (RFC 8259): null
          "omegas": omegas, "values": [None if math.isnan(v) else v for v in values],
-         "brackets": [[int(i), int(j)] for i, j in scan.brackets]},
+         "brackets": [[int(i), int(j)] for i, j in brackets]},
         [("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)), ("points", str(cfg.points)),
          ("brackets", str(n))],
         note)

@@ -491,6 +491,8 @@ def _solved_panels(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray,
         owner, ta, tb = owner[~far], ta[~far], tb[~far]
     pending = owner, ta, tb
     for depth in range(_MAX_SPLITS + 1):
+        if not pending[0].size:  # also when every panel is far
+            break
         halves = []
         for lo in range(0, pending[0].size, _CHUNK):
             o, a, b = (x[lo:lo + _CHUNK] for x in pending)
@@ -509,8 +511,6 @@ def _solved_panels(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray,
             halves.append((np.tile(o[split], 2), np.concatenate((a[split], mid)),
                            np.concatenate((mid, b[split]))))
         pending = tuple(np.concatenate(x) for x in zip(*halves))
-        if not pending[0].size:
-            break
     owner, ta, tb, ends, held, nodes, turns, far = (np.concatenate(x) for x in zip(*done))
     order = np.lexsort((ta, owner))
     row = np.where(held, np.cumsum(held) - 1, -1)

@@ -64,21 +64,13 @@ def xi_star(cfg: CouplingConfig, ep: EnergyPoint) -> float:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Sampled R(xi) together with the defining (omega, kappa, ell)."""
+    """Sampled R(xi) together with the radius xi* of its spectral point."""
 
     xi: np.ndarray
     values: np.ndarray
-    omega: float
-    kappa: float
-    ell: int
+    xi_star: float
 
     def __post_init__(self):
-        if len(self.xi) != len(self.values):
-            raise ValueError("xi and values must have equal length")
-        if np.any(np.diff(self.xi) <= 0):
-            raise ValueError("xi must be strictly increasing")
-        if np.any(self.xi < 0):
-            raise ValueError("xi must be non-negative")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("profile values must be finite")
 
@@ -91,7 +83,7 @@ class RadialProfile:
         [0.45, 0.55]*xi*.  Eigenvalues decay by an order of magnitude or more
         into the tail, non-eigenvalues do not.  Requires the grid to reach xi*.
         """
-        xs = xi_star(CouplingConfig(self.kappa, self.ell), EnergyPoint(self.omega))
+        xs = self.xi_star
         if self.xi[-1] < xs:
             raise ValueError("grid does not reach xi*; flag undefined")
         absval = np.abs(self.values)
@@ -145,5 +137,4 @@ def wavefunction(cfg: CouplingConfig, ep: EnergyPoint, xi_grid) -> RadialProfile
     hc[off_origin] = g
 
     values = xi**cfg.ell * (1.0 - y) * hc
-    return RadialProfile(xi=xi, values=values, omega=ep.omega,
-                         kappa=cfg.kappa, ell=cfg.ell)
+    return RadialProfile(xi=xi, values=values, xi_star=xi_star(cfg, ep))

@@ -111,42 +111,26 @@ def _spectral_points(omegas, point_scale: float):
 
 def _spectral_values(cfg: CouplingConfig, omegas: np.ndarray, tol: float,
                      point_scale: float) -> np.ndarray:
-    """spectral_function at every omega in one heun_continue_arrays call; NaN where it fails."""
+    """Hc(0, -b, 1, d, e; y*) at every omega, zero exactly at eigenvalues; NaN where it fails."""
     values, _ = heun_continue_arrays(*heun_coefficients(cfg.kappa, cfg.ell, omegas),
                                      _spectral_points(omegas, point_scale), tol=tol)
     return values
 
 
-def spectral_function(cfg: CouplingConfig, omega: float, tol: float = DEFAULT_SCAN_TOL,
-                      point_scale: float = 1.0) -> float:
-    """Hc(0, -b, 1, d, e; y*) at trial energy omega: zero exactly at eigenvalues.
-
-    The one-omega case of _spectral_values; raises HeunEvaluationError where
-    that gives NaN.
-    """
-    (value,) = _spectral_values(cfg, np.array([float(omega)]), tol, point_scale)
-    if math.isnan(value):
-        raise HeunEvaluationError(f"spectral function at omega = {omega} failed: the series "
-                                  f"or a continuation panel did not evaluate")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class SpectralScan:
-    """Log-spaced samples of the spectral function with sign-change brackets."""
+    """Log-spaced samples of the spectral function; brackets are its sign changes."""
 
     omegas: np.ndarray
     values: np.ndarray
-    brackets: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if len(self.omegas) != len(self.values):
             raise ValueError("omegas and values must have equal length")
-        for i, j in self.brackets:
-            vi, vj = self.values[i], self.values[j]
-            if j != i + 1 or not (np.isfinite(vi) and np.isfinite(vj)
-                                  and _opposite_signs(vi, vj)):
-                raise ValueError(f"bracket ({i}, {j}) is not a sign change between neighbours")
+
+    @property
+    def brackets(self) -> tuple[tuple[int, int], ...]:
+        return _find_brackets(self.values)
 
 
 def _opposite_signs(a, b):
@@ -193,7 +177,7 @@ def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
     """
     omegas = _scan_grid(omega_min, omega_max, n_points, point_scale)
     values = _spectral_values(cfg, omegas, tol, point_scale)
-    return SpectralScan(omegas=omegas, values=values, brackets=_find_brackets(values))
+    return SpectralScan(omegas=omegas, values=values)
 
 
 def _scan_grid(omega_min: float, omega_max: float, n_points: int,
@@ -582,6 +566,8 @@ class UnitSystem:
     def __post_init__(self):
         for name in ("mass", "hbar", "beta", "alpha_coupling"):
             v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{name} must be float, got {v!r}")
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive")
 
@@ -590,18 +576,8 @@ class UnitSystem:
         return self.mass * self.alpha_coupling / (2.0 * self.hbar**2)
 
 
-def natural_units_for(kappa: float) -> UnitSystem:
-    """mass = hbar = beta = 1 units consistent with the given kappa."""
-    return UnitSystem(mass=1.0, hbar=1.0, beta=1.0, alpha_coupling=2.0 * kappa)
-
-
-def energy_from_omega(omega: float, units: UnitSystem) -> float:
-    """E = -omega / (2 m beta); omega = 0 maps to the zero-energy threshold."""
-    return -omega / (2.0 * units.mass * units.beta)
-
-
 def to_physical_energy(result: SpectrumResult, units: UnitSystem) -> list[float]:
-    """Convert a spectrum to physical energies, checking unit consistency.
+    """E_n = -omega_n / (2 m beta), checking unit consistency.
 
     The units must reproduce the spectrum's kappa to 1e-12 relative: SI
     constants carry roundoff into m*alpha/(2*hbar^2), and one ulp of kappa =
@@ -612,4 +588,4 @@ def to_physical_energy(result: SpectrumResult, units: UnitSystem) -> list[float]
         raise UnitMismatchError(
             f"units give kappa = {units.kappa!r}, spectrum has {result.kappa!r}"
         )
-    return [energy_from_omega(w, units) for w in result.omegas]
+    return [-w / (2.0 * units.mass * units.beta) for w in result.omegas]

@@ -672,6 +672,32 @@ class TestConfiguration:
         assert code == 2
         assert "missing.json" in err
 
+    @pytest.mark.parametrize("units,message", [
+        ([1, 2], "units file {path} must hold a JSON object"),
+        ({"mass": "1", "hbar": 1, "beta": 1, "alpha_coupling": 4}, "mass must be float, got '1'"),
+        ({"mass": None, "hbar": 1, "beta": 1, "alpha_coupling": 4}, "mass must be float, got None"),
+        ({"mass": True, "hbar": 1, "beta": 1, "alpha_coupling": 4}, "mass must be float, got True"),
+    ], ids=["list", "string", "null", "bool"])
+    def test_malformed_units_file(self, capsys, tmp_path, units, message):
+        # the first three ended in a TypeError traceback, and true ran as mass 1
+        path = tmp_path / "units.json"
+        path.write_text(json.dumps(units))
+        out = tmp_path / "out.csv"
+        code, lines, err = run_cli(capsys, "roots", "--kappa", "2", "--units-file", str(path),
+                                   "-o", str(out))
+        message = message.format(path=path)
+        assert (code, lines, err) == (2, [], f"invalid configuration: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("roots", "--tol", "1e5"), ("roots", "--tol", "1e10"),
+                                      ("roots", "--tol", "1e300"),
+                                      ("scan", "--tol", "1e300", "--points", "20")])
+    def test_huge_tolerance_is_no_crash(self, capsys, argv):
+        # from about tol = 1e5 every continuation panel is far field, which
+        # once left the panel solver an empty tuple and an IndexError
+        code, _, _ = run_cli(capsys, *argv, "--kappa", "2", warns=True)
+        assert code in (0, 2, 3)
+
     @pytest.mark.parametrize("argv", [
         ("scan", "--kappa", "2", "--units-file", "x"),
         ("critical", "--gnuplot"),

@@ -372,6 +372,46 @@ def _walk_one_panel_at_a_time(first, ends, seed):
     return start
 
 
+class TestSturmComparison:
+    """The zero count at y* as Sturm comparison orders it, which critical_coupling bisects on.
+
+    A deeper well holds more nodes, and a larger centrifugal barrier fewer
+    (Courant & Hilbert I, VI.6): N(omega) never falls as kappa rises and
+    never rises with ell.  The omegas stop at 1e-40: from about 1e-200 the
+    Heun values underflow and the count can fall with kappa (ROADMAP item 4).
+    Counted at critical_coupling's tolerance, one call per ell.
+    """
+
+    SWEEPS = 10  # per ell for kappa; 4 * SWEEPS for ell
+
+    @staticmethod
+    def _counts(kappa, ell, omega):
+        n, _ = heun_zero_counts(*heun_coefficients(kappa, ell, omega),
+                                spectral._spectral_points(omega, 1.0), tol=spectral._COUNT_TOL)
+        return n
+
+    @staticmethod
+    def _log_uniform(rng, lo, hi, size):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+    def test_count_never_falls_as_kappa_rises(self):
+        rng = np.random.default_rng(18)
+        for ell in range(4):
+            kappas = np.sort(self._log_uniform(rng, 0.06, 300.0, (self.SWEEPS, 60)), axis=1)
+            omegas = np.repeat(self._log_uniform(rng, 1e-40, 0.45, self.SWEEPS), 60)
+            n = self._counts(kappas.ravel(), ell, omegas).reshape(kappas.shape)
+            assert np.all(np.diff(n, axis=1) >= 0), ell
+            assert n.max() > 10  # the sweeps reach many levels
+
+    def test_count_never_rises_with_ell(self):
+        rng = np.random.default_rng(19)
+        kappas = self._log_uniform(rng, 0.06, 300.0, 4 * self.SWEEPS)
+        omegas = self._log_uniform(rng, 1e-40, 0.45, 4 * self.SWEEPS)
+        n = np.array([self._counts(kappas, ell, omegas) for ell in range(5)])
+        assert np.all(np.diff(n, axis=0) <= 0)
+        assert np.any(np.diff(n, axis=0) < 0)  # ell does move some counts
+
+
 class TestStartStates:
     """The walk's prefix products by doubling against a walk one panel at a time."""
 
@@ -651,6 +691,19 @@ class TestFarField:
         monkeypatch.setattr(heun, "_far_field", no_far_field)
         chain, far = panels()
         assert np.all(chain >= before) and not far.any()
+
+    def test_every_panel_far(self):
+        # at tol = 1e10 each energy's far-field stretch starts before its
+        # seed, so no panel is left to solve: the solve loop once ended on an
+        # empty tuple and raised IndexError
+        B, q0, q1 = heun_coefficients(2.0, 0, np.array([0.1, 1e-3]))
+        y = np.array([-4.0, -500.0])
+        t, t0 = np.log(-y), np.log(heun._certified_radius(q0, q1))
+        *_, far = heun._solved_panels(B, q0, q1, t0, t, np.arange(2) + 1j * t, 1e10)
+        assert far.all()
+        g, _ = heun_continue_arrays(B, q0, q1, y, tol=1e10)
+        _, g_counted = heun_zero_counts(B, q0, q1, y, tol=1e10)
+        assert np.isfinite(g).all() and np.array_equal(g, g_counted)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
     @pytest.mark.parametrize("ell", [0, 1, 2, 3])

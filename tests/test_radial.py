@@ -16,7 +16,6 @@ from gupheun.radial import (
     wavefunction,
     xi_star,
 )
-from gupheun.spectral import spectral_function
 
 from heun_oracle import coefficients, heun_oracle, heun_series, one_energy
 
@@ -173,12 +172,13 @@ class TestWavefunction:
 
     def test_profile_vanishes_at_xi_star_on_eigenvalue(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)
-        root = brentq(lambda w: spectral_function(cfg, w, tol=1e-10),
+        root = brentq(lambda w: spectral._spectral_values(cfg, np.array([w]), 1e-10, 1.0)[0],
                       0.0165, 0.017, xtol=1e-12)
         ep = EnergyPoint(root)
         xs = xi_star(cfg, ep)
         grid = np.unique(np.append(default_xi_grid(cfg, ep, n=200), xs))
         profile = wavefunction(cfg, ep, grid)
+        assert profile.xi_star == xs
         r_at_star = profile.values[np.searchsorted(grid, xs)]
         assert abs(r_at_star) < 1e-4 * np.max(np.abs(profile.values))
         assert profile.non_decaying is False

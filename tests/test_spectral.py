@@ -35,10 +35,7 @@ from gupheun.spectral import (
     closed_form_spectrum,
     compare_spectra,
     critical_coupling,
-    energy_from_omega,
     exact_spectrum,
-    natural_units_for,
-    spectral_function,
     spectral_scan,
     to_physical_energy,
 )
@@ -72,14 +69,8 @@ class TestScan:
 
 
 def _pointwise(cfg, omegas, tol):
-    """spectral_function at every omega, NaN where it raises."""
-    values = []
-    for w in omegas:
-        try:
-            values.append(spectral_function(cfg, float(w), tol=tol))
-        except HeunEvaluationError:
-            values.append(math.nan)
-    return np.array(values)
+    """The spectral function one omega at a time, NaN where it fails."""
+    return np.array([spectral._spectral_values(cfg, np.array([w]), tol, 1.0)[0] for w in omegas])
 
 
 class TestBrackets:
@@ -104,7 +95,8 @@ class TestBrackets:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             brackets = _find_brackets(values)
-            SpectralScan(omegas=np.array([0.1, 0.2, 0.3]), values=values, brackets=brackets)
+            scan = SpectralScan(omegas=np.array([0.1, 0.2, 0.3]), values=values)
+            assert scan.brackets == brackets
         assert brackets == ((0, 1), (1, 2))
         # the product of these underflows to -0.0, which hid the sign change
         assert _find_brackets(np.array([1e-200, -1e-200])) == ((0, 1),)
@@ -123,7 +115,7 @@ class TestBrackets:
 
 
 class TestBatchedScan:
-    """spectral_scan evaluates its grid in one batch; spectral_function one point."""
+    """spectral_scan evaluates its grid in one batch, the same as one point at a time."""
 
     @pytest.mark.parametrize("kappa", [0.75, 2.0, 5.0])
     @pytest.mark.parametrize("ell", [0, 1, 2])
@@ -214,7 +206,8 @@ class TestMpmathOracle:
             omega = float(scan.omegas[i])
             ref = float(heun_oracle(100.0, 0, omega))
             assert scan.values[i] == pytest.approx(ref, rel=1e-8)
-            assert spectral_function(cfg, omega, tol=1e-10) == pytest.approx(ref, rel=1e-9)
+            (value,) = spectral._spectral_values(cfg, np.array([omega]), 1e-10, 1.0)
+            assert value == pytest.approx(ref, rel=1e-9)
 
     def test_root_at_strong_coupling(self):
         ref = mpmath.findroot(lambda w: heun_oracle(20.0, 1, w), mpmath.mpf("0.40944"))
@@ -237,11 +230,10 @@ class TestFindRoots:
         assert min(abs(w - 1.67e-4) / 1.67e-4 for w in roots_k2.omegas) <= 0.10
 
     def test_root_certification(self, scan_k2, roots_k2):
-        from gupheun.spectral import spectral_function
         cfg = CouplingConfig(kappa=2.0, ell=0)
         scale = np.nanmax(np.abs(scan_k2.values))
-        for w in roots_k2.omegas:
-            assert abs(spectral_function(cfg, w, tol=1e-10)) < 1e-6 * scale
+        values = spectral._spectral_values(cfg, np.array(roots_k2.omegas), 1e-10, 1.0)
+        assert np.all(np.abs(values) < 1e-6 * scale)
 
     @pytest.mark.parametrize("kappa,ell", [(2.0, 0), (5.0, 2)])
     def test_agrees_with_brent(self, kappa, ell):
@@ -250,7 +242,7 @@ class TestFindRoots:
         xtol = 1e-9
 
         def f(w):
-            return spectral_function(cfg, w, tol=REFINE_EVAL_TOL)
+            return spectral._spectral_values(cfg, np.array([w]), REFINE_EVAL_TOL, 1.0)[0]
 
         reference = sorted((brentq(f, scan.omegas[i], scan.omegas[j], xtol=xtol)
                             for i, j in scan.brackets), reverse=True)
@@ -445,7 +437,7 @@ class TestPointScale:
 
     @pytest.mark.parametrize("point_scale", [-1.0, 0.0, math.nan, math.inf])
     @pytest.mark.parametrize("call", [
-        lambda cfg, c: spectral_function(cfg, 0.1, point_scale=c),
+        lambda cfg, c: spectral._spectral_values(cfg, np.array([0.1]), DEFAULT_SCAN_TOL, c),
         lambda cfg, c: spectral_scan(cfg, 1e-3, 0.45, 10, point_scale=c),
         lambda cfg, c: exact_spectrum(cfg, 1e-3, 0.45, 10, point_scale=c),
     ], ids=["spectral_function", "spectral_scan", "exact_spectrum"])
@@ -1001,13 +993,9 @@ class TestCompare:
 
 
 class TestUnits:
-    def test_energy_from_omega_zero(self):
-        units = UnitSystem(mass=2.0, hbar=1.0, beta=0.5, alpha_coupling=1.0)
-        assert energy_from_omega(0.0, units) == 0.0
-
     def test_natural_units_conversion(self):
         result = SpectrumResult(METHOD_EXACT, (0.2486,), 2.0, 0)
-        energies = to_physical_energy(result, natural_units_for(2.0))
+        energies = to_physical_energy(result, UnitSystem(1.0, 1.0, 1.0, 2.0 * 2.0))
         assert energies == [pytest.approx(-0.1243, rel=1e-12)]
 
     def test_kappa_mismatch_rejected(self):
@@ -1024,7 +1012,7 @@ class TestUnits:
                            alpha_coupling=2.0 * hbar**2 * 3e4 / mass)
         assert units.kappa == 29999.999999999996
         result = SpectrumResult(METHOD_EXACT, (0.1,), 3e4, 0)
-        assert to_physical_energy(result, units) == [energy_from_omega(0.1, units)]
+        assert to_physical_energy(result, units) == [-0.1 / (2.0 * mass * 1e-6)]
         with pytest.raises(UnitMismatchError):
             to_physical_energy(SpectrumResult(METHOD_EXACT, (0.1,), 3.0001e4, 0), units)
 
@@ -1033,7 +1021,7 @@ class TestUnits:
         # exactly 1/(2 m beta)
         kappa = 2.0
         result = SpectrumResult(METHOD_EXACT, (0.2486, 0.0167), kappa, 0)
-        u1 = natural_units_for(kappa)
+        u1 = UnitSystem(1.0, 1.0, 1.0, 2.0 * kappa)
         mass, hbar, beta = 3.0, 2.0, 0.5
         u2 = UnitSystem(mass=mass, hbar=hbar, beta=beta,
                         alpha_coupling=2.0 * kappa * hbar**2 / mass)

@@ -76,7 +76,6 @@ class RunConfig:
     omega_floor: float = spectral.CRITICAL_OMEGA_FLOOR
     units_file: str | None = None
     gnuplot: bool = False
-    point_scale: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -165,8 +164,7 @@ def _emit(cfg: RunConfig, out: Output) -> str:
 
 
 def _run_scan(cfg: RunConfig) -> Output:
-    scan = spectral_scan(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points,
-                         tol=cfg.tol, point_scale=cfg.point_scale)
+    scan = spectral_scan(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points, cfg.tol)
     brackets = scan.brackets
     n, left_endpoints = len(brackets), {i for i, _ in brackets}
     # one conversion to Python floats feeds both the CSV cells and the JSON lists
@@ -191,8 +189,7 @@ def _run_scan(cfg: RunConfig) -> Output:
 
 def _run_roots(cfg: RunConfig) -> Output:
     units = _load_units(cfg.units_file) if cfg.units_file else None
-    result = exact_spectrum(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points, cfg.tol,
-                            cfg.point_scale)
+    result = exact_spectrum(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points, cfg.tol)
     n = len(result)
     pairs = [("kappa", _fmt(cfg.kappa)), ("ell", str(cfg.ell)), ("roots", str(n))]
     if n:
@@ -229,8 +226,7 @@ def _run_wavefunction(cfg: RunConfig) -> Output:
 
 
 def _run_compare(cfg: RunConfig) -> Output:
-    exact = exact_spectrum(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points, cfg.tol,
-                           cfg.point_scale)
+    exact = exact_spectrum(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points, cfg.tol)
     approx = closed_form_spectrum(cfg.coupling, n_max=cfg.n_max, validity=cfg.validity)
     comparison = compare_spectra(exact, approx)
     rows = comparison.rows
@@ -277,7 +273,7 @@ class Command:
 
 # the log grid and its evaluation: `scan` values every point of it, `roots`
 # and `compare` bracket their levels on it (spectral.exact_spectrum)
-_SCAN = ("omega_min", "omega_max", "points", "point_scale", "tol")
+_SCAN = ("omega_min", "omega_max", "points", "tol")
 _LEVELS_PLOT = ('set logscale y\nset xlabel "n"\nset ylabel "omega"\n'
                 'plot DATA using 1:2 with points pt 7 title ')
 _COMMANDS = {
@@ -310,7 +306,6 @@ _FLAGS = {
     "points": "log-grid energies (default 600): scan samples them, roots and compare "
               "bracket each level between two neighbours; wavefunction: profile points "
               "(default 400)",
-    "point_scale": "cutoff radius factor c in r = c*sqrt(-alpha/E)",
     "tol": "evaluation tolerance (default 1e-8)",
     "output_path": None, "format": None,
     "units_file": "JSON with mass, hbar, beta, alpha_coupling",

@@ -98,22 +98,16 @@ class UnitMismatchError(ValueError):
     """UnitSystem-derived kappa disagrees with the spectrum's kappa."""
 
 
-def _spectral_points(omegas, point_scale: float):
-    """y* = c^2 (Omega-1)/Omega at every omega (a float or an array), radius c*sqrt(-alpha/E).
-
-    Every use of the cutoff factor c = point_scale runs through here, and so does its check.
-    """
-    if not (math.isfinite(point_scale) and point_scale > 0):
-        raise ValueError(f"point_scale must be finite and positive, got {point_scale}")
+def _spectral_points(omegas):
+    """y* = (Omega-1)/Omega at every omega (a float or an array), radius sqrt(-alpha/E)."""
     big_omega = 2.0 * omegas
-    return point_scale**2 * (big_omega - 1.0) / big_omega
+    return (big_omega - 1.0) / big_omega
 
 
-def _spectral_values(cfg: CouplingConfig, omegas: np.ndarray, tol: float,
-                     point_scale: float) -> np.ndarray:
+def _spectral_values(cfg: CouplingConfig, omegas: np.ndarray, tol: float) -> np.ndarray:
     """Hc(0, -b, 1, d, e; y*) at every omega, zero exactly at eigenvalues; NaN where it fails."""
     values, _ = heun_continue_arrays(*heun_coefficients(cfg.kappa, cfg.ell, omegas),
-                                     _spectral_points(omegas, point_scale), tol=tol)
+                                     _spectral_points(omegas), tol=tol)
     return values
 
 
@@ -150,40 +144,36 @@ def _find_brackets(values: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in left.tolist())
 
 
-def _check_window(omega_min: float, omega_max: float, point_scale: float) -> None:
-    """Reject a window outside (0, 1/2), a bad c, or a spectral point at omega_min that overflows.
+def _check_window(omega_min: float, omega_max: float) -> None:
+    """Reject a window outside (0, 1/2), or one whose spectral point at omega_min overflows.
 
-    y* ~ -c^2/(2 omega) overflows below omega ~ 2.7e-309 at c = 1, and at any omega for c > ~1e154.
+    y* ~ -1/(2 omega) overflows below omega ~ 2.7e-309.
     """
     if not (0.0 < omega_min < omega_max < 0.5):
         raise ValueError("need 0 < omega_min < omega_max < 1/2")
-    with np.errstate(over="ignore"):  # numpy scalars overflow to inf, Python's c**2 raises
-        y = _spectral_points(np.float64(omega_min), np.float64(point_scale))
-    if not np.isfinite(y):
-        raise ValueError(f"the spectral point y* = c^2 (Omega-1)/Omega at omega = "
-                         f"{omega_min:g}, c = {point_scale:g}, is not finite")
+    if not math.isfinite(_spectral_points(float(omega_min))):  # Python floats divide to inf
+        raise ValueError(f"the spectral point y* = (Omega-1)/Omega at omega = "
+                         f"{omega_min:g} is not finite")
 
 
 def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
                   omega_max: float = DEFAULT_OMEGA_MAX,
                   n_points: int = DEFAULT_SCAN_POINTS,
-                  tol: float = DEFAULT_SCAN_TOL,
-                  point_scale: float = 1.0) -> SpectralScan:
+                  tol: float = DEFAULT_SCAN_TOL) -> SpectralScan:
     """Sample the spectral function on a log grid and record sign-change brackets.
 
     The whole grid is one heun_continue_arrays call, with each energy held to
     tol.  Energies that fail to evaluate are recorded as NaN gaps; the scan
     itself never aborts.
     """
-    omegas = _scan_grid(omega_min, omega_max, n_points, point_scale)
-    values = _spectral_values(cfg, omegas, tol, point_scale)
+    omegas = _scan_grid(omega_min, omega_max, n_points)
+    values = _spectral_values(cfg, omegas, tol)
     return SpectralScan(omegas=omegas, values=values)
 
 
-def _scan_grid(omega_min: float, omega_max: float, n_points: int,
-               point_scale: float) -> np.ndarray:
+def _scan_grid(omega_min: float, omega_max: float, n_points: int) -> np.ndarray:
     """The log grid of spectral_scan, after its checks of the window and n_points."""
-    _check_window(omega_min, omega_max, point_scale)
+    _check_window(omega_min, omega_max)
     if n_points < 2:
         raise ValueError("need at least two scan points")
     return np.exp(np.linspace(math.log(omega_min), math.log(omega_max), n_points))
@@ -219,17 +209,16 @@ def _bisect(count, x, n, width, split, levels: int) -> tuple[np.ndarray, np.ndar
         n, todo = np.concatenate((n, count(todo)))[::-1][last], x[:0]
 
 
-def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float,
-                      n_points: int, tol: float, point_scale: float
-                      ) -> tuple[np.ndarray, tuple[tuple[int, int], ...], int]:
+def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float, n_points: int,
+                      tol: float) -> tuple[np.ndarray, tuple[tuple[int, int], ...], int]:
     """spectral_scan's grid and brackets, found by the zero count; and the grid's levels.
 
     N(omega), the zeros of the Heun function on (y*, 0), drops by one at each
     eigenvalue as omega rises, and the sign of Hc at y* follows its parity.
-    Each heun_zero_counts call, at the scan's tol and point_scale, brings
-    the scan's own values.  A first call counts the grid's two ends, whose
-    difference is the grid's levels; a grid with levels gets a second call
-    on every stride-th energy, about _COARSE_POINTS, and _bisect halves the
+    Each heun_zero_counts call, at the scan's tol, brings the scan's own
+    values.  A first call counts the grid's two ends, whose difference is
+    the grid's levels; a grid with levels gets a second call on every
+    stride-th energy, about _COARSE_POINTS, and _bisect halves the
     grid indices where the count drops, _HALVINGS_PER_CALL halvings a call,
     down to neighbours.  Of the pairs whose count drops by an odd number,
     _find_brackets keeps the sign changes: a subset of the scan's brackets,
@@ -237,7 +226,7 @@ def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float,
     number.  A count that fails, or rises with omega between two counted
     energies, raises HeunEvaluationError.
     """
-    omegas = _scan_grid(omega_min, omega_max, n_points, point_scale)
+    omegas = _scan_grid(omega_min, omega_max, n_points)
     counts = np.full(n_points, -1)
     values = np.full(n_points, np.nan)
 
@@ -245,7 +234,7 @@ def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float,
         """The counts at grid indices todo, once no counted pair rises with omega."""
         w = omegas[todo]
         counts[todo], values[todo] = heun_zero_counts(
-            *heun_coefficients(cfg.kappa, cfg.ell, w), _spectral_points(w, point_scale), tol=tol)
+            *heun_coefficients(cfg.kappa, cfg.ell, w), _spectral_points(w), tol=tol)
         known = np.flatnonzero(counts >= 0)
         if (rise := np.flatnonzero(np.diff(counts[known]) > 0)).size:
             i, j = known[rise[0]], known[rise[0] + 1]
@@ -375,8 +364,7 @@ def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
 def exact_spectrum(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
                    omega_max: float = DEFAULT_OMEGA_MAX,
                    n_points: int = DEFAULT_SCAN_POINTS,
-                   tol: float = DEFAULT_SCAN_TOL,
-                   point_scale: float = 1.0) -> SpectrumResult:
+                   tol: float = DEFAULT_SCAN_TOL) -> SpectrumResult:
     """The levels on spectral_scan's grid: its brackets, refined by _bracket_roots.
 
     _counted_brackets finds the brackets of the same spectral_scan from the
@@ -388,11 +376,10 @@ def exact_spectrum(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
     grid) or in their refinement.  A count or an evaluation that fails, or
     a count that rises with omega, raises HeunEvaluationError.
     """
-    omegas, brackets, levels = _counted_brackets(cfg, omega_min, omega_max, n_points, tol,
-                                                 point_scale)
+    omegas, brackets, levels = _counted_brackets(cfg, omega_min, omega_max, n_points, tol)
 
     def f(w: np.ndarray) -> np.ndarray:
-        values = _spectral_values(cfg, w, min(REFINE_EVAL_TOL, tol), point_scale)
+        values = _spectral_values(cfg, w, min(REFINE_EVAL_TOL, tol))
         failed = w[np.isnan(values)]
         if failed.size:
             raise HeunEvaluationError(f"refinement evaluation failed at omega = "
@@ -471,13 +458,13 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
     if kappa_tol <= spacing:
         raise ValueError(f"4 float spacings of kappa in [{kappa_lo:g}, {kappa_hi:g}] are "
                          f"{spacing:.3g}, not below kappa_tol = {kappa_tol:.3g}")
-    _check_window(omega_floor, CRITICAL_OMEGA_MAX, 1.0)
+    _check_window(omega_floor, CRITICAL_OMEGA_MAX)
 
     def count(kappas: np.ndarray) -> np.ndarray:
         """Whether levels lie in the window at each of kappas."""
         omegas = np.tile([omega_floor, CRITICAL_OMEGA_MAX], kappas.size)
         n, _ = heun_zero_counts(*heun_coefficients(np.repeat(kappas, 2), ell, omegas),
-                                _spectral_points(omegas, 1.0), tol=_COUNT_TOL)
+                                _spectral_points(omegas), tol=_COUNT_TOL)
         return n[0::2] > n[1::2]
 
     kappas, present = _bisect(count, [kappa_lo, kappa_hi], None, kappa_tol,

@@ -130,7 +130,7 @@ def hypergeometric_condition_roots(cfg: CouplingConfig,
     lo, hi = omega_range
     if not (0.0 < lo < hi <= DEFAULT_VALIDITY):
         raise ValueError("omega_range must satisfy 0 < lo < hi <= 0.05")
-    omegas = _scan_grid(lo, hi, n_points, 1.0)
+    omegas = _scan_grid(lo, hi, n_points)
     try:
         alpha_p, gamma_p, delta_p = reduced_hypergeometric_parameters(cfg)
     except WeakCouplingError:

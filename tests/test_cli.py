@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gupheun import (CouplingConfig, EnergyPoint, cli, default_xi_grid, exact_spectrum, heun,
-                     spectral, spectral_scan, wavefunction)
+from gupheun import (CouplingConfig, EnergyPoint, cli, default_xi_grid, heun, spectral,
+                     wavefunction)
 from gupheun.spectral import SpectrumResult
 
 
@@ -125,20 +125,6 @@ class TestScanCommand:
         assert run_cli(capsys, *args, "-o", str(a))[0] == 0
         assert run_cli(capsys, *args, "-o", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_point_scale_reaches_the_library(self, capsys, tmp_path):
-        window = ("--kappa", "2", "--omega-min", "1e-4", "--omega-max", "0.45",
-                  "--points", "200", "--point-scale", "0.5", "--format", "json", "-o")
-        assert run_cli(capsys, "scan", *window, str(tmp_path / "scan.json"))[0] == 0
-        assert run_cli(capsys, "roots", *window, str(tmp_path / "roots.json"))[0] == 0
-        scan = spectral_scan(CouplingConfig(kappa=2.0, ell=0), 1e-4, 0.45, 200, point_scale=0.5)
-        scan_out = json.loads((tmp_path / "scan.json").read_text())
-        assert scan_out["omegas"] == scan.omegas.tolist()
-        assert scan_out["values"] == scan.values.tolist()
-        assert scan_out["brackets"] == [list(b) for b in scan.brackets]
-        roots_out = json.loads((tmp_path / "roots.json").read_text())
-        assert roots_out["omegas"] == list(exact_spectrum(
-            CouplingConfig(kappa=2.0, ell=0), 1e-4, 0.45, 200, point_scale=0.5).omegas)
 
 
 class TestRootsCommand:
@@ -422,8 +408,8 @@ class TestCountBeforeScan:
         # N(omega) cannot grow with omega; a count that does is a failure,
         # not an interval to skip: between the grid ends, or between the
         # coarse points 288 and 304 of a grid whose ends count 5 levels
-        omegas = spectral._scan_grid(1e-5, 0.45, points, 1.0)
-        y_grid = spectral._spectral_points(omegas, 1.0)
+        omegas = spectral._scan_grid(1e-5, 0.45, points)
+        y_grid = spectral._spectral_points(omegas)
 
         def rising(B, q0, q1, y, tol):
             i = np.searchsorted(y_grid, y)
@@ -437,6 +423,16 @@ class TestCountBeforeScan:
         assert err == (f"numerical failure: zero count rises with omega, from 5 at "
                        f"omega = {omegas[lo]:g} to 6 at omega = {omegas[hi]:g}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("coupling", [("--kappa", "2"), ("--kappa", "5", "--ell", "2")])
+    def test_deep_window_count_that_rises(self, capsys, coupling):
+        # below about 1e-150 the Heun values underflow and the count stops
+        # being monotone (ROADMAP item 4); which counted grid energies show
+        # it depends on the count's batching, so a change there that turns
+        # these into exit 0 has moved the guard, not mended the count
+        code, lines, err = run_cli(capsys, "roots", *coupling, "--omega-min", "1e-300")
+        assert (code, lines) == (3, [])
+        assert err.startswith("numerical failure: zero count rises with omega, from ")
 
     @pytest.mark.parametrize("command", ["roots", "compare"])
     def test_count_that_fails_at_strong_coupling(self, capsys, command):
@@ -550,10 +546,10 @@ class TestConfiguration:
 
     @pytest.mark.parametrize("argv", [("roots", "--kappa", "2", "--omega-min", "1e-320"),
                                       ("wavefunction", "--kappa", "2", "--omega", "1e-320"),
-                                      ("scan", "--kappa", "2", "--point-scale", "1e200")])
+                                      ("scan", "--kappa", "2", "--omega-min", "1e-309")])
     def test_overflowing_spectral_point_is_one_config_error(self, argv):
-        # y* and xi* overflow below omega ~ 2.7e-309, y* also for c > ~1e154;
-        # in a fresh interpreter, so that numpy warnings would reach stderr
+        # y* and xi* overflow below omega ~ 2.7e-309; in a fresh
+        # interpreter, so that numpy warnings would reach stderr
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-m", "gupheun.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=60)
@@ -601,7 +597,8 @@ class TestConfiguration:
 
     @pytest.mark.parametrize("command,key,value", [("scan", "units_file", "/nonexistent"),
                                                    ("spectrum", "points", 40),
-                                                   ("critical", "gnuplot", True)])
+                                                   ("critical", "gnuplot", True),
+                                                   ("roots", "point_scale", 1.0)])
     def test_config_key_the_command_does_not_read(self, capsys, tmp_path, command, key, value):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({key: value}))
@@ -627,7 +624,6 @@ class TestConfiguration:
         ("scan", "--tol", "inf"),
         ("scan", "--tol", "nan"),
         ("spectrum", "--kappa", "2", "--validity", "nan"),
-        ("scan", "--kappa", "2", "--point-scale", "-1", "--points", "10"),
     ])
     def test_non_finite_or_negative_knob(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -640,7 +636,6 @@ class TestConfiguration:
         (("scan", "--points", "1"), "need at least two scan points"),
         (("compare", "--points", "0"), "need at least two scan points"),
         (("wavefunction", "--omega", "0.004", "--points", "1"), "need at least two grid points"),
-        (("roots", "--point-scale", "0"), "point_scale must be finite and positive, got 0.0"),
     ])
     def test_range_is_checked_by_the_library(self, capsys, tmp_path, argv, message):
         # RunConfig checks types and finiteness; the function that uses the
@@ -707,6 +702,7 @@ class TestConfiguration:
         ("critical", "--tol", "1e-6"),
         ("critical", "--kappa", "2"),
         ("critical", "--omega", "1e-5"),  # no abbreviation of --omega-floor
+        ("roots", "--kappa", "2", "--point-scale", "1"),  # y* is (Omega-1)/Omega alone
     ])
     def test_flag_the_command_does_not_read(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from gupheun import heun, spectral, spectral_scan
+from gupheun import heun, radial, spectral, spectral_scan
 from gupheun.heun import (
     CouplingConfig,
     EnergyPoint,
@@ -315,7 +315,7 @@ class TestZeroCounts:
         scan = spectral_scan(cfg, 1e-4, 0.45, 60)
 
         def f(w):
-            return spectral._spectral_values(cfg, w, spectral.REFINE_EVAL_TOL, 1.0)
+            return spectral._spectral_values(cfg, w, spectral.REFINE_EVAL_TOL)
 
         assert len(spectral._bracket_roots(f, scan.omegas, scan.brackets,
                                            spectral.DEFAULT_ROOT_TOL)) == 4
@@ -330,7 +330,7 @@ class TestZeroCounts:
             [0.05, 0.3, 2.0, 100.0, 3e3], [1e-12, 1e-5, 0.01, 0.3, 0.45]))
         B, q0, q1 = heun_coefficients(kappa, ell, omega)
         radius = heun._certified_radius(q0, q1)
-        y = np.stack((spectral._spectral_points(omega, 1.0), np.full(omega.size, -0.3),
+        y = np.stack((spectral._spectral_points(omega), np.full(omega.size, -0.3),
                       -0.5 * radius, -radius), axis=1)
         q0, q1 = np.repeat(q0, 4), np.repeat(q1, 4)
         n, g = heun_zero_counts(B, q0, q1, y.ravel(), tol=tol)
@@ -356,7 +356,7 @@ class TestZeroCounts:
         # the angle step between two of them divides 0 by 0: the count fails
         # with the package's error, not numpy's RuntimeWarning
         B, q0, q1 = coefficients(1e5, 0, 1e-300)
-        y_star = spectral._spectral_points(1e-300, 1.0)
+        y_star = spectral._spectral_points(1e-300)
         with pytest.raises(HeunEvaluationError, match="zero count"):
             heun_zero_counts(B, np.array([q0]), np.array([q1]), np.array([y_star]), tol=1e-12)
 
@@ -387,7 +387,7 @@ class TestSturmComparison:
     @staticmethod
     def _counts(kappa, ell, omega):
         n, _ = heun_zero_counts(*heun_coefficients(kappa, ell, omega),
-                                spectral._spectral_points(omega, 1.0), tol=spectral._COUNT_TOL)
+                                spectral._spectral_points(omega), tol=spectral._COUNT_TOL)
         return n
 
     @staticmethod
@@ -410,6 +410,25 @@ class TestSturmComparison:
         n = np.array([self._counts(kappas, ell, omegas) for ell in range(5)])
         assert np.all(np.diff(n, axis=0) <= 0)
         assert np.any(np.diff(n, axis=0) < 0)  # ell does move some counts
+
+    def test_profile_sign_changes_are_the_count(self):
+        # R(xi) = xi^ell (1 - y) Hc(y(xi)) on radial's sampled grid changes
+        # sign on (0, xi*) as often as the angle count finds zeros on (y*, 0):
+        # two paths that share only the evaluator
+        rng = np.random.default_rng(20)
+        profiles = zip(self._log_uniform(rng, 0.2, 50.0, 40), rng.integers(0, 3, 40),
+                       self._log_uniform(rng, 1e-8, 0.45, 40))
+        changes, counts = [], []
+        for kappa, ell, omega in profiles:
+            cfg, ep = CouplingConfig(kappa=float(kappa), ell=int(ell)), EnergyPoint(float(omega))
+            xi = np.exp(np.linspace(math.log(1e-3), math.log(radial.xi_star(cfg, ep)), 4000))
+            r = radial.wavefunction(cfg, ep, xi).values
+            changes.append(np.count_nonzero(np.signbit(r[1:]) != np.signbit(r[:-1])))
+            omegas = np.array([ep.omega])
+            counts.append(heun_zero_counts(*heun_coefficients(cfg.kappa, cfg.ell, omegas),
+                                           spectral._spectral_points(omegas), tol=1e-10)[0][0])
+        assert changes == counts
+        assert max(counts) > 10  # the profiles reach many nodes
 
 
 class TestStartStates:
@@ -439,7 +458,7 @@ class TestStartStates:
         # states agree within the tolerance
         tol = 1e-6
         B, q0, q1 = heun_coefficients(kappa, ell, np.array([1e-45]))
-        y = spectral._spectral_points(np.array([1e-45]), 1.0)
+        y = spectral._spectral_points(np.array([1e-45]))
         radius = heun._certified_radius(q0, q1)
         g, gp = heun._series_state(B, q0, q1, -radius, heun._seed_tol(tol))
         t = np.log(-y)
@@ -509,7 +528,7 @@ class TestSeriesState:
 def _spectral_batch(kappa, ell):
     """(B, q0, q1) and spectral points of the default 600-point scan grid."""
     omegas = np.exp(np.linspace(math.log(1e-5), math.log(0.45), 600))
-    return (*heun_coefficients(kappa, ell, omegas), spectral._spectral_points(omegas, 1.0))
+    return (*heun_coefficients(kappa, ell, omegas), spectral._spectral_points(omegas))
 
 
 class TestBatchIndependence:
@@ -532,7 +551,7 @@ class TestBatchIndependence:
         # of a few dozen panels, sorted before it (1e-45) or after it
         # (1e-3), must absorb its own panels only
         B, q0, q1 = heun_coefficients(np.array([2.0, 3000.0]), 0, np.array([omega, 1e-45]))
-        y = spectral._spectral_points(np.array([omega, 1e-45]), 1.0)
+        y = spectral._spectral_points(np.array([omega, 1e-45]))
         panels = heun._layout(B, q0[1:], q1[1:], np.log(heun._certified_radius(q0[1:], q1[1:])),
                               np.log(-y[1:]), 1e-10)[0]
         assert panels.size > 480
@@ -547,7 +566,7 @@ class TestBatchIndependence:
         kappa = np.array([0.0634, 0.0634, 2.0, 100.0, 0.5634])
         omega = np.array([1e-45, 0.4, 1e-100, 1e-3, 1e-45])
         B, q0, q1 = heun_coefficients(kappa, 0, omega)
-        y = spectral._spectral_points(omega, 1.0)
+        y = spectral._spectral_points(omega)
         q0, q1 = np.append(q0, q0[[0, 0]]), np.append(q1, q1[[0, 0]])
         y = np.append(y, [-1e20, -1e30])
         t1, t2 = heun._far_field(B, q0[:1], q1[:1], np.log(-y[:1]), 1e-6)
@@ -638,7 +657,7 @@ def _far_grid(ell):
     kappas = kappa_star + np.array([1e-5, 1e-3, 0.1, 1.0])
     omegas = [1e-20, 1e-45, 1e-100] + ([1e-150] if ell <= 1 else [])
     kappa, omega = (np.ravel(x) for x in np.meshgrid(np.append(kappas, 100.0), omegas))
-    y_star = spectral._spectral_points(omega, 1.0)
+    y_star = spectral._spectral_points(omega)
     y = -np.geomspace(0.3, -y_star, 40, axis=1)
     B, q0, q1 = heun_coefficients(np.repeat(kappa, 40), ell, np.repeat(omega, 40))
     return B, q0, q1, y
@@ -678,7 +697,7 @@ class TestFarField:
         # omega = 1e-45, counted at its tolerance 1e-6
         kappa = 0.25 * (ell + 0.5) ** 2 + np.array([1e-4, 5e-4, 1.23e-3])
         B, q0, q1 = heun_coefficients(kappa, ell, np.full(3, 1e-45))
-        t = np.log(-spectral._spectral_points(np.full(3, 1e-45), 1.0))
+        t = np.log(-spectral._spectral_points(np.full(3, 1e-45)))
         t0 = np.log(heun._certified_radius(q0, q1))
 
         def panels():

@@ -33,7 +33,7 @@ class TestCoordinateMap:
                                  ell=int(rng.integers(0, 3)))
             ep = EnergyPoint(float(rng.uniform(1e-4, 0.49)))
             y = map_xi_to_y(xi_star(cfg, ep), cfg, ep)
-            assert y == pytest.approx(spectral._spectral_points(ep.omega, 1.0), rel=1e-12)
+            assert y == pytest.approx(spectral._spectral_points(ep.omega), rel=1e-12)
 
     def test_xi_star_kappa2(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)
@@ -172,7 +172,7 @@ class TestWavefunction:
 
     def test_profile_vanishes_at_xi_star_on_eigenvalue(self):
         cfg = CouplingConfig(kappa=2.0, ell=0)
-        root = brentq(lambda w: spectral._spectral_values(cfg, np.array([w]), 1e-10, 1.0)[0],
+        root = brentq(lambda w: spectral._spectral_values(cfg, np.array([w]), 1e-10)[0],
                       0.0165, 0.017, xtol=1e-12)
         ep = EnergyPoint(root)
         xs = xi_star(cfg, ep)

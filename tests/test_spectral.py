@@ -48,8 +48,7 @@ RATIO_K2 = math.exp(-2.0 * math.pi / math.sqrt(7.75))
 
 class TestScan:
     def test_spectral_point(self):
-        assert spectral._spectral_points(0.25, 1.0) == -1.0
-        assert spectral._spectral_points(0.25, 2.0) == -4.0
+        assert spectral._spectral_points(0.25) == -1.0
 
     def test_weak_coupling_no_brackets(self):
         scan = spectral_scan(CouplingConfig(kappa=0.05, ell=0), 1e-4, 0.4, 200)
@@ -70,7 +69,7 @@ class TestScan:
 
 def _pointwise(cfg, omegas, tol):
     """The spectral function one omega at a time, NaN where it fails."""
-    return np.array([spectral._spectral_values(cfg, np.array([w]), tol, 1.0)[0] for w in omegas])
+    return np.array([spectral._spectral_values(cfg, np.array([w]), tol)[0] for w in omegas])
 
 
 class TestBrackets:
@@ -141,7 +140,7 @@ class TestBatchedScan:
             heun.heun_coefficients(2.0, 0, omegas)
         assert str(got.value) == str(expected.value) == f"omega must lie in (0, 1/2), got {omega}"
         with pytest.raises(ValueError) as scanned:
-            spectral._spectral_values(CouplingConfig(kappa=2.0, ell=0), omegas, 1e-8, 1.0)
+            spectral._spectral_values(CouplingConfig(kappa=2.0, ell=0), omegas, 1e-8)
         assert str(scanned.value) == str(expected.value)
 
     def test_non_finite_parameters_raise_as_heun_params(self):
@@ -151,7 +150,7 @@ class TestBatchedScan:
         assert str(got.value) == "parameter d must be finite"
         with pytest.raises(ValueError) as scanned:
             spectral._spectral_values(CouplingConfig(kappa=1e308, ell=1),
-                                      np.array([1e-3, 0.4]), 1e-8, 1.0)
+                                      np.array([1e-3, 0.4]), 1e-8)
         assert str(scanned.value) == "parameter d must be finite"
 
     def test_strong_coupling_near_upper_edge(self):
@@ -206,7 +205,7 @@ class TestMpmathOracle:
             omega = float(scan.omegas[i])
             ref = float(heun_oracle(100.0, 0, omega))
             assert scan.values[i] == pytest.approx(ref, rel=1e-8)
-            (value,) = spectral._spectral_values(cfg, np.array([omega]), 1e-10, 1.0)
+            (value,) = spectral._spectral_values(cfg, np.array([omega]), 1e-10)
             assert value == pytest.approx(ref, rel=1e-9)
 
     def test_root_at_strong_coupling(self):
@@ -232,7 +231,7 @@ class TestFindRoots:
     def test_root_certification(self, scan_k2, roots_k2):
         cfg = CouplingConfig(kappa=2.0, ell=0)
         scale = np.nanmax(np.abs(scan_k2.values))
-        values = spectral._spectral_values(cfg, np.array(roots_k2.omegas), 1e-10, 1.0)
+        values = spectral._spectral_values(cfg, np.array(roots_k2.omegas), 1e-10)
         assert np.all(np.abs(values) < 1e-6 * scale)
 
     @pytest.mark.parametrize("kappa,ell", [(2.0, 0), (5.0, 2)])
@@ -242,7 +241,7 @@ class TestFindRoots:
         xtol = 1e-9
 
         def f(w):
-            return spectral._spectral_values(cfg, np.array([w]), REFINE_EVAL_TOL, 1.0)[0]
+            return spectral._spectral_values(cfg, np.array([w]), REFINE_EVAL_TOL)[0]
 
         reference = sorted((brentq(f, scan.omegas[i], scan.omegas[j], xtol=xtol)
                             for i, j in scan.brackets), reverse=True)
@@ -418,34 +417,6 @@ class TestChandrupatlaPort:
         calls.clear()
         assert len(exact_spectrum(CouplingConfig(kappa=0.05, ell=0))) == 0
         assert calls == []
-
-
-class TestPointScale:
-    """point_scale = c moves the spectral point to y* = c^2 (Omega-1)/Omega."""
-
-    def test_roots_move_with_the_cutoff(self):
-        cfg = CouplingConfig(kappa=2.0, ell=0)
-        half = exact_spectrum(cfg, 1e-4, 0.45, 200, point_scale=0.5)
-        full = exact_spectrum(cfg, 1e-4, 0.45, 200)
-        assert half.omegas == pytest.approx((0.0698, 0.00562, 0.000566), rel=2e-3)
-        assert full.omegas[0] == pytest.approx(0.2486, rel=1e-3)
-        assert not set(half.omegas) & set(full.omegas)
-        # each root of c = 0.5 is a sign change of the condition at c = 0.5
-        for w in half.omegas:
-            lo, hi = spectral._spectral_values(cfg, np.array([w - 2e-9, w + 2e-9]), 1e-10, 0.5)
-            assert np.signbit(lo) != np.signbit(hi)
-
-    @pytest.mark.parametrize("point_scale", [-1.0, 0.0, math.nan, math.inf])
-    @pytest.mark.parametrize("call", [
-        lambda cfg, c: spectral._spectral_values(cfg, np.array([0.1]), DEFAULT_SCAN_TOL, c),
-        lambda cfg, c: spectral_scan(cfg, 1e-3, 0.45, 10, point_scale=c),
-        lambda cfg, c: exact_spectrum(cfg, 1e-3, 0.45, 10, point_scale=c),
-    ], ids=["spectral_function", "spectral_scan", "exact_spectrum"])
-    def test_cutoff_must_be_finite_and_positive(self, call, point_scale):
-        # c = -1 would run as c = 1, and c = 0 would fail as a bad target y* = 0
-        with pytest.raises(ValueError, match=f"^point_scale must be finite and positive, "
-                                             f"got {point_scale}$"):
-            call(CouplingConfig(kappa=2.0, ell=0), point_scale)
 
 
 class TestClosedForm:
@@ -673,7 +644,7 @@ def _two_end_count(ell, kappa, omega_lo, omega_hi):
     """Levels in (omega_lo, omega_hi): N(omega_lo) - N(omega_hi), counted at tol 1e-6."""
     omegas = np.array([omega_lo, omega_hi])
     n, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
-                                 spectral._spectral_points(omegas, 1.0), tol=1e-6)
+                                 spectral._spectral_points(omegas), tol=1e-6)
     return n[0] - n[1]
 
 
@@ -849,19 +820,32 @@ class TestLevelCount:
         # on a 2-core Xeon) and the doubled one
         assert _scan_levels(31.6853, 0, 1e-45, 0.4, 4000) == (182, 182)
 
-    @pytest.mark.parametrize("kappa,ell,point_scale,levels", [
-        (0.1, 0, 2.0, 0), (0.3, 0, 2.0, 2), (0.75, 0, 0.5, 2), (0.75, 1, 2.0, 1),
-        (2.0, 1, 0.5, 3), (2.0, 2, 1.0, 1), (5.0, 2, 0.5, 5), (20.0, 2, 2.0, 14)])
-    def test_default_window_at_the_scan_point_scale(self, kappa, ell, point_scale, levels):
+    @pytest.mark.parametrize("kappa,ell,levels", [
+        (0.1, 0, 0), (0.3, 0, 1), (0.75, 0, 3), (0.75, 1, 1),
+        (2.0, 1, 4), (2.0, 2, 1), (5.0, 2, 6), (20.0, 2, 13)])
+    def test_default_window_count_is_the_scans_brackets(self, kappa, ell, levels):
         # the count that `roots` and `compare` bracket by: at the scan's tol
-        # and point_scale it equals the default 600-point scan's brackets;
-        # five of these eight count otherwise at point_scale 1
+        # it equals the default 600-point scan's brackets
         cfg = CouplingConfig(kappa=kappa, ell=ell)
         _, _, count = spectral._counted_brackets(
             cfg, spectral.DEFAULT_OMEGA_MIN, spectral.DEFAULT_OMEGA_MAX,
-            spectral.DEFAULT_SCAN_POINTS, DEFAULT_SCAN_TOL, point_scale)
-        scan = spectral_scan(cfg, point_scale=point_scale)
-        assert count == len(scan.brackets) == levels
+            spectral.DEFAULT_SCAN_POINTS, DEFAULT_SCAN_TOL)
+        assert count == len(spectral_scan(cfg).brackets) == levels
+
+    @pytest.mark.parametrize("kappa", [0.75, 2.0, 20.0, 100.0])
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_each_root_is_one_level(self, kappa, ell):
+        # across each root of the default window the count drops by exactly
+        # one, and between neighbouring roots by none; 1e-5 relative, as the
+        # deepest roots at kappa 20 and 100 are right only to the absolute
+        # DEFAULT_ROOT_TOL (ROADMAP item 2)
+        roots = np.array(exact_spectrum(CouplingConfig(kappa=kappa, ell=ell)).omegas)
+        omegas = np.concatenate((roots * (1 - 1e-5), roots * (1 + 1e-5)))
+        n, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
+                                     spectral._spectral_points(omegas), tol=DEFAULT_SCAN_TOL)
+        below, above = np.split(n, 2)
+        assert np.all(below - above == 1)
+        assert np.array_equal(above[1:], below[:-1])
 
     def test_count_is_monotone_in_omega(self):
         # as omega -> 1/2 a zero sits near y = -(B+1)*eps/kappa, inside
@@ -870,7 +854,7 @@ class TestLevelCount:
         kappa, ell = 8.229322074546221, 1
         omegas = np.exp(np.linspace(math.log(1e-45), math.log(0.4999), 60))
         n, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
-                                     spectral._spectral_points(omegas, 1.0), tol=1e-6)
+                                     spectral._spectral_points(omegas), tol=1e-6)
         assert np.all(np.diff(n) <= 0)
         assert n[-1] == 1
         assert _two_end_count(ell, kappa, 0.4, 0.4999) == 0
@@ -883,12 +867,12 @@ class TestCountedBrackets:
     @settings(max_examples=30, deadline=None)
     @given(log_kappa=st.floats(math.log(0.05), math.log(100.0)), ell=st.integers(0, 3),
            log_omega_min=st.floats(math.log(1e-20), math.log(1e-3)),
-           points=st.integers(2, 800), point_scale=st.sampled_from([1.0, 0.5]))
-    def test_brackets_are_the_scans(self, log_kappa, ell, log_omega_min, points, point_scale):
+           points=st.integers(2, 800))
+    def test_brackets_are_the_scans(self, log_kappa, ell, log_omega_min, points):
         cfg, omega_min = CouplingConfig(kappa=math.exp(log_kappa), ell=ell), math.exp(log_omega_min)
-        scan = spectral_scan(cfg, omega_min, 0.45, points, point_scale=point_scale)
+        scan = spectral_scan(cfg, omega_min, 0.45, points)
         omegas, brackets, levels = spectral._counted_brackets(
-            cfg, omega_min, 0.45, points, DEFAULT_SCAN_TOL, point_scale)
+            cfg, omega_min, 0.45, points, DEFAULT_SCAN_TOL)
         assert np.array_equal(omegas, scan.omegas)
         assert brackets == scan.brackets
         assert len(brackets) <= levels
@@ -899,7 +883,7 @@ class TestCountedBrackets:
         # one sign, so it is no bracket, as in the scan
         cfg = CouplingConfig(kappa=2.0, ell=0)
         assert (300, 301) not in scan_k2.brackets
-        y_cut = spectral._spectral_points(scan_k2.omegas[300], 1.0)
+        y_cut = spectral._spectral_points(scan_k2.omegas[300])
 
         valued = []
 
@@ -910,8 +894,8 @@ class TestCountedBrackets:
 
         monkeypatch.setattr(spectral, "heun_zero_counts", one_more_level)
         _, brackets, levels = spectral._counted_brackets(
-            cfg, 1e-5, 0.45, 600, DEFAULT_SCAN_TOL, 1.0)
-        pair = spectral._spectral_points(scan_k2.omegas[300:302], 1.0)
+            cfg, 1e-5, 0.45, 600, DEFAULT_SCAN_TOL)
+        pair = spectral._spectral_points(scan_k2.omegas[300:302])
         assert levels == 6 and set(pair) <= set(valued)
         assert brackets == scan_k2.brackets
 
@@ -932,7 +916,7 @@ class TestCountedBrackets:
         monkeypatch.setattr(spectral, "heun_zero_counts", counted)
         monkeypatch.setattr(spectral, "_spectral_values", no_values)
         _, brackets, levels = spectral._counted_brackets(
-            CouplingConfig(kappa=2.0, ell=0), 1e-5, 0.45, 600, DEFAULT_SCAN_TOL, 1.0)
+            CouplingConfig(kappa=2.0, ell=0), 1e-5, 0.45, 600, DEFAULT_SCAN_TOL)
         assert sizes == [2, 37, 15, 15]
         assert brackets == scan_k2.brackets and levels == 5
 
@@ -952,7 +936,7 @@ class TestCountedBrackets:
         find_brackets = spectral._find_brackets
         monkeypatch.setattr(spectral, "_find_brackets", spy)
         _, brackets, levels = spectral._counted_brackets(cfg, 1e-300, 0.45, 100,
-                                                         DEFAULT_SCAN_TOL, 1.0)
+                                                         DEFAULT_SCAN_TOL)
         (values,) = tested
         ends = np.flatnonzero(~np.isnan(values))
         assert levels == 22089 and ends.size == 36

@@ -306,7 +306,7 @@ _FLAGS = {
     "points": "log-grid energies (default 600): scan samples them, roots and compare "
               "bracket each level between two neighbours; wavefunction: profile points "
               "(default 400)",
-    "tol": "evaluation tolerance (default 1e-8)",
+    "tol": "evaluation tolerance, and the relative accuracy of roots (default 1e-8)",
     "output_path": None, "format": None,
     "units_file": "JSON with mass, hbar, beta, alpha_coupling",
     "gnuplot": None,

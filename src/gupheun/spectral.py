@@ -3,13 +3,11 @@
 Two routes to the spectrum of the deformed inverse-square problem:
 
 * exact_heun (exact_spectrum): zeros in omega of Hc(a, -b, c, d, e;
-  (Omega-1)/Omega), bracketed on a log-spaced grid and refined in one
-  batch.  This is the condition R(xi*) = 0 at the edge of the physical
-  range.  The brackets are spectral_scan's, found from the zero count that
-  critical_coupling bisects on (below), which brings their values; only the
-  grid neighbours whose count drops by an odd number are tested for a
-  sign change (_counted_brackets).  A window without levels takes one
-  count of its two ends, and fewer roots than levels draw a warning.
+  (Omega-1)/Omega), the condition R(xi*) = 0 at the edge of the physical
+  range.  Level k is the root of F = k, F being the zero count that
+  critical_coupling bisects on (below) before its last floor, solved for
+  all levels at once from the grid neighbours that the count puts it
+  between.
 * closed_form: the explicit tower
 
       omega_n = 1/2 * exp[ (2/nu) * (arg B - (n + 1/2) pi) ],   n = 0, 1, ...
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +49,7 @@ from .heun import (
     heun_continue_arrays,
     heun_zero_counts,
 )
-from .specfun import (
-    NonConvergenceError,
-    WeakCouplingError,
-    compute_phase,
-)
+from .specfun import WeakCouplingError, compute_phase
 
 METHOD_EXACT = "exact_heun"
 METHOD_CLOSED_FORM = "closed_form"
@@ -66,9 +59,7 @@ DEFAULT_OMEGA_MIN = 1e-5
 DEFAULT_OMEGA_MAX = 0.45
 DEFAULT_SCAN_POINTS = 600
 DEFAULT_SCAN_TOL = 1e-8
-DEFAULT_ROOT_TOL = 1e-9
 DEFAULT_VALIDITY = 0.05
-REFINE_EVAL_TOL = 1e-10
 
 CRITICAL_OMEGA_FLOOR = 1e-45
 CRITICAL_OMEGA_MAX = 0.4
@@ -127,20 +118,17 @@ class SpectralScan:
         return _find_brackets(self.values)
 
 
-def _opposite_signs(a, b):
-    """a * b < 0 without forming the product, which can overflow or underflow."""
-    return (a != 0.0) & (b != 0.0) & (np.signbit(a) != np.signbit(b))
-
-
 def _find_brackets(values: np.ndarray) -> tuple[tuple[int, int], ...]:
     """(i, i+1) wherever values i and i+1 are finite, nonzero and of opposite sign.
 
     NaN points are gaps, and so are exact zeros: the Heun evaluation reaches
-    0.0 only when a value underflows, which marks no root.
+    0.0 only when a value underflows, which marks no root.  Signs come from
+    signbit, not from a product, which can overflow or underflow.
     """
     v = np.asarray(values, dtype=float)
-    finite = np.isfinite(v)
-    left = np.flatnonzero(finite[:-1] & finite[1:] & _opposite_signs(v[:-1], v[1:]))
+    a, b = v[:-1], v[1:]
+    left = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & (a != 0.0) & (b != 0.0)
+                          & (np.signbit(a) != np.signbit(b)))
     return tuple((i, i + 1) for i in left.tolist())
 
 
@@ -210,30 +198,27 @@ def _bisect(count, x, n, width, split, levels: int) -> tuple[np.ndarray, np.ndar
 
 
 def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float, n_points: int,
-                      tol: float) -> tuple[np.ndarray, tuple[tuple[int, int], ...], int]:
-    """spectral_scan's grid and brackets, found by the zero count; and the grid's levels.
+                      tol: float) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """spectral_scan's grid energies that the zero count took, and the levels between them.
 
     N(omega), the zeros of the Heun function on (y*, 0), drops by one at each
-    eigenvalue as omega rises, and the sign of Hc at y* follows its parity.
-    Each heun_zero_counts call, at the scan's tol, brings the scan's own
-    values.  A first call counts the grid's two ends, whose difference is
-    the grid's levels; a grid with levels gets a second call on every
-    stride-th energy, about _COARSE_POINTS, and _bisect halves the
+    eigenvalue as omega rises.  A first heun_zero_counts call, at the scan's
+    tol, counts the grid's two ends; a grid with levels gets a second call
+    on every stride-th energy, about _COARSE_POINTS, and _bisect halves the
     grid indices where the count drops, _HALVINGS_PER_CALL halvings a call,
-    down to neighbours.  Of the pairs whose count drops by an odd number,
-    _find_brackets keeps the sign changes: a subset of the scan's brackets,
-    all of them where each of its sign changes drops the count by an odd
-    number.  A count that fails, or rises with omega between two counted
-    energies, raises HeunEvaluationError.
+    down to neighbours i, i+1, with level k between where N_i >= k > N_{i+1}.
+    Returns the counted energies by increasing omega as (omega, N, g, F - N),
+    every level's k, decreasing, and its i.  A count that fails, or rises
+    with omega between two counted energies, raises HeunEvaluationError.
     """
     omegas = _scan_grid(omega_min, omega_max, n_points)
     counts = np.full(n_points, -1)
-    values = np.full(n_points, np.nan)
+    values, fraction = np.full(n_points, np.nan), np.full(n_points, np.nan)
 
     def count(todo: np.ndarray) -> np.ndarray:
         """The counts at grid indices todo, once no counted pair rises with omega."""
         w = omegas[todo]
-        counts[todo], values[todo] = heun_zero_counts(
+        counts[todo], values[todo], fraction[todo] = heun_zero_counts(
             *heun_coefficients(cfg.kappa, cfg.ell, w), _spectral_points(w), tol=tol)
         known = np.flatnonzero(counts >= 0)
         if (rise := np.flatnonzero(np.diff(counts[known]) > 0)).size:
@@ -244,17 +229,14 @@ def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float, n
         return counts[todo]
 
     first, last = count(np.array([0, n_points - 1]))
-    levels = int(first - last)
     stride = -(-(n_points - 1) // (_COARSE_POINTS - 1))
-    if levels and n_points > 2:
+    if first > last and n_points > 2:
         count(np.arange(stride, n_points - 1, stride))
     known = np.flatnonzero(counts >= 0)
     x, n = _bisect(count, known, counts[known], 1, lambda a, b: (a + b) // 2,
                    _HALVINGS_PER_CALL)
-    left = x[:-1][(n[:-1] - n[1:]) % 2 == 1]  # every dropping interval is one step wide now
-    candidates = np.full(n_points, np.nan)
-    candidates[left], candidates[left + 1] = values[left], values[left + 1]
-    return omegas, _find_brackets(candidates), levels
+    k = np.arange(first, last, -1)
+    return (omegas[x], n, values[x], fraction[x]), k, np.searchsorted(-n, -k, side="right") - 1
 
 
 @dataclass(frozen=True)
@@ -279,25 +261,24 @@ class SpectrumResult:
         return len(self.omegas)
 
 
-def _chandrupatla(f, lo: np.ndarray, hi: np.ndarray, xatol: float,
-                  maxiter: int = 2046) -> tuple[np.ndarray, np.ndarray]:
+def _chandrupatla(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
+                  xatol: float, maxiter: int = 2046) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zeros of f in every bracket [lo, hi] at once by Chandrupatla's method.
 
     A step-for-step port of scipy.optimize.elementwise.find_root (Adv. Eng.
     Softw. 28 (1997) 145) at xrtol = 4*eps, fatol = frtol = 0 and its cap, bit
-    for bit in x and status wherever f is finite.  A bracket stops at the
-    first of: an exact zero (status 0), ends of one sign (-1, x NaN), NaN at
-    either end (-3, x NaN), |x2 - x1| < |xmin|*xrtol + xatol (0), the cap
-    (-2).  scipy stops only at NaN at both ends: a bracket with one NaN end
-    stays open there and can shrink onto the edge of a NaN region, to end
-    with status 0 at no root.  The first call of f takes both ends of every
-    bracket, each later one the open brackets.
+    for bit in x, status and final bracket (low, high) wherever f is finite.
+    f_lo and f_hi are f at the ends; f(x, i) takes a point x of each open
+    bracket i, as find_root's f(x, *args) does with args = (i,).  A bracket
+    stops at the first of: an exact zero (status 0), ends of one sign (-1, x
+    NaN), NaN at either end (-3, x NaN), |x2 - x1| < |xmin|*xrtol + xatol
+    (0), the cap (-2).  scipy stops only at NaN at both ends: a bracket with
+    one NaN end stays open there and can shrink onto the edge of a NaN
+    region, to end with status 0 at no root.
     """
     x, status = np.full(lo.size, np.nan), np.full(lo.size, -2)
-    if not lo.size:
-        return x, status
-    x1, x2 = lo.astype(float), hi.astype(float)
-    f1, f2 = np.split(np.asarray(f(np.concatenate([x1, x2])), dtype=float), 2)
+    ends = np.full((2, lo.size), np.nan)
+    x1, x2, f1, f2 = (np.asarray(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     active, t, nit = np.arange(lo.size), 0.5, 0
     while True:
         xmin, fmin = np.where(np.abs(f1) < np.abs(f2), (x1, f1), (x2, f2))
@@ -310,11 +291,12 @@ def _chandrupatla(f, lo: np.ndarray, hi: np.ndarray, xatol: float,
         st[dx < tol] = 0
         go = st == 1
         x[active[~go]], status[active[~go]] = xmin[~go], st[~go]
+        ends[:, active] = np.sort((x1, x2), axis=0)
         active, x1, f1, x2, f2, xmin, dx, tol = (
             v[go] for v in (active, x1, f1, x2, f2, xmin, dx, tol))
         if not active.size or nit >= maxiter:
             x[active] = xmin
-            return x, status
+            return x, status, ends
         if nit:
             x3, f3 = x3[go], f3[go]
             with np.errstate(all="ignore"):
@@ -324,76 +306,61 @@ def _chandrupatla(f, lo: np.ndarray, hi: np.ndarray, xatol: float,
                              - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
             t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)
         xn = x1 + t * (x2 - x1)
-        fn = np.asarray(f(xn), dtype=float)
+        fn = np.asarray(f(xn, active), dtype=float)
         same = np.sign(fn) == np.sign(f1)
         x3, f3, x2, f2 = np.where(same, (x1, f1, x2, f2), (x2, f2, x1, f1))
         x1, f1, nit = xn, fn, nit + 1
-
-
-def _bracket_roots(f, omegas: np.ndarray, brackets: tuple[tuple[int, int], ...],
-                   tol: float) -> tuple[float, ...]:
-    """Zeros of f in the brackets over omegas, decreasing, deduplicated at 2*tol.
-
-    The brackets, (i, i+1) pairs of _find_brackets, are refined together by
-    _chandrupatla until each is narrower than tol + 4*eps*omega.  A bracket
-    without a sign change under f is dropped with a RuntimeWarning at the
-    caller's caller; one that ends on NaN values
-    or the iteration cap raises NonConvergenceError.  tol must be finite and
-    positive: at tol = inf deduplication merges every root.
-    """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    pairs = np.array(brackets, dtype=int).reshape(-1, 2)
-    lo, hi = omegas[pairs[:, 0]], omegas[pairs[:, 1]]
-    x, status = _chandrupatla(f, lo, hi, tol)
-    if (failed := np.flatnonzero(status < -1)).size:
-        i = failed[0]
-        raise NonConvergenceError(f"bracket [{lo[i]:g}, {hi[i]:g}] ended on " + (
-            "NaN values" if status[i] == -3 else "the iteration cap"))
-    for a, b in zip(lo[status == -1], hi[status == -1]):
-        warnings.warn(f"bracket [{a:g}, {b:g}] lost its sign change; dropped",
-                      RuntimeWarning, stacklevel=3)
-    roots = sorted(x[status == 0].tolist(), reverse=True)
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or deduped[-1] - r > 2.0 * tol:
-            deduped.append(r)
-    return tuple(deduped)
 
 
 def exact_spectrum(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
                    omega_max: float = DEFAULT_OMEGA_MAX,
                    n_points: int = DEFAULT_SCAN_POINTS,
                    tol: float = DEFAULT_SCAN_TOL) -> SpectrumResult:
-    """The levels on spectral_scan's grid: its brackets, refined by _bracket_roots.
+    """Every level in [omega_min, omega_max], each the root of F = k on the zero count.
 
-    _counted_brackets finds the brackets of the same spectral_scan from the
-    zero count, without valuing every grid point, and with them the grid's
-    level count.  They are refined together to min(tol, DEFAULT_ROOT_TOL),
-    evaluated at min(REFINE_EVAL_TOL, tol) so that their signs hold near
-    convergence.  Fewer roots than levels draw a RuntimeWarning at the
-    caller that names where they were lost: in the brackets (refine the
-    grid) or in their refinement.  A count or an evaluation that fails, or
-    a count that rises with omega, raises HeunEvaluationError.
+    _counted_brackets places each level k between two counted grid
+    neighbours; _chandrupatla solves F(omega) = k for all levels at once in
+    ln omega from their F, one heun_zero_counts call at tol a round, down to
+    brackets narrower than tol, and the root is the secant of F - k across
+    its bracket: tol is its relative accuracy.  F is not smooth (heun
+    module docstring), so the bracket is the root's certificate: the count
+    is at least k at its lower end and below k at its upper end, with g of
+    the sign (-1)^N at both.  An end within _chandrupatla's resolution
+    4 eps |ln omega| of the root is the root, where count and g are
+    rounding, and stands on either side.  A root without a certificate, or
+    a count that fails or rises with omega, raises HeunEvaluationError.
     """
-    omegas, brackets, levels = _counted_brackets(cfg, omega_min, omega_max, n_points, tol)
+    (w, n, g, fraction), k, i = _counted_brackets(cfg, omega_min, omega_max, n_points, tol)
+    x = np.log(w)
+    counted = dict(zip(x.tolist(), zip(n.tolist(), fraction.tolist(), g.tolist())))
 
-    def f(w: np.ndarray) -> np.ndarray:
-        values = _spectral_values(cfg, w, min(REFINE_EVAL_TOL, tol))
-        failed = w[np.isnan(values)]
-        if failed.size:
-            raise HeunEvaluationError(f"refinement evaluation failed at omega = "
-                                      f"{failed[0]:g} ({failed.size} of {w.size})")
-        return values
+    def f(x: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """F - k at ln omega = x of levels j, as (N - k) + (F - N): exact in sign and near 0."""
+        w = np.exp(x)
+        n, g, fraction = heun_zero_counts(*heun_coefficients(cfg.kappa, cfg.ell, w),
+                                          _spectral_points(w), tol=tol)
+        counted.update(zip(x.tolist(), zip(n.tolist(), fraction.tolist(), g.tolist())))
+        return (n - k[j]) + fraction
 
-    roots = _bracket_roots(f, omegas, brackets, min(tol, DEFAULT_ROOT_TOL))
-    k, b = len(roots), len(brackets)
-    if k < levels:
-        warnings.warn(f"found {k} of {levels} levels in [{omega_min:g}, {omega_max:g}]"
-                      + ("; refine the grid" if b < levels else "")
-                      + (f"; the refinement kept {k} of {b} brackets" if k < b else ""),
-                      RuntimeWarning, stacklevel=2)
-    return SpectrumResult(method=METHOD_EXACT, omegas=roots, kappa=cfg.kappa, ell=cfg.ell)
+    _, status, ends = _chandrupatla(f, x[i], x[i + 1], (n[i] - k) + fraction[i],
+                                    (n[i + 1] - k) + fraction[i + 1], tol)
+    # N, F - N and g at the lower and the upper end of every final bracket, each (2, levels)
+    n, fraction, g = np.array([[counted[v] for v in end] for end in ends.tolist()]).reshape(
+        2, -1, 3).transpose(2, 0, 1)
+    f = (n - k) + fraction
+    roots = ends[0] + f[0] / (f[0] - f[1]) * (ends[1] - ends[0])
+    # an end that _chandrupatla cannot tell from the root stands on either side
+    at_root = np.abs(ends - roots) <= 4.0 * sys.float_info.epsilon * np.abs(roots)
+    # the count on its side of k, and g of the sign (-1)^N
+    held = ((n >= k) == [[True], [False]]) & (g != 0.0) & (np.signbit(g) == (n % 2 == 1))
+    bad = np.flatnonzero((status != 0) | at_root.all(axis=0) | ~(at_root | held).all(axis=0))
+    if bad.size:
+        j = bad[0]
+        raise HeunEvaluationError(
+            f"level {k[j]} is not certified in omega = [{math.exp(ends[0, j]):.12g}, "
+            f"{math.exp(ends[1, j]):.12g}] by the count and the sign of g")
+    return SpectrumResult(method=METHOD_EXACT, omegas=tuple(np.exp(roots[::-1]).tolist()),
+                          kappa=cfg.kappa, ell=cfg.ell)
 
 
 def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
@@ -463,8 +430,8 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
     def count(kappas: np.ndarray) -> np.ndarray:
         """Whether levels lie in the window at each of kappas."""
         omegas = np.tile([omega_floor, CRITICAL_OMEGA_MAX], kappas.size)
-        n, _ = heun_zero_counts(*heun_coefficients(np.repeat(kappas, 2), ell, omegas),
-                                _spectral_points(omegas), tol=_COUNT_TOL)
+        n = heun_zero_counts(*heun_coefficients(np.repeat(kappas, 2), ell, omegas),
+                             _spectral_points(omegas), tol=_COUNT_TOL)[0]
         return n[0::2] > n[1::2]
 
     kappas, present = _bisect(count, [kappa_lo, kappa_hi], None, kappa_tol,

@@ -11,7 +11,7 @@ function:
   regime of 2F1 is used;
 * (alpha', gamma', delta') of the regular branch in that limit;
 * the zeros of F(alpha', gamma'; delta'; -1/Omega) in omega, bracketed on the
-  package's log grid and refined by its _bracket_roots.
+  package's log grid and refined by scipy's brentq to ROOT_TOL.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import cmath
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from gupheun.heun import CouplingConfig
 from gupheun.specfun import (
@@ -32,16 +33,11 @@ from gupheun.specfun import (
     compute_phase,
     log_gamma,
 )
-from gupheun.spectral import (
-    DEFAULT_ROOT_TOL,
-    DEFAULT_VALIDITY,
-    _bracket_roots,
-    _find_brackets,
-    _scan_grid,
-)
+from gupheun.spectral import DEFAULT_VALIDITY, _find_brackets, _scan_grid
 
 SERIES_TOL = 1e-14
 SERIES_MAX_TERMS = 10_000
+ROOT_TOL = 1e-9  # absolute, in omega
 
 
 def _gauss_series(alpha: complex, gamma_: complex, delta: complex, z: complex,
@@ -125,7 +121,7 @@ def hypergeometric_condition_roots(cfg: CouplingConfig,
 
     The condition only makes sense in the shallow window omega < 0.05 where
     the reduction applies; weak coupling returns no roots.  Roots are
-    refined to DEFAULT_ROOT_TOL.
+    refined to ROOT_TOL.
     """
     lo, hi = omega_range
     if not (0.0 < lo < hi <= DEFAULT_VALIDITY):
@@ -136,9 +132,10 @@ def hypergeometric_condition_roots(cfg: CouplingConfig,
     except WeakCouplingError:
         return ()
 
-    def f(w: np.ndarray) -> np.ndarray:
+    def f(w: float) -> float:
         # conjugate parameter pair: the imaginary part is roundoff
-        return np.array([hyp2f1_large_negative(alpha_p, gamma_p, delta_p, -0.5 / x).real
-                         for x in w])
+        return hyp2f1_large_negative(alpha_p, gamma_p, delta_p, -0.5 / w).real
 
-    return _bracket_roots(f, omegas, _find_brackets(f(omegas)), DEFAULT_ROOT_TOL)
+    brackets = _find_brackets(np.array([f(w) for w in omegas]))
+    return tuple(sorted((brentq(f, omegas[i], omegas[j], xtol=ROOT_TOL) for i, j in brackets),
+                        reverse=True))

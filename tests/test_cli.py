@@ -70,7 +70,7 @@ def test_readme_library_example_runs_without_scipy():
                            "import sys; sys.modules['scipy'] = None\n" + block],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     lines = proc.stdout.strip().splitlines()
-    assert lines[0].startswith("(0.248601740965") and lines[-1] == "0.063359375"
+    assert lines[0].startswith("(0.248601740967") and lines[-1] == "0.063359375"
 
 
 class TestScanCommand:
@@ -214,13 +214,22 @@ class TestRootsCommand:
         assert not out.exists()
 
     def test_failed_refinement_exit_3(self, capsys, monkeypatch):
-        # the seed series of the counts and the scan stop at 1e-11 and settle
-        # within 12 terms; the refinement's stop at 1e-13 and need more
-        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 12)
-        code, _, err = run_cli(capsys, "roots", "--kappa", "2", "--omega-min", "0.2",
-                               "--omega-max", "0.3", "--points", "40")
-        assert code == 3
-        assert "numerical failure" in err
+        # counts of the grid evaluate; those of the refinement, between grid
+        # points, fail in their seed series
+        grid = spectral._spectral_points(spectral._scan_grid(0.2, 0.3, 40))
+
+        def failing_off_the_grid(B, q0, q1, y, tol):
+            if not np.isin(y, grid).all():
+                monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 1)
+            return heun.heun_zero_counts(B, q0, q1, y, tol=tol)
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", failing_off_the_grid)
+        code, lines, err = run_cli(capsys, "roots", "--kappa", "2", "--omega-min", "0.2",
+                                   "--omega-max", "0.3", "--points", "40")
+        assert (code, lines) == (3, [])
+        assert err.startswith("numerical failure: zero count to y = ")
+        assert err.endswith(" failed (1 of 1 targets): a series or a continuation panel did "
+                            "not evaluate\n")
 
 
 class TestSpectrumCommand:
@@ -413,7 +422,7 @@ class TestCountBeforeScan:
 
         def rising(B, q0, q1, y, tol):
             i = np.searchsorted(y_grid, y)
-            return np.where(i == hi, 6, np.where(i <= lo, 5, 0)), np.ones(y.size)
+            return np.where(i == hi, 6, np.where(i <= lo, 5, 0)), np.ones(y.size), np.zeros(y.size)
 
         monkeypatch.setattr(spectral, "heun_zero_counts", rising)
         out = tmp_path / "out.csv"
@@ -452,24 +461,19 @@ class TestCountBeforeScan:
         assert err == "invalid configuration: need 0 < omega_min < omega_max < 1/2\n"
 
     def test_missing_levels_warn(self, capsys):
-        # 20 points over [1e-5, 0.45] bracket 7 of the 31 levels at kappa = 100
-        # a second run in the same process warns again
-        for _ in range(2):
-            code, lines, err = run_cli(capsys, "roots", "--kappa", "100", "--points", "20",
-                                       warns=True)
-            assert err == "warning: found 7 of 31 levels in [1e-05, 0.45]; refine the grid\n"
-            assert code == 0
-            assert parse_summary(lines[-1])["roots"] == "7"
+        # 20 points over [1e-5, 0.45] hold all 31 levels at kappa = 100, up
+        # to 4 between two neighbours: each is solved by its index, and none
+        # is lost or warned of
+        code, lines, err = run_cli(capsys, "roots", "--kappa", "100", "--points", "20")
+        assert (code, err) == (0, "")
+        assert parse_summary(lines[-1])["roots"] == "31"
 
     def test_merged_roots_warn(self, capsys):
-        # the 600-point scan brackets all 12 levels of [1e-12, 0.45] at
-        # kappa = 2; refining at 1e-9 absolute merges the two deepest pairs
-        code, lines, err = run_cli(capsys, "roots", "--kappa", "2", "--omega-min", "1e-12",
-                                   warns=True)
-        assert err == ("warning: found 10 of 12 levels in [1e-12, 0.45]; "
-                       "the refinement kept 10 of 12 brackets\n")
-        assert code == 0
-        assert parse_summary(lines[-1])["roots"] == "10"
+        # all 12 levels of [1e-12, 0.45] at kappa = 2, the deepest at 2.4e-12:
+        # a relative tolerance merges none of them
+        code, lines, err = run_cli(capsys, "roots", "--kappa", "2", "--omega-min", "1e-12")
+        assert (code, err) == (0, "")
+        assert parse_summary(lines[-1])["roots"] == "12"
 
 
 class TestCriticalCommand:

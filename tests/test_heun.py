@@ -300,25 +300,35 @@ class TestZeroCounts:
         g, _ = one_energy((B, q0, q1), y, tol=1e-10)
         changes = np.concatenate(([0], np.cumsum(np.signbit(g[1:]) != np.signbit(g[:-1]))))
         at = np.arange(0, y.size, 97)
-        n, _ = heun_zero_counts(B, np.full(at.size, q0), np.full(at.size, q1), y[at], tol=1e-10)
+        n, _, _ = heun_zero_counts(B, np.full(at.size, q0), np.full(at.size, q1), y[at], tol=1e-10)
         assert np.array_equal(n, changes[at])
         assert changes[-1] > 0
 
+    @pytest.mark.parametrize("kappa,ell,omega", [(2.0, 0, 1e-5), (100.0, 0, 0.3), (3e4, 0, 0.45)])
+    def test_fraction_turns_over_at_each_zero(self, kappa, ell, omega):
+        # F = N + fraction passes each integer where g changes sign: there
+        # the fraction wraps from near 1 to near 0
+        B, q0, q1 = coefficients(kappa, ell, omega)
+        y_star = (2.0 * omega - 1.0) / (2.0 * omega)
+        y = -np.exp(np.linspace(math.log(1e-8), math.log(-y_star), 3000))
+        n, g, fraction = heun_zero_counts(B, np.full(y.size, q0), np.full(y.size, q1), y,
+                                          tol=1e-10)
+        assert np.all((0.0 <= fraction) & (fraction < 1.0))
+        assert np.all(fraction[y > -heun._certified_radius(q0, q1)] == 0.0)
+        step = np.flatnonzero(np.diff(n))
+        assert step.size == n[-1] > 0
+        assert np.array_equal(step, np.flatnonzero(np.signbit(g[1:]) != np.signbit(g[:-1])))
+        assert np.all(fraction[step] > fraction[step + 1])
+
     def test_values_compute_no_angle(self, monkeypatch):
-        # scans, root refinement and profiles do not pay for the count
+        # scans and profiles do not pay for the count
         def no_angle(*args):
             raise AssertionError("angle computed for a value")
 
         monkeypatch.setattr(heun, "_turns", no_angle)
         monkeypatch.setattr(heun, "_phase", no_angle)
         cfg = CouplingConfig(kappa=2.0, ell=0)
-        scan = spectral_scan(cfg, 1e-4, 0.45, 60)
-
-        def f(w):
-            return spectral._spectral_values(cfg, w, spectral.REFINE_EVAL_TOL)
-
-        assert len(spectral._bracket_roots(f, scan.omegas, scan.brackets,
-                                           spectral.DEFAULT_ROOT_TOL)) == 4
+        assert len(spectral_scan(cfg, 1e-4, 0.45, 60).brackets) == 4
         one_energy(coefficients(2.0, 0, 1e-3), -np.geomspace(1e-3, 500.0, 50))
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
@@ -333,7 +343,7 @@ class TestZeroCounts:
         y = np.stack((spectral._spectral_points(omega), np.full(omega.size, -0.3),
                       -0.5 * radius, -radius), axis=1)
         q0, q1 = np.repeat(q0, 4), np.repeat(q1, 4)
-        n, g = heun_zero_counts(B, q0, q1, y.ravel(), tol=tol)
+        n, g, _ = heun_zero_counts(B, q0, q1, y.ravel(), tol=tol)
         assert np.array_equal(g, heun_continue_arrays(B, q0, q1, y.ravel(), tol=tol)[0])
         assert np.array_equal(n, heun_zero_counts(B, q0, q1, y.ravel(), tol=tol)[0])
         assert np.all(n.reshape(y.shape)[:, 2:] == 0) and np.any(n > 0)
@@ -386,7 +396,7 @@ class TestSturmComparison:
 
     @staticmethod
     def _counts(kappa, ell, omega):
-        n, _ = heun_zero_counts(*heun_coefficients(kappa, ell, omega),
+        n, _, _ = heun_zero_counts(*heun_coefficients(kappa, ell, omega),
                                 spectral._spectral_points(omega), tol=spectral._COUNT_TOL)
         return n
 
@@ -572,7 +582,7 @@ class TestBatchIndependence:
         t1, t2 = heun._far_field(B, q0[:1], q1[:1], np.log(-y[:1]), 1e-6)
         assert t1[0] < math.log(1e20) < math.log(1e30) < t2[0]
         g, gp = heun_continue_arrays(B, q0, q1, y, tol=1e-6)
-        n, _ = heun_zero_counts(B, q0, q1, y, tol=1e-6)
+        n, _, _ = heun_zero_counts(B, q0, q1, y, tol=1e-6)
         for i in (0, 2, 5, 6):
             alone = heun_continue_arrays(B, q0[[i]], q1[[i]], y[[i]], tol=1e-6)
             assert np.array_equal(np.ravel(alone), [g[i], gp[i]])
@@ -721,7 +731,7 @@ class TestFarField:
         *_, far = heun._solved_panels(B, q0, q1, t0, t, np.arange(2) + 1j * t, 1e10)
         assert far.all()
         g, _ = heun_continue_arrays(B, q0, q1, y, tol=1e10)
-        _, g_counted = heun_zero_counts(B, q0, q1, y, tol=1e10)
+        _, g_counted, _ = heun_zero_counts(B, q0, q1, y, tol=1e10)
         assert np.isfinite(g).all() and np.array_equal(g, g_counted)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
@@ -729,7 +739,7 @@ class TestFarField:
     def test_against_the_panel_only_path(self, monkeypatch, ell, tol):
         B, q0, q1, y = _far_grid(ell)
         flat = y.ravel()
-        n, _ = heun_zero_counts(B, q0, q1, flat, tol=tol)
+        n, _, _ = heun_zero_counts(B, q0, q1, flat, tol=tol)
         g, gp = heun_continue_arrays(B, q0, q1, flat, tol=tol)
         t1, _ = heun._far_field(B, q0[::40], q1[::40], np.log(-y[:, -1]), tol)
         assert np.isfinite(t1[5:]).all()  # every energy from omega = 1e-45 down takes it

@@ -18,18 +18,15 @@ from scipy.optimize.elementwise import find_root
 
 from gupheun import default_xi_grid, heun, radial, spectral, wavefunction
 from gupheun.heun import CouplingConfig, EnergyPoint, HeunEvaluationError
-from gupheun.specfun import NonConvergenceError
 from gupheun.spectral import (
     DEFAULT_SCAN_TOL,
     METHOD_CLOSED_FORM,
     METHOD_EXACT,
     NoTransitionError,
-    REFINE_EVAL_TOL,
     SpectralScan,
     SpectrumResult,
     UnitMismatchError,
     UnitSystem,
-    _bracket_roots,
     _chandrupatla,
     _find_brackets,
     closed_form_spectrum,
@@ -241,53 +238,59 @@ class TestFindRoots:
         xtol = 1e-9
 
         def f(w):
-            return spectral._spectral_values(cfg, np.array([w]), REFINE_EVAL_TOL)[0]
+            return spectral._spectral_values(cfg, np.array([w]), 1e-10)[0]
 
         reference = sorted((brentq(f, scan.omegas[i], scan.omegas[j], xtol=xtol)
                             for i, j in scan.brackets), reverse=True)
-        roots = exact_spectrum(cfg, 1e-4, 0.45, 200).omegas  # refined to DEFAULT_ROOT_TOL = xtol
+        roots = exact_spectrum(cfg, 1e-4, 0.45, 200).omegas
         assert len(roots) == len(reference) > 0
         assert np.max(np.abs(np.subtract(roots, reference))) < xtol
 
-    def test_bracket_without_sign_change_dropped(self, monkeypatch):
-        # (0, 1) holds the kappa = 2 ground state 0.2486, the one level of
-        # the window; (2, 3), over 0.30 and 0.35, claims a sign change that
-        # the spectral function lacks
-        cfg = CouplingConfig(kappa=2.0, ell=0)
-        omegas = np.array([0.24, 0.26, 0.30, 0.35])
-        monkeypatch.setattr(spectral, "_counted_brackets",
-                            lambda *args: (omegas, ((0, 1), (2, 3)), 1))
-        with pytest.warns(RuntimeWarning, match="lost its sign change") as record:
-            result = exact_spectrum(cfg, 0.24, 0.35, 4)
-        assert len(record) == 1 and record[0].filename == __file__
-        assert len(result) == 1 and result.omegas[0] == pytest.approx(0.2486, abs=0.005)
+    @pytest.mark.parametrize("kappa,ell", [(2.0, 0), (20.0, 1)])
+    def test_level_without_a_sign_change_raises(self, monkeypatch, kappa, ell):
+        # a count with one more level up to grid point 300 of the default
+        # window makes a level that g does not show, and every level below
+        # it takes a count whose parity the sign of g does not follow
+        y_cut = spectral._spectral_points(spectral._scan_grid(1e-5, 0.45, 600)[300])
+
+        def one_more_level(B, q0, q1, y, tol):
+            counts, values, fraction = heun.heun_zero_counts(B, q0, q1, y, tol=tol)
+            return counts + (y <= y_cut), values, fraction
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", one_more_level)
+        with pytest.raises(HeunEvaluationError, match=r"^level \d+ is not certified in omega = "
+                           r"\[\S+, \S+\] by the count and the sign of g$"):
+            exact_spectrum(CouplingConfig(kappa=kappa, ell=ell))
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
     def test_tolerance_validation(self, tol):
-        # the first count rejects it; at tol = inf deduplication at 2*tol
-        # in _bracket_roots used to merge every root into one
+        # the first count rejects it
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             exact_spectrum(CouplingConfig(kappa=2.0, ell=0), 0.2, 0.3, 40, tol=tol)
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            _bracket_roots(np.cos, np.array([1.0, 2.0]), ((0, 1),), tol)
 
     def test_failed_refinement_raises(self, monkeypatch):
-        # the seed series of the counts stop at 1e-11 and settle within 12
-        # terms; the refinement's stop at 1e-13 and need more
-        scan = spectral_scan(CouplingConfig(kappa=2.0, ell=0), 0.2, 0.3, 40)
-        assert scan.brackets
-        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 12)
-        with pytest.raises(HeunEvaluationError, match="refinement evaluation failed"):
+        # counts of the grid evaluate; those of the refinement, between grid
+        # points, fail in their seed series
+        grid = spectral._spectral_points(spectral._scan_grid(0.2, 0.3, 40))
+
+        def failing_off_the_grid(B, q0, q1, y, tol):
+            if not np.isin(y, grid).all():
+                monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 1)
+            return heun.heun_zero_counts(B, q0, q1, y, tol=tol)
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", failing_off_the_grid)
+        with pytest.raises(HeunEvaluationError, match=r"^zero count to y = \S+ failed \(1 of 1 "):
             exact_spectrum(CouplingConfig(kappa=2.0, ell=0), 0.2, 0.3, 40)
 
     def test_missing_levels_warn_at_the_caller(self):
-        # 20 points over [1e-5, 0.45] bracket 7 of the 31 levels at kappa = 100
-        with pytest.warns(RuntimeWarning) as record:
+        # 20 points over [1e-5, 0.45] hold all 31 levels at kappa = 100, up
+        # to 4 of them between two neighbours, and none is lost or warned of
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = exact_spectrum(CouplingConfig(kappa=100.0), 1e-5, 0.45, 20)
-        assert [str(w.message) for w in record] == [
-            "found 7 of 31 levels in [1e-05, 0.45]; refine the grid"]
-        assert record[0].filename == __file__
-        assert len(result) == 7
+        assert len(result) == 31
+        assert result.omegas == pytest.approx(exact_spectrum(CouplingConfig(kappa=100.0)).omegas,
+                                              rel=1e-10)
 
     def test_level_count_growth(self, roots_k2):
         # counts in (omega, 0.05) grow like (nu/2pi) ln(1/omega): two decades
@@ -299,10 +302,51 @@ class TestFindRoots:
         assert abs((n_lo - n_hi) - expected) <= 1.0
 
 
-def _scipy_chandrupatla(f, lo, hi, xatol, **maxiter):
-    """x and status of scipy's find_root at the tolerances _chandrupatla ports."""
-    res = find_root(f, (lo, hi), tolerances=dict(xatol=xatol, fatol=0.0), **maxiter)
-    return res.x, res.status
+class TestRootAccuracy:
+    """Roots right to a relative tolerance, against an independent value and a tighter tol."""
+
+    def test_ground_state_against_the_20_digit_value(self):
+        # 0.248601740967385711 from an mpmath Taylor integration (odefun) of
+        # the Heun equation at 20 digits, which shares no code with gupheun;
+        # refining with an absolute 1e-9 tolerance left 7.3e-12 of it
+        (omega_1, *_) = exact_spectrum(CouplingConfig(kappa=2.0, ell=0)).omegas
+        assert abs(omega_1 / 0.248601740967385711 - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("kappa", [0.75, 2.0, 20.0])
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_default_window_roots_hold_at_tol_1e13(self, kappa, ell):
+        # the absolute 1e-9 tolerance left up to 1.8e-6 (kappa = 20, ell = 1)
+        cfg = CouplingConfig(kappa=kappa, ell=ell)
+        roots = np.array(exact_spectrum(cfg).omegas)
+        tight = np.array(exact_spectrum(cfg, tol=1e-13).omegas)
+        assert roots.size == tight.size > 0
+        assert np.max(np.abs(roots / tight - 1.0)) < 1e-12
+
+    def test_deep_window_keeps_every_level(self):
+        # the 12 levels of [1e-12, 0.45] at kappa = 2, the two deepest at
+        # 2.4e-12 and 2.2e-10, which an absolute tolerance merged away
+        cfg = CouplingConfig(kappa=2.0, ell=0)
+        roots = np.array(exact_spectrum(cfg, 1e-12).omegas)
+        tight = np.array(exact_spectrum(cfg, 1e-12, tol=1e-13).omegas)
+        assert roots.size == tight.size == 12 and roots[-1] == pytest.approx(2.4e-12, rel=0.01)
+        assert np.max(np.abs(roots / tight - 1.0)) < 1e-9
+
+
+def _scipy_chandrupatla(f, lo, hi, f_lo, f_hi, xatol, **maxiter):
+    """x, status and final bracket of scipy's find_root at the tolerances _chandrupatla ports.
+
+    find_root values the ends itself, one call each: those calls get f_lo and f_hi.
+    """
+    ends = [f_lo, f_hi]
+    res = find_root(lambda x, i: ends.pop(0) if ends else f(x, i), (lo, hi),
+                    args=(np.arange(lo.size),), tolerances=dict(xatol=xatol, fatol=0.0),
+                    **maxiter)
+    return res.x, res.status, np.array(res.bracket)
+
+
+def _port(f, lo, hi, xatol, **maxiter):
+    """_chandrupatla on f(x), valued at the ends here."""
+    return _chandrupatla(lambda x, _: f(x), lo, hi, f(lo), f(hi), xatol, **maxiter)
 
 
 def _bits(x):
@@ -317,26 +361,25 @@ _FAMILIES = {
 }
 
 
-# the default window's roots, 600 points over [1e-5, 0.45], from refining
-# every bracket of spectral_scan: exact_spectrum, which brackets by the zero
-# count, must give them bit for bit
+# the default window's roots, 600 points over [1e-5, 0.45], from solving
+# F = k for every counted level: exact_spectrum must give them bit for bit
 _DEFAULT_WINDOW_ROOTS = {
-    (0.75, 0): (0.04914192474812995, 0.0009090313208849509, 2.036679302663564e-05),
-    (0.75, 1): (0.00016980083556015544,),
-    (2.0, 0): (0.24860174096556462, 0.016723968720656127, 0.001617263007787629,
-               0.00016712850538168532, 1.7460202686956712e-05),
-    (2.0, 1): (0.04239560782112648, 0.002513670689312098, 0.00017861660889480514,
-               1.2967182860710597e-05),
-    (20.0, 0): (0.23829060781839959, 0.09363947091532546, 0.04071318197039005,
-                0.018705438971113604, 0.008868264473595344, 0.0042816282479905075,
-                0.002089135953507215, 0.0010255894239207808, 0.0005052373227890608,
-                0.00024938702209810113, 0.0001232343575374943, 6.093332993174053e-05,
-                3.0138651477668722e-05, 1.4909744030580789e-05),
-    (20.0, 1): (0.4094382652861445, 0.14452952688486143, 0.05939311662686869,
-                0.02637579089090657, 0.012223741615071846, 0.005804164486982384,
-                0.0027946823751666705, 0.0013564447826740372, 0.000661381558634286,
-                0.0003233092171687905, 0.00015827242676923588, 7.754180921627454e-05,
-                3.8006122192300096e-05, 1.8632536379943273e-05),
+    (0.75, 0): (0.04914192474775436, 0.0009090311070864388, 2.0366785333383134e-05),
+    (0.75, 1): (0.00016980094732257204,),
+    (2.0, 0): (0.24860174096738497, 0.01672396872070716, 0.0016172630077723705,
+               0.000167128528038142, 1.7460209776641234e-05),
+    (2.0, 1): (0.04239560782159102, 0.0025136709037492985, 0.00017861675670370036,
+               1.2967181404070137e-05),
+    (20.0, 0): (0.23829060781770386, 0.09363947091001298, 0.04071318197262008,
+                0.018705438969555965, 0.008868264473559364, 0.004281628248445736,
+                0.002089135953635561, 0.0010255894240020083, 0.0005052373227383113,
+                0.0002493872034246844, 0.0001232344301160693, 6.093335260674173e-05,
+                3.0138620663262517e-05, 1.4909758589341856e-05),
+    (20.0, 1): (0.4094382653151356, 0.14452952688486345, 0.05939311663546447,
+                0.026375790889560102, 0.012223741614437069, 0.005804164488145389,
+                0.0027946823754104112, 0.0013564448041868845, 0.0006613815585447114,
+                0.0003233091438889433, 0.00015827256640992582, 7.754180492972096e-05,
+                3.8006077201383885e-05, 1.8632503128931635e-05),
 }
 
 
@@ -361,10 +404,12 @@ class TestChandrupatlaPort:
         lo = np.array([e[0] for e in ends] + [x0, x0 - 0.5, grid[k]])
         hi = np.array([e[0] + e[1] for e in ends] + [x0 + 0.5, x0, grid[k + 1]])
         cap = {} if maxiter is None else {"maxiter": maxiter}
-        ref_x, ref_status = _scipy_chandrupatla(f, lo, hi, xatol, **cap)
-        x, status = _chandrupatla(f, lo, hi, xatol, **cap)
+        ref_x, ref_status, ref_ends = _scipy_chandrupatla(
+            lambda x, _: f(x), lo, hi, f(lo), f(hi), xatol, **cap)
+        x, status, ends = _port(f, lo, hi, xatol, **cap)
         assert status.tolist() == ref_status.tolist()
         assert _bits(x).tolist() == _bits(ref_x).tolist()
+        assert _bits(ends).tolist() == _bits(ref_ends).tolist()
         assert status[-1] == -1 and status[-3] == status[-2] == 0
 
     def test_nan_inside_bracket(self):
@@ -375,23 +420,22 @@ class TestChandrupatlaPort:
         # which scipy keeps it open and shrinks it onto the edge 7.7 of the
         # NaN window, to report a root there; the port stops it on the NaN end
         lo, hi = np.array([4.0, 1.0, 0.0, 7.0]), np.array([5.0, 2.0, 0.5, 8.5])
-        x, status = _chandrupatla(f, lo, hi, 1e-9)
-        ref_x, ref_status = _scipy_chandrupatla(f, lo, hi, 1e-9)
+        x, status, ends = _port(f, lo, hi, 1e-9)
+        ref_x, ref_status, ref_ends = _scipy_chandrupatla(
+            lambda x, _: f(x), lo, hi, f(lo), f(hi), 1e-9)
         assert status.tolist() == [0, -3, -1, -3]
         assert status[:3].tolist() == ref_status[:3].tolist()
         assert _bits(x[:3]).tolist() == _bits(ref_x[:3]).tolist()
+        # scipy goes on past the NaN of [1, 2], to a bracket of its own
+        assert _bits(ends[:, [0, 2]]).tolist() == _bits(ref_ends[:, [0, 2]]).tolist()
         assert np.isnan(x[3])
-        with pytest.raises(NonConvergenceError, match=r"\[1, 2\] ended on NaN values"):
-            _bracket_roots(f, np.array([0.0, 0.5, 1.0, 2.0, 4.0, 5.0]),
-                           ((0, 1), (2, 3), (4, 5)), 1e-9)
-        with pytest.raises(NonConvergenceError, match=r"\[7, 8.5\] ended on NaN values"):
-            _bracket_roots(f, np.array([4.0, 5.0, 7.0, 8.5]), ((0, 1), (2, 3)), 1e-9)
 
     def test_iteration_cap_raises(self, monkeypatch):
+        # one step leaves the ground state's bracket open: no certificate
         monkeypatch.setattr(spectral, "_chandrupatla",
                             functools.partial(_chandrupatla, maxiter=1))
-        with pytest.raises(NonConvergenceError, match=r"\[1, 2\] ended on the iteration cap"):
-            _bracket_roots(np.cos, np.array([1.0, 2.0]), ((0, 1),), 1e-9)
+        with pytest.raises(HeunEvaluationError, match=r"^level 1 is not certified in omega"):
+            exact_spectrum(CouplingConfig(kappa=2.0, ell=0), 0.2, 0.3, 40)
 
     @pytest.mark.parametrize("kappa", [0.3, 0.75, 2.0, 4.0, 20.0, 100.0])
     @pytest.mark.parametrize("ell", [0, 1, 2])
@@ -404,19 +448,24 @@ class TestChandrupatlaPort:
         assert roots == exact_spectrum(cfg).omegas
 
     def test_refinement_calls(self, monkeypatch):
-        values, calls = spectral._spectral_values, []
+        sizes = []
 
-        def counted(*args):
-            calls.append(args[1].size)
-            return values(*args)
+        def counted(*args, **kwargs):
+            sizes.append(args[-1].size)
+            return heun.heun_zero_counts(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "_spectral_values", counted)
+        def no_values(*args, **kwargs):
+            raise AssertionError("valued an energy apart from its count")
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", counted)
+        monkeypatch.setattr(spectral, "_spectral_values", no_values)
         assert len(exact_spectrum(CouplingConfig(kappa=2.0, ell=0))) == 5
-        # one call takes both ends of all 5 brackets, then one per iteration
-        assert calls[0] == 10 and len(calls) <= 5
-        calls.clear()
+        # 4 calls place the 5 levels on the grid; each round of the solve
+        # then counts one energy a level, none at the ends it starts from
+        assert sizes == [2, 37, 15, 15, 5, 5, 5, 5]
+        sizes.clear()
         assert len(exact_spectrum(CouplingConfig(kappa=0.05, ell=0))) == 0
-        assert calls == []
+        assert sizes == [2]
 
 
 class TestClosedForm:
@@ -643,7 +692,7 @@ class TestFarFieldStretch:
 def _two_end_count(ell, kappa, omega_lo, omega_hi):
     """Levels in (omega_lo, omega_hi): N(omega_lo) - N(omega_hi), counted at tol 1e-6."""
     omegas = np.array([omega_lo, omega_hi])
-    n, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
+    n, _, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
                                  spectral._spectral_points(omegas), tol=1e-6)
     return n[0] - n[1]
 
@@ -827,21 +876,19 @@ class TestLevelCount:
         # the count that `roots` and `compare` bracket by: at the scan's tol
         # it equals the default 600-point scan's brackets
         cfg = CouplingConfig(kappa=kappa, ell=ell)
-        _, _, count = spectral._counted_brackets(
+        _, k, _ = spectral._counted_brackets(
             cfg, spectral.DEFAULT_OMEGA_MIN, spectral.DEFAULT_OMEGA_MAX,
             spectral.DEFAULT_SCAN_POINTS, DEFAULT_SCAN_TOL)
-        assert count == len(spectral_scan(cfg).brackets) == levels
+        assert k.size == len(spectral_scan(cfg).brackets) == levels
 
     @pytest.mark.parametrize("kappa", [0.75, 2.0, 20.0, 100.0])
     @pytest.mark.parametrize("ell", [0, 1, 2])
     def test_each_root_is_one_level(self, kappa, ell):
         # across each root of the default window the count drops by exactly
-        # one, and between neighbouring roots by none; 1e-5 relative, as the
-        # deepest roots at kappa 20 and 100 are right only to the absolute
-        # DEFAULT_ROOT_TOL (ROADMAP item 2)
+        # one, and between neighbouring roots by none, 1e-6 relative either side
         roots = np.array(exact_spectrum(CouplingConfig(kappa=kappa, ell=ell)).omegas)
-        omegas = np.concatenate((roots * (1 - 1e-5), roots * (1 + 1e-5)))
-        n, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
+        omegas = np.concatenate((roots * (1 - 1e-6), roots * (1 + 1e-6)))
+        n, _, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
                                      spectral._spectral_points(omegas), tol=DEFAULT_SCAN_TOL)
         below, above = np.split(n, 2)
         assert np.all(below - above == 1)
@@ -853,7 +900,7 @@ class TestLevelCount:
         # window are N(omega_lo) - N(omega_hi), not N(omega_lo) alone
         kappa, ell = 8.229322074546221, 1
         omegas = np.exp(np.linspace(math.log(1e-45), math.log(0.4999), 60))
-        n, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
+        n, _, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
                                      spectral._spectral_points(omegas), tol=1e-6)
         assert np.all(np.diff(n) <= 0)
         assert n[-1] == 1
@@ -862,48 +909,32 @@ class TestLevelCount:
 
 
 class TestCountedBrackets:
-    """_counted_brackets finds spectral_scan's brackets from the zero count."""
+    """_counted_brackets places every level of the grid between two counted neighbours."""
 
     @settings(max_examples=30, deadline=None)
     @given(log_kappa=st.floats(math.log(0.05), math.log(100.0)), ell=st.integers(0, 3),
            log_omega_min=st.floats(math.log(1e-20), math.log(1e-3)),
            points=st.integers(2, 800))
     def test_brackets_are_the_scans(self, log_kappa, ell, log_omega_min, points):
+        # the counted neighbours holding an odd number of levels, where g
+        # changes sign, are the scan's brackets
         cfg, omega_min = CouplingConfig(kappa=math.exp(log_kappa), ell=ell), math.exp(log_omega_min)
         scan = spectral_scan(cfg, omega_min, 0.45, points)
-        omegas, brackets, levels = spectral._counted_brackets(
+        (w, n, g, fraction), k, i = spectral._counted_brackets(
             cfg, omega_min, 0.45, points, DEFAULT_SCAN_TOL)
-        assert np.array_equal(omegas, scan.omegas)
-        assert brackets == scan.brackets
-        assert len(brackets) <= levels
-
-    def test_candidates_without_a_sign_change_are_dropped(self, monkeypatch, scan_k2):
-        # a count with one more level, between grid points 300 and 301 of
-        # the default window, makes that pair a candidate; its values have
-        # one sign, so it is no bracket, as in the scan
-        cfg = CouplingConfig(kappa=2.0, ell=0)
-        assert (300, 301) not in scan_k2.brackets
-        y_cut = spectral._spectral_points(scan_k2.omegas[300])
-
-        valued = []
-
-        def one_more_level(B, q0, q1, y, tol):
-            valued.extend(y.tolist())
-            counts, values = heun.heun_zero_counts(B, q0, q1, y, tol=tol)
-            return counts + (y <= y_cut), values
-
-        monkeypatch.setattr(spectral, "heun_zero_counts", one_more_level)
-        _, brackets, levels = spectral._counted_brackets(
-            cfg, 1e-5, 0.45, 600, DEFAULT_SCAN_TOL)
-        pair = spectral._spectral_points(scan_k2.omegas[300:302])
-        assert levels == 6 and set(pair) <= set(valued)
-        assert brackets == scan_k2.brackets
+        at = np.searchsorted(scan.omegas, w)
+        assert np.array_equal(scan.omegas[at], w) and np.array_equal(scan.values[at], g)
+        assert np.all((0.0 <= fraction) & (fraction < 1.0))
+        assert np.array_equal(k, np.arange(n[0], n[-1], -1))
+        assert np.all((n[i] >= k) & (k > n[i + 1]) & (at[i + 1] == at[i] + 1))
+        odd = np.flatnonzero(np.diff(n) % 2 == 1)
+        assert tuple((at[p], at[p] + 1) for p in odd
+                     if _find_brackets(g[[p, p + 1]])) == scan.brackets
 
     def test_values_come_with_the_counts(self, monkeypatch, scan_k2):
         # kappa = 2 on the default window: counts of the 2 grid ends, the 37
         # coarse points and 5 intervals of 16 points halved twice per call
-        # twice, and no value call: the candidates' values come with their
-        # counts
+        # twice, and no value call: g comes with the counts
         sizes = []
 
         def counted(*args, **kwargs):
@@ -915,32 +946,26 @@ class TestCountedBrackets:
 
         monkeypatch.setattr(spectral, "heun_zero_counts", counted)
         monkeypatch.setattr(spectral, "_spectral_values", no_values)
-        _, brackets, levels = spectral._counted_brackets(
+        (w, _, g, _), k, i = spectral._counted_brackets(
             CouplingConfig(kappa=2.0, ell=0), 1e-5, 0.45, 600, DEFAULT_SCAN_TOL)
-        assert sizes == [2, 37, 15, 15]
-        assert brackets == scan_k2.brackets and levels == 5
+        at = np.searchsorted(scan_k2.omegas, w)
+        assert sizes == [2, 37, 15, 15] and k.tolist() == [5, 4, 3, 2, 1]
+        assert [(at[p], at[p] + 1) for p in i] == sorted(scan_k2.brackets)
+        assert all(_find_brackets(g[[p, p + 1]]) for p in i)
 
     @pytest.mark.slow
-    def test_underflowed_values_are_no_brackets(self, monkeypatch):
-        # the deepest values underflow to 0.0: 21 grid pairs whose count
-        # drops by an odd number, 36 distinct ends, hold the same 14 sign
-        # changes as the scan, and no other grid energy's value is tested
+    def test_underflowed_values_are_no_brackets(self):
+        # the deepest values underflow to 0.0: of the 22089 levels of the
+        # window, the counted neighbours hold the scan's 14 sign changes,
+        # and underflowed values mark none
         cfg = CouplingConfig(kappa=1e4, ell=0)
         scan = spectral_scan(cfg, 1e-300, 0.45, 100)
-        tested = []
-
-        def spy(values):
-            tested.append(values)
-            return find_brackets(values)
-
-        find_brackets = spectral._find_brackets
-        monkeypatch.setattr(spectral, "_find_brackets", spy)
-        _, brackets, levels = spectral._counted_brackets(cfg, 1e-300, 0.45, 100,
-                                                         DEFAULT_SCAN_TOL)
-        (values,) = tested
-        ends = np.flatnonzero(~np.isnan(values))
-        assert levels == 22089 and ends.size == 36
-        assert np.any(values[ends] == 0.0)
+        (w, n, g, _), k, _ = spectral._counted_brackets(cfg, 1e-300, 0.45, 100,
+                                                        DEFAULT_SCAN_TOL)
+        at = np.searchsorted(scan.omegas, w)
+        assert k.size == 22089 and np.any(g == 0.0)
+        odd = np.flatnonzero(np.diff(n) % 2 == 1)
+        brackets = tuple((at[p], at[p] + 1) for p in odd if _find_brackets(g[[p, p + 1]]))
         assert brackets == scan.brackets and len(brackets) == 14
 
 

@@ -42,14 +42,11 @@ with the values) share one evaluator, _evaluate, which takes arrays of
    _far_step inside a far panel); a count adds up the angle each panel's
    basis solutions turn through (_turns, _phase).
 
-A count is N = floor(F): F adds (theta + phase)/pi to the zeros before
-the target's panel, theta being the angle the panel's basis pair
-u_0 + i*u_1 turns through up to the target and phase that of the panel's
-start state (_phase).  F is an integer exactly where g is zero, so the
-eigenvalue where the count at y* drops from k to k - 1 is the root of
-F = k.  Its fractional part is the angle of the basis pair, not of u: it
-jumps where the target crosses a panel boundary as the energy moves (by
-2.9e-3 at kappa = 20, ell = 0, omega ~ 2.4955e-4), and is not monotone.
+heun_zero_counts also returns F, the count made continuous: N plus the
+Pruefer angle arctan(u/u')/pi of u at the target, in [0, 1] where g has
+the sign (-1)^N.  F is an integer where g is zero, so the level where the
+count at y* drops from k to k - 1 is the root of F = k.  The count's own
+angle, of the basis pair, jumps where y* crosses a panel boundary.
 """
 
 from __future__ import annotations
@@ -566,7 +563,7 @@ def _start_states(first: np.ndarray, ends: np.ndarray, seed: np.ndarray) -> np.n
 
 def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np.ndarray,
               owner: np.ndarray, t: np.ndarray, tol: float,
-              count: bool = False) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+              count: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """(u, u') at targets t_k of energies owner_k, from (u, u') = seed_i at t0_i.
 
     The path runs along the negative real axis, which holds no singularity,
@@ -583,8 +580,7 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
     follow from its start state and its _turns (see _phase), a cumulative
     sum over the energy's panels adds them up, and the second result holds
     the number of zeros in (t0, t_k] of each target, the turns up to the
-    target read from the same node values, and the fraction that its last
-    floor drops; otherwise it is None.
+    target read from the same node values; otherwise it is None.
     """
     t_end = np.full(t0.size, -np.inf)
     np.maximum.at(t_end, owner, t)
@@ -598,6 +594,7 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
     first = (np.cumsum(counts) - counts)[o]
     start = _start_states(first, ends, seed[o])
     out = np.full((t.size, 2), np.nan)
+    zeros = None
     with np.errstate(over="ignore", invalid="ignore"):
         if count:
             # zeros of u in (t0, ta] of each panel; a non-finite panel or
@@ -606,8 +603,8 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
             inside[~np.isfinite(inside)] = 0.0
             total = np.cumsum(inside) - inside  # integers, so the sums are exact
             before = total - total[first]
-            turned = np.full(t.size, np.nan)  # (theta + phase)/pi of each target in its panel
-        panel = k = np.searchsorted(o + 1j * a, keys, side="right") - 1
+            zeros = np.full(t.size, np.nan)
+        k = np.searchsorted(o + 1j * a, keys, side="right") - 1
         reached = t < b[k]
         stretch = reached & far[k]
         if stretch.any():
@@ -619,28 +616,26 @@ def _continue(B: float, q0: np.ndarray, q1: np.ndarray, t0: np.ndarray, seed: np
             u, du = start[j].T
             out[stretch] = np.stack((m[:, 0] * u + m[:, 1] * du, m[:, 2] * u + m[:, 3] * du), 1)
             if count:
-                turned[stretch] = (theta + _phase(u, du)) / np.pi
+                zeros[stretch] = before[j] + np.floor((theta + _phase(u, du)) / np.pi)
         k = k[reached]
         x = (t[reached] - a[k]) / (0.5 * (b[k] - a[k])) - 1.0
         held = nodes[row[k]]  # the basis solutions at the nodes of each target's panel
         out[reached] = _interpolate(held[:, :, 0::2] * start[k, None, :1]
                                     + held[:, :, 1::2] * start[k, None, 1:], x)
-        if not count:
-            return out, None
-        # the angle at the target: unwrapped up to the node before it, plus one step
-        node = np.searchsorted(_X, x, side="right") - 1
-        at = np.arange(x.size)
-        u = _interpolate(held[:, :, :2], x)
-        theta = _turns(held)[at, node] + _angle_step(
-            u[:, 0] + 1j * u[:, 1], held[at, node, 0] + 1j * held[at, node, 1])
-        turned[reached] = (theta + _phase(*start[k].T)) / np.pi
-        whole = np.floor(turned)
-        return out, (before[panel] + whole, turned - whole)
+        if count:
+            # the angle at the target: unwrapped up to the node before it, plus one step
+            node = np.searchsorted(_X, x, side="right") - 1
+            at = np.arange(x.size)
+            u = _interpolate(held[:, :, :2], x)
+            theta = _turns(held)[at, node] + _angle_step(
+                u[:, 0] + 1j * u[:, 1], held[at, node, 0] + 1j * held[at, node, 1])
+            zeros[reached] = before[k] + np.floor((theta + _phase(*start[k].T)) / np.pi)
+    return out, zeros
 
 
 def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: float,
               count: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(g, g', zeros) of heun_continue_arrays; zeros is heun_zero_counts' (N, fraction) or None.
+    """(g, g', zeros) of heun_continue_arrays; zeros is heun_zero_counts' or None.
 
     Every energy is seeded at _certified_radius, so a value does not depend
     on whether it is counted; count only adds the angles of the panels.
@@ -648,7 +643,7 @@ def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: floa
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if y.size == 0:
-        return np.empty(0), np.empty(0), np.empty((2, 0)) if count else None
+        return np.empty(0), np.empty(0), np.empty(0) if count else None
     bad = y[~(np.isfinite(y) & (y < 0.0))]
     if bad.size:
         raise ValueError(f"y_target must be finite and negative, got {bad[0]} "
@@ -667,7 +662,7 @@ def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: floa
     sg, sgp = _series_state(B, np.concatenate((q0[inner], e0)), np.concatenate((q1[inner], e1)),
                             np.concatenate((y[inner], -radius)), _seed_tol(tol))
     g[inner], gp[inner] = sg[:m], sgp[:m]
-    zeros = np.zeros((2, y.size)) if count else None  # g > 0 inside the certified radius
+    zeros = np.zeros(y.size) if count else None  # g > 0 inside the certified radius
     seeded = np.isfinite(sg[m:])[owner]  # failed series stay NaN
     if seeded.any():
         outer, owner = outer[seeded], owner[seeded]
@@ -676,11 +671,11 @@ def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: floa
                               count)
         g[outer], gp[outer] = u[:, 0], u[:, 1] / y[outer]
         if count:
-            zeros[:, outer] = passed
+            zeros[outer] = passed
     failed = ~(np.isfinite(g) & np.isfinite(gp))
     g[failed] = gp[failed] = np.nan
     if count:
-        zeros[:, failed] = np.nan
+        zeros[failed] = np.nan
     return g, gp, zeros
 
 
@@ -715,16 +710,20 @@ def heun_zero_counts(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
     zero, and every zero beyond it comes from the angle each panel's basis
     solutions turn through (_turns, _phase), or the phase a far panel
     advances by (_far_step), up to the target itself.  g, from the same
-    panels, is heun_continue_arrays' g bit for bit.  F, the count before
-    its last floor (module docstring), comes as F - N, 0 inside the seed
-    radius: N + (F - N) in one float can round up to N + 1 next to a zero.
+    panels, is heun_continue_arrays' g bit for bit.  F (module docstring)
+    comes as F - N: N + (F - N) in one float can round up to N + 1 next to
+    a zero.  Within rounding of a zero the sign of g and the parity of N
+    can disagree: F keeps to g's side and F - N is in [-1/2, 0) or [1, 3/2].
     Raises HeunEvaluationError if any count fails.
     """
-    g, _, (zeros, fraction) = _evaluate(B, q0, q1, y, tol, count=True)
+    g, gp, zeros = _evaluate(B, q0, q1, y, tol, count=True)
     failed = y[np.isnan(zeros)]
     if failed.size:
         raise HeunEvaluationError(
             f"zero count to y = {failed[0]} failed ({failed.size} of {y.size} targets): "
             f"a series or a continuation panel did not evaluate"
         )
-    return zeros.astype(int), g, fraction
+    n = zeros.astype(int)
+    with np.errstate(all="ignore"):  # a g and g' that underflowed to 0 give NaN
+        angle = np.arctan(g / (y * gp)) / np.pi  # u' = y g' in t = ln(-y); > 0 just past a zero
+    return n, g, angle + ((angle < 0.0) != (np.signbit(g) != (n % 2 == 1)))

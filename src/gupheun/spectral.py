@@ -5,7 +5,7 @@ Two routes to the spectrum of the deformed inverse-square problem:
 * exact_heun (exact_spectrum): zeros in omega of Hc(a, -b, c, d, e;
   (Omega-1)/Omega), the condition R(xi*) = 0 at the edge of the physical
   range.  Level k is the root of F = k, F being the zero count that
-  critical_coupling bisects on (below) before its last floor, solved for
+  critical_coupling bisects on (below) made continuous (heun), solved for
   all levels at once from the grid neighbours that the count puts it
   between.
 * closed_form: the explicit tower
@@ -320,38 +320,39 @@ def exact_spectrum(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
 
     _counted_brackets places each level k between two counted grid
     neighbours; _chandrupatla solves F(omega) = k for all levels at once in
-    ln omega from their F, one heun_zero_counts call at tol a round, down to
-    brackets narrower than tol, and the root is the secant of F - k across
-    its bracket: tol is its relative accuracy.  F is not smooth (heun
-    module docstring), so the bracket is the root's certificate: the count
-    is at least k at its lower end and below k at its upper end, with g of
-    the sign (-1)^N at both.  An end within _chandrupatla's resolution
-    4 eps |ln omega| of the root is the root, where count and g are
-    rounding, and stands on either side.  A root without a certificate, or
-    a count that fails or rises with omega, raises HeunEvaluationError.
+    ln omega from their F, one heun_zero_counts call at tol a round, to
+    brackets narrower than tol (or 16 eps |ln omega|); the root is the
+    secant of F - k across its bracket, so tol is its relative accuracy.
+    The bracket certifies the root: the count is at least k at its lower
+    end and below k at its upper end, with g of the sign (-1)^N at both,
+    but for one end within 4 eps |ln omega| of the root, where count and g
+    are rounding.  A root without a certificate, or a count that fails or
+    rises with omega, raises HeunEvaluationError.
     """
     (w, n, g, fraction), k, i = _counted_brackets(cfg, omega_min, omega_max, n_points, tol)
     x = np.log(w)
     counted = dict(zip(x.tolist(), zip(n.tolist(), fraction.tolist(), g.tolist())))
 
     def f(x: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """F - k at ln omega = x of levels j, as (N - k) + (F - N): exact in sign and near 0."""
+        """F - k at ln omega = x of levels j, as (N - k) + (F - N), each distinct x counted once."""
+        x, at = np.unique(x, return_inverse=True)
         w = np.exp(x)
         n, g, fraction = heun_zero_counts(*heun_coefficients(cfg.kappa, cfg.ell, w),
                                           _spectral_points(w), tol=tol)
         counted.update(zip(x.tolist(), zip(n.tolist(), fraction.tolist(), g.tolist())))
-        return (n - k[j]) + fraction
+        return (n[at] - k[j]) + fraction[at]
 
+    # a step lands half the stopping width from each end: no bracket stops at the root at both
+    xatol = max(tol, 16.0 * sys.float_info.epsilon * float(np.abs(x).max()))
     _, status, ends = _chandrupatla(f, x[i], x[i + 1], (n[i] - k) + fraction[i],
-                                    (n[i + 1] - k) + fraction[i + 1], tol)
+                                    (n[i + 1] - k) + fraction[i + 1], xatol)
     # N, F - N and g at the lower and the upper end of every final bracket, each (2, levels)
     n, fraction, g = np.array([[counted[v] for v in end] for end in ends.tolist()]).reshape(
         2, -1, 3).transpose(2, 0, 1)
     f = (n - k) + fraction
     roots = ends[0] + f[0] / (f[0] - f[1]) * (ends[1] - ends[0])
-    # an end that _chandrupatla cannot tell from the root stands on either side
     at_root = np.abs(ends - roots) <= 4.0 * sys.float_info.epsilon * np.abs(roots)
-    # the count on its side of k, and g of the sign (-1)^N
+    # the count on its side of k, which f leaves for g's near a zero; g of the sign (-1)^N
     held = ((n >= k) == [[True], [False]]) & (g != 0.0) & (np.signbit(g) == (n % 2 == 1))
     bad = np.flatnonzero((status != 0) | at_root.all(axis=0) | ~(at_root | held).all(axis=0))
     if bad.size:

@@ -313,12 +313,35 @@ class TestZeroCounts:
         y = -np.exp(np.linspace(math.log(1e-8), math.log(-y_star), 3000))
         n, g, fraction = heun_zero_counts(B, np.full(y.size, q0), np.full(y.size, q1), y,
                                           tol=1e-10)
-        assert np.all((0.0 <= fraction) & (fraction < 1.0))
-        assert np.all(fraction[y > -heun._certified_radius(q0, q1)] == 0.0)
+        agree = np.signbit(g) == (n % 2 == 1)  # all but within rounding of a zero
+        assert np.all((0.0 <= fraction[agree]) & (fraction[agree] <= 1.0))
+        assert np.all((-0.5 <= fraction) & (fraction <= 1.5))
+        inner = y > -heun._certified_radius(q0, q1)
+        assert inner.any() and np.all((n[inner] == 0) & (0.0 < fraction[inner]) & (fraction[inner] < 1.0))
         step = np.flatnonzero(np.diff(n))
         assert step.size == n[-1] > 0
         assert np.array_equal(step, np.flatnonzero(np.signbit(g[1:]) != np.signbit(g[:-1])))
         assert np.all(fraction[step] > fraction[step + 1])
+
+    @pytest.mark.parametrize("kappa,ell", [(2.0, 0), (20.0, 0), (20.0, 1), (100.0, 0)])
+    def test_fraction_does_not_jump_with_the_energy(self, kappa, ell):
+        # on 4001 energies of the default window F = N + fraction bends
+        # smoothly (second differences up to 1.2e-3); the basis pair's
+        # fraction jumped where y* crossed a panel boundary, its second
+        # differences reaching 0.26-0.54 here
+        omegas = np.exp(np.linspace(math.log(1e-5), math.log(0.45), 4001))
+        n, _, fraction = heun_zero_counts(*heun_coefficients(kappa, ell, omegas),
+                                          (2.0 * omegas - 1.0) / (2.0 * omegas), tol=1e-8)
+        assert np.max(np.abs(np.diff(n + fraction, 2))) < 1e-2
+
+    def test_fraction_is_smooth_across_a_panel_boundary(self):
+        # the basis pair's fraction jumped by 2.9e-3 near omega = 2.4955e-4
+        # at kappa = 20, where F moves by 1.7e-6 between these energies
+        omegas = np.exp(np.linspace(math.log(2.49e-4), math.log(2.50e-4), 2001))
+        n, _, fraction = heun_zero_counts(*heun_coefficients(20.0, 0, omegas),
+                                          (2.0 * omegas - 1.0) / (2.0 * omegas), tol=1e-8)
+        assert n[0] == 12 and n[-1] == 11
+        assert np.max(np.abs(np.diff(n + fraction))) < 2e-6
 
     def test_values_compute_no_angle(self, monkeypatch):
         # scans and profiles do not pay for the count

@@ -322,6 +322,20 @@ class TestRootAccuracy:
         assert roots.size == tight.size > 0
         assert np.max(np.abs(roots / tight - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("tol", [1e-15, 1e-16])
+    def test_tolerance_below_the_resolution_of_ln_omega(self, tol):
+        # a bracket that stopped within 4 eps |ln omega| of its root at both
+        # ends left nothing to check, and every level raised
+        roots = exact_spectrum(CouplingConfig(kappa=2.0, ell=0), tol=tol).omegas
+        assert len(roots) == 5 and abs(roots[0] / 0.248601740967385711 - 1.0) < 1e-14
+
+    def test_deep_window_at_a_tolerance_below_its_resolution(self):
+        # 4 eps |ln 1e-100| is 2e-13
+        cfg = CouplingConfig(kappa=2.0, ell=0)
+        roots = np.array(exact_spectrum(cfg, 1e-100, tol=1e-13).omegas)
+        assert roots.size == 102
+        assert np.max(np.abs(roots / np.array(exact_spectrum(cfg, 1e-100).omegas) - 1.0)) < 1e-9
+
     def test_deep_window_keeps_every_level(self):
         # the 12 levels of [1e-12, 0.45] at kappa = 2, the two deepest at
         # 2.4e-12 and 2.2e-10, which an absolute tolerance merged away
@@ -364,22 +378,22 @@ _FAMILIES = {
 # the default window's roots, 600 points over [1e-5, 0.45], from solving
 # F = k for every counted level: exact_spectrum must give them bit for bit
 _DEFAULT_WINDOW_ROOTS = {
-    (0.75, 0): (0.04914192474775436, 0.0009090311070864388, 2.0366785333383134e-05),
-    (0.75, 1): (0.00016980094732257204,),
-    (2.0, 0): (0.24860174096738497, 0.01672396872070716, 0.0016172630077723705,
-               0.000167128528038142, 1.7460209776641234e-05),
-    (2.0, 1): (0.04239560782159102, 0.0025136709037492985, 0.00017861675670370036,
-               1.2967181404070137e-05),
-    (20.0, 0): (0.23829060781770386, 0.09363947091001298, 0.04071318197262008,
-                0.018705438969555965, 0.008868264473559364, 0.004281628248445736,
-                0.002089135953635561, 0.0010255894240020083, 0.0005052373227383113,
-                0.0002493872034246844, 0.0001232344301160693, 6.093335260674173e-05,
+    (0.75, 0): (0.049141924747754424, 0.0009090311070864485, 2.0366785333383205e-05),
+    (0.75, 1): (0.00016980094732258288,),
+    (2.0, 0): (0.24860174096738497, 0.016723968720707173, 0.0016172630077723748,
+               0.0001671285280381432, 1.746020977664133e-05),
+    (2.0, 1): (0.042395607821590964, 0.002513670903749314, 0.00017861675670370004,
+               1.2967181404070067e-05),
+    (20.0, 0): (0.23829060781770375, 0.09363947091001303, 0.040713181972620104,
+                0.018705438969555954, 0.008868264473559349, 0.00428162824844574,
+                0.002089135953635561, 0.0010255894240020092, 0.0005052373227383117,
+                0.0002493872034246848, 0.0001232344301160693, 6.0933352606741623e-05,
                 3.0138620663262517e-05, 1.4909758589341856e-05),
-    (20.0, 1): (0.4094382653151356, 0.14452952688486345, 0.05939311663546447,
-                0.026375790889560102, 0.012223741614437069, 0.005804164488145389,
-                0.0027946823754104112, 0.0013564448041868845, 0.0006613815585447114,
-                0.0003233091438889433, 0.00015827256640992582, 7.754180492972096e-05,
-                3.8006077201383885e-05, 1.8632503128931635e-05),
+    (20.0, 1): (0.40943826531513566, 0.1445295268848635, 0.05939311663546447,
+                0.026375790889560123, 0.012223741614437079, 0.005804164488145389,
+                0.002794682375410409, 0.0013564448041868834, 0.0006613815585447114,
+                0.0003233091438889433, 0.00015827256640992582, 7.754180492972081e-05,
+                3.800607720138395e-05, 1.863250312893167e-05),
 }
 
 
@@ -466,6 +480,35 @@ class TestChandrupatlaPort:
         sizes.clear()
         assert len(exact_spectrum(CouplingConfig(kappa=0.05, ell=0))) == 0
         assert sizes == [2]
+
+    @pytest.mark.parametrize("kappa,ell", [(0.6993565513236188, 0), (0.7496342163930227, 1),
+                                           (4.059922496592005, 2), (4.557944149875407, 1),
+                                           (20.0, 0)])
+    def test_no_jump_costs_rounds(self, monkeypatch, kappa, ell):
+        # on the fraction of each panel's basis pair, which jumps at panel
+        # boundaries, a level here took 6-8 rounds: 10-12 calls in all
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[-1])
+            return heun.heun_zero_counts(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", counted)
+        assert len(exact_spectrum(CouplingConfig(kappa=kappa, ell=ell))) > 0
+        assert len(calls) <= 9
+
+    def test_each_energy_is_counted_once_a_round(self, monkeypatch):
+        # 31 levels over 19 grid intervals: levels that share one start
+        # from the same midpoint
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[-1])
+            return heun.heun_zero_counts(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", counted)
+        assert len(exact_spectrum(CouplingConfig(kappa=100.0, ell=0), n_points=20)) == 31
+        assert all(np.unique(y).size == y.size for y in calls)
 
 
 class TestClosedForm:
@@ -924,7 +967,8 @@ class TestCountedBrackets:
             cfg, omega_min, 0.45, points, DEFAULT_SCAN_TOL)
         at = np.searchsorted(scan.omegas, w)
         assert np.array_equal(scan.omegas[at], w) and np.array_equal(scan.values[at], g)
-        assert np.all((0.0 <= fraction) & (fraction < 1.0))
+        agree = np.signbit(g) == (n % 2 == 1)
+        assert np.all((0.0 <= fraction[agree]) & (fraction[agree] <= 1.0))
         assert np.array_equal(k, np.arange(n[0], n[-1], -1))
         assert np.all((n[i] >= k) & (k > n[i + 1]) & (at[i + 1] == at[i] + 1))
         odd = np.flatnonzero(np.diff(n) % 2 == 1)

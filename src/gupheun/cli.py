@@ -304,9 +304,9 @@ _FLAGS = {
     "ell": "orbital quantum number",
     "omega_min": None, "omega_max": None,
     "points": "log-grid energies (default 600): scan samples them, roots and compare "
-              "bracket each level between two neighbours; wavefunction: profile points "
-              "(default 400)",
-    "tol": "evaluation tolerance, and the relative accuracy of roots (default 1e-8)",
+              "count every stride-th point and solve each level between counted points; "
+              "wavefunction: profile points (default 400)",
+    "tol": "evaluation tolerance in (0, 1), and the relative accuracy of roots (default 1e-8)",
     "output_path": None, "format": None,
     "units_file": "JSON with mass, hbar, beta, alpha_coupling",
     "gnuplot": None,

@@ -640,8 +640,8 @@ def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: floa
     Every energy is seeded at _certified_radius, so a value does not depend
     on whether it is counted; count only adds the angles of the panels.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be finite and in (0, 1), got {tol}")
     if y.size == 0:
         return np.empty(0), np.empty(0), np.empty(0) if count else None
     bad = y[~(np.isfinite(y) & (y < 0.0))]

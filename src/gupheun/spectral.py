@@ -6,8 +6,8 @@ Two routes to the spectrum of the deformed inverse-square problem:
   (Omega-1)/Omega), the condition R(xi*) = 0 at the edge of the physical
   range.  Level k is the root of F = k, F being the zero count that
   critical_coupling bisects on (below) made continuous (heun), solved for
-  all levels at once from the grid neighbours that the count puts it
-  between.
+  all levels at once, each from the two counted grid energies (about two
+  a level) whose counts hold it.
 * closed_form: the explicit tower
 
       omega_n = 1/2 * exp[ (2/nu) * (arg B - (n + 1/2) pi) ],   n = 0, 1, ...
@@ -70,15 +70,9 @@ DEFAULT_KAPPA_TOL = 5e-4
 _LEVELS_PER_CALL = 3
 # evaluation tolerance of critical_coupling's zero counts, looser than a scan's
 _COUNT_TOL = 1e-6
-# grid energies in the coarse zero count of _counted_brackets: every 16th of
-# the default 600, and the whole grid in one call up to 40 points
+# grid energies in the second zero count of _counted_brackets below 20 levels
+# (two a level above): every 16th of the default 600, and up to 40 points all
 _COARSE_POINTS = 40
-# halvings per count call of _counted_brackets (3 points an interval; 2 calls
-# at stride 16, not 4): 14.9 / 13.6 / 15.2 ms at 1 / 2 / 3 at kappa = 2, 21.8 /
-# 16.5 / 17.4 ms on 2400 points, but 53 / 72 / 94 ms at kappa = 100, where
-# nearly every coarse interval drops (2-core Xeon, default window, medians of 9
-# rounds, each the best of 3)
-_HALVINGS_PER_CALL = 2
 
 
 class NoTransitionError(RuntimeError):
@@ -167,32 +161,31 @@ def _scan_grid(omega_min: float, omega_max: float, n_points: int) -> np.ndarray:
     return np.exp(np.linspace(math.log(omega_min), math.log(omega_max), n_points))
 
 
-def _bisect(count, x, n, width, split, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Halve every step of a monotone integer function down to spans at most width wide.
+def _bisect(count, x, width, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Halve every step of a monotone function of x down to spans at most width wide.
 
-    x are sorted points and n the function's values there, or None while x
-    is to be counted, by the first call.  An interval between neighbours is
-    open where their values differ and it is wider than width.  Each round
-    is one call count(points) -> values on the midpoints split(a, b) of the
-    next `levels` halvings of every open interval, in heap order (the
-    midpoint of each, then those of its halves, ...), halving only spans
-    wider than width; no point is counted twice.  Returns the counted
-    points, sorted, and their values.
+    x are sorted points, counted with the midpoints of the first round.  An
+    interval between neighbours is open where their values differ and it is
+    wider than width.  Each round is one call count(points) -> values on the
+    midpoints of the next `levels` halvings of every open interval, in heap
+    order (the midpoint of each, then those of its halves, ...), halving
+    only spans wider than width; no point is counted twice.  Returns the
+    counted points, sorted, and their values.
     """
-    x = np.asarray(x)
-    todo, n = (x, np.arange(x.size)) if n is None else (x[:0], np.asarray(n))
+    x = np.asarray(x, dtype=float)
+    todo, n = x, np.arange(x.size)
     while True:
         step = n[:-1] != n[1:]
         a, b = x[:-1][step], x[1:][step]
         for _ in range(levels):
             wide = b - a > width
             a, b = a[wide], b[wide]
-            mid = split(a, b)
+            mid = 0.5 * (a + b)
             todo = np.concatenate((todo, mid))
             a, b = np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel()
         if not todo.size:
             return x, n
-        # a point's last value wins: its count replaces the stand-in of n = None
+        # a point's last value wins: its count replaces the stand-in arange of x
         x, last = np.unique(np.concatenate((x, todo))[::-1], return_index=True)
         n, todo = np.concatenate((n, count(todo)))[::-1][last], x[:0]
 
@@ -203,40 +196,33 @@ def _counted_brackets(cfg: CouplingConfig, omega_min: float, omega_max: float, n
 
     N(omega), the zeros of the Heun function on (y*, 0), drops by one at each
     eigenvalue as omega rises.  A first heun_zero_counts call, at the scan's
-    tol, counts the grid's two ends; a grid with levels gets a second call
-    on every stride-th energy, about _COARSE_POINTS, and _bisect halves the
-    grid indices where the count drops, _HALVINGS_PER_CALL halvings a call,
-    down to neighbours i, i+1, with level k between where N_i >= k > N_{i+1}.
+    tol, counts the grid's two ends; a grid whose ends hold L > 0 levels
+    gets a second call on every stride-th energy, stride = ceil((n_points -
+    1) / max(_COARSE_POINTS - 1, 2 L)): about two counted energies a level,
+    and level k lies between counted i, i+1 where N_i >= k > N_{i+1}.
     Returns the counted energies by increasing omega as (omega, N, g, F - N),
     every level's k, decreasing, and its i.  A count that fails, or rises
     with omega between two counted energies, raises HeunEvaluationError.
     """
     omegas = _scan_grid(omega_min, omega_max, n_points)
-    counts = np.full(n_points, -1)
-    values, fraction = np.full(n_points, np.nan), np.full(n_points, np.nan)
-
-    def count(todo: np.ndarray) -> np.ndarray:
-        """The counts at grid indices todo, once no counted pair rises with omega."""
-        w = omegas[todo]
-        counts[todo], values[todo], fraction[todo] = heun_zero_counts(
-            *heun_coefficients(cfg.kappa, cfg.ell, w), _spectral_points(w), tol=tol)
-        known = np.flatnonzero(counts >= 0)
-        if (rise := np.flatnonzero(np.diff(counts[known]) > 0)).size:
-            i, j = known[rise[0]], known[rise[0] + 1]
-            raise HeunEvaluationError(
-                f"zero count rises with omega, from {counts[i]} at omega = {omegas[i]:g} "
-                f"to {counts[j]} at omega = {omegas[j]:g}")
-        return counts[todo]
-
-    first, last = count(np.array([0, n_points - 1]))
-    stride = -(-(n_points - 1) // (_COARSE_POINTS - 1))
+    w = omegas[[0, -1]]
+    n, g, fraction = heun_zero_counts(*heun_coefficients(cfg.kappa, cfg.ell, w),
+                                      _spectral_points(w), tol=tol)
+    first, last = n
     if first > last and n_points > 2:
-        count(np.arange(stride, n_points - 1, stride))
-    known = np.flatnonzero(counts >= 0)
-    x, n = _bisect(count, known, counts[known], 1, lambda a, b: (a + b) // 2,
-                   _HALVINGS_PER_CALL)
+        stride = -(-(n_points - 1) // max(_COARSE_POINTS - 1, 2 * (first - last)))
+        inner = omegas[stride:-1:stride]
+        more = heun_zero_counts(*heun_coefficients(cfg.kappa, cfg.ell, inner),
+                                _spectral_points(inner), tol=tol)
+        w, n, g, fraction = (np.insert(a, 1, b) for a, b in zip((w, n, g, fraction),
+                                                                (inner, *more)))
+    if (rise := np.flatnonzero(np.diff(n) > 0)).size:
+        i = rise[0]
+        raise HeunEvaluationError(
+            f"zero count rises with omega, from {n[i]} at omega = {w[i]:g} "
+            f"to {n[i + 1]} at omega = {w[i + 1]:g}")
     k = np.arange(first, last, -1)
-    return (omegas[x], n, values[x], fraction[x]), k, np.searchsorted(-n, -k, side="right") - 1
+    return (w, n, g, fraction), k, np.searchsorted(-n, -k, side="right") - 1
 
 
 @dataclass(frozen=True)
@@ -319,7 +305,7 @@ def exact_spectrum(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
     """Every level in [omega_min, omega_max], each the root of F = k on the zero count.
 
     _counted_brackets places each level k between two counted grid
-    neighbours; _chandrupatla solves F(omega) = k for all levels at once in
+    energies; _chandrupatla solves F(omega) = k for all levels at once in
     ln omega from their F, one heun_zero_counts call at tol a round, to
     brackets narrower than tol (or 16 eps |ln omega|); the root is the
     secant of F - k across its bracket, so tol is its relative accuracy.
@@ -350,7 +336,8 @@ def exact_spectrum(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
     n, fraction, g = np.array([[counted[v] for v in end] for end in ends.tolist()]).reshape(
         2, -1, 3).transpose(2, 0, 1)
     f = (n - k) + fraction
-    roots = ends[0] + f[0] / (f[0] - f[1]) * (ends[1] - ends[0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # equal or NaN F fail the certificate
+        roots = ends[0] + f[0] / (f[0] - f[1]) * (ends[1] - ends[0])
     at_root = np.abs(ends - roots) <= 4.0 * sys.float_info.epsilon * np.abs(roots)
     # the count on its side of k, which f leaves for g's near a zero; g of the sign (-1)^N
     held = ((n >= k) == [[True], [False]]) & (g != 0.0) & (np.signbit(g) == (n % 2 == 1))
@@ -435,8 +422,7 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
                              _spectral_points(omegas), tol=_COUNT_TOL)[0]
         return n[0::2] > n[1::2]
 
-    kappas, present = _bisect(count, [kappa_lo, kappa_hi], None, kappa_tol,
-                              lambda a, b: 0.5 * (a + b), _LEVELS_PER_CALL)
+    kappas, present = _bisect(count, [kappa_lo, kappa_hi], kappa_tol, _LEVELS_PER_CALL)
     flips = np.flatnonzero(present[:-1] != present[1:])
     if flips.size > 1:
         raise HeunEvaluationError(

@@ -443,6 +443,27 @@ class TestCountBeforeScan:
         assert (code, lines) == (3, [])
         assert err.startswith("numerical failure: zero count rises with omega, from ")
 
+    def test_uncertified_level_is_one_line(self, capsys, monkeypatch):
+        # ends whose F - k is -1/2 at both: the secant across them divided by
+        # zero, and numpy's warning came ahead of the failure
+        def equal_f(B, q0, q1, y, tol):
+            return np.array([1, 0]), np.ones(2), np.array([-0.5, 0.5])
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", equal_f)
+        code, lines, err = run_cli(capsys, "roots", "--kappa", "2", "--points", "2", warns=True)
+        assert (code, lines) == (3, [])
+        assert err == ("numerical failure: level 1 is not certified in omega = [1e-05, 0.45] "
+                       "by the count and the sign of g\n")
+
+    @pytest.mark.slow
+    def test_uncertified_deep_level_is_one_line(self, capsys):
+        # about 3 s on a 2-core Xeon; g underflows to 0.0 at the deepest
+        # counted energies, which leaves their F without a value
+        code, lines, err = run_cli(capsys, "roots", "--kappa", "20", "--ell", "2",
+                                   "--omega-min", "1e-150", warns=True)
+        assert (code, lines) == (3, [])
+        assert err.startswith("numerical failure: level ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["roots", "compare"])
     def test_count_that_fails_at_strong_coupling(self, capsys, command):
         # at kappa = 1e9 the count and every scan point fail; the scan alone
@@ -635,8 +656,8 @@ class TestConfiguration:
         assert "invalid configuration" in err
 
     @pytest.mark.parametrize("argv,message", [
-        (("scan", "--tol", "0"), "tol must be finite and positive, got 0.0"),
-        (("roots", "--tol", "-1"), "tol must be finite and positive, got -1.0"),
+        (("scan", "--tol", "0"), "tol must be finite and in (0, 1), got 0.0"),
+        (("roots", "--tol", "-1"), "tol must be finite and in (0, 1), got -1.0"),
         (("scan", "--points", "1"), "need at least two scan points"),
         (("compare", "--points", "0"), "need at least two scan points"),
         (("wavefunction", "--omega", "0.004", "--points", "1"), "need at least two grid points"),
@@ -650,7 +671,7 @@ class TestConfiguration:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [
-        (("--kappa", "2", "--tol=-1e-8"), "tol must be finite and positive, got -1e-08"),
+        (("--kappa", "2", "--tol=-1e-8"), "tol must be finite and in (0, 1), got -1e-08"),
         (("--kappa=-1e-3",), "kappa must be finite and positive, got -0.001"),
     ])
     def test_negative_value_in_exponent_form(self, capsys, tmp_path, argv, message):
@@ -693,9 +714,13 @@ class TestConfiguration:
                                       ("scan", "--tol", "1e300", "--points", "20")])
     def test_huge_tolerance_is_no_crash(self, capsys, argv):
         # from about tol = 1e5 every continuation panel is far field, which
-        # once left the panel solver an empty tuple and an IndexError
-        code, _, _ = run_cli(capsys, *argv, "--kappa", "2", warns=True)
-        assert code in (0, 2, 3)
+        # once left the panel solver an empty tuple and an IndexError; from
+        # tol = 1 on the values are not the function's, so such a tol is
+        # rejected before anything is evaluated
+        code, lines, err = run_cli(capsys, *argv, "--kappa", "2")
+        assert (code, lines) == (2, [])
+        assert err == ("invalid configuration: tol must be finite and in (0, 1), "
+                       f"got {float(argv[2])}\n")
 
     @pytest.mark.parametrize("argv", [
         ("scan", "--kappa", "2", "--units-file", "x"),

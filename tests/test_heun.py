@@ -276,9 +276,9 @@ class TestContinuation:
         assert str(info.value) == ("y_target must be finite and negative, "
                                    "got -inf (399 of 400 targets)")
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 1.0, 1e10])
     def test_tolerance_validation(self, tol):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^tol must be finite and in \(0, 1\), got "):
             one_energy(coefficients(2.0, 0, 0.2), [-3.0], tol=tol)
 
 
@@ -747,15 +747,16 @@ class TestFarField:
     def test_every_panel_far(self):
         # at tol = 1e10 each energy's far-field stretch starts before its
         # seed, so no panel is left to solve: the solve loop once ended on an
-        # empty tuple and raised IndexError
+        # empty tuple and raised IndexError.  The public functions take tol
+        # below 1 only: at 1e10 their values had the wrong signs
         B, q0, q1 = heun_coefficients(2.0, 0, np.array([0.1, 1e-3]))
         y = np.array([-4.0, -500.0])
         t, t0 = np.log(-y), np.log(heun._certified_radius(q0, q1))
         *_, far = heun._solved_panels(B, q0, q1, t0, t, np.arange(2) + 1j * t, 1e10)
         assert far.all()
-        g, _ = heun_continue_arrays(B, q0, q1, y, tol=1e10)
-        _, g_counted, _ = heun_zero_counts(B, q0, q1, y, tol=1e10)
-        assert np.isfinite(g).all() and np.array_equal(g, g_counted)
+        for evaluate in (heun_continue_arrays, heun_zero_counts):
+            with pytest.raises(ValueError, match=r"^tol must be finite and in \(0, 1\)"):
+                evaluate(B, q0, q1, y, tol=1e10)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
     @pytest.mark.parametrize("ell", [0, 1, 2, 3])

@@ -262,10 +262,10 @@ class TestFindRoots:
                            r"\[\S+, \S+\] by the count and the sign of g$"):
             exact_spectrum(CouplingConfig(kappa=kappa, ell=ell))
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0, 1.0])
     def test_tolerance_validation(self, tol):
         # the first count rejects it
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
+        with pytest.raises(ValueError, match=r"tol must be finite and in \(0, 1\)"):
             exact_spectrum(CouplingConfig(kappa=2.0, ell=0), 0.2, 0.3, 40, tol=tol)
 
     def test_failed_refinement_raises(self, monkeypatch):
@@ -336,6 +336,18 @@ class TestRootAccuracy:
         assert roots.size == 102
         assert np.max(np.abs(roots / np.array(exact_spectrum(cfg, 1e-100).omegas) - 1.0)) < 1e-9
 
+    @pytest.mark.parametrize("kappa", [0.75, 2.0, 20.0])
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_roots_do_not_depend_on_the_grid(self, kappa, ell):
+        # the grid only picks the counted energies each level is solved from:
+        # every one at 40 points, every 16th at 600 and every 62nd at 2400
+        cfg = CouplingConfig(kappa=kappa, ell=ell)
+        coarse, default, fine = (np.array(exact_spectrum(cfg, n_points=n).omegas)
+                                 for n in (40, 600, 2400))
+        assert coarse.size == default.size == fine.size > 0
+        assert np.max(np.abs(coarse / default - 1.0)) < 1e-12
+        assert np.max(np.abs(fine / default - 1.0)) < 1e-12
+
     def test_deep_window_keeps_every_level(self):
         # the 12 levels of [1e-12, 0.45] at kappa = 2, the two deepest at
         # 2.4e-12 and 2.2e-10, which an absolute tolerance merged away
@@ -378,22 +390,22 @@ _FAMILIES = {
 # the default window's roots, 600 points over [1e-5, 0.45], from solving
 # F = k for every counted level: exact_spectrum must give them bit for bit
 _DEFAULT_WINDOW_ROOTS = {
-    (0.75, 0): (0.049141924747754424, 0.0009090311070864485, 2.0366785333383205e-05),
-    (0.75, 1): (0.00016980094732258288,),
-    (2.0, 0): (0.24860174096738497, 0.016723968720707173, 0.0016172630077723748,
-               0.0001671285280381432, 1.746020977664133e-05),
-    (2.0, 1): (0.042395607821590964, 0.002513670903749314, 0.00017861675670370004,
-               1.2967181404070067e-05),
-    (20.0, 0): (0.23829060781770375, 0.09363947091001303, 0.040713181972620104,
-                0.018705438969555954, 0.008868264473559349, 0.00428162824844574,
-                0.002089135953635561, 0.0010255894240020092, 0.0005052373227383117,
+    (0.75, 0): (0.049141924747754424, 0.0009090311070864412, 2.036678533338328e-05),
+    (0.75, 1): (0.0001698009473225693,),
+    (2.0, 0): (0.24860174096738497, 0.01672396872070716, 0.0016172630077723748,
+               0.0001671285280381426, 1.746020977664133e-05),
+    (2.0, 1): (0.04239560782159089, 0.002513670903749307, 0.00017861675670370036,
+               1.2967181404070137e-05),
+    (20.0, 0): (0.23829060781770386, 0.09363947091001303, 0.040713181972620104,
+                0.01870543896955597, 0.008868264473559356, 0.004281628248445732,
+                0.0020891359536355627, 0.0010255894240020103, 0.0005052373227383122,
                 0.0002493872034246848, 0.0001232344301160693, 6.0933352606741623e-05,
                 3.0138620663262517e-05, 1.4909758589341856e-05),
-    (20.0, 1): (0.40943826531513566, 0.1445295268848635, 0.05939311663546447,
-                0.026375790889560123, 0.012223741614437079, 0.005804164488145389,
-                0.002794682375410409, 0.0013564448041868834, 0.0006613815585447114,
-                0.0003233091438889433, 0.00015827256640992582, 7.754180492972081e-05,
-                3.800607720138395e-05, 1.863250312893167e-05),
+    (20.0, 1): (0.40943826531513566, 0.14452952688486348, 0.059393116635464496,
+                0.026375790889560113, 0.012223741614437069, 0.005804164488145389,
+                0.002794682375410404, 0.0013564448041868834, 0.0006613815585447132,
+                0.0003233091438889433, 0.00015827256640992582, 7.754180492972096e-05,
+                3.8006077201383885e-05, 1.8632503128931703e-05),
 }
 
 
@@ -474,9 +486,10 @@ class TestChandrupatlaPort:
         monkeypatch.setattr(spectral, "heun_zero_counts", counted)
         monkeypatch.setattr(spectral, "_spectral_values", no_values)
         assert len(exact_spectrum(CouplingConfig(kappa=2.0, ell=0))) == 5
-        # 4 calls place the 5 levels on the grid; each round of the solve
-        # then counts one energy a level, none at the ends it starts from
-        assert sizes == [2, 37, 15, 15, 5, 5, 5, 5]
+        # 2 calls place the 5 levels between counted grid energies; each
+        # round of the solve then counts one energy a level, none at the
+        # ends it starts from
+        assert sizes == [2, 37, 5, 5, 5, 5, 5, 2]
         sizes.clear()
         assert len(exact_spectrum(CouplingConfig(kappa=0.05, ell=0))) == 0
         assert sizes == [2]
@@ -804,15 +817,11 @@ class TestCriticalCouplingCalls:
             critical_coupling(0, 0.05, 0.08)
 
 
-def _halve(a, b):
-    return 0.5 * (a + b)
-
-
 class TestBisect:
     """spectral._bisect, on monotone step functions f(x) = #{steps <= x}."""
 
     @staticmethod
-    def _bisect(steps, x, n, width, split, levels):
+    def _bisect(steps, x, width, levels):
         """_bisect's points and values, and the points of each count call."""
         calls = []
 
@@ -820,49 +829,40 @@ class TestBisect:
             calls.append(points.tolist())
             return np.searchsorted(steps, points, side="right")
 
-        return (*spectral._bisect(count, x, n, width, split, levels), calls)
+        return (*spectral._bisect(count, x, width, levels), calls)
 
     def test_midpoints_in_heap_order(self):
-        # the first call, three halvings of [0, 1]; only spans wider than
-        # width are halved again
+        # the first call: the ends, then three halvings of [0, 1]; only spans
+        # wider than width are halved again
         def first_call(width):
-            *_, calls = self._bisect([0.9], [0.0, 1.0], [0, 1], width, _halve, 3)
-            return calls[0] if calls else []
+            *_, calls = self._bisect([0.9], [0.0, 1.0], width, 3)
+            return calls[0]
 
-        assert first_call(0.3) == [0.5, 0.25, 0.75]
-        assert first_call(0.2) == [0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875]
-        assert first_call(1.0) == []
+        assert first_call(0.3) == [0.0, 1.0, 0.5, 0.25, 0.75]
+        assert first_call(0.2) == [0.0, 1.0, 0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875]
+        assert first_call(1.0) == [0.0, 1.0]
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), on_grid=st.booleans(), counted=st.booleans(),
-           levels=st.integers(1, 4))
-    def test_every_step_ends_in_a_narrow_span(self, data, on_grid, counted, levels):
-        if on_grid:
-            hi = data.draw(st.integers(1, 5000))
-            step = st.integers(1, hi)
-            width, split = 1, lambda a, b: (a + b) // 2
-        else:
-            hi = 1.0
-            step = st.floats(0.0, 1.0, exclude_min=True)
-            width, split = data.draw(st.floats(1e-9, 2.0)), _halve
-        steps = np.sort(data.draw(st.lists(step, max_size=6)))
-        ends = [0, hi]
-        n = np.searchsorted(steps, ends, side="right") if counted else None
-        x, got, calls = self._bisect(steps, ends, n, width, split, levels)
+    @given(data=st.data(), levels=st.integers(1, 4))
+    def test_every_step_ends_in_a_narrow_span(self, data, levels):
+        width = data.draw(st.floats(1e-9, 2.0))
+        steps = np.sort(data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                                           max_size=6)))
+        x, got, calls = self._bisect(steps, [0.0, 1.0], width, levels)
 
-        counted_points = [*(ends if counted else []), *(p for c in calls for p in c)]
+        counted_points = [p for c in calls for p in c]
         assert len(set(counted_points)) == len(counted_points) == x.size
-        assert np.all(np.diff(x) > 0) and x[0] == 0 and x[-1] == hi
+        assert np.all(np.diff(x) > 0) and x[0] == 0 and x[-1] == 1
         assert np.array_equal(got, np.searchsorted(steps, x, side="right"))
         right = np.searchsorted(x, steps)  # x[right - 1] < step <= x[right]
         assert np.all(x[right] - x[right - 1] <= width)
         if len(steps) == 1:
-            lo, up, halvings = 0, hi, 0
+            lo, up, halvings = 0.0, 1.0, 0
             while up - lo > width:   # plain bisection
-                mid = split(lo, up)
+                mid = 0.5 * (lo + up)
                 (lo, up), halvings = (lo, mid) if mid >= steps[0] else (mid, up), halvings + 1
             assert x[right[0] - 1] == lo and x[right[0]] == up
-            assert len(calls) == max(-(-halvings // levels), 0 if counted else 1)
+            assert len(calls) == max(-(-halvings // levels), 1)
 
 
 def _scan_levels(kappa, ell, lo, hi, points):
@@ -952,15 +952,17 @@ class TestLevelCount:
 
 
 class TestCountedBrackets:
-    """_counted_brackets places every level of the grid between two counted neighbours."""
+    """_counted_brackets places every level of the grid between two counted grid energies."""
 
     @settings(max_examples=30, deadline=None)
     @given(log_kappa=st.floats(math.log(0.05), math.log(100.0)), ell=st.integers(0, 3),
            log_omega_min=st.floats(math.log(1e-20), math.log(1e-3)),
            points=st.integers(2, 800))
     def test_brackets_are_the_scans(self, log_kappa, ell, log_omega_min, points):
-        # the counted neighbours holding an odd number of levels, where g
-        # changes sign, are the scan's brackets
+        # the counted energies are the grid's ends and, where they hold L
+        # levels, every stride-th energy, about two a level; each counted
+        # interval holds the scan's brackets, as many as its levels up to an
+        # even number, where g changes sign
         cfg, omega_min = CouplingConfig(kappa=math.exp(log_kappa), ell=ell), math.exp(log_omega_min)
         scan = spectral_scan(cfg, omega_min, 0.45, points)
         (w, n, g, fraction), k, i = spectral._counted_brackets(
@@ -970,15 +972,19 @@ class TestCountedBrackets:
         agree = np.signbit(g) == (n % 2 == 1)
         assert np.all((0.0 <= fraction[agree]) & (fraction[agree] <= 1.0))
         assert np.array_equal(k, np.arange(n[0], n[-1], -1))
-        assert np.all((n[i] >= k) & (k > n[i + 1]) & (at[i + 1] == at[i] + 1))
-        odd = np.flatnonzero(np.diff(n) % 2 == 1)
-        assert tuple((at[p], at[p] + 1) for p in odd
-                     if _find_brackets(g[[p, p + 1]])) == scan.brackets
+        stride = (-(-(points - 1) // max(spectral._COARSE_POINTS - 1, 2 * k.size)) if k.size
+                  else points - 1)
+        assert np.array_equal(at, np.unique(np.append(np.arange(0, points, stride), points - 1)))
+        assert np.all((n[i] >= k) & (k > n[i + 1]))
+        inside = np.searchsorted(at, [lo for lo, _ in scan.brackets], side="right") - 1
+        drop = -np.diff(n)
+        assert np.all(drop[inside] > 0)
+        assert np.array_equal(np.bincount(inside, minlength=drop.size) % 2, drop % 2)
 
     def test_values_come_with_the_counts(self, monkeypatch, scan_k2):
-        # kappa = 2 on the default window: counts of the 2 grid ends, the 37
-        # coarse points and 5 intervals of 16 points halved twice per call
-        # twice, and no value call: g comes with the counts
+        # kappa = 2 on the default window: counts of the 2 grid ends and of
+        # every 16th grid energy between, and no value call: g comes with the
+        # counts; each level's counted pair holds its scan bracket
         sizes = []
 
         def counted(*args, **kwargs):
@@ -993,9 +999,23 @@ class TestCountedBrackets:
         (w, _, g, _), k, i = spectral._counted_brackets(
             CouplingConfig(kappa=2.0, ell=0), 1e-5, 0.45, 600, DEFAULT_SCAN_TOL)
         at = np.searchsorted(scan_k2.omegas, w)
-        assert sizes == [2, 37, 15, 15] and k.tolist() == [5, 4, 3, 2, 1]
-        assert [(at[p], at[p] + 1) for p in i] == sorted(scan_k2.brackets)
+        assert sizes == [2, 37] and k.tolist() == [5, 4, 3, 2, 1]
+        assert all(at[p] <= lo and hi <= at[p + 1]
+                   for p, (lo, hi) in zip(i, sorted(scan_k2.brackets)))
         assert all(_find_brackets(g[[p, p + 1]]) for p in i)
+
+    def test_crowded_window_counts_two_energies_a_level(self, monkeypatch):
+        # kappa = 1e3 holds 100 levels on the default window: the second
+        # call counts every 3rd grid energy, not every 16th
+        sizes = []
+
+        def counted(*args, **kwargs):
+            sizes.append(args[-1].size)
+            return heun.heun_zero_counts(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", counted)
+        assert len(exact_spectrum(CouplingConfig(kappa=1e3, ell=0))) == 100
+        assert sizes[:2] == [2, 199]
 
     @pytest.mark.slow
     def test_underflowed_values_are_no_brackets(self):

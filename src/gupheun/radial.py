@@ -136,5 +136,6 @@ def wavefunction(cfg: CouplingConfig, ep: EnergyPoint, xi_grid) -> RadialProfile
         )
     hc[off_origin] = g
 
-    values = xi**cfg.ell * (1.0 - y) * hc
+    with np.errstate(over="ignore", invalid="ignore"):  # RadialProfile refuses the non-finite
+        values = xi**cfg.ell * (1.0 - y) * hc
     return RadialProfile(xi=xi, values=values, xi_star=xi_star(cfg, ep))

@@ -101,6 +101,7 @@ class PhaseData:
 
     nu: float
     b_arg: float
+    winding: int  # Im log B, continuous in nu, is arg B + 2 pi winding
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu > 0):
@@ -126,4 +127,5 @@ def compute_phase(cfg: CouplingConfig) -> PhaseData:
     log_b = (log_gamma(1j * nu)
              - log_gamma(0.25 + 0.5 * cfg.ell + 0.5j * nu)
              - log_gamma(1.25 + 0.5 * cfg.ell + 0.5j * nu))
-    return PhaseData(nu=nu, b_arg=cmath.phase(cmath.exp(log_b)))
+    b_arg = cmath.phase(cmath.exp(log_b))
+    return PhaseData(nu=nu, b_arg=b_arg, winding=round((log_b.imag - b_arg) / (2.0 * math.pi)))

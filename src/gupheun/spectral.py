@@ -233,6 +233,7 @@ class SpectrumResult:
     omegas: tuple[float, ...]
     kappa: float
     ell: int
+    first_level: int = 1  # Sturm index k of omegas[0]; level k has k - 1 zeros of R in xi*
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -316,6 +317,7 @@ def exact_spectrum(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
     rises with omega, raises HeunEvaluationError.
     """
     (w, n, g, fraction), k, i = _counted_brackets(cfg, omega_min, omega_max, n_points, tol)
+    first_level = int(n[-1]) + 1  # N(omega_max) levels lie above the window
     x = np.log(w)
     counted = dict(zip(x.tolist(), zip(n.tolist(), fraction.tolist(), g.tolist())))
 
@@ -348,7 +350,7 @@ def exact_spectrum(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
             f"level {k[j]} is not certified in omega = [{math.exp(ends[0, j]):.12g}, "
             f"{math.exp(ends[1, j]):.12g}] by the count and the sign of g")
     return SpectrumResult(method=METHOD_EXACT, omegas=tuple(np.exp(roots[::-1]).tolist()),
-                          kappa=cfg.kappa, ell=cfg.ell)
+                          kappa=cfg.kappa, ell=cfg.ell, first_level=first_level)
 
 
 def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
@@ -372,16 +374,16 @@ def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
     except WeakCouplingError:
         return SpectrumResult(method=METHOD_CLOSED_FORM, omegas=(),
                               kappa=cfg.kappa, ell=cfg.ell)
-    cut = min(validity, 0.5)
-    omegas = []
+    tower = []
     for n in range(n_max + 1):
         w = 0.5 * math.exp((2.0 / phase.nu) * (phase.b_arg - (n + 0.5) * math.pi))
         if w < sys.float_info.min:
             break
-        if w < cut:
-            omegas.append(w)
-    return SpectrumResult(method=METHOD_CLOSED_FORM, omegas=tuple(omegas),
-                          kappa=cfg.kappa, ell=cfg.ell)
+        tower.append(w)
+    omegas = tuple(w for w in tower if w < min(validity, 0.5))
+    # level n on arg B is level n + 2 winding on the unwrapped phase, Sturm level n + 2 winding + 1
+    return SpectrumResult(method=METHOD_CLOSED_FORM, omegas=omegas, kappa=cfg.kappa, ell=cfg.ell,
+                          first_level=len(tower) - len(omegas) + 2 * phase.winding + 1)
 
 
 def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
@@ -444,7 +446,7 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class SpectrumComparison:
-    """Nearest-log pairing of two spectra plus the level-ratio diagnostics."""
+    """Pairs of equal Sturm index from two spectra plus the level-ratio diagnostics."""
 
     rows: tuple[ComparisonRow, ...]
     ratio_reference: float | None  # exp(-2 pi / nu), None for weak coupling
@@ -453,45 +455,30 @@ class SpectrumComparison:
 
 
 def compare_spectra(exact: SpectrumResult, approx: SpectrumResult) -> SpectrumComparison:
-    """Pair roots of two spectra by nearest log-omega and report deviations.
+    """Pair the levels of two spectra by their Sturm index and report deviations.
 
-    Also reports the empirical successive ratios of the exact list against the
+    Each level of exact whose index approx also holds is one row; a row's n
+    is the level's position in exact (1 for omegas[0]), not its index.  Also
+    reports the empirical successive ratios of the exact list against the
     asymptotic contraction exp(-2 pi / nu).  Empty-vs-empty compares as
     agreement.
     """
     if (exact.kappa, exact.ell) != (approx.kappa, approx.ell):
         raise ValueError("spectra to compare must share (kappa, ell)")
+    cfg = CouplingConfig(exact.kappa, exact.ell)
     try:
-        nu = compute_phase(CouplingConfig(exact.kappa, exact.ell)).nu
+        ratio_ref = math.exp(-2.0 * math.pi / compute_phase(cfg).nu)
     except WeakCouplingError:
-        ratio_ref, cap = None, math.inf
-    else:
-        # pairs farther apart than half the level spacing 2*pi/nu stay unmatched
-        ratio_ref, cap = math.exp(-2.0 * math.pi / nu), math.pi / nu
-
-    rows = []
-    if exact.omegas and approx.omegas:
-        # globally greedy matching on log distance, each root used once
-        candidates = sorted(
-            (abs(math.log(w) - math.log(wa)), n, j)
-            for n, w in enumerate(exact.omegas, start=1)
-            for j, wa in enumerate(approx.omegas)
-        )
-        used_approx: set[int] = set()
-        matches = {}
-        for dist, n, j in candidates:
-            if dist > cap or n in matches or j in used_approx:
-                continue
-            used_approx.add(j)
-            matches[n] = j
-        for n, w in enumerate(exact.omegas, start=1):
-            if n in matches:
-                wa = approx.omegas[matches[n]]
-                rows.append(ComparisonRow(n=n, omega_exact=w, omega_closed_form=wa,
-                                          rel_dev=abs(wa - w) / w))
+        ratio_ref = None
+    # exact.omegas[p] and approx.omegas[p + shift] are the same level
+    shift = exact.first_level - approx.first_level
+    p0 = max(0, -shift)
+    rows = tuple(ComparisonRow(n=p + 1, omega_exact=w, omega_closed_form=wa,
+                               rel_dev=abs(wa - w) / w)
+                 for p, w, wa in zip(range(p0, len(exact.omegas)), exact.omegas[p0:],
+                                     approx.omegas[p0 + shift:]))
     ratios = tuple(b / a for a, b in zip(exact.omegas, exact.omegas[1:]))
-    return SpectrumComparison(rows=tuple(rows), ratio_reference=ratio_ref,
-                              ratios_exact=ratios,
+    return SpectrumComparison(rows=rows, ratio_reference=ratio_ref, ratios_exact=ratios,
                               both_empty=(not exact.omegas and not approx.omegas))
 
 

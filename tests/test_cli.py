@@ -352,6 +352,14 @@ class TestWavefunctionCommand:
                              "-o", str(tmp_path / "wf.csv"))
         assert code == 0
 
+    def test_overflowing_profile_is_one_line(self, capsys):
+        # xi^5 overflows on the grid out to 1.2*xi* ~ 1.5e150: numpy's
+        # overflow and invalid-value warnings came ahead of the refusal
+        code, lines, err = run_cli(capsys, "wavefunction", "--kappa", "2", "--ell", "5",
+                                   "--omega", "1e-300", "--points", "50", warns=True)
+        assert (code, lines) == (2, [])
+        assert err == "invalid configuration: profile values must be finite\n"
+
 
 class TestCompareCommand:
     def test_schema(self, capsys, tmp_path):

@@ -114,6 +114,19 @@ class TestComputePhase:
             ref = float(mp.arg(b))
         assert abs(math.remainder(phase.b_arg - ref, 2 * math.pi)) <= 1e-12
 
+    @pytest.mark.parametrize("kappa, ell, winding", [(2.0, 0, 0), (20.0, 0, 1), (20.0, 3, 0),
+                                                     (100.0, 0, 2), (1e3, 0, 7)])
+    def test_winding_unwraps_against_mpmath(self, kappa, ell, winding):
+        # Im log B of principal-branch log-gammas, continuous in nu, is arg B
+        # plus winding turns
+        phase = compute_phase(CouplingConfig(kappa=kappa, ell=ell))
+        with mp.workdps(30):
+            nu = mp.mpf(phase.nu)
+            ref = float(mp.im(mp.loggamma(1j * nu) - mp.loggamma(0.25 + ell / 2 + 0.5j * nu)
+                              - mp.loggamma(1.25 + ell / 2 + 0.5j * nu)))
+        assert phase.winding == winding
+        assert phase.b_arg + 2 * math.pi * phase.winding == pytest.approx(ref, abs=1e-9)
+
     def test_weak_coupling_boundary(self):
         with pytest.raises(WeakCouplingError):
             compute_phase(CouplingConfig(kappa=1.0 / 16.0, ell=0))

@@ -1065,6 +1065,65 @@ class TestCompare:
             compare_spectra(roots_k2, other)
 
 
+def _sturm_index(kappa, ell, omega):
+    """k of the exact level at omega: the zero count is k just below it and k - 1 just above."""
+    omegas = np.array([omega * (1 - 1e-6), omega * (1 + 1e-6)])
+    n, _, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappa, ell, omegas),
+                                 spectral._spectral_points(omegas), tol=DEFAULT_SCAN_TOL)
+    assert n[0] - n[1] == 1
+    return int(n[0])
+
+
+def _tower_index(kappa, ell, omega):
+    """n of omega = exp[(2/nu)(Im log B - (n + 1/2) pi)] / 2, Im log B unwrapped (mpmath)."""
+    nu = math.sqrt(4 * kappa - (ell + 0.5) ** 2)
+    log_b = (mpmath.loggamma(1j * nu) - mpmath.loggamma(0.25 + ell / 2 + 0.5j * nu)
+             - mpmath.loggamma(1.25 + ell / 2 + 0.5j * nu))
+    n = (float(log_b.imag) - 0.5 * nu * math.log(2 * omega)) / math.pi - 0.5
+    assert abs(n - round(n)) < 1e-6
+    return round(n)
+
+
+# strong couplings over kappa 0.75-234 and ell 0-3; nearest-log pairing gave
+# 6.48183 (ell 3) rows that skip a tower level, and 100 rows one level off
+_INDEX_CASES = [(0.75, 0), (2.0, 0), (2.0, 1), (5.0, 2), (6.0821, 3), (6.48183, 3),
+                (7.6569, 2), (9.056, 0), (11.54, 1), (15.881, 1), (20.0, 0), (21.427, 2),
+                (29.019, 3), (38.558, 0), (71.39, 0), (88.892, 1), (100.0, 0), (132.38, 2),
+                (202.55, 0), (234.04, 3)]
+
+
+class TestLevelIndex:
+    """Levels carry their Sturm index, and compare pairs equal indices."""
+
+    def test_first_level_at_kappa_100(self):
+        # N(0.45) = 5: the default window's first root is level 6
+        n, _, _ = heun.heun_zero_counts(*heun.heun_coefficients(100.0, 0, np.array([0.45])),
+                                     spectral._spectral_points(np.array([0.45])),
+                                     tol=DEFAULT_SCAN_TOL)
+        assert n.tolist() == [5]
+        result = exact_spectrum(CouplingConfig(kappa=100.0, ell=0))
+        assert result.first_level == 6
+        assert _sturm_index(100.0, 0, result.omegas[0]) == 6
+
+    def test_shared_levels_keep_their_index(self):
+        cfg = CouplingConfig(kappa=20.0, ell=0)
+        wide, deep = exact_spectrum(cfg, 1e-5, 0.45), exact_spectrum(cfg, 1e-7, 0.1)
+        shared = [(p, q) for p, w in enumerate(wide.omegas) for q, v in enumerate(deep.omegas)
+                  if math.isclose(w, v, rel_tol=1e-6)]
+        assert len(shared) == sum(w <= 0.1 for w in wide.omegas) > 5
+        assert all(wide.first_level + p == deep.first_level + q for p, q in shared)
+
+    @pytest.mark.parametrize("kappa, ell", _INDEX_CASES)
+    def test_rows_pair_equal_indices(self, kappa, ell):
+        cfg = CouplingConfig(kappa=kappa, ell=ell)
+        rows = compare_spectra(exact_spectrum(cfg), closed_form_spectrum(cfg)).rows
+        assert rows
+        k = [_sturm_index(kappa, ell, r.omega_exact) for r in rows]
+        tower = [_tower_index(kappa, ell, r.omega_closed_form) for r in rows]
+        assert tower == [i - 1 for i in k]
+        assert np.all(np.diff(tower) == 1) and np.all(np.diff([r.n for r in rows]) == 1)
+
+
 class TestUnits:
     def test_natural_units_conversion(self):
         result = SpectrumResult(METHOD_EXACT, (0.2486,), 2.0, 0)

@@ -21,7 +21,6 @@ import json
 import math
 import shutil
 import sys
-import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 
@@ -319,21 +318,14 @@ _FLAGS = {
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one command; prints the summary line and returns the exit code.
-
-    Each warning of the run goes to stderr as one `warning: <message>` line.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            code, line = EXIT_OK, _emit(cfg, _COMMANDS[cfg.command].run(cfg))
-        except (HeunEvaluationError, NonConvergenceError, GammaPoleError,
-                NoTransitionError) as exc:
-            code, line = EXIT_NUMERICAL, f"numerical failure: {exc}"
-        except (ValueError, OSError) as exc:
-            code, line = EXIT_CONFIG, f"invalid configuration: {exc}"
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    """Execute one command; prints the summary line and returns the exit code."""
+    try:
+        code, line = EXIT_OK, _emit(cfg, _COMMANDS[cfg.command].run(cfg))
+    except (HeunEvaluationError, NonConvergenceError, GammaPoleError,
+            NoTransitionError) as exc:
+        code, line = EXIT_NUMERICAL, f"numerical failure: {exc}"
+    except (ValueError, OSError) as exc:
+        code, line = EXIT_CONFIG, f"invalid configuration: {exc}"
     print(line, file=sys.stdout if code == EXIT_OK else sys.stderr)
     return code
 

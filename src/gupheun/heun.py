@@ -29,7 +29,8 @@ with the values) share one evaluator, _evaluate, which takes arrays of
 (energy, target) pairs with targets y < 0 through these stages in order:
 
 1. _series_state: one Frobenius-series pass gives the targets near the
-   origin and seeds every distinct energy at _certified_radius.
+   origin and seeds every distinct energy at _certified_radius; within
+   that radius its terms shrink so fast that it needs no term cap.
 2. _layout: each energy's path beyond its seed, in t = ln(-y), is cut into
    Chebyshev panels, and the far-field stretch of _far_field, where the
    path reaches it, into one far panel.
@@ -57,7 +58,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-SERIES_MAX_TERMS = 10_000
 # Continuation panels (_layout, _solved_panels): _NODES Chebyshev points
 # each; a panel is halved while a basis solution's Chebyshev tail exceeds
 # _TAIL_FRACTION * tol (never less than _TAIL_FLOOR, 100 times the roundoff
@@ -73,7 +73,7 @@ _FAR_NEWTON = 4  # Newton steps for the length of the far-field stretch (_far_fi
 
 
 class HeunEvaluationError(RuntimeError):
-    """Series or continuation failure: too many terms, overflow or an unresolved panel."""
+    """A continuation panel overflows, underflows, stays unresolved or is past _MAX_PANELS."""
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def _seed_tol(tol: float) -> float:
 
 def _series_state(B: float, q0: np.ndarray, q1: np.ndarray, z: np.ndarray,
                   tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(g, g') of every energy's Frobenius series at its own point z_i; NaN where it fails.
+    """(g, g') of each energy's Frobenius series at its own z_i, |z_i| <= _certified_radius.
 
     Substituting sum(v_n y^n), v_0 = 1, into the equation gives the
     three-term recurrence
@@ -147,50 +147,45 @@ def _series_state(B: float, q0: np.ndarray, q1: np.ndarray, z: np.ndarray,
     energy stops once three consecutive terms drop below tol relative to the
     accumulated absolute sum, with an n^2 weight on the term so that the
     residual of the truncated polynomial in the equation is bounded by tol
-    as well, not only the value.  It fails when a term stops being finite or
-    it needs more than SERIES_MAX_TERMS coefficients.  The terms come _SERIES_BLOCK at a time;
-    the sums, the stopping rule and the retirement of finished energies are
-    then applied to the whole block.  Cumulative sums add in the order of a
-    term-by-term loop, so the result does not depend on the block length.
+    as well, not only the value.  It runs inside _certified_radius only,
+    where |w_n| <= 0.32^floor(n/2): no term overflows, and at the smallest
+    seed tol, 1e-15, every energy stops by term 78, in the fifth block (a
+    row beyond the radius whose terms overflow would never stop).  The
+    terms come _SERIES_BLOCK at a time for every energy until the last one
+    stops; each takes its sums at its own stop.  Cumulative sums add in
+    the order of a term-by-term loop, so the result does not depend on the
+    block length.
     """
-    g = np.full(z.shape, np.nan)
-    gp = np.full(z.shape, np.nan)
-    active = np.arange(z.size)
+    g, gp = np.empty((2, z.size))
+    running = np.ones(z.size, dtype=bool)
     q1z = q1 * z
     w = q0 * z / (B + 1.0)
     last = np.stack((np.ones(z.size), w))  # w_{n-1} and w_n
     sums = np.stack((1.0 + w, w, 1.0 + np.abs(w)))  # value, sum of n * w_n, sum of |w_n|
     small = np.zeros((2, z.size), dtype=bool)  # the stopping test at n-1 and n
     n = 1
-    # terms that overflow, of failed energies or past a finished one's stop, are dropped
-    with np.errstate(over="ignore", invalid="ignore"):
-        while active.size and n < SERIES_MAX_TERMS:
-            m = np.arange(n, min(n + _SERIES_BLOCK, SERIES_MAX_TERMS), dtype=float)
-            num = (m * (m + B + 2.0))[:, None] + q0
-            den = (m + 1.0) * (m + B + 1.0)
-            w = np.empty((m.size + 2, active.size))
-            w[:2] = last
-            for i in range(m.size):
-                w[i + 2] = (num[i] * w[i + 1] + q1z * w[i]) * z / den[i]
-            n += m.size
-            j = (m + 1.0)[:, None]  # the index n of each new term
-            term = np.abs(w[2:])
-            acc = np.empty((m.size + 1, 3, active.size))
-            acc[0], acc[1:, 0], acc[1:, 1], acc[1:, 2] = sums, w[2:], j * w[2:], term
-            acc = np.cumsum(acc, axis=0)[1:]
-            small = np.concatenate((small, (j * j + 1.0) * term < tol * acc[:, 2]))
-            done = small[2:] & small[1:-1] & small[:-2]
-            stop = done | ~np.isfinite(term)
-            stopped = stop.any(axis=0)
-            hit = np.flatnonzero(stopped)
-            at = stop[:, hit].argmax(axis=0)
-            ok = done[at, hit]
-            finished, at = hit[ok], at[ok]
-            g[active[finished]] = acc[at, 0, finished]
-            gp[active[finished]] = acc[at, 1, finished] / z[finished]
-            keep = ~stopped
-            active, q0, q1z, z = active[keep], q0[keep], q1z[keep], z[keep]
-            last, sums, small = w[-2:, keep], acc[-1][:, keep], small[-2:, keep]
+    while running.any():
+        m = np.arange(n, n + _SERIES_BLOCK, dtype=float)
+        num = (m * (m + B + 2.0))[:, None] + q0
+        den = (m + 1.0) * (m + B + 1.0)
+        w = np.empty((m.size + 2, z.size))
+        w[:2] = last
+        for i in range(m.size):
+            w[i + 2] = (num[i] * w[i + 1] + q1z * w[i]) * z / den[i]
+        n += m.size
+        j = (m + 1.0)[:, None]  # the index n of each new term
+        term = np.abs(w[2:])
+        acc = np.empty((m.size + 1, 3, z.size))
+        acc[0], acc[1:, 0], acc[1:, 1], acc[1:, 2] = sums, w[2:], j * w[2:], term
+        acc = np.cumsum(acc, axis=0)[1:]
+        small = np.concatenate((small, (j * j + 1.0) * term < tol * acc[:, 2]))
+        done = small[2:] & small[1:-1] & small[:-2]
+        hit = np.flatnonzero(running & done.any(axis=0))
+        at = done[:, hit].argmax(axis=0)
+        g[hit] = acc[at, 0, hit]
+        gp[hit] = acc[at, 1, hit] / z[hit]
+        running[hit] = False
+        last, sums, small = w[-2:], acc[-1], small[-2:]
     return g, gp
 
 
@@ -202,7 +197,8 @@ def _certified_radius(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
     v_0 = 1 add up to less than 1/2: the series' absolute sum certifies
     |g - 1| < 1, and g has no zero on (-1/(4s), 0), which seeds a zero
     count at 0.  No term exceeds v_0, so the sum loses no digits to
-    cancellation, and it converges within a block or two of terms.
+    cancellation.  By induction |v_n y^n| <= 0.32^floor(n/2) given B >= 1/2,
+    the bound that stops _series_state, which runs only within this radius.
     """
     return 0.25 / (1.0 + np.abs(q0) + np.sqrt(np.abs(q1)))
 
@@ -639,11 +635,18 @@ def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: floa
 
     Every energy is seeded at _certified_radius, so a value does not depend
     on whether it is counted; count only adds the angles of the panels.
+    The series there stops for any finite q0 and q1 and B >= 1/2 (the
+    physical B = ell + 1/2); other input raises ValueError.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite and in (0, 1), got {tol}")
-    if y.size == 0:
-        return np.empty(0), np.empty(0), np.empty(0) if count else None
+    if not 0.5 <= B < math.inf:
+        raise ValueError(f"B must be finite and at least 1/2, got {B}")
+    for name, q in (("q0", q0), ("q1", q1)):
+        bad = q[~np.isfinite(q)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {bad[0]} "
+                             f"({bad.size} of {q.size} energies)")
     bad = y[~(np.isfinite(y) & (y < 0.0))]
     if bad.size:
         raise ValueError(f"y_target must be finite and negative, got {bad[0]} "
@@ -663,9 +666,7 @@ def _evaluate(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray, tol: floa
                             np.concatenate((y[inner], -radius)), _seed_tol(tol))
     g[inner], gp[inner] = sg[:m], sgp[:m]
     zeros = np.zeros(y.size) if count else None  # g > 0 inside the certified radius
-    seeded = np.isfinite(sg[m:])[owner]  # failed series stay NaN
-    if seeded.any():
-        outer, owner = outer[seeded], owner[seeded]
+    if outer.size:
         seed = np.stack((sg[m:], -radius * sgp[m:]), axis=1)
         u, passed = _continue(B, e0, e1, np.log(radius), seed, owner, np.log(-y[outer]), tol,
                               count)
@@ -691,8 +692,8 @@ def heun_continue_arrays(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray
     Chebyshev panels per energy in t = ln(-y) (_continue), with each panel's
     basis solutions resolved to tol by the size of their Chebyshev tail.  A
     value depends only on its energy, target and tol, not on the rest of the
-    batch.  A target whose series or continuation fails comes back as NaN
-    without affecting the others.
+    batch.  A target whose continuation fails comes back as NaN without
+    affecting the others.
     """
     g, gp, _ = _evaluate(B, q0, q1, y, tol)
     return g, gp
@@ -721,7 +722,8 @@ def heun_zero_counts(B: float, q0: np.ndarray, q1: np.ndarray, y: np.ndarray,
     if failed.size:
         raise HeunEvaluationError(
             f"zero count to y = {failed[0]} failed ({failed.size} of {y.size} targets): "
-            f"a series or a continuation panel did not evaluate"
+            f"the target lies beyond {_MAX_PANELS} panels, or a continuation panel "
+            f"overflows, underflows or stays unresolved"
         )
     n = zeros.astype(int)
     with np.errstate(all="ignore"):  # a g and g' that underflowed to 0 give NaN

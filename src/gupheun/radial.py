@@ -131,8 +131,8 @@ def wavefunction(cfg: CouplingConfig, ep: EnergyPoint, xi_grid) -> RadialProfile
     if failed.size:
         raise HeunEvaluationError(
             f"continuation to y = {failed[0]} failed ({failed.size} of {targets.size} targets): "
-            f"the series needs more than {heun.SERIES_MAX_TERMS} terms or overflows, "
-            f"or a continuation panel overflows or stays unresolved"
+            f"the target lies beyond {heun._MAX_PANELS} panels, or a continuation panel "
+            f"overflows or stays unresolved"
         )
     hc[off_origin] = g
 

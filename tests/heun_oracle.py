@@ -14,6 +14,7 @@ import numpy as np
 from gupheun import heun
 
 SERIES_RADIUS_LIMIT = 0.9
+SERIES_MAX_TERMS = 10_000
 
 
 def coefficients(kappa, ell, omega):
@@ -91,7 +92,7 @@ def heun_series(B, q0, q1, tol=1e-12, radius=0.5) -> HeunSeries:
     weight on the term so that the residual of the truncated polynomial in the
     differential equation (which picks up the dropped coefficients through the
     indicial factor (n+1)(n+B+1)) is bounded by tol as well, not only the
-    value; it is an error to need more than heun.SERIES_MAX_TERMS coefficients.
+    value; it is an error to need more than SERIES_MAX_TERMS coefficients.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -103,9 +104,9 @@ def heun_series(B, q0, q1, tol=1e-12, radius=0.5) -> HeunSeries:
     consecutive_small = 0
     n = 1
     while consecutive_small < 3:
-        if n >= heun.SERIES_MAX_TERMS:
+        if n >= SERIES_MAX_TERMS:
             raise heun.HeunEvaluationError(
-                f"series needs more than {heun.SERIES_MAX_TERMS} terms at radius {radius}"
+                f"series needs more than {SERIES_MAX_TERMS} terms at radius {radius}"
             )
         v = ((n * (n + B + 2.0) + q0) * coeffs[n] + q1 * coeffs[n - 1]) \
             / ((n + 1.0) * (n + B + 1.0))
@@ -159,10 +160,11 @@ def series_state_reference(B, q0, q1, z, tol):
     """heun._series_state as a loop that applies the stopping rule after every term.
 
     The evaluator applies it once per block of terms; both must give the same
-    bits.  Reads heun.SERIES_MAX_TERMS at call time, as the evaluator does.
+    bits.  Like the evaluator it stops only on the rule: a row whose terms
+    overflow never stops.
     """
-    g = np.full(z.shape, np.nan)
-    gp = np.full(z.shape, np.nan)
+    g = np.empty(z.size)
+    gp = np.empty(z.size)
     active = np.arange(z.size)
     w_prev = np.ones(z.size)
     w = q0 * z / (B + 1.0)
@@ -171,7 +173,7 @@ def series_state_reference(B, q0, q1, z, tol):
     abs_sum = 1.0 + np.abs(w)
     small = np.zeros(z.size, dtype=int)
     n = 1
-    while active.size and n < heun.SERIES_MAX_TERMS:
+    while active.size:
         w_prev, w = w, ((n * (n + B + 2.0) + q0) * w + q1 * z * w_prev) * z \
             / ((n + 1.0) * (n + B + 1.0))
         n += 1
@@ -181,12 +183,11 @@ def series_state_reference(B, q0, q1, z, tol):
         abs_sum += term
         small = np.where((n * n + 1.0) * term < tol * abs_sum, small + 1, 0)
         done = small >= 3
-        failed = ~np.isfinite(term)
-        if done.any() or failed.any():
+        if done.any():
             finished = active[done]
             g[finished] = value[done]
             gp[finished] = slope[done] / z[done]
-            keep = ~(done | failed)
+            keep = ~done
             active, q0, q1, z = active[keep], q0[keep], q1[keep], z[keep]
             w_prev, w, value, slope = w_prev[keep], w[keep], value[keep], slope[keep]
             abs_sum, small = abs_sum[keep], small[keep]

@@ -19,11 +19,9 @@ from gupheun import (CouplingConfig, EnergyPoint, cli, default_xi_grid, heun, sp
 from gupheun.spectral import SpectrumResult
 
 
-def run_cli(capsys, *args, warns=False):
+def run_cli(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
-    # cli.run prints each warning as a line where the "error" filter would raise
-    assert warns or "warning: " not in captured.err
     return code, captured.out.strip().splitlines(), captured.err
 
 
@@ -215,12 +213,12 @@ class TestRootsCommand:
 
     def test_failed_refinement_exit_3(self, capsys, monkeypatch):
         # counts of the grid evaluate; those of the refinement, between grid
-        # points, fail in their seed series
+        # points, fail: their paths need more than one continuation panel
         grid = spectral._spectral_points(spectral._scan_grid(0.2, 0.3, 40))
 
         def failing_off_the_grid(B, q0, q1, y, tol):
             if not np.isin(y, grid).all():
-                monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 1)
+                monkeypatch.setattr(heun, "_MAX_PANELS", 1)
             return heun.heun_zero_counts(B, q0, q1, y, tol=tol)
 
         monkeypatch.setattr(spectral, "heun_zero_counts", failing_off_the_grid)
@@ -228,8 +226,8 @@ class TestRootsCommand:
                                    "--omega-max", "0.3", "--points", "40")
         assert (code, lines) == (3, [])
         assert err.startswith("numerical failure: zero count to y = ")
-        assert err.endswith(" failed (1 of 1 targets): a series or a continuation panel did "
-                            "not evaluate\n")
+        assert err.endswith(" failed (1 of 1 targets): the target lies beyond 1 panels, or a "
+                            "continuation panel overflows, underflows or stays unresolved\n")
 
 
 class TestSpectrumCommand:
@@ -337,12 +335,14 @@ class TestWavefunctionCommand:
         assert "omega" in err
 
     def test_extreme_omega_is_numerical_error(self, capsys, monkeypatch):
-        # a series that cannot settle within its term cap is a Heun failure
-        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
+        # a grid point beyond the panel cap is a Heun failure
+        monkeypatch.setattr(heun, "_MAX_PANELS", 1)
         code, _, err = run_cli(capsys, "wavefunction", "--kappa", "2",
                                "--omega", "0.4999999999", "--points", "50")
         assert code == 3
-        assert "numerical failure" in err
+        assert err.startswith("numerical failure: continuation to y = ")
+        assert err.endswith(": the target lies beyond 1 panels, or a continuation panel "
+                            "overflows or stays unresolved\n")
 
     def test_extreme_omega_profile(self, capsys, tmp_path):
         # epsilon -> 0 sends d to ~1e19; the series is seeded close enough to
@@ -356,7 +356,7 @@ class TestWavefunctionCommand:
         # xi^5 overflows on the grid out to 1.2*xi* ~ 1.5e150: numpy's
         # overflow and invalid-value warnings came ahead of the refusal
         code, lines, err = run_cli(capsys, "wavefunction", "--kappa", "2", "--ell", "5",
-                                   "--omega", "1e-300", "--points", "50", warns=True)
+                                   "--omega", "1e-300", "--points", "50")
         assert (code, lines) == (2, [])
         assert err == "invalid configuration: profile values must be finite\n"
 
@@ -458,7 +458,7 @@ class TestCountBeforeScan:
             return np.array([1, 0]), np.ones(2), np.array([-0.5, 0.5])
 
         monkeypatch.setattr(spectral, "heun_zero_counts", equal_f)
-        code, lines, err = run_cli(capsys, "roots", "--kappa", "2", "--points", "2", warns=True)
+        code, lines, err = run_cli(capsys, "roots", "--kappa", "2", "--points", "2")
         assert (code, lines) == (3, [])
         assert err == ("numerical failure: level 1 is not certified in omega = [1e-05, 0.45] "
                        "by the count and the sign of g\n")
@@ -468,7 +468,7 @@ class TestCountBeforeScan:
         # about 3 s on a 2-core Xeon; g underflows to 0.0 at the deepest
         # counted energies, which leaves their F without a value
         code, lines, err = run_cli(capsys, "roots", "--kappa", "20", "--ell", "2",
-                                   "--omega-min", "1e-150", warns=True)
+                                   "--omega-min", "1e-150")
         assert (code, lines) == (3, [])
         assert err.startswith("numerical failure: level ") and err.count("\n") == 1
 
@@ -522,8 +522,9 @@ class TestCriticalCommand:
         assert content[1].startswith("0,")
 
     def test_failed_count_is_numerical_error(self, capsys, monkeypatch):
-        # the level count fails outright instead of reading as "no states"
-        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
+        # the level count fails outright instead of reading as "no states":
+        # its paths need more than one continuation panel
+        monkeypatch.setattr(heun, "_MAX_PANELS", 1)
         code, _, err = run_cli(capsys, "critical", "--ell", "0",
                                "--kappa-lo", "0.05", "--kappa-hi", "0.08")
         assert code == 3

@@ -281,6 +281,26 @@ class TestContinuation:
         with pytest.raises(ValueError, match=r"^tol must be finite and in \(0, 1\), got "):
             one_energy(coefficients(2.0, 0, 0.2), [-3.0], tol=tol)
 
+    @pytest.mark.parametrize("kernel", [heun_continue_arrays, heun_zero_counts])
+    @pytest.mark.parametrize("B, q0, q1, message", [
+        pytest.param(0.5, math.nan, 1.0, r"^q0 must be finite, got nan \(1 of 2 energies\)$",
+                     id="q0-nan"),
+        pytest.param(0.5, -math.inf, 1.0, r"^q0 must be finite, got -inf ", id="q0-inf"),
+        pytest.param(0.5, 2.5, math.inf, r"^q1 must be finite, got inf ", id="q1-inf"),
+        pytest.param(0.0, 2.5, 1.0, r"^B must be finite and at least 1/2, got 0.0$", id="B-0"),
+        pytest.param(-1.5, 2.5, 1.0, r"^B must be finite and at least 1/2, got -1.5$",
+                     id="B-negative"),
+        pytest.param(math.nan, 2.5, 1.0, r"^B must be finite and at least 1/2, got nan$",
+                     id="B-nan"),
+        pytest.param(math.inf, 2.5, 1.0, r"^B must be finite and at least 1/2, got inf$",
+                     id="B-inf"),
+    ])
+    def test_energies_outside_the_series_bound(self, kernel, B, q0, q1, message):
+        # the seed series stops only where its terms shrink (_certified_radius),
+        # which takes a finite q0 and q1 and B >= 1/2; such input came back NaN
+        with pytest.raises(ValueError, match=message):
+            kernel(B, np.array([q0, 2.5]), np.array([q1, 1.0]), np.array([-40.0, -0.01]))
+
 
 class TestZeroCounts:
     """heun_zero_counts against the sign changes of g on a dense path to y*."""
@@ -380,7 +400,8 @@ class TestZeroCounts:
         assert heun._turns(values)[0] == pytest.approx(angle, abs=1e-12)
 
     def test_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
+        # the path to y = -40 needs more than one continuation panel
+        monkeypatch.setattr(heun, "_MAX_PANELS", 1)
         with pytest.raises(HeunEvaluationError, match="zero count"):
             heun_zero_counts(0.5, np.array([2.5]), np.array([0.1]), np.array([-40.0]))
 
@@ -520,8 +541,7 @@ def _series_rows(kappa, ell, rows):
 def _same_series(B, q0, q1, z, tol):
     """The blocked _series_state against the term-by-term reference, bit for bit."""
     g, gp = heun._series_state(B, q0, q1, z, tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_ref, gp_ref = series_state_reference(B, q0, q1, z, tol)
+    g_ref, gp_ref = series_state_reference(B, q0, q1, z, tol)
     assert np.array_equal(g, g_ref, equal_nan=True)
     assert np.array_equal(gp, gp_ref, equal_nan=True)
     return g, gp
@@ -538,24 +558,29 @@ class TestSeriesState:
     def test_matches_term_by_term_loop(self, kappa, ell, tol, rows):
         _same_series(*_series_rows(kappa, ell, rows), tol)
 
-    @pytest.mark.parametrize("cap", [17, 31, 56])
-    def test_term_cap_at_block_edges(self, monkeypatch, cap):
-        # blocks hold terms 2-17, 18-33, 34-49, 50-65: a cap of 17 ends the
-        # first block, 31 and 56 cut the second and the fourth short
-        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", cap)
-        rows = [(w, f) for w in (0.4, 1e-3, 1e-20) for f in (1e-6, 0.01, 0.2, 0.6, 1.0)]
-        g, _ = _same_series(*_series_rows(2.0, 0, rows), 1e-13)
-        assert np.isnan(g).any() and not np.isnan(g).all()
-
-    def test_overflow_mid_block(self):
-        # beyond the unit disk the terms of the last row grow like |z|^n and
-        # overflow at term 46, in the middle of the block of terms 34-49
-        q0 = np.array([3.0, 3.0, 1e3])
-        q1 = np.array([1.0, 1.0, 1e3])
-        z = np.array([-0.3, -0.01, -1e6])
-        g, gp = _same_series(0.5, q0, q1, z, 1e-13)
-        assert np.all(np.isfinite(g[:2]) & np.isfinite(gp[:2]))
-        assert np.isnan(g[2]) and np.isnan(gp[2])
+    @settings(max_examples=300, deadline=None)
+    @given(kappa=st.floats(-2.0, 6.0).map(lambda x: 10.0 ** x), ell=st.integers(0, 30),
+           omega=st.floats(-300.0, math.log10(0.5), exclude_max=True).map(lambda x: 10.0 ** x))
+    def test_terms_shrink_at_the_certified_radius(self, kappa, ell, omega):
+        # what stops the series without a term cap: at the seed radius no term
+        # exceeds w_0 = 1, each is at most 0.32 times the larger of the two
+        # before it, and the rule stops by term 78 at the smallest seed tol
+        B, q0, q1 = coefficients(kappa, ell, omega)
+        z = -float(heun._certified_radius(np.array([q0]), np.array([q1]))[0])
+        tol = heun._seed_tol(1e-15)
+        w = [1.0, q0 * z / (B + 1.0)]
+        abs_sum, small, n = 1.0 + abs(w[1]), 0, 1
+        while small < 3:
+            w.append(((n * (n + B + 2.0) + q0) * w[n] + q1 * z * w[n - 1]) * z
+                     / ((n + 1.0) * (n + B + 1.0)))
+            n += 1
+            assert abs(w[n]) <= 0.32 * max(abs(w[n - 1]), abs(w[n - 2]))
+            abs_sum += abs(w[n])
+            small = small + 1 if (n * n + 1.0) * abs(w[n]) < tol * abs_sum else 0
+        assert max(map(abs, w)) == 1.0
+        assert abs_sum < 1.5 and n <= 78
+        g, _ = heun._series_state(B, np.array([q0]), np.array([q1]), np.array([z]), tol)
+        assert g[0] == pytest.approx(sum(w), rel=1e-14)
 
 
 def _spectral_batch(kappa, ell):

@@ -158,10 +158,10 @@ class TestBatchedScan:
         assert scan.brackets == _find_brackets(values)
 
     def test_failed_series_become_gaps(self, monkeypatch):
-        # with the term cap inside the first block of terms, only the six
-        # highest energies, whose seed series settle within 12 terms, keep a
-        # value
-        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 12)
+        # a seed series cannot fail, but a path can: with three continuation
+        # panels per energy only the highest energies, whose spectral points
+        # lie closest to the origin, keep a value
+        monkeypatch.setattr(heun, "_MAX_PANELS", 3)
         cfg = CouplingConfig(kappa=2.0, ell=0)
         scan = spectral_scan(cfg, 1e-4, 0.45, 40)
         values = _pointwise(cfg, scan.omegas, DEFAULT_SCAN_TOL)
@@ -270,12 +270,12 @@ class TestFindRoots:
 
     def test_failed_refinement_raises(self, monkeypatch):
         # counts of the grid evaluate; those of the refinement, between grid
-        # points, fail in their seed series
+        # points, fail: their paths need more than one continuation panel
         grid = spectral._spectral_points(spectral._scan_grid(0.2, 0.3, 40))
 
         def failing_off_the_grid(B, q0, q1, y, tol):
             if not np.isin(y, grid).all():
-                monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 1)
+                monkeypatch.setattr(heun, "_MAX_PANELS", 1)
             return heun.heun_zero_counts(B, q0, q1, y, tol=tol)
 
         monkeypatch.setattr(spectral, "heun_zero_counts", failing_off_the_grid)
@@ -668,8 +668,9 @@ class TestCriticalCoupling:
             critical_coupling(0, 0.05, 0.08, omega_floor=omega_floor)
 
     def test_failed_count_is_numerical_error(self, monkeypatch):
-        # a count that cannot be made is a failure, not "no bound states"
-        monkeypatch.setattr(heun, "SERIES_MAX_TERMS", 5)
+        # a count that cannot be made is a failure, not "no bound states":
+        # the floor's paths need more than one continuation panel
+        monkeypatch.setattr(heun, "_MAX_PANELS", 1)
         with pytest.raises(HeunEvaluationError, match="zero count"):
             critical_coupling(0, 0.05, 0.08)
 

@@ -19,6 +19,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import shutil
 import sys
 from collections.abc import Callable, Iterable
@@ -355,6 +356,8 @@ def _build_parser(invoked: str | None) -> argparse.ArgumentParser:
                            formatter_class=formatter)
         if name != invoked:
             continue
+        # argparse reads -1 and -.5 as numbers, but -1e-8 as an unknown option
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
         for key, help_text in _FLAGS.items():
             if key not in (*command.settings, "config"):
                 continue

@@ -18,12 +18,12 @@ strong-coupling pathology of the undeformed problem.  In the far field the
 envelope decays like exp(-rate * xi) with rate = sqrt(5 omega / (1 - 2 omega)).
 
 A profile is one heun_continue_arrays call with one energy, repeated once
-per grid point, and every grid point as a target: points inside its seed
-radius come from the series, the others from one chain of continuation
-panels; y = 0 (xi = 0) is the normalization Hc = 1, and a point that fails
-to evaluate raises HeunEvaluationError.  The default grid stops at
-1.2 * xi* because only r up to ~sqrt(-alpha/E) is physically meaningful for
-this boundary condition.
+per target: the grid points, then the 32 radii of the decay flag
+(RadialProfile).  Points inside its seed radius come from the series, the
+others from one chain of continuation panels; y = 0 (xi = 0) is the
+normalization Hc = 1, and a point that fails to evaluate raises
+HeunEvaluationError.  The default grid stops at 1.2 * xi* because only r up
+to ~sqrt(-alpha/E) is physically meaningful for this boundary condition.
 """
 
 from __future__ import annotations
@@ -64,34 +64,17 @@ def xi_star(cfg: CouplingConfig, ep: EnergyPoint) -> float:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Sampled R(xi) together with the radius xi* of its spectral point."""
+    """Sampled R(xi) and whether |R| fails to fall off toward xi*.
+
+    non_decaying: max|R| on the last decile [0.9, 1.0]*xi* of the physical
+    range exceeds max|R| on [0.45, 0.55]*xi*, each window valued at 16 evenly
+    spaced radii of its own, whatever the grid.  Eigenvalues decay by an
+    order of magnitude or more into the tail, non-eigenvalues do not.
+    """
 
     xi: np.ndarray
     values: np.ndarray
-    xi_star: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("profile values must be finite")
-
-    @property
-    def non_decaying(self) -> bool:
-        """True when |R| near xi* fails to drop below its mid-range level.
-
-        The physical range ends at xi*; the flag compares max|R| on the last
-        decile [0.9, 1.0]*xi* against max|R| on the mid window
-        [0.45, 0.55]*xi*.  Eigenvalues decay by an order of magnitude or more
-        into the tail, non-eigenvalues do not.  Requires the grid to reach xi*.
-        """
-        xs = self.xi_star
-        if self.xi[-1] < xs:
-            raise ValueError("grid does not reach xi*; flag undefined")
-        absval = np.abs(self.values)
-        tail = absval[(self.xi >= 0.9 * xs) & (self.xi <= xs)]
-        mid = absval[(self.xi >= 0.45 * xs) & (self.xi <= 0.55 * xs)]
-        if tail.size == 0 or mid.size == 0:
-            raise ValueError("grid too coarse around xi* for the decay flag")
-        return bool(tail.max() > mid.max())
+    non_decaying: bool
 
 
 def default_xi_grid(cfg: CouplingConfig, ep: EnergyPoint,
@@ -114,14 +97,21 @@ def default_xi_grid(cfg: CouplingConfig, ep: EnergyPoint,
 
 
 def wavefunction(cfg: CouplingConfig, ep: EnergyPoint, xi_grid) -> RadialProfile:
-    """Sample R(xi) = xi^ell * (1-y) * Hc(y(xi)) on a sorted non-negative grid."""
+    """Sample R(xi) = xi^ell * (1-y) * Hc(y(xi)) on a sorted non-negative grid.
+
+    A kernel value depends only on its energy, target and tol, so the flag's
+    radii in the same call leave R bit for bit.  A value that is not finite,
+    on the grid or at a flag radius, raises ValueError.
+    """
     xi = np.asarray(xi_grid, dtype=float)
     if xi.ndim != 1 or xi.size == 0:
         raise ValueError("xi_grid must be a non-empty 1-d array")
     if np.any(np.diff(xi) <= 0) or np.any(xi < 0):
         raise ValueError("xi_grid must be sorted strictly increasing and non-negative")
 
-    y = map_xi_to_y(xi, cfg, ep)
+    windows = np.concatenate([np.linspace(0.45, 0.55, 16), np.linspace(0.9, 1.0, 16)])
+    xi_all = np.concatenate([xi, xi_star(cfg, ep) * windows])
+    y = map_xi_to_y(xi_all, cfg, ep)
     hc = np.ones_like(y)
     off_origin = y != 0.0
     targets = y[off_origin]
@@ -136,6 +126,9 @@ def wavefunction(cfg: CouplingConfig, ep: EnergyPoint, xi_grid) -> RadialProfile
         )
     hc[off_origin] = g
 
-    with np.errstate(over="ignore", invalid="ignore"):  # RadialProfile refuses the non-finite
-        values = xi**cfg.ell * (1.0 - y) * hc
-    return RadialProfile(xi=xi, values=values, xi_star=xi_star(cfg, ep))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        values = xi_all**cfg.ell * (1.0 - y) * hc
+    if not np.all(np.isfinite(values)):
+        raise ValueError("profile values must be finite")
+    mid, tail = np.abs(values[xi.size:]).reshape(2, 16).max(axis=1)
+    return RadialProfile(xi=xi, values=values[:xi.size], non_decaying=bool(tail > mid))

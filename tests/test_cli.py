@@ -352,6 +352,15 @@ class TestWavefunctionCommand:
                              "-o", str(tmp_path / "wf.csv"))
         assert code == 0
 
+    def test_deep_profile_on_50_points(self, capsys, tmp_path):
+        # no point of this grid lies in either window of the flag, which has its own radii
+        out = tmp_path / "wf.csv"
+        code, lines, err = run_cli(capsys, "wavefunction", "--kappa", "10", "--omega", "1e-40",
+                                   "--points", "50", "-o", str(out))
+        assert (code, err) == (0, "")
+        assert parse_summary(lines[-1])["non_decaying"] == "false"
+        assert len(out.read_text().splitlines()) == 51
+
     def test_overflowing_profile_is_one_line(self, capsys):
         # xi^5 overflows on the grid out to 1.2*xi* ~ 1.5e150: numpy's
         # overflow and invalid-value warnings came ahead of the refusal
@@ -682,10 +691,12 @@ class TestConfiguration:
     @pytest.mark.parametrize("argv,message", [
         (("--kappa", "2", "--tol=-1e-8"), "tol must be finite and in (0, 1), got -1e-08"),
         (("--kappa=-1e-3",), "kappa must be finite and positive, got -0.001"),
+        (("--kappa", "2", "--tol", "-1e-8"), "tol must be finite and in (0, 1), got -1e-08"),
+        (("--kappa", "-1e-3"), "kappa must be finite and positive, got -0.001"),
     ])
     def test_negative_value_in_exponent_form(self, capsys, tmp_path, argv, message):
-        # argparse reads a separate "-1e-8" as an option, not as a negative
-        # number; written with "=" the value reaches the range check
+        # argparse alone reads a separate "-1e-8" as an unknown option and
+        # exits with its usage text; either spelling reaches the range check
         out = tmp_path / "out.csv"
         code, lines, err = run_cli(capsys, "roots", *argv, "-o", str(out))
         assert (code, lines, err) == (2, [], f"invalid configuration: {message}\n")

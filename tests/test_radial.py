@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from gupheun import spectral
-from gupheun.heun import CouplingConfig, EnergyPoint
+from gupheun import radial, spectral
+from gupheun.heun import CouplingConfig, EnergyPoint, heun_coefficients, heun_continue_arrays
 from gupheun.radial import (
     default_xi_grid,
     map_xi_to_y,
@@ -178,7 +178,6 @@ class TestWavefunction:
         xs = xi_star(cfg, ep)
         grid = np.unique(np.append(default_xi_grid(cfg, ep, n=200), xs))
         profile = wavefunction(cfg, ep, grid)
-        assert profile.xi_star == xs
         r_at_star = profile.values[np.searchsorted(grid, xs)]
         assert abs(r_at_star) < 1e-4 * np.max(np.abs(profile.values))
         assert profile.non_decaying is False
@@ -204,9 +203,34 @@ class TestWavefunction:
         with pytest.raises(ValueError, match=r"1\.2\*xi\* = 0\.00017 .* grid start 0\.001"):
             default_xi_grid(cfg, ep)
 
-    def test_flag_needs_grid_reaching_xi_star(self):
-        cfg = CouplingConfig(kappa=2.0, ell=0)
-        ep = EnergyPoint(0.01)
-        profile = wavefunction(cfg, ep, np.linspace(0.1, 1.0, 30))
-        with pytest.raises(ValueError):
-            profile.non_decaying
+    def test_grid_short_of_xi_star_gets_the_default_flag(self):
+        for omega, flag in ((0.004, True), (0.0167, False)):
+            cfg, ep = CouplingConfig(kappa=2.0, ell=0), EnergyPoint(omega)
+            short = wavefunction(cfg, ep, np.linspace(0.1, 1.0, 30))
+            assert short.non_decaying is flag
+            assert wavefunction(cfg, ep, default_xi_grid(cfg, ep)).non_decaying is flag
+
+    def test_flag_does_not_depend_on_the_grid(self):
+        # 50 log-spaced points often leave no point in [0.45, 0.55]*xi* or
+        # [0.9, 1.0]*xi*; the flag is valued at its own radii
+        rng = np.random.default_rng(49)
+        for _ in range(20):
+            cfg = CouplingConfig(kappa=float(np.exp(rng.uniform(np.log(0.75), np.log(100.0)))),
+                                 ell=0)
+            ep = EnergyPoint(float(np.exp(rng.uniform(np.log(1e-45), np.log(0.4)))))
+            flags = {wavefunction(cfg, ep, default_xi_grid(cfg, ep, n=n)).non_decaying
+                     for n in (50, 100, 400, 4000)}
+            assert len(flags) == 1, (cfg, ep)
+
+    @pytest.mark.parametrize("kappa, ell, omega, n", [(2.0, 0, 0.004, 400), (10.0, 1, 1e-40, 50),
+                                                      (100.0, 0, 0.3, 400), (2.0, 2, 0.0167, 7)])
+    def test_values_are_the_kernel_on_the_grid_alone(self, kappa, ell, omega, n):
+        # the flag's radii share the kernel call and must not move R by a bit
+        cfg, ep = CouplingConfig(kappa=kappa, ell=ell), EnergyPoint(omega)
+        xi = default_xi_grid(cfg, ep, n=n)
+        y = map_xi_to_y(xi, cfg, ep)
+        B, q0, q1 = heun_coefficients(kappa, ell, np.full(n, omega))
+        g, _ = heun_continue_arrays(B, q0, q1, y, tol=radial._PROFILE_TOL)
+        profile = wavefunction(cfg, ep, xi)
+        assert np.array_equal(profile.xi, xi)
+        assert np.array_equal(profile.values, xi**ell * (1 - y) * g)

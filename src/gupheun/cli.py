@@ -314,7 +314,7 @@ _FLAGS = {
     "n_max": None,
     "validity": "discard closed-form levels at or above this omega",
     "omega": None, "kappa_lo": None, "kappa_hi": None,
-    "omega_floor": "shallow end of the detection window (default 1e-45)",
+    "omega_floor": "detection floor: a level counts once it lies above it (default 1e-45)",
 }
 
 

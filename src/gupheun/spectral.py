@@ -21,14 +21,14 @@ The shallow-energy reduction F(alpha', gamma'; delta'; -1/Omega) = 0 that
 links the two is a test reference (tests/hyp_oracle.py), not a route.
 
 Weak coupling (4 kappa <= (ell+1/2)^2) has no bound states at all; the
-critical coupling is located by bisecting on the presence of levels in
-(omega_floor, omega_max), counted without a scan: the zeros of the Heun
-function on (y*, 0) drop by one at each eigenvalue as omega rises (Sturm
-oscillation), so the levels in the window are N(omega_floor) - N(omega_max).
-Near the critical point the remaining states sink exponentially fast
-(omega_1 ~ exp(-2 pi / nu) with nu -> 0), so the window must reach
-extremely shallow omega; the default floor of 1e-45 resolves the transition
-to about 1e-3 in kappa.
+critical coupling is located by bisecting on the presence of a level above
+omega_floor, N(omega_floor) >= 1, counted without a scan: the zeros N of the
+Heun function on (y*, 0) drop by one at each eigenvalue as omega rises, and a
+level that rises through omega = 1/2 leaves its node, so no window top is
+counted.  Near the critical point the remaining states sink exponentially
+fast (omega_1 ~ exp(-2 pi / nu) with nu -> 0), so the floor must reach
+extremely shallow omega; the default of 1e-45 resolves the transition to
+about 1e-3 in kappa.
 
 Physical units enter only at the very end: E_n = -omega_n / (2 m beta),
 equivalently -(5 hbar^2 / (4 m dx_min^2)) with dx_min = hbar sqrt(5 beta).
@@ -62,7 +62,6 @@ DEFAULT_SCAN_TOL = 1e-8
 DEFAULT_VALIDITY = 0.05
 
 CRITICAL_OMEGA_FLOOR = 1e-45
-CRITICAL_OMEGA_MAX = 0.4
 DEFAULT_KAPPA_TOL = 5e-4
 # halvings per count call of critical_coupling: a call's cost grows with its
 # energies; critical_coupling(0, 0.05, 0.08) takes 7.4 / 4.6 / 4.7 / 5.6 / 11.2
@@ -389,23 +388,24 @@ def closed_form_spectrum(cfg: CouplingConfig, n_max: int = 20,
 def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
                       omega_floor: float = CRITICAL_OMEGA_FLOOR,
                       kappa_tol: float = DEFAULT_KAPPA_TOL) -> float:
-    """Bisect on the presence of levels in (omega_floor, omega_max) to find the transition.
+    """Bisect on the presence of a level above omega_floor to find the transition.
 
-    The window's upper end omega_max is CRITICAL_OMEGA_MAX = 0.4.  At each
-    kappa its levels are N(omega_floor) - N(omega_max), N being the zeros of
-    the Heun function on (y*, 0), counted at the relaxed _COUNT_TOL
-    (heun_zero_counts).  _bisect halves [kappa_lo, kappa_hi] to kappa_tol as
-    plain bisection does, _LEVELS_PER_CALL halvings a call, the ends in the
-    first, and the middle of the last span is returned.  Near the transition
-    the last level sits at omega ~ exp(-2 pi / nu), hence the default floor
+    At each kappa a level is present where N(omega_floor) >= 1, N being the
+    zeros of the Heun function on (y*, 0), counted at the relaxed _COUNT_TOL
+    (heun_zero_counts): one energy per kappa.  N never falls as kappa rises
+    (Sturm comparison), so presence flips once, where the first level reaches
+    the floor.  _bisect halves [kappa_lo, kappa_hi] to kappa_tol as plain
+    bisection does, _LEVELS_PER_CALL halvings a call, the ends in the first,
+    and the middle of the last span is returned.  Near the transition the
+    last level sits at omega ~ exp(-2 pi / nu), hence the default floor
     1e-45: a floor of 1e-5 would place the threshold near kappa ~ 0.115 for
     ell = 0 instead of ~1/16.  A count that fails, or presence that changes
     more than once across the counted kappas, raises HeunEvaluationError.
     """
     if not kappa_lo < kappa_hi:
         raise ValueError("need kappa_lo < kappa_hi")
-    if not (0.0 < omega_floor < CRITICAL_OMEGA_MAX):
-        raise ValueError("need 0 < omega_floor < omega_max < 1/2")
+    if not (0.0 < omega_floor < 0.5 and math.isfinite(_spectral_points(float(omega_floor)))):
+        raise ValueError(f"need 0 < omega_floor < 1/2 and a finite y* there, got {omega_floor:g}")
     for kappa in (kappa_lo, kappa_hi):
         CouplingConfig(kappa=kappa, ell=ell)  # validates kappa and ell
     if not (math.isfinite(kappa_tol) and kappa_tol > 0):
@@ -415,20 +415,18 @@ def critical_coupling(ell: int, kappa_lo: float, kappa_hi: float,
     if kappa_tol <= spacing:
         raise ValueError(f"4 float spacings of kappa in [{kappa_lo:g}, {kappa_hi:g}] are "
                          f"{spacing:.3g}, not below kappa_tol = {kappa_tol:.3g}")
-    _check_window(omega_floor, CRITICAL_OMEGA_MAX)
 
     def count(kappas: np.ndarray) -> np.ndarray:
-        """Whether levels lie in the window at each of kappas."""
-        omegas = np.tile([omega_floor, CRITICAL_OMEGA_MAX], kappas.size)
-        n = heun_zero_counts(*heun_coefficients(np.repeat(kappas, 2), ell, omegas),
-                             _spectral_points(omegas), tol=_COUNT_TOL)[0]
-        return n[0::2] > n[1::2]
+        """Whether a level lies above the floor at each of kappas: N(omega_floor) >= 1."""
+        omegas = np.full(kappas.size, omega_floor)
+        return heun_zero_counts(*heun_coefficients(kappas, ell, omegas),
+                                _spectral_points(omegas), tol=_COUNT_TOL)[0] >= 1
 
     kappas, present = _bisect(count, [kappa_lo, kappa_hi], kappa_tol, _LEVELS_PER_CALL)
     flips = np.flatnonzero(present[:-1] != present[1:])
     if flips.size > 1:
         raise HeunEvaluationError(
-            f"presence of levels in ({omega_floor:g}, {CRITICAL_OMEGA_MAX}) changes more than once "
+            f"presence of a level above omega_floor = {omega_floor:g} changes more than once "
             f"with kappa: again between kappa = {kappas[flips[1]]} and {kappas[flips[1] + 1]}")
     if not flips.size:
         raise NoTransitionError(f"no transition in [{kappa_lo}, {kappa_hi}]: bound states "

@@ -369,6 +369,13 @@ class TestWavefunctionCommand:
         assert (code, lines) == (2, [])
         assert err == "invalid configuration: profile values must be finite\n"
 
+    def test_overflowing_radius_map_is_one_line(self, capsys):
+        # 1.2*xi* ~ 3.3e151 is finite, but y there is about -0.72/omega, which
+        # is not: the kernel refuses it in one line, with no numpy warning
+        code, lines, err = run_cli(capsys, "wavefunction", "--kappa", "1e-8", "--omega", "1e-310")
+        assert (code, lines) == (2, [])
+        assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+
 
 class TestCompareCommand:
     def test_schema(self, capsys, tmp_path):
@@ -529,6 +536,26 @@ class TestCriticalCommand:
         content = out.read_text().splitlines()
         assert content[0] == "ell,kappa_star"
         assert content[1].startswith("0,")
+
+    @pytest.mark.parametrize("ell,kappa_lo,kappa_hi,floor,kappa_star", [
+        ("1", "3", "40", "0.3", "5.46761703491"),
+        ("0", "0.5", "40", "0.19", "1.66159629822"),
+        ("1", "0.6", "9", "0.35", "6.0541809082"),
+        ("0", "0.05", "60", "0.3", "2.28865718842"),
+    ])
+    def test_shallow_floor_flips_once(self, capsys, ell, kappa_lo, kappa_hi, floor, kappa_star):
+        # the deepest level leaves through omega = 1/2 and its node stays in
+        # N, so N(floor) - N(0.4) would fall again at strong coupling;
+        # N(floor) >= 1 flips once, where the first level reaches the floor
+        code, lines, err = run_cli(capsys, "critical", "--ell", ell, "--kappa-lo", kappa_lo,
+                                   "--kappa-hi", kappa_hi, "--omega-floor", floor)
+        assert (code, err) == (0, "")
+        assert parse_summary(lines[-1])["kappa_star"] == kappa_star
+        kappas = float(kappa_star) + np.array([-1.0, 1.0]) * spectral.DEFAULT_KAPPA_TOL
+        omegas = np.full(2, float(floor))
+        n, _, _ = heun.heun_zero_counts(*heun.heun_coefficients(kappas, int(ell), omegas),
+                                        spectral._spectral_points(omegas), tol=1e-6)
+        assert n[0] == 0 and n[1] >= 1
 
     def test_failed_count_is_numerical_error(self, capsys, monkeypatch):
         # the level count fails outright instead of reading as "no states":

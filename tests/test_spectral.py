@@ -661,11 +661,31 @@ class TestCriticalCoupling:
         assert proc.stdout == ("4 float spacings of kappa in [0.0626, 0.06358] are 5.65e-17, "
                                "not below kappa_tol = 1e-300\n")
 
-    @pytest.mark.parametrize("omega_floor", [0.0, 0.4, 0.5, math.nan])
-    def test_window_validation(self, omega_floor):
-        # the window ends at CRITICAL_OMEGA_MAX = 0.4
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("omega_floor", [0.0, 0.5, math.nan, 1e-310])
+    def test_window_validation(self, monkeypatch, omega_floor):
+        # the floor is the one energy counted: it must lie in (0, 1/2) and
+        # have a finite y* (y* ~ -1/(2 omega) overflows below about 2.7e-309)
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted levels before checking the floor")
+
+        monkeypatch.setattr(spectral, "heun_zero_counts", no_count)
+        with pytest.raises(ValueError, match=r"^need 0 < omega_floor < 1/2 and a finite y\* "):
             critical_coupling(0, 0.05, 0.08, omega_floor=omega_floor)
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    @pytest.mark.parametrize("omega_floor", [0.4, 0.45])
+    def test_floor_up_to_one_half(self, ell, omega_floor):
+        # no window top: a floor above 0.4 is a floor like any other
+        got = critical_coupling(ell, 0.05 + 0.5 * ell, 40.0, omega_floor=omega_floor)
+        assert _floor_presence(ell, got, omega_floor) == [False, True]
+
+    @pytest.mark.parametrize("ell,kappa_lo,kappa_hi", [(0, 0.05, 40.0), (1, 0.54, 40.0)])
+    def test_threshold_rises_with_the_floor(self, ell, kappa_lo, kappa_hi):
+        # a shallower floor needs a stronger coupling to hold a level above
+        # it, also over brackets where the deepest level leaves through 1/2
+        thresholds = [critical_coupling(ell, kappa_lo, kappa_hi, omega_floor=omega_floor)
+                      for omega_floor in (1e-45, 1e-20, 1e-5, 0.1, 0.3)]
+        assert np.all(np.diff(thresholds) > 0)
 
     def test_failed_count_is_numerical_error(self, monkeypatch):
         # a count that cannot be made is a failure, not "no bound states":
@@ -754,10 +774,24 @@ def _two_end_count(ell, kappa, omega_lo, omega_hi):
     return n[0] - n[1]
 
 
+def _floor_counts(ell, kappas, omega_floor):
+    """N(omega_floor) at each of kappas, counted at tol 1e-6."""
+    kappas = np.asarray(kappas, dtype=float)
+    omegas = np.full(kappas.size, omega_floor)
+    return heun.heun_zero_counts(*heun.heun_coefficients(kappas, ell, omegas),
+                                 spectral._spectral_points(omegas), tol=1e-6)[0]
+
+
+def _floor_presence(ell, kappa_star, omega_floor):
+    """Whether a level lies above omega_floor at kappa_star -+ the default kappa_tol."""
+    kappas = kappa_star + np.array([-1.0, 1.0]) * spectral.DEFAULT_KAPPA_TOL
+    return (_floor_counts(ell, kappas, omega_floor) >= 1).tolist()
+
+
 def _plain_bisection(ell, kappa_lo, kappa_hi, omega_floor, kappa_tol):
     """critical_coupling's bisection with one level count per kappa, one call each."""
     def has_states(kappa):
-        return _two_end_count(ell, kappa, omega_floor, 0.4) > 0
+        return _floor_counts(ell, [kappa], omega_floor)[0] >= 1
 
     lo, hi = kappa_lo, kappa_hi
     hi_has = has_states(hi)
@@ -783,16 +817,28 @@ class TestCriticalCouplingCalls:
     ])
     def test_same_result_as_plain_bisection_in_fewer_calls(
             self, monkeypatch, ell, kappa_lo, kappa_hi, omega_floor, kappa_tol, calls):
-        made = []
+        made, energies = [], []
 
         def counted(*args, **kwargs):
             made.append(args)
             return heun.heun_zero_counts(*args, **kwargs)
 
+        def coefficients(kappas, ell, omegas):
+            energies.append((kappas, omegas))
+            return heun.heun_coefficients(kappas, ell, omegas)
+
         monkeypatch.setattr(spectral, "heun_zero_counts", counted)
+        monkeypatch.setattr(spectral, "heun_coefficients", coefficients)
         got = critical_coupling(ell, kappa_lo, kappa_hi, omega_floor=omega_floor,
                                 kappa_tol=kappa_tol)
-        assert len(made) == calls
+        assert len(made) == len(energies) == calls
+        # one energy per kappa, the floor, and each kappa counted once
+        for (kappas, omegas), (*_, y) in zip(energies, made):
+            assert kappas.shape == omegas.shape == y.shape
+            assert np.all(omegas == omega_floor)
+            assert np.all(y == spectral._spectral_points(omega_floor))
+        kappas = np.concatenate([kappas for kappas, _ in energies])
+        assert np.unique(kappas).size == kappas.size
         monkeypatch.undo()
         assert got == _plain_bisection(ell, kappa_lo, kappa_hi, omega_floor, kappa_tol)
 
@@ -808,12 +854,12 @@ class TestCriticalCouplingCalls:
 
         def zero_counts(kappa, ell, omega, y, tol):
             present = ((0.055 <= kappa) & (kappa <= 0.06)) | (kappa >= 0.07)
-            return np.where(present & (omega < 0.4), 1, 0), None
+            return np.where(present, 1, 0), None
 
         monkeypatch.setattr(spectral, "heun_coefficients", coefficients)
         monkeypatch.setattr(spectral, "heun_zero_counts", zero_counts)
-        with pytest.raises(HeunEvaluationError, match=r"^presence of levels in \(1e-45, 0.4\) "
-                           r"changes more than once with kappa: again between kappa = "
+        with pytest.raises(HeunEvaluationError, match=r"^presence of a level above omega_floor = "
+                           r"1e-45 changes more than once with kappa: again between kappa = "
                            r"0.05984375 and 0.0603125$"):
             critical_coupling(0, 0.05, 0.08)
 

@@ -7,7 +7,7 @@ and compares them with the closed-form geometric tower of shallow levels.
 Other names are imported from `gupheun.heun`, `.spectral`, `.radial` or `.specfun`.
 """
 
-from .heun import CouplingConfig, EnergyPoint
+from .heun import CouplingConfig
 from .radial import default_xi_grid, wavefunction
 from .spectral import (
     closed_form_spectrum,
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CouplingConfig",
-    "EnergyPoint",
     "closed_form_spectrum",
     "compare_spectra",
     "critical_coupling",

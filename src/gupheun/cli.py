@@ -10,6 +10,9 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.  The
 last stdout line is a machine-parsable `key=value` summary.  Where a command
 reads the tolerance, its default 1e-8 can be overridden by a JSON config file
 (--config) or by --tol, which wins.
+
+Physical units enter only here, at the very end: the UnitSystem of a
+--units-file adds E_n = -omega_n / (2 m beta) to `roots` and `spectrum`.
 """
 
 from __future__ import annotations
@@ -25,21 +28,19 @@ import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 
-from .heun import CouplingConfig, EnergyPoint, HeunEvaluationError
+from .heun import CouplingConfig, HeunEvaluationError
 from . import radial
 from .radial import default_xi_grid, wavefunction
-from .specfun import GammaPoleError, NonConvergenceError
 from . import spectral
 from .spectral import (
     NoTransitionError,
     SpectrumResult,
-    UnitSystem,
+    _find_brackets,
     closed_form_spectrum,
     compare_spectra,
     critical_coupling,
     exact_spectrum,
     spectral_scan,
-    to_physical_energy,
 )
 
 EXIT_OK = 0
@@ -114,6 +115,47 @@ class Output:
 _fmt = "{:.12g}".format  # a float as a CSV cell or summary value
 
 
+class UnitMismatchError(ValueError):
+    """UnitSystem-derived kappa disagrees with the spectrum's kappa."""
+
+
+@dataclass(frozen=True)
+class UnitSystem:
+    """SI-style inputs fixing the physical scales of the dimensionless problem."""
+
+    mass: float
+    hbar: float
+    beta: float
+    alpha_coupling: float
+
+    def __post_init__(self):
+        for name in ("mass", "hbar", "beta", "alpha_coupling"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{name} must be float, got {v!r}")
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive")
+
+    @property
+    def kappa(self) -> float:
+        return self.mass * self.alpha_coupling / (2.0 * self.hbar**2)
+
+
+def to_physical_energy(result: SpectrumResult, units: UnitSystem) -> list[float]:
+    """E_n = -omega_n / (2 m beta), checking unit consistency.
+
+    The units must reproduce the spectrum's kappa to 1e-12 relative: SI
+    constants carry roundoff into m*alpha/(2*hbar^2), and one ulp of kappa =
+    3e4 is 3.6e-12.  Natural-units conversion (mass = beta = 1) is simply
+    E_n = -omega_n / 2.
+    """
+    if not math.isclose(units.kappa, result.kappa, rel_tol=1e-12):
+        raise UnitMismatchError(
+            f"units give kappa = {units.kappa!r}, spectrum has {result.kappa!r}"
+        )
+    return [-w / (2.0 * units.mass * units.beta) for w in result.omegas]
+
+
 def _load_units(path: str) -> UnitSystem:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -164,11 +206,12 @@ def _emit(cfg: RunConfig, out: Output) -> str:
 
 
 def _run_scan(cfg: RunConfig) -> Output:
-    scan = spectral_scan(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points, cfg.tol)
-    brackets = scan.brackets
+    omegas, values = spectral_scan(cfg.coupling, cfg.omega_min, cfg.omega_max, cfg.points,
+                                   cfg.tol)
+    brackets = _find_brackets(values)
     n, left_endpoints = len(brackets), {i for i, _ in brackets}
     # one conversion to Python floats feeds both the CSV cells and the JSON lists
-    omegas, values = scan.omegas.tolist(), scan.values.tolist()
+    omegas, values = omegas.tolist(), values.tolist()
     failed = sum(map(math.isnan, values))
     if failed:
         note = f"{n} sign-change bracket(s); {failed} of {cfg.points} points failed"
@@ -211,8 +254,7 @@ def _run_wavefunction(cfg: RunConfig) -> Output:
     if cfg.omega is None:
         raise ValueError("wavefunction requires --omega")
     coupling = cfg.coupling
-    ep = EnergyPoint(cfg.omega)
-    profile = wavefunction(coupling, ep, default_xi_grid(coupling, ep, n=cfg.points))
+    profile = wavefunction(coupling, cfg.omega, default_xi_grid(coupling, cfg.omega, n=cfg.points))
     flag = profile.non_decaying
     xi, values = profile.xi.tolist(), profile.values.tolist()
     return Output(
@@ -322,8 +364,7 @@ def run(cfg: RunConfig) -> int:
     """Execute one command; prints the summary line and returns the exit code."""
     try:
         code, line = EXIT_OK, _emit(cfg, _COMMANDS[cfg.command].run(cfg))
-    except (HeunEvaluationError, NonConvergenceError, GammaPoleError,
-            NoTransitionError) as exc:
+    except (HeunEvaluationError, NoTransitionError) as exc:
         code, line = EXIT_NUMERICAL, f"numerical failure: {exc}"
     except (ValueError, OSError) as exc:
         code, line = EXIT_CONFIG, f"invalid configuration: {exc}"

@@ -94,17 +94,6 @@ class CouplingConfig:
             raise ValueError(f"ell must be a non-negative integer, got {self.ell}")
 
 
-@dataclass(frozen=True)
-class EnergyPoint:
-    """Dimensionless trial energy omega = -2*m*beta*E, in (0, 1/2) so that 1 - 2*omega > 0."""
-
-    omega: float
-
-    def __post_init__(self):
-        if not (0.0 < self.omega < 0.5):
-            raise ValueError(f"omega must lie in (0, 1/2), got {self.omega}")
-
-
 def heun_coefficients(kappa, ell: int, omega: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(B, q0, q1) of heun_continue_arrays at every omega; kappa is one value or one per omega.
 

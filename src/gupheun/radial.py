@@ -34,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import heun
-from .heun import (
-    CouplingConfig,
-    EnergyPoint,
-    HeunEvaluationError,
-    heun_coefficients,
-    heun_continue_arrays,
-)
+from .heun import CouplingConfig, HeunEvaluationError, heun_coefficients, heun_continue_arrays
 
 DEFAULT_GRID_POINTS = 400
 DEFAULT_GRID_START = 1e-3
@@ -48,19 +42,25 @@ DEFAULT_GRID_STRETCH = 1.2  # grid extends to 1.2 * xi*
 _PROFILE_TOL = 1e-10
 
 
-def map_xi_to_y(xi, cfg: CouplingConfig, ep: EnergyPoint):
+def map_xi_to_y(xi, cfg: CouplingConfig, omega: float):
     """Heun argument y = -(1-Omega)*5*xi^2/(8*kappa) for xi >= 0 (scalar or array)."""
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0):
         raise ValueError("xi must be non-negative")
     with np.errstate(over="ignore"):  # -inf below omega ~ 3e-309, which the kernel refuses
-        y = -(1.0 - 2.0 * ep.omega) * 5.0 * xi**2 / (8.0 * cfg.kappa)
+        y = -(1.0 - 2.0 * omega) * 5.0 * xi**2 / (8.0 * cfg.kappa)
     return float(y) if y.ndim == 0 else y
 
 
-def xi_star(cfg: CouplingConfig, ep: EnergyPoint) -> float:
-    """Radius sqrt(4*kappa/(5*omega)) where y(xi) hits the spectral point."""
-    return math.sqrt(4.0 * cfg.kappa / (5.0 * ep.omega))
+def xi_star(cfg: CouplingConfig, omega: float) -> float:
+    """Radius sqrt(4*kappa/(5*omega)) where y(xi) hits the spectral point.
+
+    Raises ValueError for a dimensionless energy omega = -2*m*beta*E outside
+    (0, 1/2), the range where omega > 0 and 1 - 2*omega > 0.
+    """
+    if not 0.0 < omega < 0.5:
+        raise ValueError(f"omega must lie in (0, 1/2), got {omega}")
+    return math.sqrt(4.0 * cfg.kappa / (5.0 * omega))
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class RadialProfile:
     non_decaying: bool
 
 
-def default_xi_grid(cfg: CouplingConfig, ep: EnergyPoint,
+def default_xi_grid(cfg: CouplingConfig, omega: float,
                     n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Log-spaced grid over [1e-3, 1.2*xi*], resolving power law and spectral zero.
 
@@ -86,18 +86,18 @@ def default_xi_grid(cfg: CouplingConfig, ep: EnergyPoint,
     kappa at a large omega), where the grid would run backwards, or is not
     finite (an omega near the smallest floats).
     """
+    stop = DEFAULT_GRID_STRETCH * xi_star(cfg, omega)
     if n < 2:
         raise ValueError("need at least two grid points")
-    stop = DEFAULT_GRID_STRETCH * xi_star(cfg, ep)
     if not math.isfinite(stop):
-        raise ValueError(f"1.2*xi* at omega = {ep.omega:g} is not finite")
+        raise ValueError(f"1.2*xi* at omega = {omega:g} is not finite")
     if stop <= DEFAULT_GRID_START:
         raise ValueError(f"1.2*xi* = {stop:.3g} does not exceed the grid start "
                          f"{DEFAULT_GRID_START:g}")
     return np.exp(np.linspace(math.log(DEFAULT_GRID_START), math.log(stop), n))
 
 
-def wavefunction(cfg: CouplingConfig, ep: EnergyPoint, xi_grid) -> RadialProfile:
+def wavefunction(cfg: CouplingConfig, omega: float, xi_grid) -> RadialProfile:
     """Sample R(xi) = xi^ell * (1-y) * Hc(y(xi)) on a sorted non-negative grid.
 
     A kernel value depends only on its energy, target and tol, so the flag's
@@ -111,12 +111,12 @@ def wavefunction(cfg: CouplingConfig, ep: EnergyPoint, xi_grid) -> RadialProfile
         raise ValueError("xi_grid must be sorted strictly increasing and non-negative")
 
     windows = np.concatenate([np.linspace(0.45, 0.55, 16), np.linspace(0.9, 1.0, 16)])
-    xi_all = np.concatenate([xi, xi_star(cfg, ep) * windows])
-    y = map_xi_to_y(xi_all, cfg, ep)
+    xi_all = np.concatenate([xi, xi_star(cfg, omega) * windows])
+    y = map_xi_to_y(xi_all, cfg, omega)
     hc = np.ones_like(y)
     off_origin = y != 0.0
     targets = y[off_origin]
-    B, q0, q1 = heun_coefficients(cfg.kappa, cfg.ell, np.full(targets.size, ep.omega))
+    B, q0, q1 = heun_coefficients(cfg.kappa, cfg.ell, np.full(targets.size, omega))
     g, _ = heun_continue_arrays(B, q0, q1, targets, tol=_PROFILE_TOL)
     failed = targets[np.isnan(g)]
     if failed.size:

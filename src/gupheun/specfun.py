@@ -13,8 +13,8 @@ Everything the closed form needs from classical analysis lives here:
   that anchors the geometric tower of bound states, with
   nu = sqrt(4 kappa - (ell + 1/2)^2) real only in the strong-coupling regime.
 
-All operations are pure functions; no public operation lets a NaN or Inf
-escape: bad inputs and pole hits raise instead.
+log_gamma takes a finite z off the poles 0, -1, -2, ...; the tower calls it
+only at i nu, 1/4 + ell/2 + i nu/2 and 5/4 + ell/2 + i nu/2 with nu > 0.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 from .heun import CouplingConfig
-
-_POLE_TOL = 1e-12
 
 # Lanczos g = 7, 9 coefficients (Godfrey's set, ~15 significant digits)
 _LANCZOS_G = 7.0
@@ -43,27 +41,8 @@ _LANCZOS_COEFFS = (
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
-class GammaPoleError(ValueError):
-    """Argument is (within machine tolerance of) a pole of Gamma."""
-
-
 class WeakCouplingError(ValueError):
     """4*kappa <= (ell + 1/2)^2: nu is not real positive, no bound-state tower."""
-
-
-class NonConvergenceError(RuntimeError):
-    """A series or an iteration did not converge to a finite value."""
-
-
-def _require_finite(z: complex, where: str) -> complex:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise NonConvergenceError(f"non-finite value escaped {where}")
-    return z
-
-
-def _is_nonpositive_integer(z: complex) -> bool:
-    n = round(z.real)
-    return n <= 0 and abs(z - n) < _POLE_TOL
 
 
 def log_gamma(z: complex) -> complex:
@@ -71,18 +50,11 @@ def log_gamma(z: complex) -> complex:
 
     Satisfies log_gamma(z+1) = log_gamma(z) + log(z) exactly on the cut plane
     (the shift used internally IS that identity), and agrees with the real
-    log Gamma on the positive axis.  Arguments at a non-positive integer raise
-    GammaPoleError.
+    log Gamma on the positive axis.  z must be finite and off the poles.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"argument must be finite, got {z}")
-    if _is_nonpositive_integer(z):
-        raise GammaPoleError(f"log_gamma pole at z = {z}")
-
     # shift right of Re z = 1/2 where the rational approximation holds
     shift = 0j
-    w = z
+    w = complex(z)
     while w.real < 0.5:
         shift += cmath.log(w)
         w += 1.0
@@ -91,8 +63,7 @@ def log_gamma(z: complex) -> complex:
     for k, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):
         acc += coeff / (w - 1.0 + k)
     t = w + _LANCZOS_G - 0.5
-    result = _HALF_LOG_TWO_PI + (w - 0.5) * cmath.log(t) - t + cmath.log(acc) - shift
-    return _require_finite(result, "log_gamma")
+    return _HALF_LOG_TWO_PI + (w - 0.5) * cmath.log(t) - t + cmath.log(acc) - shift
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,6 @@ counted.  Near the critical point the remaining states sink exponentially
 fast (omega_1 ~ exp(-2 pi / nu) with nu -> 0), so the floor must reach
 extremely shallow omega; the default of 1e-45 resolves the transition to
 about 1e-3 in kappa.
-
-Physical units enter only at the very end: E_n = -omega_n / (2 m beta),
-equivalently -(5 hbar^2 / (4 m dx_min^2)) with dx_min = hbar sqrt(5 beta).
 """
 
 from __future__ import annotations
@@ -78,10 +75,6 @@ class NoTransitionError(RuntimeError):
     """Both bisection endpoints agree on bound-state presence."""
 
 
-class UnitMismatchError(ValueError):
-    """UnitSystem-derived kappa disagrees with the spectrum's kappa."""
-
-
 def _spectral_points(omegas):
     """y* = (Omega-1)/Omega at every omega (a float or an array), radius sqrt(-alpha/E)."""
     big_omega = 2.0 * omegas
@@ -93,22 +86,6 @@ def _spectral_values(cfg: CouplingConfig, omegas: np.ndarray, tol: float) -> np.
     values, _ = heun_continue_arrays(*heun_coefficients(cfg.kappa, cfg.ell, omegas),
                                      _spectral_points(omegas), tol=tol)
     return values
-
-
-@dataclass(frozen=True)
-class SpectralScan:
-    """Log-spaced samples of the spectral function; brackets are its sign changes."""
-
-    omegas: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.omegas) != len(self.values):
-            raise ValueError("omegas and values must have equal length")
-
-    @property
-    def brackets(self) -> tuple[tuple[int, int], ...]:
-        return _find_brackets(self.values)
 
 
 def _find_brackets(values: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -140,16 +117,15 @@ def _check_window(omega_min: float, omega_max: float) -> None:
 def spectral_scan(cfg: CouplingConfig, omega_min: float = DEFAULT_OMEGA_MIN,
                   omega_max: float = DEFAULT_OMEGA_MAX,
                   n_points: int = DEFAULT_SCAN_POINTS,
-                  tol: float = DEFAULT_SCAN_TOL) -> SpectralScan:
-    """Sample the spectral function on a log grid and record sign-change brackets.
+                  tol: float = DEFAULT_SCAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(omegas, values): Hc(y*) on a log grid of omegas; _find_brackets gives its sign changes.
 
     The whole grid is one heun_continue_arrays call, with each energy held to
     tol.  Energies that fail to evaluate are recorded as NaN gaps; the scan
     itself never aborts.
     """
     omegas = _scan_grid(omega_min, omega_max, n_points)
-    values = _spectral_values(cfg, omegas, tol)
-    return SpectralScan(omegas=omegas, values=values)
+    return omegas, _spectral_values(cfg, omegas, tol)
 
 
 def _scan_grid(omega_min: float, omega_max: float, n_points: int) -> np.ndarray:
@@ -478,40 +454,3 @@ def compare_spectra(exact: SpectrumResult, approx: SpectrumResult) -> SpectrumCo
     ratios = tuple(b / a for a, b in zip(exact.omegas, exact.omegas[1:]))
     return SpectrumComparison(rows=rows, ratio_reference=ratio_ref, ratios_exact=ratios,
                               both_empty=(not exact.omegas and not approx.omegas))
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """SI-style inputs fixing the physical scales of the dimensionless problem."""
-
-    mass: float
-    hbar: float
-    beta: float
-    alpha_coupling: float
-
-    def __post_init__(self):
-        for name in ("mass", "hbar", "beta", "alpha_coupling"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"{name} must be float, got {v!r}")
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive")
-
-    @property
-    def kappa(self) -> float:
-        return self.mass * self.alpha_coupling / (2.0 * self.hbar**2)
-
-
-def to_physical_energy(result: SpectrumResult, units: UnitSystem) -> list[float]:
-    """E_n = -omega_n / (2 m beta), checking unit consistency.
-
-    The units must reproduce the spectrum's kappa to 1e-12 relative: SI
-    constants carry roundoff into m*alpha/(2*hbar^2), and one ulp of kappa =
-    3e4 is 3.6e-12.  Natural-units conversion (mass = beta = 1) is simply
-    E_n = -omega_n / 2.
-    """
-    if not math.isclose(units.kappa, result.kappa, rel_tol=1e-12):
-        raise UnitMismatchError(
-            f"units give kappa = {units.kappa!r}, spectrum has {result.kappa!r}"
-        )
-    return [-w / (2.0 * units.mass * units.beta) for w in result.omegas]

@@ -12,6 +12,10 @@ function:
 * (alpha', gamma', delta') of the regular branch in that limit;
 * the zeros of F(alpha', gamma'; delta'; -1/Omega) in omega, bracketed on the
   package's log grid and refined by scipy's brentq to ROOT_TOL.
+
+The connection formula is the one caller of log Gamma that can meet a pole:
+each of its log Gamma calls goes through log_gamma below, which refuses a
+non-finite argument, a pole and a non-finite value.
 """
 
 from __future__ import annotations
@@ -23,21 +27,44 @@ import numpy as np
 from scipy.optimize import brentq
 
 from gupheun.heun import CouplingConfig
-from gupheun.specfun import (
-    _POLE_TOL,
-    GammaPoleError,
-    NonConvergenceError,
-    WeakCouplingError,
-    _is_nonpositive_integer,
-    _require_finite,
-    compute_phase,
-    log_gamma,
-)
+from gupheun import specfun
+from gupheun.specfun import WeakCouplingError, compute_phase
 from gupheun.spectral import DEFAULT_VALIDITY, _find_brackets, _scan_grid
 
 SERIES_TOL = 1e-14
 SERIES_MAX_TERMS = 10_000
 ROOT_TOL = 1e-9  # absolute, in omega
+_POLE_TOL = 1e-12
+
+
+class GammaPoleError(ValueError):
+    """Argument is (within machine tolerance of) a pole of Gamma."""
+
+
+class NonConvergenceError(RuntimeError):
+    """A series or an iteration did not converge to a finite value."""
+
+
+def _require_finite(z: complex, where: str) -> complex:
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise NonConvergenceError(f"non-finite value escaped {where}")
+    return z
+
+
+def log_gamma(z: complex) -> complex:
+    """gupheun.specfun.log_gamma behind its domain checks.
+
+    A non-finite argument raises ValueError, one within _POLE_TOL of a
+    non-positive integer GammaPoleError, and a non-finite value
+    NonConvergenceError.
+    """
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"argument must be finite, got {z}")
+    n = round(z.real)
+    if n <= 0 and abs(z - n) < _POLE_TOL:
+        raise GammaPoleError(f"log_gamma pole at z = {z}")
+    return _require_finite(specfun.log_gamma(z), "log_gamma")
 
 
 def _gauss_series(alpha: complex, gamma_: complex, delta: complex, z: complex,
@@ -70,22 +97,16 @@ def hyp2f1_large_negative(alpha: complex, gamma_: complex, delta: complex,
           + G(d)G(a-g)/(G(a)G(d-g)) (-z)^(-g) F(g, 1-d+g; 1-a+g; 1/z)
 
     with (-z)^(-a) = exp(-a ln(-z)) and ln(-z) real, so a conjugate pair
-    (alpha, gamma) and real delta give a real result.  An integer gamma-alpha
-    makes both Gamma(gamma-alpha) factors singular (logarithmic connection
-    case) and raises GammaPoleError; for the physical parameters the
+    (alpha, gamma) and real delta give a real result.  A non-positive integer
+    delta, or an integer gamma-alpha (the logarithmic connection case, where
+    Gamma(gamma-alpha) or Gamma(alpha-gamma) is singular), meets a pole of
+    log_gamma and raises GammaPoleError; for the physical parameters the
     difference is i*nu with nu > 0, which never degenerates.
     """
     alpha, gamma_, delta = complex(alpha), complex(gamma_), complex(delta)
     z = float(z)
     if z > -2.0:
         raise ValueError(f"connection formula requires z <= -2, got {z}")
-    if _is_nonpositive_integer(delta):
-        raise GammaPoleError(f"delta = {delta} is a non-positive integer")
-    diff = gamma_ - alpha
-    if abs(diff - round(diff.real)) < _POLE_TOL:
-        raise GammaPoleError(
-            f"gamma - alpha = {diff} is an integer; connection formula degenerates"
-        )
     log_neg_z = math.log(-z)
     inv_z = 1.0 / z
     coeff_a = cmath.exp(log_gamma(delta) + log_gamma(gamma_ - alpha)

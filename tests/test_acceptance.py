@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from gupheun import cli
-from gupheun.heun import CouplingConfig, EnergyPoint
+from gupheun.heun import CouplingConfig
 from gupheun.radial import default_xi_grid, wavefunction, xi_star
 from gupheun.specfun import (
     compute_phase,
     log_gamma,
 )
 from gupheun.spectral import (
+    _find_brackets,
     closed_form_spectrum,
     critical_coupling,
     exact_spectrum,
@@ -62,7 +63,7 @@ def test_criterion_2_spectrum_kappa_2(roots_k2):
 
 
 def test_criterion_3_no_bound_states_kappa_005(scan_k005):
-    n = len(scan_k005.brackets)
+    n = len(_find_brackets(scan_k005[1]))
     report(3, "no bound states kappa=1/20", n == 0,
            f"{n} brackets over [1e-5, 0.45]")
 
@@ -123,16 +124,14 @@ def test_criterion_6_heun_hypergeometric_degeneration():
 def test_criterion_7_wavefunction_behavior(roots_k2):
     cfg = CouplingConfig(kappa=2.0, ell=0)
     root = min(roots_k2.omegas, key=lambda w: abs(w - 0.0167))
-    ep = EnergyPoint(root)
-    xs = xi_star(cfg, ep)
-    grid = np.unique(np.append(default_xi_grid(cfg, ep), xs))
-    profile = wavefunction(cfg, ep, grid)
+    xs = xi_star(cfg, root)
+    grid = np.unique(np.append(default_xi_grid(cfg, root), xs))
+    profile = wavefunction(cfg, root, grid)
     r_star = abs(profile.values[np.searchsorted(grid, xs)])
     bound = 1e-4 * np.max(np.abs(profile.values))
     decaying_ok = r_star < bound and profile.non_decaying is False
 
-    off = wavefunction(cfg, EnergyPoint(0.004),
-                       default_xi_grid(cfg, EnergyPoint(0.004)))
+    off = wavefunction(cfg, 0.004, default_xi_grid(cfg, 0.004))
     ok = decaying_ok and off.non_decaying is True
     report(7, "wavefunction decay at/off eigenvalue", ok,
            f"|R(xi*)|={r_star:.2e} (<{bound:.2e}) at omega={root:.6f}; "
@@ -180,10 +179,9 @@ def test_criterion_8_property_suite(tmp_path):
             failures.append(f"overlap band at y={y}")
 
     # near-origin log slope equals ell to 1e-2
-    ep = EnergyPoint(0.02)
     for ell in (0, 1):
         cfg = CouplingConfig(kappa=2.0, ell=ell)
-        prof = wavefunction(cfg, ep, default_xi_grid(cfg, ep, n=150))
+        prof = wavefunction(cfg, 0.02, default_xi_grid(cfg, 0.02, n=150))
         mask = (prof.xi >= 1e-3) & (prof.xi <= 1e-2)
         slope = np.polyfit(np.log(prof.xi[mask]),
                            np.log(np.abs(prof.values[mask])), 1)[0]
@@ -200,3 +198,22 @@ def test_criterion_8_property_suite(tmp_path):
         failures.append("CLI rerun not byte-identical")
 
     report(8, "property suite", not failures, "; ".join(failures) or "all properties hold")
+
+
+def test_criterion_9_critical_coupling_from_level_spacing():
+    # the literature's kappa* = (ell+1/2)^2/4 from the exact deep levels
+    # alone: they contract by exp(-2 pi / nu), nu^2 = 4 kappa - (ell+1/2)^2,
+    # so nu_fit from L levels gives kappa - nu_fit^2/4 = kappa*, with no
+    # floor, no bisection and no closed-form tower.  It checks e = kappa/eps
+    # + 1/2 of the Heun map but cannot see d = kappa Omega/eps^2 <= 4e-14
+    # there: d needs a matched anchor or a table of reference levels
+    worst, details = 0.0, []
+    for kappa, ell in ((0.75, 0), (2.0, 0), (2.0, 1), (5.0, 2), (20.0, 1)):
+        omegas = exact_spectrum(CouplingConfig(kappa=kappa, ell=ell), 1e-30, 1e-15,
+                                tol=1e-13).omegas
+        nu_fit = 2.0 * math.pi * (len(omegas) - 1) / math.log(omegas[0] / omegas[-1])
+        err = kappa - nu_fit**2 / 4.0 - (ell + 0.5) ** 2 / 4.0
+        worst = max(worst, abs(err))
+        details.append(f"({kappa:g}, {ell}): {err:.1e} from {len(omegas)} levels")
+    report(9, "kappa* from the level spacing", worst <= 1e-12,
+           f"kappa - nu_fit^2/4 - (ell+1/2)^2/4 at (kappa, ell) = {'; '.join(details)} (<=1e-12)")

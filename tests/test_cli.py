@@ -1,6 +1,7 @@
 """Command-line interface tests: schemas, exit codes, determinism, round-trips."""
 
 import argparse
+import ast
 import csv
 import dataclasses
 import io
@@ -14,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gupheun import (CouplingConfig, EnergyPoint, cli, default_xi_grid, heun, spectral,
-                     wavefunction)
+import gupheun
+from gupheun import CouplingConfig, cli, default_xi_grid, heun, spectral, wavefunction
 from gupheun.spectral import SpectrumResult
 
 
@@ -69,6 +70,11 @@ def test_readme_library_example_runs_without_scipy():
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     lines = proc.stdout.strip().splitlines()
     assert lines[0].startswith("(0.248601740967") and lines[-1] == "0.063359375"
+    # the example imports the package's whole top level, and nothing else
+    imported = [alias.name for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "gupheun"
+                for alias in node.names]
+    assert sorted(imported) == sorted(gupheun.__all__)
 
 
 class TestScanCommand:
@@ -313,8 +319,7 @@ class TestWavefunctionCommand:
                              "--omega", "2e-3", "-o", str(out))
         assert code == 0
         cfg = CouplingConfig(kappa=3.0, ell=1)
-        ep = EnergyPoint(2e-3)
-        profile = wavefunction(cfg, ep, default_xi_grid(cfg, ep))
+        profile = wavefunction(cfg, 2e-3, default_xi_grid(cfg, 2e-3))
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             [["xi", "R"], *([f"{x:.12g}", f"{v:.12g}"] for x, v in
@@ -706,6 +711,11 @@ class TestConfiguration:
         (("scan", "--points", "1"), "need at least two scan points"),
         (("compare", "--points", "0"), "need at least two scan points"),
         (("wavefunction", "--omega", "0.004", "--points", "1"), "need at least two grid points"),
+        (("wavefunction", "--omega", "0.5"), "omega must lie in (0, 1/2), got 0.5"),
+        (("wavefunction", "--omega", "0"), "omega must lie in (0, 1/2), got 0.0"),
+        # doubly invalid: the energy is checked before the grid
+        (("wavefunction", "--omega", "0.5", "--points", "1"),
+         "omega must lie in (0, 1/2), got 0.5"),
     ])
     def test_range_is_checked_by_the_library(self, capsys, tmp_path, argv, message):
         # RunConfig checks types and finiteness; the function that uses the

@@ -13,7 +13,6 @@ from scipy.linalg import expm
 from gupheun import heun, radial, spectral, spectral_scan
 from gupheun.heun import (
     CouplingConfig,
-    EnergyPoint,
     HeunEvaluationError,
     heun_coefficients,
     heun_continue_arrays,
@@ -48,11 +47,12 @@ class TestTypes:
             CouplingConfig(kappa=float("inf"))
 
     def test_energy_point(self):
-        assert EnergyPoint(0.25).omega == 0.25
-        with pytest.raises(ValueError):
-            EnergyPoint(0.5)
-        with pytest.raises(ValueError):
-            EnergyPoint(0.0)
+        # an energy is one float omega in (0, 1/2); a profile checks it in xi_star
+        cfg = CouplingConfig(kappa=2.0)
+        assert radial.xi_star(cfg, 0.25) == math.sqrt(4.0 * 2.0 / (5.0 * 0.25))
+        for omega in (0.5, 0.0):
+            with pytest.raises(ValueError, match=rf"^omega must lie in \(0, 1/2\), got {omega}$"):
+                radial.xi_star(cfg, omega)
 
     def test_params_invariants(self):
         with pytest.raises(ValueError, match="parameter d must be finite"):
@@ -190,11 +190,10 @@ class TestContinuation:
     def test_spectral_zero_kappa_34(self):
         # omega = 0.0491 sits at a zero of the boundary condition; the
         # evaluation point is (Omega-1)/Omega ~ -9.183
-        ep = EnergyPoint(0.0491)
-        big_omega = 2 * ep.omega
+        big_omega = 2 * 0.0491
         ystar = (big_omega - 1.0) / big_omega
         assert ystar == pytest.approx(-9.1833, abs=2e-4)
-        value = _value(coefficients(0.75, 0, ep.omega), ystar, tol=1e-10)
+        value = _value(coefficients(0.75, 0, 0.0491), ystar, tol=1e-10)
         assert abs(value) < 1e-3
 
     def test_degeneration_on_the_continued_range(self):
@@ -247,11 +246,10 @@ class TestContinuation:
         # no continuation-induced jumps that would break root bracketing
         omegas = np.arange(0.019, 0.021, 1e-4)
         vals = []
-        for w in omegas:
-            ep = EnergyPoint(float(w))
-            big_omega = 2 * ep.omega
+        for w in omegas.tolist():
+            big_omega = 2 * w
             ystar = (big_omega - 1.0) / big_omega
-            vals.append(_value(coefficients(2.0, 0, ep.omega), ystar, tol=1e-10))
+            vals.append(_value(coefficients(2.0, 0, w), ystar, tol=1e-10))
         vals = np.array(vals)
         second = np.abs(np.diff(vals, 2))
         assert second.max() < 1e-3 * np.abs(vals).max()
@@ -371,7 +369,7 @@ class TestZeroCounts:
         monkeypatch.setattr(heun, "_turns", no_angle)
         monkeypatch.setattr(heun, "_phase", no_angle)
         cfg = CouplingConfig(kappa=2.0, ell=0)
-        assert len(spectral_scan(cfg, 1e-4, 0.45, 60).brackets) == 4
+        assert len(spectral._find_brackets(spectral_scan(cfg, 1e-4, 0.45, 60)[1])) == 4
         one_energy(coefficients(2.0, 0, 1e-3), -np.geomspace(1e-3, 500.0, 50))
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
@@ -474,11 +472,11 @@ class TestSturmComparison:
                        self._log_uniform(rng, 1e-8, 0.45, 40))
         changes, counts = [], []
         for kappa, ell, omega in profiles:
-            cfg, ep = CouplingConfig(kappa=float(kappa), ell=int(ell)), EnergyPoint(float(omega))
-            xi = np.exp(np.linspace(math.log(1e-3), math.log(radial.xi_star(cfg, ep)), 4000))
-            r = radial.wavefunction(cfg, ep, xi).values
+            cfg, omega = CouplingConfig(kappa=float(kappa), ell=int(ell)), float(omega)
+            xi = np.exp(np.linspace(math.log(1e-3), math.log(radial.xi_star(cfg, omega)), 4000))
+            r = radial.wavefunction(cfg, omega, xi).values
             changes.append(np.count_nonzero(np.signbit(r[1:]) != np.signbit(r[:-1])))
-            omegas = np.array([ep.omega])
+            omegas = np.array([omega])
             counts.append(heun_zero_counts(*heun_coefficients(cfg.kappa, cfg.ell, omegas),
                                            spectral._spectral_points(omegas), tol=1e-10)[0][0])
         assert changes == counts
@@ -657,11 +655,10 @@ def dop853_paths():
     """
     paths = []
     for kappa, ell, omega in _DOP853_CASES:
-        ep = EnergyPoint(omega)
         energy = coefficients(kappa, ell, omega)
         B, q0, q1 = energy
         seed = -min(0.5, 16.0 / (abs(q0) + math.sqrt(abs(q1))))
-        big_omega = 2 * ep.omega
+        big_omega = 2 * omega
         targets = np.geomspace(1.5 * seed, (big_omega - 1.0) / big_omega, 6)
         series = heun_series(*energy, tol=1e-16, radius=-seed)
 
